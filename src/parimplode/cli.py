@@ -4,7 +4,7 @@ Subcommands: sweep, random, counterexample, skew, oracle, diagnose-sum.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 assertion
 failure.  Flags may also come from a JSON document via --config; explicit
 flags override document fields, and unknown document fields are rejected
-by name.  PARIMPLODE_THREADS overrides worker count.
+by name.  PARIMPLODE_THREADS sets the worker count where --threads is not given.
 """
 from __future__ import annotations
 

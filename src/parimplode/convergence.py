@@ -110,32 +110,37 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], region: EvalRegion | None = Non
               extended: bool = False,
               oracle_limit: int = DEFAULT_ORACLE_LIMIT,
               max_workers: int | None = None) -> list[RatePoint]:
-    """run_point over a ladder, in parallel, output in input order.
+    """run_point over a ladder, output in input order.
 
     All points are attempted; failures are aggregated into one SweepError
     carrying (N, exception) pairs.
+
+    The points run one after another in the calling thread unless
+    ``max_workers`` or PARIMPLODE_THREADS asks for more than one worker.
+    run_point is Python bytecode that holds the GIL, so a pool runs no
+    faster, and on a machine whose CPUs are shared its GIL hand-offs cost
+    up to half again the serial time.
     """
     if not Ns:
         raise ValueError("Ns must be non-empty")
     if any(n < 4 for n in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError(f"Ns must be strictly increasing with every N >= 4, got {Ns}")
-    results: list[RatePoint | None] = [None] * len(Ns)
-    failures: list[tuple[int, Exception]] = []
-    with ThreadPoolExecutor(max_workers=worker_count(max_workers)) as pool:
-        futures = {
-            pool.submit(run_point, spec, n, region,
-                        extended=extended, oracle_limit=oracle_limit): i
-            for i, n in enumerate(Ns)
-        }
-        for fut, i in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                failures.append((Ns[i], exc))
+    def attempt(n: int) -> RatePoint | Exception:
+        try:
+            return run_point(spec, n, region, extended=extended, oracle_limit=oracle_limit)
+        except Exception as exc:
+            return exc
+
+    workers = worker_count(max_workers, default=1)
+    if workers == 1:
+        outcomes = [attempt(n) for n in Ns]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, Ns))
+    failures = [(n, out) for n, out in zip(Ns, outcomes) if isinstance(out, Exception)]
     if failures:
-        failures.sort(key=lambda pair: pair[0])
         raise SweepError(failures)
-    return [p for p in results if p is not None]
+    return outcomes
 
 
 def fit_decay(points: list[RatePoint], field: str) -> DecayFit:

@@ -38,9 +38,9 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def worker_count(override: int | None = None) -> int:
+def worker_count(override: int | None = None, default: int | None = None) -> int:
     """Effective parallelism: explicit override, else PARIMPLODE_THREADS,
-    else the scheduler's view of available CPUs."""
+    else ``default``, else the scheduler's view of available CPUs."""
     if override is not None:
         return max(1, int(override))
     env = os.environ.get("PARIMPLODE_THREADS")
@@ -49,6 +49,8 @@ def worker_count(override: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"PARIMPLODE_THREADS must be an integer, got {env!r}") from None
+    if default is not None:
+        return max(1, int(default))
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:

@@ -1,5 +1,6 @@
 """Rate measurement: run_point pins, sweep orchestration, decay fits, CSV bytes."""
 import math
+import threading
 
 import pytest
 
@@ -19,6 +20,7 @@ from parimplode import (
     write_rate_csv,
 )
 from parimplode.convergence import RATE_CSV_HEADER
+from parimplode.ioutil import worker_count
 
 
 def _point(n, **overrides):
@@ -109,6 +111,47 @@ def test_run_sweep_aggregates_failures():
     assert [n for n, _ in ei.value.failures] == [101, 301]
     assert all("even" in str(exc).lower() or "odd" in str(exc).lower()
                for _, exc in ei.value.failures)
+
+
+def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch):
+    from parimplode import convergence
+
+    threads = set()
+    real_run_point = convergence.run_point
+
+    def recording_run_point(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_run_point(*args, **kwargs)
+
+    monkeypatch.delenv("PARIMPLODE_THREADS", raising=False)
+    monkeypatch.setattr(convergence, "run_point", recording_run_point)
+    ns = [100, 200, 400, 800]
+    inline = run_sweep(TheoremB(1), ns)
+    assert threads == {threading.get_ident()}
+    threads.clear()
+    pooled = run_sweep(TheoremB(1), ns, max_workers=2)
+    assert threading.get_ident() not in threads
+    assert pooled == inline
+    threads.clear()
+    monkeypatch.setenv("PARIMPLODE_THREADS", "2")
+    assert run_sweep(TheoremB(1), ns) == inline
+    assert threading.get_ident() not in threads
+
+
+def test_run_sweep_pool_aggregates_failures():
+    with pytest.raises(SweepError) as ei:
+        run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301], max_workers=2)
+    assert [n for n, _ in ei.value.failures] == [101, 301]
+
+
+def test_worker_count_precedence(monkeypatch):
+    monkeypatch.delenv("PARIMPLODE_THREADS", raising=False)
+    assert worker_count(None, default=1) == 1
+    assert worker_count(3, default=1) == 3
+    assert worker_count(None) >= 1
+    monkeypatch.setenv("PARIMPLODE_THREADS", "2")
+    assert worker_count(None, default=1) == 2
+    assert worker_count(0, default=1) == 1
 
 
 def test_sup_and_coeff_errors_track_each_other():

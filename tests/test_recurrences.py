@@ -1,10 +1,12 @@
 """Recurrence engine: oracle equivalence, conserved quantities, closed forms."""
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from parimplode import ddouble as dd
 from parimplode import (
     ChebyshevPoint,
     Custom,
@@ -13,6 +15,7 @@ from parimplode import (
     InvalidSpecError,
     PerturbationSequences,
     QRSTriple,
+    QuadraticNonconvergent,
     RecurrenceOverflowError,
     ScheduleMismatchError,
     TheoremA,
@@ -32,6 +35,7 @@ from parimplode import (
     run_recurrences,
     wronskian_residual,
 )
+from parimplode.skew import build_example, induced_schedule
 
 
 def _exact_rotation(N: int) -> PerturbationSequences:
@@ -315,15 +319,35 @@ def test_martingale_sum_detects_wrong_deviations():
 # -- overflow and extended path ---------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard():
-    n = 400
-    base = cmath.exp(2j * math.pi / n)
-    rho = np.full(n + 2, base + 1.0)  # |b| = 1: admissible but grows like 2^k
-    spec = Custom(rho=rho, eps_sq=np.zeros(n + 2, dtype=complex), rho_base=base)
-    with pytest.raises(RecurrenceOverflowError):
-        run_recurrences(materialize(spec, n))
-    with pytest.raises(RecurrenceOverflowError):
-        run_recurrences(materialize(spec, n), extended=True)
+    # at N = 1200 the unchecked values run on to inf and nan; the guard must
+    # still name the first entry past 1e100, and numpy must stay silent
+    for n in (400, 1200):
+        base = cmath.exp(2j * math.pi / n)
+        rho = np.full(n + 2, base + 1.0)  # |b| = 1: admissible but grows like 2^k
+        spec = Custom(rho=rho, eps_sq=np.zeros(n + 2, dtype=complex), rho_base=base)
+        for extended in (False, True):
+            with pytest.raises(RecurrenceOverflowError, match=r"^\|q_333\| exceeded 1e100"):
+                run_recurrences(materialize(spec, n), extended=extended)
+
+
+def test_overflow_check_treats_non_finite_as_overflow():
+    from parimplode.recurrences import _check_overflow
+
+    q = np.ones(10, dtype=complex)
+    r = np.ones(10, dtype=complex)
+    s = np.ones(9, dtype=complex)
+    _check_overflow(q, r, s)
+    s[3] = complex("inf")
+    r[7] = complex("nan")
+    with pytest.raises(RecurrenceOverflowError, match=r"^\|r_7\|"):
+        _check_overflow(q, r, s)  # q and r are checked before s
+    q[7] = 2e100
+    with pytest.raises(RecurrenceOverflowError, match=r"^\|q_7\|"):
+        _check_overflow(q, r, s)
+    with pytest.raises(RecurrenceOverflowError, match=r"^\|s_3\|"):
+        _check_overflow(np.ones(10, dtype=complex), np.ones(10, dtype=complex), s)
 
 
 def test_extended_path_agrees_with_plain():
@@ -344,3 +368,152 @@ def test_extended_path_shrinks_wronskian_drift():
     ext = wronskian_residual(run_recurrences(seqs, extended=True), 2048)
     assert ext < 1e-12
     assert ext < plain
+
+
+# -- bit-identity against the straightforward loops -------------------------------
+#
+# The kernels in run_recurrences are flat rewrites of the loops below.  They
+# must reproduce them bit for bit, so every CSV byte and pinned value
+# computed from q, r, s and rho_cumprod is unaffected by the rewrite.
+
+
+def _reference_plain(seqs):
+    N = seqs.N
+    rho = seqs.rho
+    es = seqs.eps_sq
+    q = np.zeros(N + 2, dtype=complex)
+    r = np.zeros(N + 2, dtype=complex)
+    s = np.zeros(N + 1, dtype=complex)
+    prod = np.ones(N + 1, dtype=complex)
+    q[1] = 1.0
+    r[0] = 1.0
+    r[1] = 1.0
+    s[1] = 1.0
+    for k in range(1, N + 1):
+        coeff = 1.0 + rho[k] - es[k]
+        q[k + 1] = coeff * q[k] - rho[k] * q[k - 1]
+        r[k + 1] = coeff * r[k] - rho[k] * r[k - 1]
+        prod[k] = prod[k - 1] * rho[k]
+    for k in range(1, N):
+        coeff = 1.0 + rho[k + 1] - es[k + 1]
+        s[k + 1] = coeff * s[k] - rho[k + 1] * s[k - 1]
+    return q, r, s, prod
+
+
+def _reference_extended(seqs):
+    N = seqs.N
+    rho = seqs.rho
+    es = seqs.eps_sq
+    one = dd.cfrom(1.0)
+    q = np.zeros(N + 2, dtype=complex)
+    r = np.zeros(N + 2, dtype=complex)
+    s = np.zeros(N + 1, dtype=complex)
+    prod = np.ones(N + 1, dtype=complex)
+    q[1] = 1.0
+    r[0] = 1.0
+    r[1] = 1.0
+    s[1] = 1.0
+    qm, qk = dd.cfrom(0.0), dd.cfrom(1.0)
+    rm, rk = dd.cfrom(1.0), dd.cfrom(1.0)
+    pk = dd.cfrom(1.0)
+    for k in range(1, N + 1):
+        rk_in = dd.cfrom(complex(rho[k]))
+        ek_in = dd.cfrom(complex(es[k]))
+        coeff = dd.csub(dd.cadd(one, rk_in), ek_in)
+        qn = dd.csub(dd.cmul(coeff, qk), dd.cmul(rk_in, qm))
+        rn = dd.csub(dd.cmul(coeff, rk), dd.cmul(rk_in, rm))
+        pk = dd.cmul(pk, rk_in)
+        qm, qk = qk, qn
+        rm, rk = rk, rn
+        q[k + 1] = dd.cval(qn)
+        r[k + 1] = dd.cval(rn)
+        prod[k] = dd.cval(pk)
+    sm, sk = dd.cfrom(0.0), dd.cfrom(1.0)
+    for k in range(1, N):
+        rk_in = dd.cfrom(complex(rho[k + 1]))
+        ek_in = dd.cfrom(complex(es[k + 1]))
+        coeff = dd.csub(dd.cadd(one, rk_in), ek_in)
+        sn = dd.csub(dd.cmul(coeff, sk), dd.cmul(rk_in, sm))
+        sm, sk = sk, sn
+        s[k + 1] = dd.cval(sn)
+    return q, r, s, prod
+
+
+def _assert_bit_identical(seqs, extended):
+    triple = run_recurrences(seqs, extended=extended)
+    reference = (_reference_extended if extended else _reference_plain)(seqs)
+    for name, got, want in zip(("q", "r", "s", "rho_cumprod"),
+                               (triple.q, triple.r, triple.s, triple.rho_cumprod), reference):
+        assert got.shape == want.shape, name
+        diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
+
+
+_FAMILIES = (
+    [(f"A{c}", lambda n, c=c: materialize(TheoremA(c), n)) for c in (1, 2, 3)]
+    + [(f"B{c}", lambda n, c=c: materialize(TheoremB(c), n)) for c in (1, 2, 3, 4, 5)]
+    + [("quadratic", lambda n: materialize(QuadraticNonconvergent(), n))]
+    + [(f"skew{e}", lambda n, e=e: induced_schedule(build_example(e, n), n)) for e in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+@pytest.mark.parametrize("n", [100, 1600])
+@pytest.mark.parametrize("build", [b for _, b in _FAMILIES], ids=[name for name, _ in _FAMILIES])
+def test_kernels_bit_identical_to_reference_loops(build, n, extended):
+    _assert_bit_identical(build(n), extended)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_kernels_bit_identical_on_random_small_schedules(extended):
+    for n, trial in ((4, 0), (64, 1), (100, 2), (1600, 3)):
+        _assert_bit_identical(random_small_schedule(n, seed=11, trial=trial), extended)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_kernels_bit_identical_across_block_edges(extended):
+    # the kernels advance steps 2..N in blocks of _BLOCK; N = 257 ends on a
+    # block edge, 258 and 514 just past one
+    for trial, n in enumerate((5, 257, 258, 513, 514)):
+        _assert_bit_identical(random_small_schedule(n, seed=12, trial=trial), extended)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_kernels_hold_no_per_step_objects(extended):
+    # Memory at N = 12800 stays near the output arrays themselves: a kernel
+    # that keeps one Python object per step would more than double it.
+    seqs = materialize(TheoremB(3), 12800)
+    tracemalloc.start()
+    try:
+        triple = run_recurrences(seqs, extended=extended)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.s, triple.rho_cumprod))
+    assert peak < 2 * outputs
+
+
+def test_kernels_bit_identical_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # signed zeros are drawn on purpose: the kernels must keep their signs
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+    cplx = st.builds(complex, part, part)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        b=st.lists(cplx, min_size=1, max_size=40),
+        data=st.data(),
+        angle=st.floats(-math.pi, math.pi),
+        extended=st.booleans(),
+    )
+    def check(b, data, angle, extended):
+        n = len(b)
+        eps_sq = data.draw(st.lists(cplx, min_size=n, max_size=n))
+        base = cmath.exp(1j * angle)
+        rho = np.array([0.0] + [base + x for x in b] + [base], dtype=complex)
+        seqs = PerturbationSequences(rho, np.array([0.0] + eps_sq + [0.0], dtype=complex), base)
+        _assert_bit_identical(seqs, extended)
+
+    check()
