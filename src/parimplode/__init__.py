@@ -69,6 +69,7 @@ from .recurrences import (
     martingale_sum,
     r_from_qs,
     run_recurrences,
+    s_sequence,
     wronskian_residual,
 )
 from .schedules import (

@@ -30,8 +30,8 @@ SUMMARY_CSV_HEADER = "N,delta,trials,median_qN,q90_qN,exceed_count,azuma_bound"
 class TrialRecord:
     """Checkpoint values for one (seed, trial) at one N.
 
-    q_Nm1 is q_{N-1}; s_Nm1 and s_Nm2 are s_{N-1} and s_{N-2}.  The record
-    is a pure function of (delta, dist, seed, trial, N).
+    q_Nm1 is q_{N-1}.  The record is a pure function of
+    (delta, dist, seed, trial, N).
     """
 
     N: int
@@ -41,8 +41,6 @@ class TrialRecord:
     q_N: complex
     q_N1: complex
     q_Nm1: complex
-    s_Nm1: complex
-    s_Nm2: complex
     coeff_err: float
 
 
@@ -155,16 +153,6 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
             q[:, k + 1] = coeff[:, k] * q[:, k] - q[:, k - 1]
             r_next = coeff[:, k] * r_cur - r_prev
             r_prev, r_cur = r_cur, r_next
-        # after the loop s_prev = s_{N-1}, s_cur = s_N; s_{N-2} is captured
-        # at the start of its iteration
-        s_prev = np.zeros(trials)
-        s_cur = np.ones(trials)
-        s_nm2 = np.zeros(trials)
-        for k in range(1, N):
-            if k == N - 2:
-                s_nm2 = s_cur.copy()
-            s_next = coeff[:, k + 1] * s_cur - s_prev
-            s_prev, s_cur = s_cur, s_next
 
         # delta_n = sum_{k<n} d_k q_k e^{ik theta}, n = 1..N+1, and its
         # running comparison against the lambda_rule thresholds
@@ -183,13 +171,11 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
 
     ok = (
         np.isfinite(q[:, N - 1]) & np.isfinite(q[:, N]) & np.isfinite(q[:, N + 1])
-        & np.isfinite(s_prev) & np.isfinite(s_nm2) & np.isfinite(ce)
-        & (np.abs(d_coef) > 1e-12)
+        & np.isfinite(ce) & (np.abs(d_coef) > 1e-12)
     )
     return {
         "q_Nm1": q[:, N - 1], "q_N": q[:, N], "q_N1": q[:, N + 1],
-        "s_Nm1": s_prev, "s_Nm2": s_nm2, "coeff_err": ce,
-        "exceeded": exceeded, "ok": ok,
+        "coeff_err": ce, "exceeded": exceeded, "ok": ok,
     }
 
 
@@ -237,7 +223,6 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
                 N=n, delta=delta, seed=seed, trial=t,
                 q_N=complex(data["q_N"][t]), q_N1=complex(data["q_N1"][t]),
                 q_Nm1=complex(data["q_Nm1"][t]),
-                s_Nm1=complex(data["s_Nm1"][t]), s_Nm2=complex(data["s_Nm2"][t]),
                 coeff_err=float(data["coeff_err"][t]),
             ))
         good_q = np.abs(data["q_N"][ok])

@@ -7,15 +7,16 @@ F_N = f_N o ... o f_1 has coefficients (A, B, C, D) with
 
 where q and r satisfy x_{k+1} = (1 + rho_k - eps_k^2) x_k - rho_k x_{k-1}
 from (q_0, q_1) = (0, 1) and (r_0, r_1) = (1, 1).  The auxiliary sequence
-s runs the same recurrence with coefficients shifted one step ahead and
-recovers r through r_k = q_k - rho_1 * s_{k-1}.
+s, which recovers r through r_k = q_k - rho_1 * s_{k-1}, is the q sequence
+of the same schedule shifted one step ahead.  The kernels do not carry it;
+``s_sequence`` works it out when asked.
 
 Index conventions (documented once, used everywhere):
 
 * ``rho`` and ``eps_sq`` have length N+2 and are 1-based; slot 0 is unused
-  and kept at 0.  Index N+1 exists because s consumes shifted coefficients.
-* ``q`` and ``r`` have length N+2 covering 0..N+1; ``s`` has length N+1
-  covering 0..N.
+  and kept at 0.  No recurrence reads index N+1; it gives the shifted
+  schedule behind s the same N+2 layout.
+* ``q`` and ``r`` have length N+2 covering 0..N+1; s covers 0..N.
 * Additive perturbations enter only through eps^2, so sequences store
   eps_sq directly and no square root is ever taken.
 """
@@ -131,7 +132,7 @@ class PerturbationSequences:
 
 @dataclass(frozen=True)
 class QRSTriple:
-    """Recurrence outputs plus bookkeeping needed by downstream checks.
+    """Recurrence outputs q, r plus bookkeeping needed by downstream checks.
 
     ``rho_cumprod[k]`` is prod_{j<=k} rho_j (length N+1, index 0 = 1); it is
     the exact value of the Wronskian q_{k+1} r_k - r_{k+1} q_k and is carried
@@ -140,7 +141,6 @@ class QRSTriple:
 
     q: np.ndarray
     r: np.ndarray
-    s: np.ndarray
     rho_cumprod: np.ndarray
     eps_was_zero: bool
 
@@ -149,17 +149,15 @@ class QRSTriple:
         return self.q.size - 2
 
 
-def _check_overflow(q: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
+def _check_overflow(q: np.ndarray, r: np.ndarray) -> None:
     """Raise on the first entry that is non-finite or exceeds 1e100 in modulus.
 
-    q and r are scanned together by index (q first on a tie), then s, which
-    names the same entry a step-by-step check would have stopped at.
+    q and r are scanned together by index (q first on a tie), which names
+    the same entry a step-by-step check would have stopped at.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bad_q, bad_r, bad_s = (~(np.abs(x) <= _OVERFLOW_LIMIT) for x in (q, r, s))
+        bad_q, bad_r = (~(np.abs(x) <= _OVERFLOW_LIMIT) for x in (q, r))
     hits = [(int(np.argmax(bad)), name) for bad, name in ((bad_q, "q"), (bad_r, "r")) if bad.any()]
-    if not hits and bad_s.any():
-        hits = [(int(np.argmax(bad_s)), "s")]
     if hits:
         k, name = min(hits)
         raise RecurrenceOverflowError(
@@ -167,10 +165,10 @@ def _check_overflow(q: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
 
 
 def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRSTriple:
-    """Advance the q, r, s recurrences for the full composition.
+    """Advance the q and r recurrences for the full composition.
 
     Both paths make one pass over the schedule, in blocks of _BLOCK steps,
-    that advances q, r and s together.  Their outputs are bit-identical to
+    that advances q and r together.  Their outputs are bit-identical to
     the straightforward per-sequence loops over numpy scalars and
     ``ddouble`` tuples, which the test suite keeps as references.
 
@@ -180,7 +178,7 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     extended : bool
         When True, accumulate in compensated double-double arithmetic
         (inputs stay binary64).  About 20x the cost of the plain path per
-        step (about 12 us against 0.55 us on a 2.1 GHz Xeon vCPU);
+        step (about 8.5 us against 0.41 us on a 2.1 GHz Xeon vCPU);
         removes essentially all accumulation rounding, leaving only input
         representation error.
 
@@ -193,9 +191,9 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     RecurrenceOverflowError
         If any sequence value is non-finite or exceeds 1e100 in modulus.
     """
-    q, r, s, prod = (_run_extended if extended else _run_plain)(seqs)
-    _check_overflow(q, r, s)
-    return QRSTriple(q=q, r=r, s=s, rho_cumprod=prod, eps_was_zero=seqs.eps_all_zero())
+    q, r, prod = (_run_extended if extended else _run_plain)(seqs)
+    _check_overflow(q, r)
+    return QRSTriple(q=q, r=r, rho_cumprod=prod, eps_was_zero=seqs.eps_all_zero())
 
 
 # Both kernels walk the schedule in blocks of _BLOCK steps.  A block's
@@ -208,8 +206,8 @@ _BLOCK = 256
 
 
 def _blocks(N: int):
-    """(k0, k1) ranges covering steps 2..N."""
-    for k0 in range(2, N + 1, _BLOCK):
+    """(k0, k1) ranges covering steps 1..N."""
+    for k0 in range(1, N + 1, _BLOCK):
         yield k0, min(k0 + _BLOCK, N + 1)
 
 
@@ -219,33 +217,22 @@ def _run_plain(seqs: PerturbationSequences):
     coeff = 1.0 + rho - seqs.eps_sq
     q = np.empty(N + 2, dtype=complex)
     r = np.empty(N + 2, dtype=complex)
-    s = np.empty(N + 1, dtype=complex)
-    qm, qk, rm, rk, sm, sk = 0j, 1 + 0j, 1 + 0j, 1 + 0j, 0j, 1 + 0j
+    qm, qk, rm, rk = 0j, 1 + 0j, 1 + 0j, 1 + 0j
     q[:2] = qm, qk
     r[:2] = rm, rk
-    s[:2] = sm, sk
-    # Step 1 advances q and r only: s_k runs one step behind, on the
-    # step-k coefficient, from s_2 on.
-    c, p = complex(coeff[1]), complex(rho[1])
-    qm, qk = qk, c * qk - p * qm
-    rm, rk = rk, c * rk - p * rm
-    q[2], r[2] = qk, rk
     for k0, k1 in _blocks(N):
-        qb, rb, sb = [], [], []
+        qb, rb = [], []
         for c, p in zip(coeff[k0:k1].tolist(), rho[k0:k1].tolist()):
             qm, qk = qk, c * qk - p * qm
             rm, rk = rk, c * rk - p * rm
-            sm, sk = sk, c * sk - p * sm
             qb.append(qk)
             rb.append(rk)
-            sb.append(sk)
         q[k0 + 1:k1 + 1] = qb
         r[k0 + 1:k1 + 1] = rb
-        s[k0:k1] = sb
     factors = np.concatenate(([1 + 0j], rho[1:N + 1]))
     with np.errstate(over="ignore", invalid="ignore"):
         prod = np.cumprod(factors)
-    return q, r, s, prod
+    return q, r, prod
 
 
 # Complex double-double kernel.  A value is the 4-tuple (re_hi, re_lo,
@@ -423,42 +410,29 @@ def _run_extended(seqs: PerturbationSequences):
     es = seqs.eps_sq
     q = np.empty(N + 2, dtype=complex)
     r = np.empty(N + 2, dtype=complex)
-    s = np.empty(N + 1, dtype=complex)
     prod = np.empty(N + 1, dtype=complex)
     q[:2] = 0j, 1 + 0j
     r[:2] = 1 + 0j, 1 + 0j
-    s[:2] = 0j, 1 + 0j
     prod[0] = 1 + 0j
     zero = (0.0, 0.0, 0.0, 0.0)
     one = (1.0, 0.0, 0.0, 0.0)
-    qm, qk, rm, rk, sm, sk, pk = zero, one, one, one, zero, one, one
-    # Step 1 advances q, r and the product only (see _run_plain).
-    C = _dd_coeff(complex(rho[1]), complex(es[1]))
-    qm, qk = qk, _dd_update(C, qk, qm)
-    rm, rk = rk, _dd_update(C, rk, rm)
-    pk = _dd_times_rho(pk, C)
-    q[2] = complex(qk[0] + qk[1], qk[2] + qk[3])
-    r[2] = complex(rk[0] + rk[1], rk[2] + rk[3])
-    prod[1] = complex(pk[0] + pk[1], pk[2] + pk[3])
+    qm, qk, rm, rk, pk = zero, one, one, one, one
     # each block's values as flat (re, im) pairs, stored through float views
-    qv, rv, sv, pv = (x.view(float) for x in (q, r, s, prod))
+    qv, rv, pv = (x.view(float) for x in (q, r, prod))
     for k0, k1 in _blocks(N):
-        qb, rb, sb, pb = [], [], [], []
+        qb, rb, pb = [], [], []
         for a, e in zip(rho[k0:k1].tolist(), es[k0:k1].tolist()):
             C = _dd_coeff(a, e)
             qm, qk = qk, _dd_update(C, qk, qm)
             rm, rk = rk, _dd_update(C, rk, rm)
-            sm, sk = sk, _dd_update(C, sk, sm)
             pk = _dd_times_rho(pk, C)
             qb += (qk[0] + qk[1], qk[2] + qk[3])
             rb += (rk[0] + rk[1], rk[2] + rk[3])
-            sb += (sk[0] + sk[1], sk[2] + sk[3])
             pb += (pk[0] + pk[1], pk[2] + pk[3])
         qv[2 * k0 + 2:2 * k1 + 2] = qb
         rv[2 * k0 + 2:2 * k1 + 2] = rb
-        sv[2 * k0:2 * k1] = sb
         pv[2 * k0:2 * k1] = pb
-    return q, r, s, prod
+    return q, r, prod
 
 
 def closed_form_T(k: int, N: int) -> complex:
@@ -530,11 +504,26 @@ def difference_formula(seqs: PerturbationSequences, triple: QRSTriple, k: int) -
     return complex(np.sum(terms))
 
 
-def r_from_qs(seqs: PerturbationSequences, triple: QRSTriple, k: int) -> complex:
-    """Reconstruct r_k from the q and s sequences: q_k - rho_1 * s_{k-1}."""
-    if not 1 <= k <= seqs.N + 1:
-        raise ValueError(f"k must be in 1..N+1, got {k}")
-    return complex(triple.q[k] - seqs.rho[1] * triple.s[k - 1])
+def s_sequence(seqs: PerturbationSequences, extended: bool = False) -> np.ndarray:
+    """The auxiliary sequence s, entries 0..N, computed on demand.
+
+    s_{k+1} = (1 + rho_{k+1} - eps_{k+1}^2) s_k - rho_{k+1} s_{k-1} from
+    (s_0, s_1) = (0, 1), so s is the q sequence of the schedule shifted one
+    step ahead, bit for bit on either path.  For N = 1 that schedule is
+    empty and s is (0, 1).
+    """
+    if seqs.N == 1:
+        return np.array([0j, 1 + 0j])
+    shifted = PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)
+    return run_recurrences(shifted, extended).q
+
+
+def r_from_qs(seqs: PerturbationSequences, triple: QRSTriple) -> np.ndarray:
+    """Reconstruct r_1..r_{N+1} from q and s: r_k = q_k - rho_1 * s_{k-1}.
+
+    s is worked out once, on the plain path; index k-1 of the result is r_k.
+    """
+    return triple.q[1:] - seqs.rho[1] * s_sequence(seqs)
 
 
 def wronskian_residual(triple: QRSTriple, k: int) -> float:

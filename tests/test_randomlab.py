@@ -103,8 +103,6 @@ def test_ensemble_matches_single_trial_path_bitwise():
         assert rec.q_N == triple.q[64]
         assert rec.q_N1 == triple.q[65]
         assert rec.q_Nm1 == triple.q[63]
-        assert rec.s_Nm1 == triple.s[63]
-        assert rec.s_Nm2 == triple.s[62]
 
 
 def test_ensemble_summary_pins():

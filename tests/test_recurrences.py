@@ -33,6 +33,7 @@ from parimplode import (
     r_from_qs,
     random_small_schedule,
     run_recurrences,
+    s_sequence,
     wronskian_residual,
 )
 from parimplode.skew import build_example, induced_schedule
@@ -148,7 +149,7 @@ def test_wronskian_residual_small_on_random_schedules():
 def test_wronskian_defends_against_corruption():
     seqs = random_small_schedule(32, seed=2, trial=0)
     triple = run_recurrences(seqs)
-    broken = QRSTriple(q=triple.q * 1.001, r=triple.r, s=triple.s,
+    broken = QRSTriple(q=triple.q * 1.001, r=triple.r,
                        rho_cumprod=triple.rho_cumprod, eps_was_zero=triple.eps_was_zero)
     with pytest.raises(DegenerateMapError):
         coefficients_from_qr(broken, 32)
@@ -158,9 +159,8 @@ def test_r_from_qs_identity():
     for n in (16, 64, 256):
         seqs = random_small_schedule(n, seed=4, trial=1)
         triple = run_recurrences(seqs)
-        for k in range(1, n + 2):
-            assert abs(triple.r[k] - r_from_qs(seqs, triple, k)) < 1e-9 * n
-    assert r_from_qs(seqs, triple, 1) == 1.0  # q_1 - rho_1 * s_0 = 1
+        assert np.max(np.abs(triple.r[1:] - r_from_qs(seqs, triple))) < 1e-9 * n
+    assert r_from_qs(seqs, triple)[0] == 1.0  # r_1 = q_1 - rho_1 * s_0 = 1
 
 
 def test_difference_formula_identity():
@@ -275,8 +275,9 @@ def test_additive_resonant_checkpoints():
     assert abs(triple.q[n]) < 5.0 / n
     assert triple.q[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
     assert triple.q[n + 1].real == pytest.approx(-1.0, abs=5.0 / n)
-    assert triple.s[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
-    assert triple.s[n - 2].real == pytest.approx(2.0 * math.cos(math.pi / n), abs=5.0 / n)
+    s = s_sequence(seqs)
+    assert s[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
+    assert s[n - 2].real == pytest.approx(2.0 * math.cos(math.pi / n), abs=5.0 / n)
     # r_N approaches -1: the all-real additive composite is projectively
     # the identity through A = D = -1, not through r -> 1
     assert triple.r[n].real == pytest.approx(-1.0, abs=5.0 / n)
@@ -337,17 +338,13 @@ def test_overflow_check_treats_non_finite_as_overflow():
 
     q = np.ones(10, dtype=complex)
     r = np.ones(10, dtype=complex)
-    s = np.ones(9, dtype=complex)
-    _check_overflow(q, r, s)
-    s[3] = complex("inf")
+    _check_overflow(q, r)
     r[7] = complex("nan")
     with pytest.raises(RecurrenceOverflowError, match=r"^\|r_7\|"):
-        _check_overflow(q, r, s)  # q and r are checked before s
+        _check_overflow(q, r)
     q[7] = 2e100
     with pytest.raises(RecurrenceOverflowError, match=r"^\|q_7\|"):
-        _check_overflow(q, r, s)
-    with pytest.raises(RecurrenceOverflowError, match=r"^\|s_3\|"):
-        _check_overflow(np.ones(10, dtype=complex), np.ones(10, dtype=complex), s)
+        _check_overflow(q, r)  # q first on a tie
 
 
 def test_extended_path_agrees_with_plain():
@@ -356,7 +353,7 @@ def test_extended_path_agrees_with_plain():
     ext = run_recurrences(seqs, extended=True)
     assert np.max(np.abs(plain.q - ext.q)) < 1e-11
     assert np.max(np.abs(plain.r - ext.r)) < 1e-11
-    assert np.max(np.abs(plain.s - ext.s)) < 1e-11
+    assert np.max(np.abs(s_sequence(seqs) - s_sequence(seqs, extended=True))) < 1e-11
     assert ext.eps_was_zero == plain.eps_was_zero
 
 
@@ -374,7 +371,8 @@ def test_extended_path_shrinks_wronskian_drift():
 #
 # The kernels in run_recurrences are flat rewrites of the loops below.  They
 # must reproduce them bit for bit, so every CSV byte and pinned value
-# computed from q, r, s and rho_cumprod is unaffected by the rewrite.
+# computed from q, r and rho_cumprod is unaffected by the rewrite; s, which
+# the kernels no longer carry, must come out of s_sequence bit for bit too.
 
 
 def _reference_plain(seqs):
@@ -442,11 +440,12 @@ def _reference_extended(seqs):
 def _assert_bit_identical(seqs, extended):
     triple = run_recurrences(seqs, extended=extended)
     reference = (_reference_extended if extended else _reference_plain)(seqs)
-    for name, got, want in zip(("q", "r", "s", "rho_cumprod"),
-                               (triple.q, triple.r, triple.s, triple.rho_cumprod), reference):
+    got_all = (triple.q, triple.r, s_sequence(seqs, extended), triple.rho_cumprod)
+    for name, got, want in zip(("q", "r", "s", "rho_cumprod"), got_all, reference):
         assert got.shape == want.shape, name
         diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
         assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
+    return triple
 
 
 _FAMILIES = (
@@ -472,9 +471,9 @@ def test_kernels_bit_identical_on_random_small_schedules(extended):
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_bit_identical_across_block_edges(extended):
-    # the kernels advance steps 2..N in blocks of _BLOCK; N = 257 ends on a
-    # block edge, 258 and 514 just past one
-    for trial, n in enumerate((5, 257, 258, 513, 514)):
+    # the kernels advance steps 1..N in blocks of _BLOCK; N = 256 and 512 end
+    # on a block edge, 257 and 513 just past one; s_sequence runs N - 1 steps
+    for trial, n in enumerate((5, 256, 257, 258, 512, 513, 514)):
         _assert_bit_identical(random_small_schedule(n, seed=12, trial=trial), extended)
 
 
@@ -489,7 +488,7 @@ def test_kernels_hold_no_per_step_objects(extended):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.s, triple.rho_cumprod))
+    outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.rho_cumprod))
     assert peak < 2 * outputs
 
 
@@ -514,6 +513,13 @@ def test_kernels_bit_identical_property():
         base = cmath.exp(1j * angle)
         rho = np.array([0.0] + [base + x for x in b] + [base], dtype=complex)
         seqs = PerturbationSequences(rho, np.array([0.0] + eps_sq + [0.0], dtype=complex), base)
-        _assert_bit_identical(seqs, extended)
+        triple = _assert_bit_identical(seqs, extended)
+        assert np.max(np.abs(triple.r[1:] - r_from_qs(seqs, triple))) < 1e-9 * n
+        # The residual is a difference of two binary64 products, so its
+        # rounding scales with their size, which these draws can take to 1e7
+        # times the Wronskian itself; the bound is 1e-12 of that size.
+        q, r = triple.q, triple.r
+        size = (abs(q[n + 1] * r[n]) + abs(r[n + 1] * q[n])) / abs(triple.rho_cumprod[n])
+        assert wronskian_residual(triple, n) < 1e-12 * size
 
     check()
