@@ -86,7 +86,7 @@ def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
     if wr > _WRONSKIAN_TOL:
         raise OracleMismatchError(f"Wronskian residual {wr:.3e} at N={N} exceeds {_WRONSKIAN_TOL}")
     if N <= oracle_limit:
-        chain, _ = compose_chain(seqs.step_maps(), return_log_scale=True)
+        chain = compose_chain(seqs.step_maps())
         dev = projective_distance(coeffs, chain)
         if dev > _ORACLE_TOL:
             raise OracleMismatchError(

@@ -153,10 +153,16 @@ def compose_chain(maps, return_log_scale: bool = False):
     tracked separately and returned on request.  The returned coefficients
     therefore represent the product projectively.
 
+    The fold runs over Python complex values.  A renormalization multiplies
+    by the reciprocal of the scale rather than dividing by it: that is how
+    numpy divides a complex scalar by a real one, so the result is bit for
+    bit what the same fold over numpy scalars gives.
+
     Parameters
     ----------
-    maps : sequence of MoebiusCoeffs
-        Non-empty; maps[0] is applied first.
+    maps : (n, 4) array of rows (a, b, c, d), or sequence of MoebiusCoeffs
+        Non-empty; the first row or map is applied first.  The array form
+        is what ``PerturbationSequences.step_maps`` returns.
     return_log_scale : bool
         When True, return (coeffs, log_scale) where the true product is
         exp(log_scale) * coeffs.
@@ -166,24 +172,25 @@ def compose_chain(maps, return_log_scale: bool = False):
     DegenerateMapError
         If any intermediate product degenerates.
     """
-    maps = list(maps)
-    if not maps:
+    rows = maps.tolist() if isinstance(maps, np.ndarray) else [m.as_tuple() for m in maps]
+    if not rows:
         raise ValueError("compose_chain requires at least one map")
-    a, b, c, d = maps[0].as_tuple()
+    a, b, c, d = rows[0]
     log_scale = 0.0
-    for i, m in enumerate(maps[1:], start=2):
-        # product m * current, current applied first
+    for i, (ma, mb, mc, md) in enumerate(rows[1:], start=2):
+        # row times current, current applied first
         a, b, c, d = (
-            m.a * a + m.b * c,
-            m.a * b + m.b * d,
-            m.c * a + m.d * c,
-            m.c * b + m.d * d,
+            ma * a + mb * c,
+            ma * b + mb * d,
+            mc * a + md * c,
+            mc * b + md * d,
         )
         if i % _RENORM_EVERY == 0:
             scale = max(abs(a), abs(b), abs(c), abs(d))
             if scale == 0 or not math.isfinite(scale):
                 raise DegenerateMapError(f"chain product degenerated at step {i}")
-            a, b, c, d = a / scale, b / scale, c / scale, d / scale
+            inv = 1.0 / scale
+            a, b, c, d = a * inv, b * inv, c * inv, d * inv
             log_scale += math.log(scale)
     out = MoebiusCoeffs(a, b, c, d)
     if return_log_scale:

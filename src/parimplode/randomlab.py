@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IdentityViolationError
 from .ioutil import fmt17, worker_count, write_csv
-from .recurrences import ChebyshevPoint, chebyshev_U, martingale_sum, run_recurrences
+from .recurrences import ChebyshevPoint, chebyshev_U, run_recurrences
 from .schedules import RandomDist, RandomSchedule, materialize
 
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
@@ -241,14 +241,29 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
                      seed: int) -> MartingaleCheck:
     """Verify the summation identity on every prefix of every trial.
 
-    Each delta_n goes through martingale_sum (which self-checks and raises
-    IdentityViolationError beyond 1e-8); the returned maximum residual is
-    the worst value observed.  The mean increment is taken at n = N//2
-    across trials, with its standard error for a mean-zero sanity check.
+    For n = 1..N+1 the partial sum delta_n = sum_{k<n} d_k q_k e^{i k theta}
+    must satisfy sin(theta) (q_n - U_n) = -Im(delta_n e^{-i n theta}) to
+    1e-8, else IdentityViolationError; the returned maximum residual is the
+    worst value observed.  The mean increment is taken at n = N//2 across
+    trials, with its standard error for a mean-zero sanity check.
+
+    This is ``recurrences.martingale_sum`` on every prefix without calling
+    it: U_n, e^{-i n theta} and the phases e^{i k theta} are worked out once
+    per call and the terms once per trial.  Each delta_n is still its own
+    pairwise ``np.sum`` over the prefix, so the values are bit for bit those
+    of martingale_sum; a running cumsum would round differently.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     theta = math.pi / N
     x = 2.0 * math.cos(theta)
+    sin_t = math.sin(theta)
     n_mid = max(2, N // 2)
+    point = ChebyshevPoint.from_theta(theta)
+    ns = range(1, N + 2)
+    u = [chebyshev_U(n, point) for n in ns]
+    turn = [cmath.exp(-1j * n * theta) for n in ns]
+    phase = np.exp(1j * np.arange(0, N + 1) * theta)
     max_resid = 0.0
     increments = np.empty(trials, dtype=complex)
     for t in range(trials):
@@ -256,12 +271,17 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
         seqs = materialize(spec, N)
         triple = run_recurrences(seqs)
         d = (2.0 - seqs.eps_sq.real) - x
-        for n in range(1, N + 2):
-            delta_n = martingale_sum(d, triple, theta, n)
-            u_n = chebyshev_U(n, ChebyshevPoint.from_theta(theta))
-            lhs = math.sin(theta) * (triple.q[n].real - u_n)
-            rhs = -(delta_n * cmath.exp(-1j * n * theta)).imag
-            max_resid = max(max_resid, abs(lhs - rhs))
+        terms = d[:N + 1].astype(complex) * triple.q[:N + 1] * phase
+        q_re = triple.q.real.tolist()
+        for n, u_n, turn_n in zip(ns, u, turn):
+            delta_n = complex(np.sum(terms[:n]))
+            lhs = sin_t * (q_re[n] - u_n)
+            rhs = -(delta_n * turn_n).imag
+            resid = abs(lhs - rhs)
+            if resid > 1e-8:
+                raise IdentityViolationError(
+                    f"martingale identity residual {resid:.3e} at n={n} exceeds 1e-8")
+            max_resid = max(max_resid, resid)
         inc = d[n_mid - 1] * triple.q[n_mid - 1] * cmath.exp(1j * (n_mid - 1) * theta)
         increments[t] = inc
     mean_inc = complex(np.mean(increments))

@@ -35,7 +35,7 @@ from .errors import (
     RecurrenceOverflowError,
     ScheduleMismatchError,
 )
-from .mobius import MoebiusCoeffs, perturbed_parabolic_step
+from .mobius import MoebiusCoeffs
 
 _OVERFLOW_LIMIT = 1e100
 
@@ -124,10 +124,31 @@ class PerturbationSequences:
     def eps_all_zero(self) -> bool:
         return bool(np.all(self._eps_sq[1:] == 0))
 
-    def step_maps(self):
-        """The per-step coefficient matrices, index 1 first (oracle input)."""
-        return [perturbed_parabolic_step(self._rho[k], self._eps_sq[k])
-                for k in range(1, self.N + 1)]
+    def step_maps(self) -> np.ndarray:
+        """The per-step coefficient matrices, index 1 first (oracle input).
+
+        Returns an (N, 4) complex array whose row k-1 is the quadruple
+        (rho_k - eps_k^2, eps_k^2, -1, 1) of step k, the layout of
+        ``mobius.perturbed_parabolic_step``; ``compose_chain`` takes it as is.
+
+        Raises
+        ------
+        DegenerateMapError
+            If some step has a*d - b*c == 0, i.e. rho_k == 0.
+        """
+        es = self._eps_sq[1:-1]
+        rows = np.empty((self.N, 4), dtype=complex)
+        rows[:, 0] = self._rho[1:-1] - es
+        rows[:, 1] = es
+        rows[:, 2] = -1.0
+        rows[:, 3] = 1.0
+        a, b, c, d = rows.T
+        degenerate = np.flatnonzero(a * d - b * c == 0)
+        if degenerate.size:
+            k = int(degenerate[0])
+            raise DegenerateMapError(
+                f"degenerate step map at k={k + 1}: coefficients {tuple(rows[k].tolist())}")
+        return rows
 
 
 @dataclass(frozen=True)

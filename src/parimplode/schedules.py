@@ -292,15 +292,15 @@ def random_small_schedule(N: int, seed: int, trial: int,
 
     bound defaults to N^-2.  Both perturbations get a uniform magnitude in
     [0, bound] and a uniform phase; four independent counter lanes per step
-    keep draws order-free.  Intended for oracle cross-checks and identity
-    tests, not for rate measurement.
+    (counter 4k + j for lane j at step k, drawn in one call) keep draws
+    order-free.  Intended for oracle cross-checks and identity tests, not
+    for rate measurement.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
     if bound is None:
         bound = 1.0 / N**2
-    k = np.arange(0, N + 2, dtype=np.uint64)
-    lanes = [rng.uniform01(seed, trial, np.uint64(4) * k + np.uint64(j)) for j in range(4)]
+    lanes = rng.uniform01(seed, trial, np.arange(4 * (N + 2), dtype=np.uint64)).reshape(N + 2, 4).T
     b = bound * lanes[0] * np.exp(2j * np.pi * lanes[1])
     eps = bound * lanes[2] * np.exp(2j * np.pi * lanes[3])
     base = cmath.exp(2j * math.pi / N)

@@ -96,6 +96,18 @@ def test_compose_chain_equals_raw_matrix_fold():
     assert projective_distance(chain, want) < 1e-12
 
 
+def test_compose_chain_takes_rows_or_maps_alike():
+    rng = random.Random(6)
+    maps = [_random_map(rng) for _ in range(140)]
+    rows = np.array([m.as_tuple() for m in maps], dtype=complex)
+    from_rows, log_rows = compose_chain(rows, return_log_scale=True)
+    from_maps, log_maps = compose_chain(maps, return_log_scale=True)
+    assert from_rows.as_tuple() == from_maps.as_tuple()
+    assert log_rows == log_maps
+    with pytest.raises(ValueError):
+        compose_chain(np.empty((0, 4), dtype=complex))
+
+
 def test_compose_chain_log_scale_tracks_magnitude():
     # 200 copies of 3*identity: true product is 3^200 * I, far beyond overflow
     maps = [MoebiusCoeffs(3.0, 0.0, 0.0, 3.0)] * 200

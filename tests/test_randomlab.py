@@ -1,27 +1,40 @@
 """Random ensembles: tail bounds, quantiles, determinism, measured scaling."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from parimplode import (
+    ChebyshevPoint,
     EnsembleSummary,
     FixedLambda,
+    IdentityViolationError,
     PropLambda,
+    QRSTriple,
     Rademacher,
     RandomSchedule,
     UniformSymmetric,
     azuma_tail_bound,
+    chebyshev_U,
     exceedance_vs_bound,
     fit_loglog,
     martingale_check,
+    martingale_sum,
     materialize,
     quantile_nearest_rank,
     run_ensemble,
     run_recurrences,
     union_bound,
 )
-from parimplode.randomlab import SUMMARY_CSV_HEADER, TRIAL_CSV_HEADER, write_summary_csv, write_trial_csv
+from parimplode import randomlab
+from parimplode.randomlab import (
+    SUMMARY_CSV_HEADER,
+    TRIAL_CSV_HEADER,
+    MartingaleCheck,
+    write_summary_csv,
+    write_trial_csv,
+)
 
 
 def test_azuma_bound_closed_form():
@@ -148,6 +161,59 @@ def test_martingale_check_pins():
     assert chk.max_identity_residual == pytest.approx(2.1911942746366542e-13, rel=1e-6)
     assert chk.max_identity_residual <= 1e-10
     assert chk.mean_increment_abs <= 5.0 * chk.increment_stderr
+
+
+def _reference_martingale_check(delta, dist, N, trials, seed):
+    # martingale_check as it was: martingale_sum on every prefix, with the
+    # residual worked out a second time
+    theta = math.pi / N
+    x = 2.0 * math.cos(theta)
+    n_mid = max(2, N // 2)
+    max_resid = 0.0
+    increments = np.empty(trials, dtype=complex)
+    for t in range(trials):
+        seqs = materialize(RandomSchedule(delta=delta, dist=dist, seed=seed, trial=t), N)
+        triple = run_recurrences(seqs)
+        d = (2.0 - seqs.eps_sq.real) - x
+        for n in range(1, N + 2):
+            delta_n = martingale_sum(d, triple, theta, n)
+            u_n = chebyshev_U(n, ChebyshevPoint.from_theta(theta))
+            lhs = math.sin(theta) * (triple.q[n].real - u_n)
+            rhs = -(delta_n * cmath.exp(-1j * n * theta)).imag
+            max_resid = max(max_resid, abs(lhs - rhs))
+        increments[t] = d[n_mid - 1] * triple.q[n_mid - 1] * cmath.exp(1j * (n_mid - 1) * theta)
+    mean_inc = complex(np.mean(increments))
+    stderr = float(np.std(increments) / math.sqrt(trials))
+    return MartingaleCheck(max_resid, abs(mean_inc), stderr)
+
+
+@pytest.mark.parametrize("N, trials, seed", [(128, 50, 3), (512, 30, 1)])
+def test_martingale_check_bit_identical_to_reference(N, trials, seed):
+    got = martingale_check(0.5, UniformSymmetric(1.0), N, trials, seed)
+    want = _reference_martingale_check(0.5, UniformSymmetric(1.0), N, trials, seed)
+    as_bits = lambda chk: np.array(chk, dtype=float).view(np.uint64).tolist()
+    assert as_bits(got) == as_bits(want)
+
+
+def test_martingale_check_needs_a_trial():
+    # with no trial there is nothing to check; a residual of 0 would read as a pass
+    with pytest.raises(ValueError, match="trials"):
+        martingale_check(0.5, UniformSymmetric(1.0), N=64, trials=0, seed=1)
+
+
+def test_martingale_check_sees_corrupted_recurrence(monkeypatch):
+    # scaling q by 1 + 1e-6 leaves sin(n theta) * 1e-6 of the identity unexplained,
+    # about 1e-6 near n = N/2, far over the 1e-8 gate
+    real_run = randomlab.run_recurrences
+
+    def corrupted(seqs, extended=False):
+        t = real_run(seqs, extended)
+        return QRSTriple(q=t.q * (1 + 1e-6), r=t.r, rho_cumprod=t.rho_cumprod,
+                         eps_was_zero=t.eps_was_zero)
+
+    monkeypatch.setattr(randomlab, "run_recurrences", corrupted)
+    with pytest.raises(IdentityViolationError, match=r"martingale identity residual .* exceeds 1e-8"):
+        martingale_check(0.5, UniformSymmetric(1.0), N=128, trials=3, seed=3)
 
 
 def test_median_scaling_follows_sqrt_n_law():

@@ -29,6 +29,7 @@ from parimplode import (
     difference_formula,
     martingale_sum,
     materialize,
+    perturbed_parabolic_step,
     projective_distance,
     r_from_qs,
     random_small_schedule,
@@ -94,12 +95,22 @@ def test_from_eps_squares():
 
 def test_step_maps_match_inputs():
     seqs = random_small_schedule(12, seed=3, trial=0)
-    maps = seqs.step_maps()
-    assert len(maps) == 12
-    for k, m in enumerate(maps, start=1):
-        assert m.a == seqs.rho[k] - seqs.eps_sq[k]
-        assert m.b == seqs.eps_sq[k]
-        assert (m.c, m.d) == (-1.0, 1.0)
+    rows = seqs.step_maps()
+    assert rows.shape == (12, 4)
+    for k, (a, b, c, d) in enumerate(rows, start=1):
+        assert a == seqs.rho[k] - seqs.eps_sq[k]
+        assert b == seqs.eps_sq[k]
+        assert (c, d) == (-1.0, 1.0)
+
+
+def test_step_maps_reject_a_vanishing_rho():
+    # around rho_base = 0.5, rho_k = 0 is admissible (|b_k| = 0.5), but its
+    # step map has determinant rho_k = 0
+    rho = np.full(8, 0.5 + 0.1j)
+    rho[3] = 0.0
+    seqs = PerturbationSequences(rho, np.full(8, 0.01 + 0.02j), 0.5)
+    with pytest.raises(DegenerateMapError, match=r"k=3"):
+        seqs.step_maps()
 
 
 # -- oracle equivalence --------------------------------------------------------
@@ -373,6 +384,8 @@ def test_extended_path_shrinks_wronskian_drift():
 # must reproduce them bit for bit, so every CSV byte and pinned value
 # computed from q, r and rho_cumprod is unaffected by the rewrite; s, which
 # the kernels no longer carry, must come out of s_sequence bit for bit too.
+# Likewise compose_chain over the step_maps rows must reproduce the fold over
+# MoebiusCoeffs objects that it replaced.
 
 
 def _reference_plain(seqs):
@@ -437,6 +450,35 @@ def _reference_extended(seqs):
     return q, r, s, prod
 
 
+def _reference_chain(seqs):
+    # compose_chain over step maps as it was: MoebiusCoeffs holding numpy
+    # scalars, renormalized with / scale
+    maps = [perturbed_parabolic_step(seqs.rho[k], seqs.eps_sq[k]) for k in range(1, seqs.N + 1)]
+    a, b, c, d = maps[0].as_tuple()
+    log_scale = 0.0
+    for i, m in enumerate(maps[1:], start=2):
+        a, b, c, d = (
+            m.a * a + m.b * c,
+            m.a * b + m.b * d,
+            m.c * a + m.d * c,
+            m.c * b + m.d * d,
+        )
+        if i % 64 == 0:
+            scale = max(abs(a), abs(b), abs(c), abs(d))
+            a, b, c, d = a / scale, b / scale, c / scale, d / scale
+            log_scale += math.log(scale)
+    return (a, b, c, d), log_scale
+
+
+def _assert_chain_bit_identical(seqs):
+    got, log_scale = compose_chain(seqs.step_maps(), return_log_scale=True)
+    want, want_log = _reference_chain(seqs)
+    got_bits = np.array(got.as_tuple(), dtype=complex).view(np.uint64)
+    want_bits = np.array(want, dtype=complex).view(np.uint64)
+    assert got_bits.tolist() == want_bits.tolist()
+    assert np.float64(log_scale).view(np.uint64) == np.float64(want_log).view(np.uint64)
+
+
 def _assert_bit_identical(seqs, extended):
     triple = run_recurrences(seqs, extended=extended)
     reference = (_reference_extended if extended else _reference_plain)(seqs)
@@ -461,6 +503,19 @@ _FAMILIES = (
 @pytest.mark.parametrize("build", [b for _, b in _FAMILIES], ids=[name for name, _ in _FAMILIES])
 def test_kernels_bit_identical_to_reference_loops(build, n, extended):
     _assert_bit_identical(build(n), extended)
+
+
+@pytest.mark.parametrize("build", [b for _, b in _FAMILIES], ids=[name for name, _ in _FAMILIES])
+def test_chain_bit_identical_to_reference_fold(build):
+    # the fold renormalizes after every 64th step: 63, 64, 65, 128, 129 and
+    # 512 sit on either side of one
+    for n in (16, 63, 64, 65, 128, 129, 512):
+        _assert_chain_bit_identical(build(n))
+
+
+def test_chain_bit_identical_on_random_small_schedules():
+    for trial, n in enumerate((16, 63, 64, 65, 128, 129, 512)):
+        _assert_chain_bit_identical(random_small_schedule(n, seed=13, trial=trial))
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
@@ -514,6 +569,7 @@ def test_kernels_bit_identical_property():
         rho = np.array([0.0] + [base + x for x in b] + [base], dtype=complex)
         seqs = PerturbationSequences(rho, np.array([0.0] + eps_sq + [0.0], dtype=complex), base)
         triple = _assert_bit_identical(seqs, extended)
+        _assert_chain_bit_identical(seqs)
         assert np.max(np.abs(triple.r[1:] - r_from_qs(seqs, triple))) < 1e-9 * n
         # The residual is a difference of two binary64 products, so its
         # rounding scales with their size, which these draws can take to 1e7

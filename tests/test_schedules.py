@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from parimplode import rng
 from parimplode import (
     CounterexampleC,
     Custom,
     InvalidSpecError,
+    PerturbationSequences,
     QuadraticNonconvergent,
     Rademacher,
     RandomSchedule,
@@ -185,6 +187,31 @@ def test_random_small_schedule_bounds():
     assert np.max(np.abs(tight.eps_sq)) <= 1e-4
     again = random_small_schedule(50, seed=0, trial=0)
     assert np.array_equal(s.rho, again.rho) and np.array_equal(s.eps_sq, again.eps_sq)
+
+
+def _reference_random_small(N, seed, trial, bound=None):
+    # random_small_schedule as it was: one uniform01 draw per counter lane
+    if bound is None:
+        bound = 1.0 / N**2
+    k = np.arange(0, N + 2, dtype=np.uint64)
+    lanes = [rng.uniform01(seed, trial, np.uint64(4) * k + np.uint64(j)) for j in range(4)]
+    b = bound * lanes[0] * np.exp(2j * np.pi * lanes[1])
+    eps = bound * lanes[2] * np.exp(2j * np.pi * lanes[3])
+    base = cmath.exp(2j * math.pi / N)
+    rho = base + b
+    rho[0] = 0.0
+    eps[0] = 0.0
+    return PerturbationSequences.from_eps(rho, eps, base)
+
+
+def test_random_small_schedule_bit_identical_to_four_lane_draw():
+    for n, seed, trial, bound in ((4, 0, 0, None), (16, 1, 3, None), (64, 201, 7, None),
+                                  (257, 5, 1, 0.01), (512, 2**40, 199, None)):
+        got = random_small_schedule(n, seed, trial, bound)
+        want = _reference_random_small(n, seed, trial, bound)
+        for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
+            assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+        assert got.rho_base == want.rho_base
 
 
 def test_materialize_rejects_bad_sizes():
