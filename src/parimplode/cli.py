@@ -516,7 +516,7 @@ def _add_common_output_flags(p: argparse.ArgumentParser, with_extended: bool = T
     p.add_argument("--threads", type=int, default=None, help="worker count override")
     if with_extended:
         p.add_argument("--extended", action="store_const", const=True, default=None,
-                       help="compensated double-double accumulation")
+                       help="exact fixed-point accumulation, each value rounded once")
         p.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None,
                        help="largest N cross-checked against direct composition")
 

@@ -73,8 +73,8 @@ def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
 
     The Wronskian conservation law is enforced at 1e-9 relative and, for
     N <= oracle_limit, the recurrence coefficients are compared against a
-    direct product of the step matrices; either failing raises
-    OracleMismatchError (a hard failure, never a data point).
+    direct product of the step matrices; either failing, or reading NaN,
+    raises OracleMismatchError (a hard failure, never a data point).
     """
     if region is None:
         region = EvalRegion()
@@ -83,12 +83,13 @@ def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
     coeffs = coefficients_from_qr(triple, N)
 
     wr = wronskian_residual(triple, N)
-    if wr > _WRONSKIAN_TOL:
+    # `not x <= tol` rather than `x > tol`, so that NaN fails the gates
+    if not wr <= _WRONSKIAN_TOL:
         raise OracleMismatchError(f"Wronskian residual {wr:.3e} at N={N} exceeds {_WRONSKIAN_TOL}")
     if N <= oracle_limit:
         chain = compose_chain(seqs.step_maps())
         dev = projective_distance(coeffs, chain)
-        if dev > _ORACLE_TOL:
+        if not dev <= _ORACLE_TOL:
             raise OracleMismatchError(
                 f"recurrence vs chain deviation {dev:.3e} at N={N} exceeds {_ORACLE_TOL}")
 

@@ -8,6 +8,7 @@ from parimplode import (
     CounterexampleC,
     DecayFit,
     NonPositiveValueError,
+    OracleMismatchError,
     QuadraticNonconvergent,
     RatePoint,
     SweepError,
@@ -152,6 +153,19 @@ def test_worker_count_precedence(monkeypatch):
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
     assert worker_count(None, default=1) == 2
     assert worker_count(0, default=1) == 1
+
+
+@pytest.mark.parametrize("gate, message", [
+    ("wronskian_residual", r"^Wronskian residual nan at N=100"),
+    ("projective_distance", r"^recurrence vs chain deviation nan at N=100"),
+])
+def test_run_point_gates_reject_nan(monkeypatch, gate, message):
+    # `x > tol` is False for NaN; both gates of run_point must fail it
+    from parimplode import convergence
+
+    monkeypatch.setattr(convergence, gate, lambda *args: math.nan)
+    with pytest.raises(OracleMismatchError, match=message):
+        run_point(TheoremB(1), 100)
 
 
 def test_sup_and_coeff_errors_track_each_other():

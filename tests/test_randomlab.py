@@ -158,7 +158,7 @@ def test_fixed_lambda_bound_is_sharp_at_large_N():
 
 def test_martingale_check_pins():
     chk = martingale_check(0.5, UniformSymmetric(1.0), N=128, trials=50, seed=3)
-    assert chk.max_identity_residual == pytest.approx(2.1911942746366542e-13, rel=1e-6)
+    assert chk.max_identity_residual == pytest.approx(2.1911942746366542e-13, rel=1e-6, abs=0)
     assert chk.max_identity_residual <= 1e-10
     assert chk.mean_increment_abs <= 5.0 * chk.increment_stderr
 

@@ -2,11 +2,11 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from parimplode import ddouble as dd
 from parimplode import (
     ChebyshevPoint,
     Custom,
@@ -164,6 +164,35 @@ def test_wronskian_defends_against_corruption():
                        rho_cumprod=triple.rho_cumprod, eps_was_zero=triple.eps_was_zero)
     with pytest.raises(DegenerateMapError):
         coefficients_from_qr(broken, 32)
+
+
+def test_wronskian_gate_rejects_a_nan_residual():
+    # `resid > 1e-6` is False for NaN; the gate must fail it all the same
+    seqs = random_small_schedule(32, seed=2, trial=0)
+    triple = run_recurrences(seqs)
+    q = triple.q.copy()
+    q[32] = complex("nan")
+    broken = QRSTriple(q=q, r=triple.r,
+                       rho_cumprod=triple.rho_cumprod, eps_was_zero=triple.eps_was_zero)
+    assert math.isnan(wronskian_residual(broken, 32))
+    with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan"):
+        coefficients_from_qr(broken, 32)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_vanishing_rho_fails_the_wronskian_gate():
+    # rho_10 = 0 is admissible (|b_10| = 1) and makes prod rho_j vanish from
+    # k = 10 on; the extended path keeps q and r exactly parallel, so the
+    # residual is 0/0, which must trip the Wronskian gate rather than pass it
+    n = 600
+    base = cmath.exp(2j * math.pi / n)
+    rho = np.full(n + 2, base)
+    rho[10] = 0.0
+    spec = Custom(rho=rho, eps_sq=np.zeros(n + 2, dtype=complex), rho_base=base)
+    triple = run_recurrences(materialize(spec, n), extended=True)
+    assert math.isnan(wronskian_residual(triple, n))
+    with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan at k=600"):
+        coefficients_from_qr(triple, n)
 
 
 def test_r_from_qs_identity():
@@ -370,7 +399,7 @@ def test_extended_path_agrees_with_plain():
 
 def test_extended_path_shrinks_wronskian_drift():
     # pair-cancelling angles at N = 2048 accumulate visible binary64 noise;
-    # the compensated path should sit orders of magnitude below it
+    # the extended path should sit orders of magnitude below it
     seqs = materialize(TheoremA(2), 2048)
     plain = wronskian_residual(run_recurrences(seqs), 2048)
     ext = wronskian_residual(run_recurrences(seqs, extended=True), 2048)
@@ -378,13 +407,15 @@ def test_extended_path_shrinks_wronskian_drift():
     assert ext < plain
 
 
-# -- bit-identity against the straightforward loops -------------------------------
+# -- bit-identity against the reference loops -------------------------------------
 #
-# The kernels in run_recurrences are flat rewrites of the loops below.  They
-# must reproduce them bit for bit, so every CSV byte and pinned value
-# computed from q, r and rho_cumprod is unaffected by the rewrite; s, which
-# the kernels no longer carry, must come out of s_sequence bit for bit too.
-# Likewise compose_chain over the step_maps rows must reproduce the fold over
+# The plain kernel is a flat rewrite of _reference_plain and must reproduce
+# it bit for bit, so every CSV byte and pinned value computed from q, r and
+# rho_cumprod is unaffected by the rewrite; s, which the kernels no longer
+# carry, must come out of s_sequence bit for bit too.  The extended kernel
+# must give the exact values on its binary64 inputs, correctly rounded, which
+# _exact_reference works out without truncating anything.  Likewise
+# compose_chain over the step_maps rows must reproduce the fold over
 # MoebiusCoeffs objects that it replaced.
 
 
@@ -411,43 +442,73 @@ def _reference_plain(seqs):
     return q, r, s, prod
 
 
-def _reference_extended(seqs):
+def _exact_reference(seqs):
+    """q, r, s and prod rho_j in exact rational arithmetic, each rounded once.
+
+    Every binary64 input is an integer over 2**F for one F, so a value after
+    k steps is an integer over 2**(F k) and the loop never rounds; int / int
+    rounds the quotient correctly.  This is fractions.Fraction arithmetic
+    without the gcd reductions, which make Fraction 25-75x slower at N = 258.
+    """
     N = seqs.N
-    rho = seqs.rho
-    es = seqs.eps_sq
-    one = dd.cfrom(1.0)
+    parts = np.concatenate((seqs.rho[1:N + 1], seqs.eps_sq[1:N + 1])).view(float).tolist()
+    F = max(x.as_integer_ratio()[1].bit_length() - 1 for x in parts)
+    D = 1 << F
+
+    def exact(z):
+        (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        return nr * (D // dr), ni * (D // di)
+
+    def step(c, p, x, y):  # c*x - p*y over 2**(F (k+1)), x over 2**(F k), y over 2**(F (k-1))
+        return (c[0] * x[0] - c[1] * x[1] - ((p[0] * y[0] - p[1] * y[1]) << F),
+                c[0] * x[1] + c[1] * x[0] - ((p[0] * y[1] + p[1] * y[0]) << F))
+
+    def rounded(x, k):
+        den = 1 << (F * k)
+        return complex(x[0] / den, x[1] / den)
+
     q = np.zeros(N + 2, dtype=complex)
     r = np.zeros(N + 2, dtype=complex)
     s = np.zeros(N + 1, dtype=complex)
     prod = np.ones(N + 1, dtype=complex)
-    q[1] = 1.0
-    r[0] = 1.0
-    r[1] = 1.0
-    s[1] = 1.0
-    qm, qk = dd.cfrom(0.0), dd.cfrom(1.0)
-    rm, rk = dd.cfrom(1.0), dd.cfrom(1.0)
-    pk = dd.cfrom(1.0)
-    for k in range(1, N + 1):
-        rk_in = dd.cfrom(complex(rho[k]))
-        ek_in = dd.cfrom(complex(es[k]))
-        coeff = dd.csub(dd.cadd(one, rk_in), ek_in)
-        qn = dd.csub(dd.cmul(coeff, qk), dd.cmul(rk_in, qm))
-        rn = dd.csub(dd.cmul(coeff, rk), dd.cmul(rk_in, rm))
-        pk = dd.cmul(pk, rk_in)
-        qm, qk = qk, qn
-        rm, rk = rk, rn
-        q[k + 1] = dd.cval(qn)
-        r[k + 1] = dd.cval(rn)
-        prod[k] = dd.cval(pk)
-    sm, sk = dd.cfrom(0.0), dd.cfrom(1.0)
-    for k in range(1, N):
-        rk_in = dd.cfrom(complex(rho[k + 1]))
-        ek_in = dd.cfrom(complex(es[k + 1]))
-        coeff = dd.csub(dd.cadd(one, rk_in), ek_in)
-        sn = dd.csub(dd.cmul(coeff, sk), dd.cmul(rk_in, sm))
-        sm, sk = sk, sn
-        s[k + 1] = dd.cval(sn)
+    q[1] = r[0] = r[1] = s[1] = 1.0
+    qm, qk, rm, rk, sm, sk, pk = (0, 0), (D, 0), (1, 0), (D, 0), (0, 0), (1, 0), (1, 0)
+    for k, (a, e) in enumerate(zip(seqs.rho[1:N + 1].tolist(), seqs.eps_sq[1:N + 1].tolist()), 1):
+        p, e = exact(a), exact(e)
+        c = (D + p[0] - e[0], p[1] - e[1])
+        qm, qk = qk, step(c, p, qk, qm)
+        rm, rk = rk, step(c, p, rk, rm)
+        pk = (pk[0] * p[0] - pk[1] * p[1], pk[0] * p[1] + pk[1] * p[0])
+        q[k + 1], r[k + 1], prod[k] = rounded(qk, k + 1), rounded(rk, k + 1), rounded(pk, k)
+        if k >= 2:  # s_k takes step k's coefficients and is over 2**(F (k-1))
+            sm, sk = sk, step(c, p, sk, sm)
+            s[k] = rounded(sk, k - 1)
     return q, r, s, prod
+
+
+def test_exact_reference_matches_fractions():
+    # the same recurrence with each complex value a pair of Fractions
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def rounded(x):
+        return complex(float(x[0]), float(x[1]))
+
+    for seqs in (random_small_schedule(40, seed=14, trial=0),
+                 induced_schedule(build_example(5, 40), 40)):
+        one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+        q, r, p = [zero, one], [one, one], [one]
+        for a, e in zip(seqs.rho[1:-1].tolist(), seqs.eps_sq[1:-1].tolist()):
+            rho = (Fraction(a.real), Fraction(a.imag))
+            c = (1 + rho[0] - Fraction(e.real), rho[1] - Fraction(e.imag))
+            for x in (q, r):
+                u, v = mul(c, x[-1]), mul(rho, x[-2])
+                x.append((u[0] - v[0], u[1] - v[1]))
+            p.append(mul(p[-1], rho))
+        want = [np.array([rounded(z) for z in x]) for x in (q, r, p)]
+        got = _exact_reference(seqs)
+        for g, w in zip((got[0], got[1], got[3]), want):
+            assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
 
 def _reference_chain(seqs):
@@ -481,7 +542,7 @@ def _assert_chain_bit_identical(seqs):
 
 def _assert_bit_identical(seqs, extended):
     triple = run_recurrences(seqs, extended=extended)
-    reference = (_reference_extended if extended else _reference_plain)(seqs)
+    reference = (_exact_reference if extended else _reference_plain)(seqs)
     got_all = (triple.q, triple.r, s_sequence(seqs, extended), triple.rho_cumprod)
     for name, got, want in zip(("q", "r", "s", "rho_cumprod"), got_all, reference):
         assert got.shape == want.shape, name
