@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: sweep, random, counterexample, skew, oracle, diagnose-sum.
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 assertion
-failure.  Flags may also come from a JSON document via --config; explicit
-flags override document fields, and unknown document fields are rejected
-by name.  PARIMPLODE_THREADS sets the worker count where --threads is not given.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (any other
+ParimplodeError), 3 assertion failure.  Each option is declared once, in
+``_OPTIONS`` (flag spec and help), and each subcommand once, in ``_COMMANDS``
+(handler, help and the hard default of every field it takes); the parser and
+the --config merge are both built from these tables.  A config document names
+fields by flag name with '-' replaced by '_'; explicit flags override document
+fields, and unknown document fields are rejected by name.  PARIMPLODE_THREADS
+sets the worker count where --threads is not given.
 """
 from __future__ import annotations
 
@@ -18,20 +22,7 @@ from .convergence import (
     run_sweep,
     write_rate_csv,
 )
-from .errors import (
-    AllPointsSkippedError,
-    DegenerateMapError,
-    DegenerateNormalizationError,
-    IdentityViolationError,
-    InvalidSpecError,
-    NonPositiveValueError,
-    OracleMismatchError,
-    PoleProximityError,
-    RecurrenceOverflowError,
-    ScheduleMismatchError,
-    SweepError,
-    UsageError,
-)
+from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, write_csv
 from .mobius import compose_chain, projective_distance
 from .randomlab import (
@@ -56,13 +47,6 @@ from .schedules import (
 )
 from .skew import build_example, iterate_skew, write_skew_csv
 from .svgplot import loglog_svg
-
-_NUMERICAL_ERRORS = (
-    OracleMismatchError, RecurrenceOverflowError, DegenerateMapError,
-    DegenerateNormalizationError, SweepError, IdentityViolationError,
-    AllPointsSkippedError, PoleProximityError, ScheduleMismatchError,
-    NonPositiveValueError,
-)
 
 # pre-registered acceptance bands
 _A_SLOPE_BAND = (-1.4, -0.8)
@@ -116,6 +100,8 @@ def parse_ladder(text) -> list[int]:
             factor = float(rule[1:])
         except ValueError:
             raise UsageError(f"n: bad geometric factor in {text!r}") from None
+        if not math.isfinite(factor):
+            raise UsageError(f"n: geometric factor must be finite, got {text!r}")
         if factor <= 1.0:
             raise UsageError("n: geometric factor must be > 1")
         cur = start
@@ -159,13 +145,13 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
     ``fields`` maps field name -> hard default; a default of ``...``
     marks the field required.
     """
-    doc = _load_config(args.config) if getattr(args, "config", None) else {}
+    doc = _load_config(args.config) if args.config else {}
     for key in doc:
         if key not in fields:
             raise UsageError(f"config: unknown field {key!r}")
     merged = {}
     for name, default in fields.items():
-        flag_val = getattr(args, name, None)
+        flag_val = getattr(args, name)
         if flag_val is not None:
             merged[name] = flag_val
         elif name in doc:
@@ -175,14 +161,6 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
         else:
             merged[name] = default
     return merged
-
-
-def _schedule_fields() -> dict:
-    return {
-        "theorem": None, "case": None, "quadratic_noncvg": False,
-        "amplitude": None, "eps_amp": None, "pair_amp": None,
-        "pair_bound": None, "rot_coeff": None,
-    }
 
 
 def _build_deterministic_spec(cfg: dict):
@@ -238,11 +216,7 @@ def _write_svg(path, series, fit, band, title, ylabel):
                                        fit=fit_tuple, band=band))
 
 
-def cmd_sweep(args) -> int:
-    fields = _schedule_fields()
-    fields.update({"n": ..., "out": None, "svg": None, "assert": False,
-                   "extended": False, "oracle_limit": 512, "threads": None})
-    cfg = _resolve(args, fields)
+def cmd_sweep(cfg: dict) -> int:
     spec = _build_deterministic_spec(cfg)
     ns = parse_ladder(cfg["n"])
     points = run_sweep(spec, ns, extended=bool(cfg["extended"]),
@@ -293,12 +267,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_random(args) -> int:
-    fields = {"delta": ..., "trials": 200, "seed": 0, "n": "200:6400:x2",
-              "dist": "uniform", "m": 1.0, "out_trials": None, "out_summary": None,
-              "svg": None, "assert": False, "threshold": 1.0,
-              "lambda_rule": "prop", "lambda_value": 1.0, "threads": None}
-    cfg = _resolve(args, fields)
+def cmd_random(cfg: dict) -> int:
     delta = float(cfg["delta"])
     if delta <= 0:
         raise UsageError(f"delta: must be > 0, got {delta}")
@@ -365,10 +334,7 @@ def cmd_random(args) -> int:
     return 0
 
 
-def cmd_counterexample(args) -> int:
-    fields = {"n": "500:8000:x2", "out": None, "svg": None, "assert": False,
-              "extended": False, "threads": None}
-    cfg = _resolve(args, fields)
+def cmd_counterexample(cfg: dict) -> int:
     ns = parse_ladder(cfg["n"])
     if any(n % 2 for n in ns):
         raise UsageError(f"n: counterexample ladder must be even, got {ns}")
@@ -408,10 +374,7 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-def cmd_skew(args) -> int:
-    fields = {"example": ..., "n": "100:12800:x2", "out": None, "svg": None,
-              "assert": False, "extended": False, "oracle_limit": 512}
-    cfg = _resolve(args, fields)
+def cmd_skew(cfg: dict) -> int:
     example = int(cfg["example"])
     ns = parse_ladder(cfg["n"])
     rows = []
@@ -449,9 +412,7 @@ def cmd_skew(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    fields = {"trials": 200, "n_max": 512, "seed": 1}
-    cfg = _resolve(args, fields)
+def cmd_oracle(cfg: dict) -> int:
     trials = int(cfg["trials"])
     n_max = int(cfg["n_max"])
     seed = int(cfg["seed"])
@@ -477,10 +438,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_diagnose_sum(args) -> int:
-    fields = _schedule_fields()
-    fields.update({"n": ...})
-    cfg = _resolve(args, fields)
+def cmd_diagnose_sum(cfg: dict) -> int:
     spec = _build_deterministic_spec(cfg)
     for n in parse_ladder(cfg["n"]):
         total, scaled = summation_diagnostic(materialize(spec, n))
@@ -488,37 +446,66 @@ def cmd_diagnose_sum(args) -> int:
     return 0
 
 
-def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theorem", choices=["A", "B", "a", "b"], default=None,
-                   help="deterministic schedule family")
-    p.add_argument("--case", type=int, default=None, help="case number within the family")
-    p.add_argument("--quadratic-noncvg", dest="quadratic_noncvg", action="store_const",
-                   const=True, default=None, help="constant-angle non-convergent schedule")
-    p.add_argument("--amplitude", type=float, default=None, help="cubic remainder amplitude")
-    p.add_argument("--eps-amp", dest="eps_amp", type=float, default=None,
-                   help="additive amplitude (family B cases 1-3)")
-    p.add_argument("--pair-amp", dest="pair_amp", type=float, default=None,
-                   help="pair-cancelling amplitude (case 2 / case 5)")
-    p.add_argument("--pair-bound", dest="pair_bound", type=float, default=None,
-                   help="bound constant for pair sums (case 2 / case 5)")
-    p.add_argument("--rot-coeff", dest="rot_coeff", type=float, default=None,
-                   help="rotating-term coefficient (case 3)")
+_ON = {"action": "store_const", "const": True}
 
+# field -> (add_argument keywords, help); the flag is --field with '_' -> '-'
+_OPTIONS = {
+    "theorem": ({"choices": ["A", "B", "a", "b"]}, "deterministic schedule family"),
+    "case": ({"type": int}, "case number within the family"),
+    "quadratic_noncvg": (_ON, "constant-angle non-convergent schedule"),
+    "amplitude": ({"type": float}, "cubic remainder amplitude"),
+    "eps_amp": ({"type": float}, "additive amplitude (family B cases 1-3)"),
+    "pair_amp": ({"type": float}, "pair-cancelling amplitude (case 2 / case 5)"),
+    "pair_bound": ({"type": float}, "bound constant for pair sums (case 2 / case 5)"),
+    "rot_coeff": ({"type": float}, "rotating-term coefficient (case 3)"),
+    "n": ({}, "N ladder: single value, start:end:xFACTOR, or start:end:+STEP"),
+    "out": ({}, "CSV output path"),
+    "svg": ({}, "SVG plot output path"),
+    "assert": (_ON, "exit 3 if the pre-registered acceptance band fails"),
+    "extended": (_ON, "exact fixed-point accumulation, each value rounded once"),
+    "oracle_limit": ({"type": int}, "largest N cross-checked against direct composition"),
+    "threads": ({"type": int}, "worker count override"),
+    "delta": ({"type": float}, "decay exponent offset (> 0)"),
+    "trials": ({"type": int}, "seeded trials per N"),
+    "seed": ({"type": int}, "seed of the counter-based random stream"),
+    "dist": ({"choices": ["uniform", "rademacher"]}, "distribution of the random perturbations"),
+    "m": ({"type": float}, "uniform distribution bound"),
+    "out_trials": ({}, "per-trial CSV path"),
+    "out_summary": ({}, "summary CSV path"),
+    "threshold": ({"type": float}, "exceedance ratio threshold"),
+    "lambda_rule": ({"choices": ["prop", "fixed"]}, "tail threshold: the proof's lambda_n or a constant"),
+    "lambda_value": ({"type": float}, "constant threshold for --lambda-rule fixed"),
+    "example": ({"type": int}, "example id 1..5"),
+    "n_max": ({"type": int}, "largest N checked, from 16, 64, 256, 512"),
+    "config": ({}, "JSON config document (flags override)"),
+}
 
-def _add_common_output_flags(p: argparse.ArgumentParser, with_extended: bool = True) -> None:
-    p.add_argument("--n", default=None,
-                   help="N ladder: single value, start:end:xFACTOR, or start:end:+STEP")
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--svg", default=None, help="SVG plot output path")
-    p.add_argument("--assert", dest="assert", action="store_const", const=True, default=None,
-                   help="exit 3 if the pre-registered acceptance band fails")
-    p.add_argument("--config", default=None, help="JSON config document (flags override)")
-    p.add_argument("--threads", type=int, default=None, help="worker count override")
-    if with_extended:
-        p.add_argument("--extended", action="store_const", const=True, default=None,
-                       help="exact fixed-point accumulation, each value rounded once")
-        p.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None,
-                       help="largest N cross-checked against direct composition")
+_SCHEDULE = {"theorem": None, "case": None, "quadratic_noncvg": False,
+             "amplitude": None, "eps_amp": None, "pair_amp": None,
+             "pair_bound": None, "rot_coeff": None}
+
+# subcommand -> (handler, help, {field: hard default}); ``...`` marks a
+# required field.  Every subcommand also takes --config.
+_COMMANDS = {
+    "sweep": (cmd_sweep, "deterministic N-sweep for one schedule",
+              {**_SCHEDULE, "n": ..., "out": None, "svg": None, "assert": False,
+               "extended": False, "oracle_limit": 512, "threads": None}),
+    "random": (cmd_random, "seeded Monte Carlo ensemble",
+               {"delta": ..., "trials": 200, "seed": 0, "n": "200:6400:x2",
+                "dist": "uniform", "m": 1.0, "out_trials": None, "out_summary": None,
+                "svg": None, "assert": False, "threshold": 1.0,
+                "lambda_rule": "prop", "lambda_value": 1.0, "threads": None}),
+    "counterexample": (cmd_counterexample, "both sides of the split-angle schedule",
+                       {"n": "500:8000:x2", "out": None, "svg": None, "assert": False,
+                        "extended": False, "threads": None}),
+    "skew": (cmd_skew, "skew-product example ladder",
+             {"example": ..., "n": "100:12800:x2", "out": None, "svg": None,
+              "assert": False, "extended": False, "oracle_limit": 512}),
+    "oracle": (cmd_oracle, "recurrence vs direct composition cross-check",
+               {"trials": 200, "n_max": 512, "seed": 1}),
+    "diagnose-sum": (cmd_diagnose_sum, "print the scaled admissibility sum per N",
+                     {**_SCHEDULE, "n": ...}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,64 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Non-autonomous perturbed parabolic compositions: "
                                  "rate sweeps, random ensembles, skew products.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("sweep", parents=[], help="deterministic N-sweep for one schedule")
-    _add_schedule_flags(p)
-    _add_common_output_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("random", help="seeded Monte Carlo ensemble")
-    p.add_argument("--delta", type=float, default=None, help="decay exponent offset (> 0)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dist", choices=["uniform", "rademacher"], default=None)
-    p.add_argument("--m", type=float, default=None, help="uniform distribution bound")
-    p.add_argument("--n", default=None, help="N ladder")
-    p.add_argument("--out-trials", dest="out_trials", default=None, help="per-trial CSV path")
-    p.add_argument("--out-summary", dest="out_summary", default=None, help="summary CSV path")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--assert", dest="assert", action="store_const", const=True, default=None)
-    p.add_argument("--threshold", type=float, default=None, help="exceedance ratio threshold")
-    p.add_argument("--lambda-rule", dest="lambda_rule", choices=["prop", "fixed"], default=None)
-    p.add_argument("--lambda-value", dest="lambda_value", type=float, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("counterexample", help="both sides of the split-angle schedule")
-    p.add_argument("--n", default=None, help="N ladder (even values)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--svg", default=None)
-    p.add_argument("--assert", dest="assert", action="store_const", const=True, default=None)
-    p.add_argument("--extended", action="store_const", const=True, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("skew", help="skew-product example ladder")
-    p.add_argument("--example", type=int, default=None, help="example id 1..5")
-    p.add_argument("--n", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--svg", default=None)
-    p.add_argument("--assert", dest="assert", action="store_const", const=True, default=None)
-    p.add_argument("--extended", action="store_const", const=True, default=None)
-    p.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_skew)
-
-    p = sub.add_parser("oracle", help="recurrence vs direct composition cross-check")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("diagnose-sum", help="print the scaled admissibility sum per N")
-    _add_schedule_flags(p)
-    p.add_argument("--n", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_diagnose_sum)
-
+    for command, (_, help_text, fields) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in [*fields, "config"]:
+            spec, option_help = _OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                           help=option_help, **spec)
     return parser
 
 
@@ -593,15 +528,16 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 1
+    handler, _, fields = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_resolve(args, fields))
     except (UsageError, InvalidSpecError) as exc:
         print(f"parimplode: error: {exc}", file=sys.stderr)
         return 1
     except _AssertionFailed as exc:
         print(f"parimplode: assertion failed: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except ParimplodeError as exc:
         print(f"parimplode: numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -401,12 +401,17 @@ def r_from_qs(seqs: PerturbationSequences, triple: QRSTriple) -> np.ndarray:
 
 
 def wronskian_residual(triple: QRSTriple, k: int) -> float:
-    """Relative defect of q_{k+1} r_k - r_{k+1} q_k against prod rho_j."""
+    """Relative defect of q_{k+1} r_k - r_{k+1} q_k against prod rho_j.
+
+    When prod rho_j vanishes the defect is inf (or NaN for 0/0), returned
+    without a numpy warning; the gates reject both.
+    """
     if not 0 <= k <= triple.N:
         raise ValueError(f"k must be in 0..N, got {k}")
     w = triple.q[k + 1] * triple.r[k] - triple.r[k + 1] * triple.q[k]
     expected = triple.rho_cumprod[k]
-    return float(abs(w - expected) / abs(expected))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(abs(w - expected) / abs(expected))
 
 
 def coefficients_from_qr(triple: QRSTriple, N: int) -> MoebiusCoeffs:

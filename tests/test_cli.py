@@ -1,10 +1,30 @@
 """CLI surface: ladder parsing, exit codes, config merge, output determinism."""
+import argparse
 import json
 
 import pytest
 
-from parimplode import UsageError
+from parimplode import UsageError, cli, errors
 from parimplode.cli import main, parse_ladder
+
+# every subcommand's flags besides --config and --help; pinned here, apart
+# from the option table, so that a flag dropped from the table shows
+_SCHEDULE_FLAGS = ["--theorem", "--case", "--quadratic-noncvg", "--amplitude", "--eps-amp",
+                   "--pair-amp", "--pair-bound", "--rot-coeff"]
+_FLAGS = {
+    "sweep": _SCHEDULE_FLAGS + ["--n", "--out", "--svg", "--assert", "--extended",
+                                "--oracle-limit", "--threads"],
+    "random": ["--delta", "--trials", "--seed", "--n", "--dist", "--m", "--out-trials",
+               "--out-summary", "--svg", "--assert", "--threshold", "--lambda-rule",
+               "--lambda-value", "--threads"],
+    "counterexample": ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
+    "skew": ["--example", "--n", "--out", "--svg", "--assert", "--extended", "--oracle-limit"],
+    "oracle": ["--trials", "--n-max", "--seed"],
+    "diagnose-sum": _SCHEDULE_FLAGS + ["--n"],
+}
+_ERRORS = sorted((c for c in vars(errors).values() if isinstance(c, type)
+                  and issubclass(c, errors.ParimplodeError) and c is not errors.ParimplodeError),
+                 key=lambda c: c.__name__)
 
 
 def test_parse_ladder_geometric():
@@ -21,8 +41,8 @@ def test_parse_ladder_arithmetic_and_single():
 
 def test_parse_ladder_errors():
     for bad in ("abc", "100:200", "100:200:y2", "100:200:x0.5", "100:200:+0",
-                "200:100:x2", "a:b:x2", []):
-        with pytest.raises(UsageError, match="n"):
+                "200:100:x2", "a:b:x2", [], "100:200:xinf", "100:200:xnan"):
+        with pytest.raises(UsageError, match="^n: "):
             parse_ladder(bad)
 
 
@@ -159,3 +179,45 @@ def test_diagnose_sum(capsys):
     rc = main(["diagnose-sum", "--theorem", "A", "--case", "1", "--n", "512"])
     assert rc == 0
     assert "N*|sum|" in capsys.readouterr().out
+
+
+def _replace_handler(monkeypatch, command, handler):
+    _, help_text, fields = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (handler, help_text, fields))
+
+
+@pytest.mark.parametrize("exc_type", _ERRORS, ids=lambda c: c.__name__)
+def test_exit_code_by_error_class(monkeypatch, capsys, exc_type):
+    def handler(cfg):
+        raise exc_type([(100, "boom")]) if exc_type is errors.SweepError else exc_type("boom")
+
+    _replace_handler(monkeypatch, "oracle", handler)
+    usage = exc_type in (errors.UsageError, errors.InvalidSpecError)
+    assert main(["oracle"]) == (1 if usage else 2)
+    prefix = "parimplode: error: " if usage else "parimplode: numerical failure: "
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_config_accepts_every_field(monkeypatch, tmp_path, command):
+    seen = []
+    _replace_handler(monkeypatch, command, lambda cfg: seen.append(cfg) or 0)
+    doc = {flag[2:].replace("-", "_"): f"value of {flag}" for flag in _FLAGS[command]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 0
+    assert seen == [doc]
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_lists_every_flag_with_help(capsys, command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {opt: a.help for a in sub.choices[command]._actions for opt in a.option_strings}
+    assert sorted(helps) == sorted(_FLAGS[command] + ["--config", "-h", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = "".join(capsys.readouterr().out.split())  # argparse wraps at any width
+    for flag in _FLAGS[command] + ["--config"]:
+        assert helps[flag] and "".join(helps[flag].split()) in text, flag
