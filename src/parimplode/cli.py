@@ -139,11 +139,39 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _document_value(name: str, value):
+    """A config document value, checked and converted as its flag would be.
+
+    A typed field takes a number or a string its flag type accepts, never a
+    bool, and an int field no fraction; a switch takes only true or false.
+    """
+    spec = _OPTIONS[name][0]
+    if spec is _ON:
+        if not isinstance(value, bool):
+            raise UsageError(f"{name}: expected true or false, got {value!r}")
+        return value
+    kind = spec.get("type")
+    if kind is not None:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise UsageError(f"{name}: expected int, got {value!r}")
+        try:
+            value = kind(value)
+        except (ValueError, OverflowError):
+            raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}") from None
+    choices = spec.get("choices")
+    if choices is not None and value not in choices:
+        raise UsageError(f"{name}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _resolve(args: argparse.Namespace, fields: dict) -> dict:
     """Merge flag values over config document values over hard defaults.
 
     ``fields`` maps field name -> hard default; a default of ``...``
-    marks the field required.
+    marks the field required.  A document value goes through its flag's
+    type and choices; null reads as the field left out.
     """
     doc = _load_config(args.config) if args.config else {}
     for key in doc:
@@ -154,8 +182,8 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
         flag_val = getattr(args, name)
         if flag_val is not None:
             merged[name] = flag_val
-        elif name in doc:
-            merged[name] = doc[name]
+        elif doc.get(name) is not None:
+            merged[name] = _document_value(name, doc[name])
         elif default is ...:
             raise UsageError(f"{name}: required (flag or config field)")
         else:
@@ -170,25 +198,18 @@ def _build_deterministic_spec(cfg: dict):
         return QuadraticNonconvergent()
     if cfg["theorem"] is None:
         raise UsageError("theorem: choose --theorem A|B or --quadratic-noncvg")
-    family = str(cfg["theorem"]).upper()
     case = cfg["case"] if cfg["case"] is not None else 1
-    try:
-        case = int(case)
-    except (TypeError, ValueError):
-        raise UsageError(f"case: expected an integer, got {cfg['case']!r}") from None
-    params = {name: float(cfg[name]) for name in
+    params = {name: cfg[name] for name in
               ("amplitude", "eps_amp", "pair_amp", "pair_bound", "rot_coeff")
               if cfg[name] is not None}
     try:
-        if family == "A":
+        if cfg["theorem"].upper() == "A":
             if "eps_amp" in params:
                 raise UsageError("eps_amp: only valid with --theorem B")
             return TheoremA(case=case, **params)
-        if family == "B":
-            return TheoremB(case=case, **params)
+        return TheoremB(case=case, **params)
     except InvalidSpecError as exc:
         raise UsageError(str(exc)) from None
-    raise UsageError(f"theorem: must be A or B, got {cfg['theorem']!r}")
 
 
 def _maybe_fit(ns, values):
@@ -219,9 +240,8 @@ def _write_svg(path, series, fit, band, title, ylabel):
 def cmd_sweep(cfg: dict) -> int:
     spec = _build_deterministic_spec(cfg)
     ns = parse_ladder(cfg["n"])
-    points = run_sweep(spec, ns, extended=bool(cfg["extended"]),
-                       oracle_limit=int(cfg["oracle_limit"]),
-                       max_workers=cfg["threads"] and int(cfg["threads"]))
+    points = run_sweep(spec, ns, extended=cfg["extended"],
+                       oracle_limit=cfg["oracle_limit"], max_workers=cfg["threads"])
     if cfg["out"]:
         write_rate_csv(points, cfg["out"])
     for p in points:
@@ -268,29 +288,18 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_random(cfg: dict) -> int:
-    delta = float(cfg["delta"])
+    delta = cfg["delta"]
     if delta <= 0:
         raise UsageError(f"delta: must be > 0, got {delta}")
-    trials = int(cfg["trials"])
+    trials = cfg["trials"]
     if trials < 30:
         raise UsageError(f"trials: need at least 30, got {trials}")
-    if cfg["dist"] == "uniform":
-        dist = UniformSymmetric(m=float(cfg["m"]))
-    elif cfg["dist"] == "rademacher":
-        dist = Rademacher()
-    else:
-        raise UsageError(f"dist: must be 'uniform' or 'rademacher', got {cfg['dist']!r}")
-    if cfg["lambda_rule"] == "prop":
-        rule = PropLambda()
-    elif cfg["lambda_rule"] == "fixed":
-        rule = FixedLambda(float(cfg["lambda_value"]))
-    else:
-        raise UsageError(f"lambda_rule: must be 'prop' or 'fixed', got {cfg['lambda_rule']!r}")
+    dist = UniformSymmetric(m=cfg["m"]) if cfg["dist"] == "uniform" else Rademacher()
+    rule = PropLambda() if cfg["lambda_rule"] == "prop" else FixedLambda(cfg["lambda_value"])
     ns = parse_ladder(cfg["n"])
 
-    result = run_ensemble(delta, dist, ns, trials, int(cfg["seed"]),
-                          lambda_rule=rule, exceed_threshold=float(cfg["threshold"]),
-                          max_workers=cfg["threads"] and int(cfg["threads"]))
+    result = run_ensemble(delta, dist, ns, trials, cfg["seed"], lambda_rule=rule,
+                          exceed_threshold=cfg["threshold"], max_workers=cfg["threads"])
     summaries = result.summaries
     for s in summaries:
         print(f"N={s.N} trials={s.trials} median|qN|={s.median_qN:.6g} "
@@ -338,11 +347,10 @@ def cmd_counterexample(cfg: dict) -> int:
     ns = parse_ladder(cfg["n"])
     if any(n % 2 for n in ns):
         raise UsageError(f"n: counterexample ladder must be even, got {ns}")
-    workers = cfg["threads"] and int(cfg["threads"])
     f_points = run_sweep(CounterexampleC("multiplicative_f"), ns,
-                         extended=bool(cfg["extended"]), max_workers=workers)
+                         extended=cfg["extended"], max_workers=cfg["threads"])
     g_points = run_sweep(CounterexampleC("additive_g"), ns,
-                         extended=bool(cfg["extended"]), max_workers=workers)
+                         extended=cfg["extended"], max_workers=cfg["threads"])
     for fp, gp in zip(f_points, g_points):
         print(f"N={fp.N} f_coeff_err={fp.coeff_err:.6g} f_qN_abs={fp.q_N_abs:.6g} "
               f"g_coeff_err={gp.coeff_err:.6g}")
@@ -375,13 +383,13 @@ def cmd_counterexample(cfg: dict) -> int:
 
 
 def cmd_skew(cfg: dict) -> int:
-    example = int(cfg["example"])
+    example = cfg["example"]
     ns = parse_ladder(cfg["n"])
     rows = []
     for n in ns:
         sys_n = build_example(example, n)
-        rows.append((example, iterate_skew(sys_n, n, extended=bool(cfg["extended"]),
-                                           oracle_limit=int(cfg["oracle_limit"]))))
+        rows.append((example, iterate_skew(sys_n, n, extended=cfg["extended"],
+                                           oracle_limit=cfg["oracle_limit"])))
     for _, res in rows:
         print(f"N={res.N} |w_N|={abs(res.w_final):.6g} fiber_coeff_err={res.fiber_coeff_err:.6g} "
               f"fiber_sup_err={res.fiber_sup_err:.6g}")
@@ -413,9 +421,7 @@ def cmd_skew(cfg: dict) -> int:
 
 
 def cmd_oracle(cfg: dict) -> int:
-    trials = int(cfg["trials"])
-    n_max = int(cfg["n_max"])
-    seed = int(cfg["seed"])
+    trials, n_max, seed = cfg["trials"], cfg["n_max"], cfg["seed"]
     ns = [n for n in (16, 64, 256, 512) if n <= n_max]
     if not ns:
         raise UsageError(f"n_max: must be >= 16, got {n_max}")

@@ -1,11 +1,20 @@
 """Monte Carlo lab for additive random schedules eps_k = pi/N + eta_k/N^(1+delta).
 
 With rho == 1 the recurrence coefficient is 2 - eps_k^2 and everything is
-real; ensembles are vectorized across trials (one numpy row per trial) and
-still bit-identical to the scalar single-trial path, because complex
-arithmetic on exactly-real values performs the same operations on the real
-parts.  All randomness is counter-based, so concurrent and sequential runs
-produce the same records in the same order.
+real; ensembles are vectorized across trials and still bit-identical to the
+scalar single-trial path, because complex arithmetic on exactly-real values
+performs the same operations on the real parts.
+
+An ensemble at one N is a single step-major pass over steps 1..N in blocks
+of ``recurrences._BLOCK`` steps.  Each block draws its own variates, forms
+its coefficients, advances q and r, and folds its martingale terms into a
+running per-trial sum and maximum.  A row of the step buffer holds one step
+of every trial, q in its first half and r in its second, so each step is
+one multiply and one subtract for both recurrences.  Only the last rows
+carry over between blocks, so memory is O(trials x block), not
+O(trials x N).  All randomness is counter-based, so the blocks draw the same
+variates as one full draw, and concurrent and sequential runs produce the
+same records in the same order.
 """
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ import numpy as np
 
 from .errors import IdentityViolationError
 from .ioutil import fmt17, worker_count, write_csv
-from .recurrences import ChebyshevPoint, chebyshev_U, run_recurrences
+from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U, run_recurrences
 from .schedules import RandomDist, RandomSchedule, materialize
 
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
@@ -132,49 +141,63 @@ def union_bound(N: int, delta: float, M: float, lambda_rule: LambdaRule) -> floa
 
 def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: int,
                    lambda_rule: LambdaRule, threshold: float):
-    # one vectorized pass: rows are trials, the k loop is sequential
-    t_idx = np.arange(trials, dtype=np.uint64)
-    k_idx = np.arange(N + 2, dtype=np.uint64)
-    eta = dist.draw(seed, t_idx[:, None], k_idx[None, :])
-    eps = math.pi / N + eta / N ** (1.0 + delta)
-    eps[:, 0] = 0.0
-    coeff = 2.0 - eps * eps
-    x = 2.0 * math.cos(math.pi / N)
+    # one pass over steps 1..N in blocks, step-major: row j of `x` holds
+    # q_{k0-1+j} in its first `trials` columns and r_{k0-1+j} in the rest, so
+    # one multiply and one subtract advance both recurrences of every trial
     theta = math.pi / N
-    d = coeff - x
+    x_cheb = 2.0 * math.cos(theta)
+    scale = N ** (1.0 + delta)
+    t_idx = np.arange(trials, dtype=np.uint64)
+    phases = np.exp(1j * theta * np.arange(N + 1))
+    lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
+    x = np.empty((_BLOCK + 2, 2 * trials))
+    c = np.empty((_BLOCK, 2 * trials))
+    x[0, :trials] = 0.0
+    x[1, :trials] = 1.0
+    x[:2, trials:] = 1.0
+    rows, c_rows = list(x), list(c)
+    # delta_n = sum_{k<n} d_k q_k e^{ik theta}, n = 1..N+1, kept as a running
+    # sum with a running maximum of |delta_n| / lambda_n; the k = 0 term is
+    # d_0 q_0 = 0, so both start at 0
+    partial = np.zeros(trials, dtype=complex)
+    ratio_max = np.zeros(trials)
+    nb = 0
+    for k0, k1 in _blocks(N):
+        if nb:
+            x[:2] = x[nb:nb + 2]
+        nb = k1 - k0
+        eta = dist.draw(seed, t_idx[None, :], np.arange(k0, k1, dtype=np.uint64)[:, None])
+        eps = math.pi / N + eta / scale
+        coeff = 2.0 - eps * eps
+        d = coeff - x_cheb
+        c[:nb, :trials] = coeff
+        c[:nb, trials:] = coeff
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(nb):
+                np.multiply(c_rows[j], rows[j + 1], out=rows[j + 2])
+                np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
+            terms = d * x[1:nb + 1, :trials] * phases[k0:k1, None]
+            terms[0] += partial
+            np.cumsum(terms, axis=0, out=terms)
+            partial = terms[-1].copy()
+            ratio_max = np.maximum(ratio_max, np.max(np.abs(terms) / lam[k0:k1, None], axis=0))
+    exceeded = ratio_max >= threshold
 
-    q = np.empty((trials, N + 2))
-    q[:, 0] = 0.0
-    q[:, 1] = 1.0
-    r_prev = np.ones(trials)
-    r_cur = np.ones(trials)
+    q_Nm1, q_N, q_N1 = x[nb - 1, :trials], x[nb, :trials], x[nb + 1, :trials]
+    r_N, r_N1 = x[nb, trials:], x[nb + 1, trials:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, N + 1):
-            q[:, k + 1] = coeff[:, k] * q[:, k] - q[:, k - 1]
-            r_next = coeff[:, k] * r_cur - r_prev
-            r_prev, r_cur = r_cur, r_next
-
-        # delta_n = sum_{k<n} d_k q_k e^{ik theta}, n = 1..N+1, and its
-        # running comparison against the lambda_rule thresholds
-        phases = np.exp(1j * theta * np.arange(N + 1))
-        terms = d[:, : N + 1] * q[:, : N + 1] * phases[None, :]
-        delta_partial = np.cumsum(terms, axis=1)
-        lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
-        ratios = np.abs(delta_partial) / lam[None, :]
-        exceeded = np.max(ratios, axis=1) >= threshold
-
-        a_coef = q[:, N + 1] - q[:, N]
-        b_coef = r_prev - r_cur  # r_N - r_{N+1} after the final swap
-        c_coef = -q[:, N]
-        d_coef = r_prev  # r_N
+        a_coef = q_N1 - q_N
+        b_coef = r_N - r_N1
+        c_coef = -q_N
+        d_coef = r_N
         ce = np.abs(a_coef / d_coef - 1.0) + np.abs(b_coef / d_coef) + np.abs(c_coef / d_coef)
 
     ok = (
-        np.isfinite(q[:, N - 1]) & np.isfinite(q[:, N]) & np.isfinite(q[:, N + 1])
+        np.isfinite(q_Nm1) & np.isfinite(q_N) & np.isfinite(q_N1)
         & np.isfinite(ce) & (np.abs(d_coef) > 1e-12)
     )
     return {
-        "q_Nm1": q[:, N - 1], "q_N": q[:, N], "q_N1": q[:, N + 1],
+        "q_Nm1": q_Nm1, "q_N": q_N, "q_N1": q_N1,
         "coeff_err": ce, "exceeded": exceeded, "ok": ok,
     }
 

@@ -22,6 +22,13 @@ _FLAGS = {
     "oracle": ["--trials", "--n-max", "--seed"],
     "diagnose-sum": _SCHEDULE_FLAGS + ["--n"],
 }
+# a value each typed, choice or switch flag accepts; the rest take any string
+_DOC_VALUES = {"--theorem": "b", "--case": 2, "--quadratic-noncvg": True, "--amplitude": 0.25,
+               "--eps-amp": 0.5, "--pair-amp": 0.75, "--pair-bound": 1.5, "--rot-coeff": 2.5,
+               "--assert": True, "--extended": False, "--oracle-limit": 64, "--threads": 2,
+               "--delta": 0.5, "--trials": 40, "--seed": 3, "--dist": "rademacher", "--m": 2.0,
+               "--threshold": 0.5, "--lambda-rule": "fixed", "--lambda-value": 0.125,
+               "--example": 4, "--n-max": 256}
 _ERRORS = sorted((c for c in vars(errors).values() if isinstance(c, type)
                   and issubclass(c, errors.ParimplodeError) and c is not errors.ParimplodeError),
                  key=lambda c: c.__name__)
@@ -202,7 +209,8 @@ def test_exit_code_by_error_class(monkeypatch, capsys, exc_type):
 def test_config_accepts_every_field(monkeypatch, tmp_path, command):
     seen = []
     _replace_handler(monkeypatch, command, lambda cfg: seen.append(cfg) or 0)
-    doc = {flag[2:].replace("-", "_"): f"value of {flag}" for flag in _FLAGS[command]}
+    doc = {flag[2:].replace("-", "_"): _DOC_VALUES.get(flag, f"value of {flag}")
+           for flag in _FLAGS[command]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg)]) == 0
@@ -221,3 +229,41 @@ def test_help_lists_every_flag_with_help(capsys, command):
     text = "".join(capsys.readouterr().out.split())  # argparse wraps at any width
     for flag in _FLAGS[command] + ["--config"]:
         assert helps[flag] and "".join(helps[flag].split()) in text, flag
+
+
+def _run_with_config(tmp_path, argv, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return main(argv + ["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("oracle", {"trials": "many"}, "trials"),
+    ("oracle", {"trials": 50.7}, "trials"),
+    ("oracle", {"trials": True}, "trials"),
+    ("oracle", {"trials": [50]}, "trials"),
+    ("random", {"delta": 0.5, "trials": 30.5}, "trials"),
+    ("random", {"delta": "half"}, "delta"),
+    ("random", {"delta": 0.5, "dist": "gauss"}, "dist"),
+    ("sweep", {"theorem": "A", "n": "100", "extended": "false"}, "extended"),
+])
+def test_config_values_take_the_flag_types(tmp_path, capsys, command, doc, field):
+    # each of these values is one the flag would refuse; none may be cast or truncated
+    assert _run_with_config(tmp_path, [command], doc) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parimplode: error: {field}: expected "), err
+
+
+@pytest.mark.parametrize("trials", [50, 50.0, "50"])
+def test_config_integral_values_run_as_the_flag(tmp_path, capsys, trials):
+    assert main(["oracle", "--trials", "50", "--n-max", "64"]) == 0
+    want = capsys.readouterr()
+    assert _run_with_config(tmp_path, ["oracle"], {"trials": trials, "n_max": 64}) == 0
+    assert capsys.readouterr() == want
+
+
+def test_config_null_reads_as_left_out(tmp_path, capsys):
+    assert _run_with_config(tmp_path, ["oracle"], {"trials": None, "n_max": 16}) == 0
+    assert capsys.readouterr().out.startswith("oracle: 200 trials x 1 sizes")
+    assert _run_with_config(tmp_path, ["random"], {"delta": None}) == 1
+    assert "delta: required" in capsys.readouterr().err

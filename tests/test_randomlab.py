@@ -1,6 +1,7 @@
 """Random ensembles: tail bounds, quantiles, determinism, measured scaling."""
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,110 @@ def test_ensemble_matches_single_trial_path_bitwise():
         assert rec.q_N == triple.q[64]
         assert rec.q_N1 == triple.q[65]
         assert rec.q_Nm1 == triple.q[63]
+
+
+def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule, threshold):
+    # _run_trials_at as it was: every array (trials, N+2), a column loop over k
+    t_idx = np.arange(trials, dtype=np.uint64)
+    k_idx = np.arange(N + 2, dtype=np.uint64)
+    eta = dist.draw(seed, t_idx[:, None], k_idx[None, :])
+    eps = math.pi / N + eta / N ** (1.0 + delta)
+    eps[:, 0] = 0.0
+    coeff = 2.0 - eps * eps
+    x = 2.0 * math.cos(math.pi / N)
+    theta = math.pi / N
+    d = coeff - x
+
+    q = np.empty((trials, N + 2))
+    q[:, 0] = 0.0
+    q[:, 1] = 1.0
+    r_prev = np.ones(trials)
+    r_cur = np.ones(trials)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, N + 1):
+            q[:, k + 1] = coeff[:, k] * q[:, k] - q[:, k - 1]
+            r_next = coeff[:, k] * r_cur - r_prev
+            r_prev, r_cur = r_cur, r_next
+
+        phases = np.exp(1j * theta * np.arange(N + 1))
+        terms = d[:, : N + 1] * q[:, : N + 1] * phases[None, :]
+        delta_partial = np.cumsum(terms, axis=1)
+        lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
+        ratios = np.abs(delta_partial) / lam[None, :]
+        exceeded = np.max(ratios, axis=1) >= threshold
+
+        a_coef = q[:, N + 1] - q[:, N]
+        b_coef = r_prev - r_cur
+        c_coef = -q[:, N]
+        d_coef = r_prev
+        ce = np.abs(a_coef / d_coef - 1.0) + np.abs(b_coef / d_coef) + np.abs(c_coef / d_coef)
+
+    ok = (
+        np.isfinite(q[:, N - 1]) & np.isfinite(q[:, N]) & np.isfinite(q[:, N + 1])
+        & np.isfinite(ce) & (np.abs(d_coef) > 1e-12)
+    )
+    return {
+        "q_Nm1": q[:, N - 1], "q_N": q[:, N], "q_N1": q[:, N + 1],
+        "coeff_err": ce, "exceeded": exceeded, "ok": ok,
+    }
+
+
+def _assert_same_outputs(got, want):
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        if value.dtype == bool:
+            assert got[key].tolist() == value.tolist(), key
+        else:
+            assert got[key].view(np.uint64).tolist() == value.view(np.uint64).tolist(), key
+
+
+# the block edges of the step loop sit at 256, 512, ... steps
+@pytest.mark.parametrize("N", [4, 5, 255, 256, 257, 258, 512, 513, 1000])
+@pytest.mark.parametrize("dist", [UniformSymmetric(1.0), Rademacher()], ids=["uniform", "rademacher"])
+@pytest.mark.parametrize("rule", [PropLambda(), FixedLambda(1e-3)], ids=["prop", "fixed"])
+def test_trials_at_bit_identical_to_column_loop(N, dist, rule):
+    args = (N, 0.5, dist, 40, 3, rule, 1.0)
+    _assert_same_outputs(randomlab._run_trials_at(*args), _reference_trials_at(*args))
+
+
+@pytest.mark.parametrize("N, dist, rule", [(4, UniformSymmetric(1.0), PropLambda()),
+                                           (1000, UniformSymmetric(1.0), FixedLambda(1e-3)),
+                                           (1000, Rademacher(), FixedLambda(1e-3))])
+def test_bit_identity_cases_see_both_exceedance_outcomes(N, dist, rule):
+    # the comparison above covers trials on both sides of the threshold
+    exceeded = _reference_trials_at(N, 0.5, dist, 40, 3, rule, 1.0)["exceeded"]
+    assert exceeded.any() and not exceeded.all()
+
+
+# at N = 300 every trial overflows early; at N = 100 some do, and a NaN
+# late in a trial's partial sums leaves its maximum NaN and `exceeded` false
+@pytest.mark.parametrize("N, m", [(300, 1e6), (100, 1e4)])
+def test_trials_at_bit_identical_when_trials_diverge(N, m):
+    args = (N, 0.01, UniformSymmetric(m), 40, 2, PropLambda(), 1.0)
+    want = _reference_trials_at(*args)
+    assert not want["ok"].all()
+    assert not np.isfinite(want["q_N"]).all()
+    _assert_same_outputs(randomlab._run_trials_at(*args), want)
+
+
+def test_trials_at_memory_is_bounded_by_the_block():
+    # the column loop held every (trials, N+2) array at once, 113 MB here
+    tracemalloc.start()
+    try:
+        randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1, PropLambda(), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_ensemble_independent_of_thread_count():
+    args = (0.5, UniformSymmetric(1.0), [100, 300, 600], 30, 11)
+    one = run_ensemble(*args, max_workers=1)
+    two = run_ensemble(*args, max_workers=2)
+    assert one.records == two.records
+    assert one.summaries == two.summaries
+    assert one.failures == two.failures
 
 
 def test_ensemble_summary_pins():
