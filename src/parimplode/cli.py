@@ -288,12 +288,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_random(cfg: dict) -> int:
-    delta = cfg["delta"]
-    if delta <= 0:
-        raise UsageError(f"delta: must be > 0, got {delta}")
-    trials = cfg["trials"]
-    if trials < 30:
-        raise UsageError(f"trials: need at least 30, got {trials}")
+    delta, trials = cfg["delta"], cfg["trials"]
     dist = UniformSymmetric(m=cfg["m"]) if cfg["dist"] == "uniform" else Rademacher()
     rule = PropLambda() if cfg["lambda_rule"] == "prop" else FixedLambda(cfg["lambda_value"])
     ns = parse_ladder(cfg["n"])

@@ -2,19 +2,20 @@
 
 With rho == 1 the recurrence coefficient is 2 - eps_k^2 and everything is
 real; ensembles are vectorized across trials and still bit-identical to the
-scalar single-trial path, because complex arithmetic on exactly-real values
-performs the same operations on the real parts.
+scalar single-trial path (both take eps_k from ``RandomSchedule.eps``), because
+complex arithmetic on exactly-real values does the same operations on the
+real parts.
 
-An ensemble at one N is a single step-major pass over steps 1..N in blocks
-of ``recurrences._BLOCK`` steps.  Each block draws its own variates, forms
-its coefficients, advances q and r, and folds its martingale terms into a
-running per-trial sum and maximum.  A row of the step buffer holds one step
-of every trial, q in its first half and r in its second, so each step is
-one multiply and one subtract for both recurrences.  Only the last rows
-carry over between blocks, so memory is O(trials x block), not
-O(trials x N).  All randomness is counter-based, so the blocks draw the same
-variates as one full draw, and concurrent and sequential runs produce the
-same records in the same order.
+Every trial of the lab runs in one step-major pass, ``_step_blocks``, over
+steps 1..N in blocks of ``recurrences._BLOCK`` steps.  A block draws its own
+variates, advances q and r of every trial (a buffer row holds one step of
+every trial, q then r, so a step is one multiply and one subtract) and
+extends the running martingale sums delta_n.  Only the last two rows carry
+over, so memory is O(trials x block).  ``run_ensemble`` folds the blocks
+into a running maximum of |delta_n| / lambda_n; ``martingale_check`` checks
+the summation identity on every row.  Randomness is counter-based, so the
+blocks draw the same variates as one full draw, and concurrent and
+sequential runs produce the same records in the same order.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import IdentityViolationError
+from .errors import IdentityViolationError, InvalidSpecError
 from .ioutil import fmt17, worker_count, write_csv
-from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U, run_recurrences
-from .schedules import RandomDist, RandomSchedule, materialize
+from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U
+from .schedules import RandomDist, RandomSchedule
 
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
 SUMMARY_CSV_HEADER = "N,delta,trials,median_qN,q90_qN,exceed_count,azuma_bound"
@@ -139,58 +140,67 @@ def union_bound(N: int, delta: float, M: float, lambda_rule: LambdaRule) -> floa
     return (N + 1) * azuma_tail_bound(lam, N + 1, N, delta, M)
 
 
-def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: int,
-                   lambda_rule: LambdaRule, threshold: float):
-    # one pass over steps 1..N in blocks, step-major: row j of `x` holds
-    # q_{k0-1+j} in its first `trials` columns and r_{k0-1+j} in the rest, so
-    # one multiply and one subtract advance both recurrences of every trial
+def _step_blocks(spec: RandomSchedule, N: int, trials: int):
+    """Yield (k0, rows, d, partial) per block of steps k = k0..k0+nb-1.
+
+    Row j of ``rows`` (nb+2 of them) holds q_{k0-1+j} of every trial, then
+    r_{k0-1+j}; d[j] = (2 - eps_k^2) - 2 cos(pi/N) and partial[j] = delta_{k+1}
+    at k = k0+j.  ``rows`` is a view that the next block overwrites.
+    """
+    if N < 4:
+        raise InvalidSpecError(f"N must be >= 4, got {N}")
     theta = math.pi / N
     x_cheb = 2.0 * math.cos(theta)
-    scale = N ** (1.0 + delta)
     t_idx = np.arange(trials, dtype=np.uint64)
     phases = np.exp(1j * theta * np.arange(N + 1))
-    lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
     x = np.empty((_BLOCK + 2, 2 * trials))
     c = np.empty((_BLOCK, 2 * trials))
     x[0, :trials] = 0.0
     x[1, :trials] = 1.0
     x[:2, trials:] = 1.0
     rows, c_rows = list(x), list(c)
-    # delta_n = sum_{k<n} d_k q_k e^{ik theta}, n = 1..N+1, kept as a running
-    # sum with a running maximum of |delta_n| / lambda_n; the k = 0 term is
-    # d_0 q_0 = 0, so both start at 0
+    # the k = 0 term of delta_n is d_0 q_0 = 0, so the running sum starts at 0
     partial = np.zeros(trials, dtype=complex)
-    ratio_max = np.zeros(trials)
     nb = 0
     for k0, k1 in _blocks(N):
         if nb:
             x[:2] = x[nb:nb + 2]
         nb = k1 - k0
-        eta = dist.draw(seed, t_idx[None, :], np.arange(k0, k1, dtype=np.uint64)[:, None])
-        eps = math.pi / N + eta / scale
+        eps = spec.eps(N, t_idx[None, :], np.arange(k0, k1, dtype=np.uint64)[:, None])
         coeff = 2.0 - eps * eps
         d = coeff - x_cheb
         c[:nb, :trials] = coeff
         c[:nb, trials:] = coeff
         with np.errstate(over="ignore", invalid="ignore"):
+            # one multiply and one subtract advance both recurrences of every trial
             for j in range(nb):
                 np.multiply(c_rows[j], rows[j + 1], out=rows[j + 2])
                 np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
             terms = d * x[1:nb + 1, :trials] * phases[k0:k1, None]
             terms[0] += partial
             np.cumsum(terms, axis=0, out=terms)
-            partial = terms[-1].copy()
-            ratio_max = np.maximum(ratio_max, np.max(np.abs(terms) / lam[k0:k1, None], axis=0))
-    exceeded = ratio_max >= threshold
+        partial = terms[-1].copy()
+        yield k0, x[:nb + 2], d, terms
 
-    q_Nm1, q_N, q_N1 = x[nb - 1, :trials], x[nb, :trials], x[nb + 1, :trials]
-    r_N, r_N1 = x[nb, trials:], x[nb + 1, trials:]
+
+def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: int,
+                   lambda_rule: LambdaRule, threshold: float):
+    blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
+    lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
+    # running maximum of |delta_n| / lambda_n over n = 1..N+1; delta_1 = 0
+    ratio_max = np.zeros(trials)
     with np.errstate(over="ignore", invalid="ignore"):
+        for k0, rows, _, partial in blocks:
+            ratio_max = np.maximum(
+                ratio_max, np.max(np.abs(partial) / lam[k0:k0 + len(partial), None], axis=0))
+        q_Nm1, q_N, q_N1 = rows[-3:, :trials]
+        r_N, r_N1 = rows[-2:, trials:]
         a_coef = q_N1 - q_N
         b_coef = r_N - r_N1
         c_coef = -q_N
         d_coef = r_N
         ce = np.abs(a_coef / d_coef - 1.0) + np.abs(b_coef / d_coef) + np.abs(c_coef / d_coef)
+    exceeded = ratio_max >= threshold
 
     ok = (
         np.isfinite(q_Nm1) & np.isfinite(q_N) & np.isfinite(q_N1)
@@ -212,24 +222,18 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     (N, trial, message) failures; failed trials are excluded from the
     quantiles and counts but never abort the ensemble.  The exceedance
     event for a trial is max_n |delta_n| / lambda_n >= exceed_threshold,
-    the event the tail bound actually controls.
+    the event the tail bound actually controls.  delta and dist follow
+    the rule of :class:`RandomSchedule`, and every N must be >= 4.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
     if trials < 30:
         raise ValueError(f"need at least 30 trials for quantiles, got {trials}")
-    if any(n < 4 for n in Ns):
-        raise ValueError(f"every N must be >= 4, got {Ns}")
+    if not (math.isfinite(exceed_threshold) and exceed_threshold > 0):
+        raise ValueError(f"threshold must be a positive real, got {exceed_threshold}")
 
-    per_n: dict[int, dict] = {}
     with ThreadPoolExecutor(max_workers=worker_count(max_workers)) as pool:
-        futures = {
-            pool.submit(_run_trials_at, n, delta, dist, trials, seed,
-                        lambda_rule, exceed_threshold): n
-            for n in Ns
-        }
-        for fut, n in futures.items():
-            per_n[n] = fut.result()
+        per_n = dict(zip(Ns, pool.map(
+            lambda n: _run_trials_at(n, delta, dist, trials, seed, lambda_rule, exceed_threshold),
+            Ns)))
 
     summaries: list[EnsembleSummary] = []
     records: list[TrialRecord] = []
@@ -270,43 +274,36 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
     worst value observed.  The mean increment is taken at n = N//2 across
     trials, with its standard error for a mean-zero sanity check.
 
-    This is ``recurrences.martingale_sum`` on every prefix without calling
-    it: U_n, e^{-i n theta} and the phases e^{i k theta} are worked out once
-    per call and the terms once per trial.  Each delta_n is still its own
-    pairwise ``np.sum`` over the prefix, so the values are bit for bit those
-    of martingale_sum; a running cumsum would round differently.
+    The q rows, d_k and running sums delta_n come from the same blocked
+    pass as ``run_ensemble``, so the check sees the recurrence the ensembles
+    run, and checks a whole block of prefixes of every trial at once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
     theta = math.pi / N
-    x = 2.0 * math.cos(theta)
     sin_t = math.sin(theta)
-    n_mid = max(2, N // 2)
     point = ChebyshevPoint.from_theta(theta)
-    ns = range(1, N + 2)
-    u = [chebyshev_U(n, point) for n in ns]
-    turn = [cmath.exp(-1j * n * theta) for n in ns]
-    phase = np.exp(1j * np.arange(0, N + 1) * theta)
+    # indexed by n = 0..N+1; n = 1 holds exactly (q_1 = U_1 = 1, delta_1 = 0)
+    u = np.array([chebyshev_U(n, point) for n in range(N + 2)])
+    turn = np.exp(-1j * theta * np.arange(N + 2))
+    k_mid = max(2, N // 2) - 1  # delta_n - delta_{n-1} at n = N//2
     max_resid = 0.0
-    increments = np.empty(trials, dtype=complex)
-    for t in range(trials):
-        spec = RandomSchedule(delta=delta, dist=dist, seed=seed, trial=t)
-        seqs = materialize(spec, N)
-        triple = run_recurrences(seqs)
-        d = (2.0 - seqs.eps_sq.real) - x
-        terms = d[:N + 1].astype(complex) * triple.q[:N + 1] * phase
-        q_re = triple.q.real.tolist()
-        for n, u_n, turn_n in zip(ns, u, turn):
-            delta_n = complex(np.sum(terms[:n]))
-            lhs = sin_t * (q_re[n] - u_n)
-            rhs = -(delta_n * turn_n).imag
-            resid = abs(lhs - rhs)
-            if resid > 1e-8:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, rows, d, partial in blocks:
+            n = slice(k0 + 1, k0 + 1 + len(d))
+            resid = np.abs(sin_t * (rows[2:, :trials] - u[n, None])
+                           + (partial * turn[n, None]).imag)
+            bad = np.argwhere(~(resid <= 1e-8))  # a NaN residual fails too
+            if bad.size:
+                j, t = bad[0]
                 raise IdentityViolationError(
-                    f"martingale identity residual {resid:.3e} at n={n} exceeds 1e-8")
-            max_resid = max(max_resid, resid)
-        inc = d[n_mid - 1] * triple.q[n_mid - 1] * cmath.exp(1j * (n_mid - 1) * theta)
-        increments[t] = inc
+                    f"martingale identity residual {resid[j, t]:.3e} at n={k0 + 1 + j} "
+                    "exceeds 1e-8")
+            max_resid = max(max_resid, float(resid.max()))
+            if 0 <= k_mid - k0 < len(d):
+                j = k_mid - k0
+                increments = d[j] * rows[j + 1, :trials] * cmath.exp(1j * k_mid * theta)
     mean_inc = complex(np.mean(increments))
     stderr = float(np.std(increments) / math.sqrt(trials))
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)

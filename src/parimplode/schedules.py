@@ -2,8 +2,10 @@
 
 Every schedule family is a small frozen dataclass; ``materialize(spec, N)``
 turns one into concrete :class:`~parimplode.recurrences.PerturbationSequences`.
-The JSON encoding consumed by the CLI config mirrors the dataclass fields in
-snake_case with a ``variant`` tag; unknown fields are rejected by name.
+``encode_spec``/``decode_spec`` give each spec a JSON encoding that mirrors
+the dataclass fields in snake_case with a ``variant`` tag; unknown fields are
+rejected by name.  The CLI does not read this encoding: its config documents
+name fields by flag.
 
 The reference rotation is rho_base = e^{2 pi i / N} for every family, so the
 purely additive families (theta == 0) need N >= 6 for the deviation
@@ -133,7 +135,7 @@ class CounterexampleC:
 
 @dataclass(frozen=True)
 class RandomSchedule:
-    """Additive random schedule eps_k = pi/N + eta_k/N^(1+delta)."""
+    """Additive random schedule eps_k = pi/N + eta_k/N^(1+delta), as :meth:`eps` forms it."""
 
     delta: float
     dist: RandomDist
@@ -147,6 +149,10 @@ class RandomSchedule:
             raise InvalidSpecError(f"unsupported distribution {self.dist!r}")
         if not isinstance(self.seed, int) or not isinstance(self.trial, int):
             raise InvalidSpecError("seed and trial must be integers")
+
+    def eps(self, N: int, trial, k) -> np.ndarray:
+        """eps_k at steps k (uint64) of the given trial(s); broadcasts like dist.draw."""
+        return math.pi / N + self.dist.draw(self.seed, trial, k) / N ** (1.0 + self.delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,11 +277,8 @@ def materialize(spec: ScheduleSpec, N: int) -> PerturbationSequences:
         return PerturbationSequences.from_eps(rho, eps, base)
 
     if isinstance(spec, RandomSchedule):
-        k = np.arange(0, N + 2, dtype=np.uint64)
-        eta = spec.dist.draw(spec.seed, spec.trial, k)
-        rho = np.ones(N + 2, dtype=complex)
-        eps = (math.pi / N + eta / N ** (1.0 + spec.delta)).astype(complex)
-        return PerturbationSequences.from_eps(rho, _zero_slot(eps), base)
+        eps = spec.eps(N, spec.trial, np.arange(0, N + 2, dtype=np.uint64)).astype(complex)
+        return PerturbationSequences.from_eps(np.ones(N + 2, dtype=complex), _zero_slot(eps), base)
 
     if isinstance(spec, Custom):
         if spec.rho.shape != (N + 2,):

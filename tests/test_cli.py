@@ -1,6 +1,7 @@
 """CLI surface: ladder parsing, exit codes, config merge, output determinism."""
 import argparse
 import json
+import warnings
 
 import pytest
 
@@ -80,6 +81,20 @@ def test_random_usage_errors(capsys):
     assert main(["random", "--delta", "0.5", "--trials", "20"]) == 1
     err = capsys.readouterr().err
     assert "delta" in err and "trials" in err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--delta", "nan"], "delta"),
+    (["--delta", "inf"], "delta"),
+    (["--delta", "0.5", "--threshold", "nan"], "threshold"),
+])
+def test_random_rejects_non_finite_values(capsys, flags, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["random", "--trials", "30", "--n", "200", *flags]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"parimplode: error: {field} "), out.err
 
 
 def test_unknown_config_field_named(tmp_path, capsys):

@@ -2,6 +2,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from parimplode import (
     EnsembleSummary,
     FixedLambda,
     IdentityViolationError,
+    InvalidSpecError,
     PropLambda,
-    QRSTriple,
     Rademacher,
     RandomSchedule,
     UniformSymmetric,
@@ -95,6 +96,12 @@ def test_run_ensemble_validation():
         run_ensemble(0.5, dist, [100], trials=29, seed=0)
     with pytest.raises(ValueError):
         run_ensemble(0.5, dist, [3], trials=30, seed=0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="threshold"):
+            run_ensemble(0.5, dist, [100], trials=30, seed=0, exceed_threshold=bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidSpecError, match="delta"):
+            run_ensemble(bad, dist, [100], trials=30, seed=0)
 
 
 def test_run_ensemble_deterministic():
@@ -109,14 +116,17 @@ def test_run_ensemble_deterministic():
 
 def test_ensemble_matches_single_trial_path_bitwise():
     # the vectorized all-trials sweep must reproduce the scalar schedule
-    # materialization exactly, not just approximately
-    res = run_ensemble(0.5, UniformSymmetric(1.0), [64], trials=30, seed=9)
-    for rec in res.records[:5]:
-        seqs = materialize(RandomSchedule(0.5, UniformSymmetric(1.0), seed=9, trial=rec.trial), 64)
+    # materialization exactly, not just approximately; N = 600 crosses two
+    # block edges, so eps_k is drawn per block on one path and at once on the other
+    N = 600
+    res = run_ensemble(0.5, UniformSymmetric(1.0), [N], trials=30, seed=9)
+    assert len(res.records) == 30
+    for rec in res.records:
+        seqs = materialize(RandomSchedule(0.5, UniformSymmetric(1.0), seed=9, trial=rec.trial), N)
         triple = run_recurrences(seqs)
-        assert rec.q_N == triple.q[64]
-        assert rec.q_N1 == triple.q[65]
-        assert rec.q_Nm1 == triple.q[63]
+        assert rec.q_N == triple.q[N]
+        assert rec.q_N1 == triple.q[N + 1]
+        assert rec.q_Nm1 == triple.q[N - 1]
 
 
 def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule, threshold):
@@ -203,11 +213,16 @@ def test_trials_at_bit_identical_when_trials_diverge(N, m):
     _assert_same_outputs(randomlab._run_trials_at(*args), want)
 
 
-def test_trials_at_memory_is_bounded_by_the_block():
-    # the column loop held every (trials, N+2) array at once, 113 MB here
+@pytest.mark.parametrize("run", [
+    lambda: randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1, PropLambda(), 1.0),
+    lambda: martingale_check(0.5, UniformSymmetric(1.0), 6400, 200, 1),
+], ids=["ensemble", "martingale"])
+def test_trials_at_memory_is_bounded_by_the_block(run):
+    # the column loop held every (trials, N+2) array at once, 113 MB for the
+    # ensemble here; both consumers of the block pass must stay O(trials x block)
     tracemalloc.start()
     try:
-        randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1, PropLambda(), 1.0)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,15 +277,16 @@ def test_fixed_lambda_bound_is_sharp_at_large_N():
 
 
 def test_martingale_check_pins():
+    # the exact-sum reference below gives 2.1912010260612868e-13 here
     chk = martingale_check(0.5, UniformSymmetric(1.0), N=128, trials=50, seed=3)
-    assert chk.max_identity_residual == pytest.approx(2.1911942746366542e-13, rel=1e-6, abs=0)
+    assert chk.max_identity_residual == pytest.approx(2.1911899378279642e-13, rel=1e-6, abs=0)
     assert chk.max_identity_residual <= 1e-10
     assert chk.mean_increment_abs <= 5.0 * chk.increment_stderr
 
 
 def _reference_martingale_check(delta, dist, N, trials, seed):
     # martingale_check as it was: martingale_sum on every prefix, with the
-    # residual worked out a second time
+    # residual worked out a second time; each delta_n is its own pairwise sum
     theta = math.pi / N
     x = 2.0 * math.cos(theta)
     n_mid = max(2, N // 2)
@@ -292,12 +308,42 @@ def _reference_martingale_check(delta, dist, N, trials, seed):
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)
 
 
+def _exact_sum_max_residual(delta, dist, N, trials, seed):
+    # the largest identity residual with every delta_n summed exactly: the
+    # binary64 terms d_k q_k e^{ik theta}, q_n, U_n and the phases are taken
+    # as exact rationals, and only the final residual is rounded
+    theta = math.pi / N
+    x = 2.0 * math.cos(theta)
+    sin_t = Fraction(math.sin(theta))
+    point = ChebyshevPoint.from_theta(theta)
+    worst = Fraction(0)
+    for t in range(trials):
+        seqs = materialize(RandomSchedule(delta, dist, seed, t), N)
+        q = run_recurrences(seqs).q.real
+        d = (2.0 - seqs.eps_sq.real) - x
+        re = im = Fraction(0)
+        for n in range(1, N + 2):
+            term = complex(d[n - 1] * q[n - 1] * cmath.exp(1j * (n - 1) * theta))
+            re += Fraction(term.real)
+            im += Fraction(term.imag)
+            turn = cmath.exp(-1j * n * theta)
+            rhs = -(re * Fraction(turn.imag) + im * Fraction(turn.real))
+            lhs = sin_t * (Fraction(float(q[n])) - Fraction(chebyshev_U(n, point)))
+            worst = max(worst, abs(lhs - rhs))
+    return float(worst)
+
+
 @pytest.mark.parametrize("N, trials, seed", [(128, 50, 3), (512, 30, 1)])
 def test_martingale_check_bit_identical_to_reference(N, trials, seed):
+    # the increment statistics are bit for bit those of the per-prefix
+    # reference; the residual comes from a running sum, which rounds
+    # differently, so it is held against the exact-sum residual instead
     got = martingale_check(0.5, UniformSymmetric(1.0), N, trials, seed)
     want = _reference_martingale_check(0.5, UniformSymmetric(1.0), N, trials, seed)
     as_bits = lambda chk: np.array(chk, dtype=float).view(np.uint64).tolist()
-    assert as_bits(got) == as_bits(want)
+    assert as_bits(got[1:]) == as_bits(want[1:])
+    exact = _exact_sum_max_residual(0.5, UniformSymmetric(1.0), N, trials, seed)
+    assert got.max_identity_residual == pytest.approx(exact, rel=1e-5, abs=0)
 
 
 def test_martingale_check_needs_a_trial():
@@ -306,19 +352,49 @@ def test_martingale_check_needs_a_trial():
         martingale_check(0.5, UniformSymmetric(1.0), N=64, trials=0, seed=1)
 
 
+def _corrupt_step_blocks(monkeypatch, corrupt):
+    # wrap the shared pass so that martingale_check sees corrupt(k0, rows, d, partial)
+    real = randomlab._step_blocks
+
+    def wrapped(spec, N, trials):
+        for block in real(spec, N, trials):
+            yield corrupt(*block, trials)
+
+    monkeypatch.setattr(randomlab, "_step_blocks", wrapped)
+
+
 def test_martingale_check_sees_corrupted_recurrence(monkeypatch):
     # scaling q by 1 + 1e-6 leaves sin(n theta) * 1e-6 of the identity unexplained,
     # about 1e-6 near n = N/2, far over the 1e-8 gate
-    real_run = randomlab.run_recurrences
+    def scale_q(k0, rows, d, partial, trials):
+        rows = rows.copy()
+        rows[:, :trials] *= 1 + 1e-6
+        return k0, rows, d, partial
 
-    def corrupted(seqs, extended=False):
-        t = real_run(seqs, extended)
-        return QRSTriple(q=t.q * (1 + 1e-6), r=t.r, rho_cumprod=t.rho_cumprod,
-                         eps_was_zero=t.eps_was_zero)
-
-    monkeypatch.setattr(randomlab, "run_recurrences", corrupted)
+    _corrupt_step_blocks(monkeypatch, scale_q)
     with pytest.raises(IdentityViolationError, match=r"martingale identity residual .* exceeds 1e-8"):
         martingale_check(0.5, UniformSymmetric(1.0), N=128, trials=3, seed=3)
+
+
+def test_martingale_check_sees_one_corrupted_coefficient(monkeypatch):
+    # q_257 recomputed with the coefficient of step 256 off by 1e-6; the next
+    # block carries it on, while d_256 and the sums keep the true coefficient.
+    # The identity at n = 257 is then off by sin(theta) * 1e-6 * q_256, about 1e-6
+    def bump_coefficient(k0, rows, d, partial, trials):
+        if k0 == 1:
+            rows[-1, :trials] += 1e-6 * rows[-2, :trials]
+        return k0, rows, d, partial
+
+    _corrupt_step_blocks(monkeypatch, bump_coefficient)
+    with pytest.raises(IdentityViolationError,
+                       match=r"martingale identity residual .* at n=257 exceeds 1e-8"):
+        martingale_check(0.5, UniformSymmetric(1.0), N=600, trials=3, seed=3)
+
+
+@pytest.mark.parametrize("N, delta", [(3, 0.5), (64, 0.0), (64, float("nan"))])
+def test_martingale_check_rejects_bad_spec(N, delta):
+    with pytest.raises(InvalidSpecError):
+        martingale_check(delta, UniformSymmetric(1.0), N=N, trials=3, seed=3)
 
 
 def test_median_scaling_follows_sqrt_n_law():
