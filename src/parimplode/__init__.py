@@ -24,23 +24,18 @@ from .errors import (
     NonPositiveValueError,
     OracleMismatchError,
     ParimplodeError,
-    PoleProximityError,
     RecurrenceOverflowError,
-    ScheduleMismatchError,
     SweepError,
     UsageError,
 )
 from .mobius import (
     EvalRegion,
     MoebiusCoeffs,
-    compose,
     compose_chain,
-    evaluate,
     identity_distance,
     perturbed_parabolic_step,
     projective_coeff_error,
     projective_distance,
-    rotation_step,
 )
 from .randomlab import (
     EnsembleSummary,
@@ -64,7 +59,6 @@ from .recurrences import (
     closed_form_T,
     closed_form_T_array,
     coefficients_from_qr,
-    coefficients_rho_only,
     difference_formula,
     martingale_sum,
     r_from_qs,
@@ -81,9 +75,6 @@ from .schedules import (
     TheoremA,
     TheoremB,
     UniformSymmetric,
-    conjugacy_check,
-    decode_spec,
-    encode_spec,
     materialize,
     random_small_schedule,
     summation_diagnostic,

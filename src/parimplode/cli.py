@@ -72,15 +72,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_ladder(text) -> list[int]:
-    """'1000' | 'start:end:xFACTOR' (geometric) | 'start:end:+STEP' (arithmetic)."""
-    if isinstance(text, int):
-        return [text]
+    """'1000' | 'start:end:xFACTOR' (geometric) | 'start:end:+STEP' (arithmetic).
+
+    A config document may also give one number or a list of them.
+    """
     if isinstance(text, (list, tuple)):
-        ns = [int(v) for v in text]
-        if not ns:
+        if not text:
             raise UsageError("n: ladder list is empty")
-        return ns
-    text = str(text).strip()
+        return [_as_type("n", int, v) for v in text]
+    if not isinstance(text, str):
+        return [_as_type("n", int, text)]
+    text = text.strip()
     if ":" not in text:
         try:
             return [int(text)]
@@ -139,11 +141,25 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _as_type(name: str, kind: type, value):
+    """A config document value converted to ``kind`` (int or float).
+
+    It takes a number or a string the type accepts, never a bool, and an
+    int no fraction.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except (ValueError, OverflowError):
+        raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}") from None
+
+
 def _document_value(name: str, value):
     """A config document value, checked and converted as its flag would be.
 
-    A typed field takes a number or a string its flag type accepts, never a
-    bool, and an int field no fraction; a switch takes only true or false.
+    A typed field goes through ``_as_type``; a switch takes only true or false.
     """
     spec = _OPTIONS[name][0]
     if spec is _ON:
@@ -152,14 +168,7 @@ def _document_value(name: str, value):
         return value
     kind = spec.get("type")
     if kind is not None:
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}")
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise UsageError(f"{name}: expected int, got {value!r}")
-        try:
-            value = kind(value)
-        except (ValueError, OverflowError):
-            raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}") from None
+        value = _as_type(name, kind, value)
     choices = spec.get("choices")
     if choices is not None and value not in choices:
         raise UsageError(f"{name}: expected one of {', '.join(choices)}, got {value!r}")
@@ -188,6 +197,8 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
             raise UsageError(f"{name}: required (flag or config field)")
         else:
             merged[name] = default
+    if merged.get("threads") is not None and merged["threads"] < 1:
+        raise UsageError(f"threads: must be >= 1, got {merged['threads']}")
     return merged
 
 
@@ -417,6 +428,8 @@ def cmd_skew(cfg: dict) -> int:
 
 def cmd_oracle(cfg: dict) -> int:
     trials, n_max, seed = cfg["trials"], cfg["n_max"], cfg["seed"]
+    if trials < 1:
+        raise UsageError(f"trials: must be >= 1, got {trials}")
     ns = [n for n in (16, 64, 256, 512) if n <= n_max]
     if not ns:
         raise UsageError(f"n_max: must be >= 16, got {n_max}")
@@ -543,6 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"parimplode: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"parimplode: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

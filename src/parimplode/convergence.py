@@ -25,6 +25,7 @@ RATE_CSV_HEADER = "N,coeff_err,sup_err,qN_abs,qN1_err,rN_err,rN1_err,wronskian_r
 _ORACLE_TOL = 1e-8
 _WRONSKIAN_TOL = 1e-9
 DEFAULT_ORACLE_LIMIT = 512
+_REGION = EvalRegion()  # sup_err is measured over this disk
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class RatePoint:
 
     q_N1_err is |q_{N+1} - 1|, r_N_err is |r_N - 1|, r_N1_err is
     |r_{N+1} - 1|; coeff_err and sup_err are the projective coefficient
-    distance and the sup distance to the identity over the region.
+    distance and the sup distance to the identity over ``EvalRegion()``.
     """
 
     N: int
@@ -66,8 +67,7 @@ class DecayFit:
             raise ValueError(f"r_squared must be in [0, 1], got {self.r_squared}")
 
 
-def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
-              extended: bool = False,
+def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
               oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> RatePoint:
     """Measure one composition length.
 
@@ -76,8 +76,6 @@ def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
     direct product of the step matrices; either failing, or reading NaN,
     raises OracleMismatchError (a hard failure, never a data point).
     """
-    if region is None:
-        region = EvalRegion()
     seqs = materialize(spec, N)
     triple = run_recurrences(seqs, extended=extended)
     coeffs = coefficients_from_qr(triple, N)
@@ -93,7 +91,7 @@ def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
             raise OracleMismatchError(
                 f"recurrence vs chain deviation {dev:.3e} at N={N} exceeds {_ORACLE_TOL}")
 
-    sup, _skipped = identity_distance(coeffs, region)
+    sup, _skipped = identity_distance(coeffs, _REGION)
     q, r = triple.q, triple.r
     return RatePoint(
         N=N,
@@ -107,8 +105,7 @@ def run_point(spec: ScheduleSpec, N: int, region: EvalRegion | None = None, *,
     )
 
 
-def run_sweep(spec: ScheduleSpec, Ns: list[int], region: EvalRegion | None = None, *,
-              extended: bool = False,
+def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
               oracle_limit: int = DEFAULT_ORACLE_LIMIT,
               max_workers: int | None = None) -> list[RatePoint]:
     """run_point over a ladder, output in input order.
@@ -128,7 +125,7 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], region: EvalRegion | None = Non
         raise ValueError(f"Ns must be strictly increasing with every N >= 4, got {Ns}")
     def attempt(n: int) -> RatePoint | Exception:
         try:
-            return run_point(spec, n, region, extended=extended, oracle_limit=oracle_limit)
+            return run_point(spec, n, extended=extended, oracle_limit=oracle_limit)
         except Exception as exc:
             return exc
 

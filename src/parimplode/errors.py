@@ -15,10 +15,6 @@ class InvalidSpecError(ParimplodeError, ValueError):
     """A schedule/system description is malformed or out of range."""
 
 
-class PoleProximityError(ParimplodeError):
-    """Evaluation point too close to the map's pole; the point is unusable."""
-
-
 class DegenerateMapError(ParimplodeError):
     """A coefficient matrix lost non-degeneracy (or an exact invariant of
     the composition, such as determinant multiplicativity or the Wronskian,
@@ -35,10 +31,6 @@ class AllPointsSkippedError(ParimplodeError):
 
 class RecurrenceOverflowError(ParimplodeError):
     """A recurrence value left the perturbative regime (|q_k| > 1e100)."""
-
-
-class ScheduleMismatchError(ParimplodeError):
-    """An operation was applied to a schedule it does not support."""
 
 
 class IdentityViolationError(ParimplodeError):

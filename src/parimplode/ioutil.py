@@ -1,6 +1,7 @@
 """Shared output helpers: number formatting, atomic CSV writes, worker count."""
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from collections.abc import Iterable, Sequence
@@ -15,19 +16,22 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus os.replace.
 
     Readers never observe a partially written file; interrupted runs leave
-    the previous version intact.
+    the previous version intact.  An OSError names ``path``, not the temp
+    file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -1,24 +1,20 @@
 """Moebius (linear fractional) transformations as coefficient quadruples.
 
 A map z -> (a*z + b)/(c*z + d) is identified with its 2x2 coefficient
-matrix up to a nonzero complex scale.  Everything here is deliberately
-simple and direct: this module is the brute-force oracle against which
-the recurrence machinery is validated, so it must stay independent of it.
+matrix up to a nonzero complex scale.  The module holds the brute-force
+oracle, ``compose_chain`` (a direct product of the step matrices), and the
+distances the measurements read: ``projective_distance`` between two maps,
+``projective_coeff_error`` and the grid sup ``identity_distance`` from the
+identity.  It must stay independent of the recurrence machinery it checks.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllPointsSkippedError,
-    DegenerateMapError,
-    DegenerateNormalizationError,
-    PoleProximityError,
-)
+from .errors import AllPointsSkippedError, DegenerateMapError, DegenerateNormalizationError
 
 _RENORM_EVERY = 64  # renormalize chain products this often to dodge overflow
 
@@ -50,21 +46,11 @@ class MoebiusCoeffs:
         if self.det() == 0:
             raise DegenerateMapError(f"degenerate coefficients {self.as_tuple()}")
 
-    @classmethod
-    def identity(cls) -> "MoebiusCoeffs":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)
-
-    def scaled(self, lam: complex) -> "MoebiusCoeffs":
-        """The same projective map with all coefficients multiplied by lam."""
-        if lam == 0:
-            raise ValueError("scale factor must be nonzero")
-        return MoebiusCoeffs(lam * self.a, lam * self.b, lam * self.c, lam * self.d)
 
     def pole(self) -> complex | None:
         """The finite pole -d/c, or None when c == 0."""
@@ -111,47 +97,12 @@ class EvalRegion:
         return Z[np.abs(Z - self.center) <= self.radius]
 
 
-def evaluate(map_: MoebiusCoeffs, z: complex, pole_threshold: float = 1e-12) -> complex:
-    """Apply the map to a point.
-
-    Raises
-    ------
-    PoleProximityError
-        When |c*z + d| <= pole_threshold.  This marks the evaluation point
-        as unusable; it is not a program bug.
-    """
-    denom = map_.c * z + map_.d
-    if abs(denom) <= pole_threshold:
-        raise PoleProximityError(f"evaluation at z={z!r} is within {pole_threshold} of the pole")
-    return (map_.a * z + map_.b) / denom
-
-
-def compose(outer: MoebiusCoeffs, inner: MoebiusCoeffs) -> MoebiusCoeffs:
-    """Coefficient matrix product outer * inner (inner applied first).
-
-    The determinant of the result must match the product of the input
-    determinants to relative 1e-12; a violation means the product lost
-    non-degeneracy to cancellation and raises DegenerateMapError.
-    """
-    a = outer.a * inner.a + outer.b * inner.c
-    b = outer.a * inner.b + outer.b * inner.d
-    c = outer.c * inner.a + outer.d * inner.c
-    d = outer.c * inner.b + outer.d * inner.d
-    det = a * d - b * c
-    expected = outer.det() * inner.det()
-    if abs(det - expected) > 1e-12 * abs(expected) or det == 0:
-        raise DegenerateMapError(
-            f"composition degenerated: det={det!r}, expected {expected!r}")
-    return MoebiusCoeffs(a, b, c, d)
-
-
-def compose_chain(maps, return_log_scale: bool = False):
-    """Left-fold product M_n * ... * M_1 (index 1 applied first).
+def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
+    """Left-fold product M_n * ... * M_1 (row 1 applied first).
 
     Entries are renormalized by the largest modulus every 64 multiplies to
-    prevent overflow on adversarial inputs; the accumulated log-scale is
-    tracked separately and returned on request.  The returned coefficients
-    therefore represent the product projectively.
+    prevent overflow on adversarial inputs, so the returned coefficients
+    represent the product projectively.
 
     The fold runs over Python complex values.  A renormalization multiplies
     by the reciprocal of the scale rather than dividing by it: that is how
@@ -160,23 +111,19 @@ def compose_chain(maps, return_log_scale: bool = False):
 
     Parameters
     ----------
-    maps : (n, 4) array of rows (a, b, c, d), or sequence of MoebiusCoeffs
-        Non-empty; the first row or map is applied first.  The array form
-        is what ``PerturbationSequences.step_maps`` returns.
-    return_log_scale : bool
-        When True, return (coeffs, log_scale) where the true product is
-        exp(log_scale) * coeffs.
+    maps : (n, 4) complex array of rows (a, b, c, d)
+        Non-empty; the first row is applied first.  This is the layout
+        ``PerturbationSequences.step_maps`` returns.
 
     Raises
     ------
     DegenerateMapError
         If any intermediate product degenerates.
     """
-    rows = maps.tolist() if isinstance(maps, np.ndarray) else [m.as_tuple() for m in maps]
+    rows = maps.tolist()
     if not rows:
         raise ValueError("compose_chain requires at least one map")
     a, b, c, d = rows[0]
-    log_scale = 0.0
     for i, (ma, mb, mc, md) in enumerate(rows[1:], start=2):
         # row times current, current applied first
         a, b, c, d = (
@@ -191,11 +138,7 @@ def compose_chain(maps, return_log_scale: bool = False):
                 raise DegenerateMapError(f"chain product degenerated at step {i}")
             inv = 1.0 / scale
             a, b, c, d = a * inv, b * inv, c * inv, d * inv
-            log_scale += math.log(scale)
-    out = MoebiusCoeffs(a, b, c, d)
-    if return_log_scale:
-        return out, log_scale
-    return out
+    return MoebiusCoeffs(a, b, c, d)
 
 
 def projective_coeff_error(map_: MoebiusCoeffs) -> float:
@@ -275,7 +218,3 @@ def perturbed_parabolic_step(rho: complex, eps_sq: complex) -> MoebiusCoeffs:
     """
     return MoebiusCoeffs(rho - eps_sq, eps_sq, -1.0, 1.0)
 
-
-def rotation_step(theta: float) -> MoebiusCoeffs:
-    """Convenience builder for the pure multiplicative step with angle theta."""
-    return perturbed_parabolic_step(cmath.exp(2j * math.pi * theta), 0.0)

@@ -37,7 +37,6 @@ from .errors import (
     IdentityViolationError,
     InvalidSpecError,
     RecurrenceOverflowError,
-    ScheduleMismatchError,
 )
 from .mobius import MoebiusCoeffs
 
@@ -125,9 +124,6 @@ class PerturbationSequences:
         """a_k = b_k - eps_k^2 (slot 0 meaningless)."""
         return self.b - self._eps_sq
 
-    def eps_all_zero(self) -> bool:
-        return bool(np.all(self._eps_sq[1:] == 0))
-
     def step_maps(self) -> np.ndarray:
         """The per-step coefficient matrices, index 1 first (oracle input).
 
@@ -167,7 +163,6 @@ class QRSTriple:
     q: np.ndarray
     r: np.ndarray
     rho_cumprod: np.ndarray
-    eps_was_zero: bool
 
     @property
     def N(self) -> int:
@@ -219,7 +214,7 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     """
     q, r, prod = (_run_extended if extended else _run_plain)(seqs)
     _check_overflow(q, r)
-    return QRSTriple(q=q, r=r, rho_cumprod=prod, eps_was_zero=seqs.eps_all_zero())
+    return QRSTriple(q=q, r=r, rho_cumprod=prod)
 
 
 # Both kernels walk the schedule in blocks of _BLOCK steps.  A block's
@@ -435,19 +430,6 @@ def coefficients_from_qr(triple: QRSTriple, N: int) -> MoebiusCoeffs:
         -triple.q[N],
         triple.r[N],
     )
-
-
-def coefficients_rho_only(triple: QRSTriple, N: int) -> MoebiusCoeffs:
-    """Purely multiplicative form (q_{N+1}-q_N, 0, -q_N, 1).
-
-    Valid only when the schedule had eps identically zero (then r_k == 1
-    for all k and the general quadruple collapses to this one).
-    """
-    if not triple.eps_was_zero:
-        raise ScheduleMismatchError("coefficients_rho_only requires an eps == 0 schedule")
-    if N > triple.N:
-        raise ValueError(f"triple only covers N={triple.N}, asked for {N}")
-    return MoebiusCoeffs(triple.q[N + 1] - triple.q[N], 0.0, -triple.q[N], 1.0)
 
 
 def martingale_sum(d, triple: QRSTriple, theta: float, n: int) -> complex:

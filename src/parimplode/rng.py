@@ -41,11 +41,6 @@ def words(seed: int, trial, k):
         return mix64(h ^ k)
 
 
-def word(seed: int, trial: int, k: int) -> int:
-    """Scalar convenience wrapper around words()."""
-    return int(words(seed, trial, k))
-
-
 def uniform01(seed: int, trial, k):
     """Uniform variates in [0, 1) with full 53-bit mantissas."""
     return (words(seed, trial, k) >> np.uint64(11)).astype(np.float64) * _U53

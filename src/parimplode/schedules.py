@@ -1,11 +1,7 @@
-"""Built-in perturbation schedules and their admissibility diagnostics.
+"""Built-in perturbation schedules and their admissibility diagnostic.
 
 Every schedule family is a small frozen dataclass; ``materialize(spec, N)``
 turns one into concrete :class:`~parimplode.recurrences.PerturbationSequences`.
-``encode_spec``/``decode_spec`` give each spec a JSON encoding that mirrors
-the dataclass fields in snake_case with a ``variant`` tag; unknown fields are
-rejected by name.  The CLI does not read this encoding: its config documents
-name fields by flag.
 
 The reference rotation is rho_base = e^{2 pi i / N} for every family, so the
 purely additive families (theta == 0) need N >= 6 for the deviation
@@ -16,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -328,129 +324,3 @@ def summation_diagnostic(seqs: PerturbationSequences) -> tuple[complex, float]:
     a = seqs.a
     total = complex(np.sum(a[1:N] * T[1:N]))
     return total, N * abs(total)
-
-
-def conjugacy_check(theta: float) -> tuple[complex, float, float]:
-    """Verify the additive/multiplicative change of variables at one angle.
-
-    For rho = e^{2 i theta} and eps = 2 sin(theta/2) the identity
-    sqrt(rho) + 1/sqrt(rho) = 2 - eps^2 holds exactly; the square root is
-    taken as e^{i theta} (the branch the conjugacy actually uses, which the
-    principal branch would break past |theta| = pi/2).
-    """
-    if not abs(theta) < math.pi:
-        raise ValueError(f"theta must satisfy |theta| < pi, got {theta}")
-    rho = cmath.exp(2j * theta)
-    eps = 2.0 * math.sin(theta / 2.0)
-    root = cmath.exp(1j * theta)
-    residual = abs(root + 1.0 / root - (2.0 - eps * eps))
-    return rho, eps, residual
-
-
-# -- JSON encoding -------------------------------------------------------------
-
-_VARIANT_FIELDS = {
-    "theorem_a": ("case", "amplitude", "pair_amp", "pair_bound", "rot_coeff"),
-    "theorem_b": ("case", "amplitude", "eps_amp", "pair_amp", "pair_bound", "rot_coeff"),
-    "quadratic_nonconvergent": (),
-    "counterexample_c": ("side",),
-    "random": ("delta", "dist", "seed", "trial"),
-    "custom": ("rho", "eps_sq", "rho_base"),
-}
-
-
-def encode_spec(spec: ScheduleSpec) -> dict:
-    """Canonical JSON-ready dict with a ``variant`` tag."""
-    if isinstance(spec, TheoremA):
-        return {"variant": "theorem_a", "case": spec.case, "amplitude": spec.amplitude,
-                "pair_amp": spec.pair_amp, "pair_bound": spec.pair_bound,
-                "rot_coeff": spec.rot_coeff}
-    if isinstance(spec, TheoremB):
-        return {"variant": "theorem_b", "case": spec.case, "amplitude": spec.amplitude,
-                "eps_amp": spec.eps_amp, "pair_amp": spec.pair_amp,
-                "pair_bound": spec.pair_bound, "rot_coeff": spec.rot_coeff}
-    if isinstance(spec, QuadraticNonconvergent):
-        return {"variant": "quadratic_nonconvergent"}
-    if isinstance(spec, CounterexampleC):
-        return {"variant": "counterexample_c", "side": spec.side}
-    if isinstance(spec, RandomSchedule):
-        if isinstance(spec.dist, UniformSymmetric):
-            dist = {"kind": "uniform_symmetric", "m": spec.dist.m}
-        else:
-            dist = {"kind": "rademacher"}
-        return {"variant": "random", "delta": spec.delta, "dist": dist,
-                "seed": spec.seed, "trial": spec.trial}
-    if isinstance(spec, Custom):
-        return {"variant": "custom",
-                "rho": [[z.real, z.imag] for z in spec.rho],
-                "eps_sq": [[z.real, z.imag] for z in spec.eps_sq],
-                "rho_base": [spec.rho_base.real, spec.rho_base.imag]}
-    raise InvalidSpecError(f"cannot encode {type(spec).__name__}")
-
-
-def _reject_unknown(data: Mapping, allowed: tuple, variant: str) -> None:
-    for key in data:
-        if key != "variant" and key not in allowed:
-            raise InvalidSpecError(f"unknown field {key!r} for variant {variant!r}")
-
-
-def _decode_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise InvalidSpecError(f"expected a number or [re, im] pair, got {value!r}")
-
-
-def decode_spec(data: Mapping) -> ScheduleSpec:
-    """Strict inverse of encode_spec; unknown fields are an error."""
-    if "variant" not in data:
-        raise InvalidSpecError("schedule document is missing the 'variant' field")
-    variant = data["variant"]
-    if variant not in _VARIANT_FIELDS:
-        raise InvalidSpecError(f"unknown schedule variant {variant!r}")
-    _reject_unknown(data, _VARIANT_FIELDS[variant], variant)
-
-    if variant == "theorem_a":
-        return TheoremA(case=int(_need(data, "case", variant)),
-                        amplitude=float(data.get("amplitude", 1.0)),
-                        pair_amp=float(data.get("pair_amp", 1.0)),
-                        pair_bound=float(data.get("pair_bound", 1.0)),
-                        rot_coeff=float(data.get("rot_coeff", 1.0)))
-    if variant == "theorem_b":
-        return TheoremB(case=int(_need(data, "case", variant)),
-                        amplitude=float(data.get("amplitude", 1.0)),
-                        eps_amp=float(data.get("eps_amp", 1.0)),
-                        pair_amp=float(data.get("pair_amp", 1.0)),
-                        pair_bound=float(data.get("pair_bound", 1.0)),
-                        rot_coeff=float(data.get("rot_coeff", 1.0)))
-    if variant == "quadratic_nonconvergent":
-        return QuadraticNonconvergent()
-    if variant == "counterexample_c":
-        return CounterexampleC(side=str(_need(data, "side", variant)))
-    if variant == "random":
-        dist_doc = _need(data, "dist", variant)
-        if not isinstance(dist_doc, Mapping) or "kind" not in dist_doc:
-            raise InvalidSpecError("dist must be an object with a 'kind' field")
-        kind = dist_doc["kind"]
-        if kind == "uniform_symmetric":
-            _reject_unknown(dist_doc, ("kind", "m"), "uniform_symmetric")
-            dist: RandomDist = UniformSymmetric(m=float(dist_doc.get("m", 1.0)))
-        elif kind == "rademacher":
-            _reject_unknown(dist_doc, ("kind",), "rademacher")
-            dist = Rademacher()
-        else:
-            raise InvalidSpecError(f"unknown distribution kind {kind!r}")
-        return RandomSchedule(delta=float(_need(data, "delta", variant)), dist=dist,
-                              seed=int(_need(data, "seed", variant)),
-                              trial=int(data.get("trial", 0)))
-    rho = [_decode_complex(v) for v in _need(data, "rho", variant)]
-    eps_sq = [_decode_complex(v) for v in _need(data, "eps_sq", variant)]
-    return Custom(rho=np.array(rho), eps_sq=np.array(eps_sq),
-                  rho_base=_decode_complex(_need(data, "rho_base", variant)))
-
-
-def _need(data: Mapping, key: str, variant: str):
-    if key not in data:
-        raise InvalidSpecError(f"variant {variant!r} requires field {key!r}")
-    return data[key]

@@ -18,7 +18,6 @@ import numpy as np
 from .convergence import DEFAULT_ORACLE_LIMIT, RatePoint, run_point
 from .errors import InvalidSpecError
 from .ioutil import fmt17, write_csv
-from .mobius import EvalRegion
 from .recurrences import PerturbationSequences
 from .schedules import Custom
 
@@ -99,14 +98,13 @@ def induced_schedule(sys: SkewSystem, N: int) -> PerturbationSequences:
     return PerturbationSequences(rho, eps_sq, cmath.exp(2j * math.pi / N))
 
 
-def iterate_skew(sys: SkewSystem, N: int, region: EvalRegion | None = None, *,
-                 extended: bool = False,
+def iterate_skew(sys: SkewSystem, N: int, *, extended: bool = False,
                  oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> SkewOrbitResult:
     """Run the fiber composition over the exact base orbit and measure it."""
     seqs = induced_schedule(sys, N)
     point: RatePoint = run_point(Custom(rho=np.array(seqs.rho), eps_sq=np.array(seqs.eps_sq),
                                         rho_base=seqs.rho_base),
-                                 N, region, extended=extended, oracle_limit=oracle_limit)
+                                 N, extended=extended, oracle_limit=oracle_limit)
     w_final = complex(sys.w0_rule(N)) * complex(sys.base_multiplier) ** N
     return SkewOrbitResult(N=N, w_final=w_final,
                            fiber_coeff_err=point.coeff_err, fiber_sup_err=point.sup_err)

@@ -45,6 +45,7 @@ def test_parse_ladder_arithmetic_and_single():
     assert parse_ladder("512") == [512]
     assert parse_ladder(512) == [512]
     assert parse_ladder([100, 200]) == [100, 200]
+    assert parse_ladder([100.0, "200"]) == [100, 200]  # integral, as an int flag takes them
 
 
 def test_parse_ladder_errors():
@@ -197,6 +198,43 @@ def test_oracle_small_run(capsys):
     assert "max projective deviation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_oracle_needs_a_trial(capsys, trials):
+    # a gate over no trials would pass on no data
+    assert main(["oracle", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parimplode: error: trials: must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theorem", "A", "--n", "100"],
+    ["random", "--delta", "0.5"],
+    ["counterexample"],
+])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_usage_error(capsys, argv, threads):
+    assert main(argv + ["--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parimplode: error: threads: must be >= 1, got {threads}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--theorem", "A", "--n", "100"], "--out"),
+    (["sweep", "--theorem", "A", "--n", "100"], "--svg"),
+    (["random", "--delta", "0.5", "--n", "200", "--trials", "30"], "--out-trials"),
+    (["random", "--delta", "0.5", "--n", "200", "--trials", "30"], "--out-summary"),
+])
+def test_unwritable_output_path_is_named(tmp_path, capsys, argv, flag):
+    path = tmp_path / "missing" / "out.file"
+    assert main(argv + [flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parimplode: error: cannot write {path}: "), err
+    assert ".tmp-" not in err
+    assert not path.parent.exists()
+
+
 def test_diagnose_sum(capsys):
     rc = main(["diagnose-sum", "--theorem", "A", "--case", "1", "--n", "512"])
     assert rc == 0
@@ -261,6 +299,9 @@ def _run_with_config(tmp_path, argv, doc):
     ("random", {"delta": "half"}, "delta"),
     ("random", {"delta": 0.5, "dist": "gauss"}, "dist"),
     ("sweep", {"theorem": "A", "n": "100", "extended": "false"}, "extended"),
+    ("sweep", {"theorem": "A", "n": [100.7, 200]}, "n"),
+    ("sweep", {"theorem": "A", "n": True}, "n"),
+    ("sweep", {"theorem": "A", "n": ["abc"]}, "n"),
 ])
 def test_config_values_take_the_flag_types(tmp_path, capsys, command, doc, field):
     # each of these values is one the flag would refuse; none may be cast or truncated

@@ -17,14 +17,12 @@ from parimplode import (
     QRSTriple,
     QuadraticNonconvergent,
     RecurrenceOverflowError,
-    ScheduleMismatchError,
     TheoremA,
     TheoremB,
     chebyshev_U,
     closed_form_T,
     closed_form_T_array,
     coefficients_from_qr,
-    coefficients_rho_only,
     compose_chain,
     difference_formula,
     martingale_sum,
@@ -89,8 +87,8 @@ def test_from_eps_squares():
     eps = np.full(7, 0.3 + 0.0j)
     seqs = PerturbationSequences.from_eps(rho, eps, 1.0)
     assert np.allclose(seqs.eps_sq[1:], 0.09)
-    assert not seqs.eps_all_zero()
-    assert PerturbationSequences(rho, np.zeros(7), 1.0).eps_all_zero()
+    assert seqs.eps_sq[1:].any()
+    assert not PerturbationSequences(rho, np.zeros(7), 1.0).eps_sq[1:].any()
 
 
 def test_step_maps_match_inputs():
@@ -161,7 +159,7 @@ def test_wronskian_defends_against_corruption():
     seqs = random_small_schedule(32, seed=2, trial=0)
     triple = run_recurrences(seqs)
     broken = QRSTriple(q=triple.q * 1.001, r=triple.r,
-                       rho_cumprod=triple.rho_cumprod, eps_was_zero=triple.eps_was_zero)
+                       rho_cumprod=triple.rho_cumprod)
     with pytest.raises(DegenerateMapError):
         coefficients_from_qr(broken, 32)
 
@@ -173,7 +171,7 @@ def test_wronskian_gate_rejects_a_nan_residual():
     q = triple.q.copy()
     q[32] = complex("nan")
     broken = QRSTriple(q=q, r=triple.r,
-                       rho_cumprod=triple.rho_cumprod, eps_was_zero=triple.eps_was_zero)
+                       rho_cumprod=triple.rho_cumprod)
     assert math.isnan(wronskian_residual(broken, 32))
     with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan"):
         coefficients_from_qr(broken, 32)
@@ -255,16 +253,6 @@ def test_exact_rotation_reproduces_T():
     T = closed_form_T_array(n)
     assert np.max(np.abs(triple.q - T)) < 1e-8
     assert np.max(np.abs(triple.r - 1.0)) == 0.0  # eps == 0 keeps r frozen at 1
-    rho_only = coefficients_rho_only(triple, n)
-    general = coefficients_from_qr(triple, n)
-    assert projective_distance(rho_only, general) < 1e-12
-
-
-def test_rho_only_requires_eps_free_schedule():
-    seqs = materialize(TheoremB(1), 32)
-    triple = run_recurrences(seqs)
-    with pytest.raises(ScheduleMismatchError):
-        coefficients_rho_only(triple, 32)
 
 
 # -- Chebyshev comparison sequence ----------------------------------------------
@@ -396,7 +384,6 @@ def test_extended_path_agrees_with_plain():
     assert np.max(np.abs(plain.q - ext.q)) < 1e-11
     assert np.max(np.abs(plain.r - ext.r)) < 1e-11
     assert np.max(np.abs(s_sequence(seqs) - s_sequence(seqs, extended=True))) < 1e-11
-    assert ext.eps_was_zero == plain.eps_was_zero
 
 
 def test_extended_path_shrinks_wronskian_drift():
@@ -518,7 +505,6 @@ def _reference_chain(seqs):
     # scalars, renormalized with / scale
     maps = [perturbed_parabolic_step(seqs.rho[k], seqs.eps_sq[k]) for k in range(1, seqs.N + 1)]
     a, b, c, d = maps[0].as_tuple()
-    log_scale = 0.0
     for i, m in enumerate(maps[1:], start=2):
         a, b, c, d = (
             m.a * a + m.b * c,
@@ -529,17 +515,14 @@ def _reference_chain(seqs):
         if i % 64 == 0:
             scale = max(abs(a), abs(b), abs(c), abs(d))
             a, b, c, d = a / scale, b / scale, c / scale, d / scale
-            log_scale += math.log(scale)
-    return (a, b, c, d), log_scale
+    return a, b, c, d
 
 
 def _assert_chain_bit_identical(seqs):
-    got, log_scale = compose_chain(seqs.step_maps(), return_log_scale=True)
-    want, want_log = _reference_chain(seqs)
+    got = compose_chain(seqs.step_maps())
     got_bits = np.array(got.as_tuple(), dtype=complex).view(np.uint64)
-    want_bits = np.array(want, dtype=complex).view(np.uint64)
+    want_bits = np.array(_reference_chain(seqs), dtype=complex).view(np.uint64)
     assert got_bits.tolist() == want_bits.tolist()
-    assert np.float64(log_scale).view(np.uint64) == np.float64(want_log).view(np.uint64)
 
 
 def _assert_bit_identical(seqs, extended):

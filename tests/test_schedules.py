@@ -1,4 +1,4 @@
-"""Schedule construction: per-variant shapes, exact structure, encode round-trips."""
+"""Schedule construction: per-variant shapes and exact structure."""
 import cmath
 import math
 
@@ -17,9 +17,6 @@ from parimplode import (
     TheoremA,
     TheoremB,
     UniformSymmetric,
-    conjugacy_check,
-    decode_spec,
-    encode_spec,
     materialize,
     random_small_schedule,
     summation_diagnostic,
@@ -56,7 +53,7 @@ def test_materialize_postconditions(spec):
 def test_a1_zero_amplitude_is_exact_rotation():
     seqs = materialize(TheoremA(1, amplitude=0.0), 128)
     assert np.all(seqs.b == 0.0)
-    assert seqs.eps_all_zero()
+    assert not seqs.eps_sq[1:].any()
 
 
 def test_a1_angle_profile():
@@ -140,7 +137,7 @@ def test_quadratic_nonconvergent_offset_rotation():
     n = 100
     seqs = materialize(QuadraticNonconvergent(), n)
     assert np.all(seqs.rho[1:] == cmath.exp(2j * math.pi / (n + 1)))
-    assert seqs.eps_all_zero()
+    assert not seqs.eps_sq[1:].any()
     assert seqs.rho_base == cmath.exp(2j * math.pi / n)
 
 
@@ -152,7 +149,7 @@ def test_counterexample_sides():
         theta = math.pi / (n - 1) if k <= n // 2 else math.pi / (n + 1)
         assert f.rho[k] == pytest.approx(cmath.exp(2j * theta), abs=1e-15)
         assert g.eps_sq[k] == pytest.approx((2.0 * math.sin(theta / 2.0)) ** 2, abs=1e-15)
-    assert f.eps_all_zero()
+    assert not f.eps_sq[1:].any()
     assert np.all(g.rho[1:] == 1.0)
     with pytest.raises(InvalidSpecError):
         materialize(CounterexampleC("multiplicative_f"), 61)
@@ -246,50 +243,6 @@ def test_spec_constructor_validation():
         UniformSymmetric(0.0)
     with pytest.raises(InvalidSpecError):
         CounterexampleC("g")
-
-
-@pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda s: type(s).__name__ + getattr(s, "side", str(getattr(s, "case", ""))))
-def test_encode_decode_round_trip(spec):
-    doc = encode_spec(spec)
-    back = decode_spec(doc)
-    assert back == spec
-    assert encode_spec(back) == doc
-
-
-def test_encode_decode_custom_complex_pairs():
-    rho = np.exp(2j * math.pi * np.arange(8) / 7)
-    rho[0] = 0.0
-    spec = Custom(rho=rho, eps_sq=np.zeros(8, dtype=complex), rho_base=rho[1])
-    doc = encode_spec(spec)
-    assert doc["rho_base"] == [rho[1].real, rho[1].imag]
-    back = decode_spec(doc)
-    assert np.array_equal(back.rho, spec.rho)
-    assert back.rho_base == spec.rho_base
-
-
-def test_decode_rejects_unknown_and_missing_fields():
-    doc = encode_spec(TheoremA(1))
-    doc["ampliutde"] = 2.0
-    with pytest.raises(InvalidSpecError, match="ampliutde"):
-        decode_spec(doc)
-    with pytest.raises(InvalidSpecError):
-        decode_spec({"variant": "theorem_a"})
-    with pytest.raises(InvalidSpecError):
-        decode_spec({"variant": "no_such_family", "case": 1})
-    with pytest.raises(InvalidSpecError):
-        decode_spec({"variant": "random", "delta": 0.5, "seed": 0,
-                     "dist": {"kind": "gaussian"}})
-
-
-def test_conjugacy_check_values():
-    rho, eps, resid = conjugacy_check(math.pi / 2.0)
-    assert rho == pytest.approx(-1.0, abs=1e-15)
-    assert eps == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert resid < 1e-14
-    for theta in (0.01, 0.3, 1.0, 2.0, -1.7):
-        assert conjugacy_check(theta)[2] < 1e-13
-    with pytest.raises(ValueError):
-        conjugacy_check(math.pi)
 
 
 def test_summation_diagnostic_scaled_pins():
