@@ -17,11 +17,8 @@ import json
 import math
 import sys
 
-from .convergence import (
-    fit_loglog,
-    run_sweep,
-    write_rate_csv,
-)
+from .bands import RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
+from .convergence import run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, write_csv
 from .mobius import compose_chain, projective_distance
@@ -48,22 +45,7 @@ from .schedules import (
 from .skew import build_example, iterate_skew, write_skew_csv
 from .svgplot import loglog_svg
 
-# pre-registered acceptance bands
-_A_SLOPE_BAND = (-1.4, -0.8)
-_B_CE_BAND = (-1.4, -0.6)
-_R_SLOPE_MAX = -0.6
-_G_SLOPE_MAX = -0.6
-_F_FLOOR = 1.0 / math.pi - 0.07
-_SKEW_SLOPE_MAX = -0.5
-_RANDOM_HALFWIDTH = 0.2
-_NQ_BOUND = 50.0
-_BELOW_FLOOR = 1e-12
-
 COUNTEREXAMPLE_CSV_HEADER = "N,f_coeff_err,f_qN_abs,g_coeff_err,g_qN_abs"
-
-
-class _AssertionFailed(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,8 +179,6 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
             raise UsageError(f"{name}: required (flag or config field)")
         else:
             merged[name] = default
-    if merged.get("threads") is not None and merged["threads"] < 1:
-        raise UsageError(f"threads: must be >= 1, got {merged['threads']}")
     return merged
 
 
@@ -223,23 +203,13 @@ def _build_deterministic_spec(cfg: dict):
         raise UsageError(str(exc)) from None
 
 
-def _maybe_fit(ns, values):
-    positive = [(n, v) for n, v in zip(ns, values) if v > 0]
-    if len(positive) < 3:
-        return None
-    return fit_loglog([n for n, _ in positive], [v for _, v in positive])
-
-
-def _check_decaying(name: str, ns, values, slope_max: float, failures: list[str]) -> None:
-    """Band check with a below-floor escape: points at exactly 0 (or all
-    remaining values under 1e-12) count as converged, not as fit points."""
-    fit = _maybe_fit(ns, values)
-    if fit is None:
-        if max(values) > _BELOW_FLOOR:
-            failures.append(f"{name}: too few positive points to fit and not below floor")
-        return
-    if fit.slope > slope_max:
-        failures.append(f"{name}: slope {fit.slope:.3f} exceeds {slope_max}")
+def _assert_bands(criterion: str, series, **params) -> int:
+    """Exit code 3 naming every clause of ``criterion`` that fails, else 0."""
+    failures = [detail for ok, detail in check(criterion, series, **params) if not ok]
+    if failures:
+        print(f"parimplode: assertion failed: {'; '.join(failures)}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _write_svg(path, series, fit, band, title, ylabel):
@@ -259,43 +229,21 @@ def cmd_sweep(cfg: dict) -> int:
         print(f"N={p.N} coeff_err={p.coeff_err:.6g} sup_err={p.sup_err:.6g} "
               f"qN_abs={p.q_N_abs:.6g} rN_err={p.r_N_err:.6g}")
 
+    criterion = {TheoremA: "theorem_a", TheoremB: "theorem_b",
+                 QuadraticNonconvergent: "quadratic"}[type(spec)]
     field = "q_N_abs" if isinstance(spec, TheoremA) else "coeff_err"
-    fit = _maybe_fit(ns, [getattr(p, field) for p in points])
+    series = columns(points)
+    fit = fit_above(ns, series[field])
     if fit is not None:
         print(f"fit {field}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
               f"r2={fit.r_squared:.4f} n={fit.n_points}")
     else:
         print(f"fit {field}: not available (needs >= 3 positive points)")
 
-    band = _A_SLOPE_BAND if isinstance(spec, TheoremA) else _B_CE_BAND
     if cfg["svg"]:
-        series = [(field, [p.N for p in points], [getattr(p, field) for p in points])]
-        _write_svg(cfg["svg"], series, fit,
-                   band if isinstance(spec, (TheoremA, TheoremB)) else None,
-                   f"sweep {type(spec).__name__}", field)
-
-    if cfg["assert"]:
-        failures: list[str] = []
-        if isinstance(spec, QuadraticNonconvergent):
-            for p in points:
-                if p.coeff_err < 0.9:
-                    failures.append(f"coeff_err at N={p.N} is {p.coeff_err:.4g}, expected >= 0.9")
-        elif isinstance(spec, TheoremA):
-            if fit is None or not band[0] <= fit.slope <= band[1]:
-                got = "n/a" if fit is None else f"{fit.slope:.3f}"
-                failures.append(f"q_N_abs slope {got} outside {band}")
-            worst = max(p.N * p.q_N_abs for p in points)
-            if worst > _NQ_BOUND:
-                failures.append(f"max N*q_N_abs = {worst:.3g} exceeds {_NQ_BOUND}")
-        elif isinstance(spec, TheoremB):
-            if fit is None or not band[0] <= fit.slope <= band[1]:
-                got = "n/a" if fit is None else f"{fit.slope:.3f}"
-                failures.append(f"coeff_err slope {got} outside {band}")
-            _check_decaying("r_N_err", ns, [p.r_N_err for p in points], _R_SLOPE_MAX, failures)
-            _check_decaying("r_N1_err", ns, [p.r_N1_err for p in points], _R_SLOPE_MAX, failures)
-        if failures:
-            raise _AssertionFailed("; ".join(failures))
-    return 0
+        _write_svg(cfg["svg"], [(field, ns, series[field])], fit,
+                   slope_band(criterion), f"sweep {type(spec).__name__}", field)
+    return _assert_bands(criterion, series) if cfg["assert"] else 0
 
 
 def cmd_random(cfg: dict) -> int:
@@ -313,40 +261,28 @@ def cmd_random(cfg: dict) -> int:
     if result.failures:
         print(f"failed trials: {len(result.failures)}", file=sys.stderr)
 
-    fit = _maybe_fit([s.N for s in summaries], [s.median_qN for s in summaries])
+    run_ns = [s.N for s in summaries]
+    medians = [s.median_qN for s in summaries]
+    fit = fit_above(run_ns, medians)
     if fit is not None:
         print(f"fit median|qN|: slope={fit.slope:.4f} r2={fit.r_squared:.4f} "
-              f"(target {-(1 + delta) / 2:.3f} +/- {_RANDOM_HALFWIDTH})")
+              f"(target {random_target(delta):.3f} +/- {RANDOM_HALFWIDTH})")
     if cfg["out_trials"]:
         write_trial_csv(result.records, cfg["out_trials"])
     if cfg["out_summary"]:
         write_summary_csv(summaries, cfg["out_summary"])
     if cfg["svg"]:
-        series = [("median |qN|", [s.N for s in summaries], [s.median_qN for s in summaries]),
-                  ("q90 |qN|", [s.N for s in summaries], [s.q90_qN for s in summaries])]
-        target = -(1 + delta) / 2
-        _write_svg(cfg["svg"], series, fit,
-                   (target - _RANDOM_HALFWIDTH, target + _RANDOM_HALFWIDTH),
+        series = [("median |qN|", run_ns, medians),
+                  ("q90 |qN|", run_ns, [s.q90_qN for s in summaries])]
+        _write_svg(cfg["svg"], series, fit, slope_band("random", random_target(delta)),
                    f"random delta={delta}", "|q_N| quantiles")
-
-    if cfg["assert"]:
-        failures: list[str] = []
-        target = -(1 + delta) / 2
-        if fit is None:
-            failures.append("median slope not available")
-        elif abs(fit.slope - target) > _RANDOM_HALFWIDTH:
-            failures.append(
-                f"median slope {fit.slope:.3f} outside {target:.3f} +/- {_RANDOM_HALFWIDTH}")
-        for row in exceedance_vs_bound(summaries, rule, M=dist.magnitude_bound):
-            if row.vacuous:
-                continue
-            tol = 3.0 * math.sqrt(row.bound / trials) + 3.0 / trials
-            if row.empirical > row.bound + tol:
-                failures.append(
-                    f"exceedance at N={row.N}: {row.empirical:.4g} > bound {row.bound:.4g} + {tol:.4g}")
-        if failures:
-            raise _AssertionFailed("; ".join(failures))
-    return 0
+    if not cfg["assert"]:
+        return 0
+    rows = exceedance_vs_bound(summaries, rule, M=dist.magnitude_bound)
+    return _assert_bands("random", {"N": run_ns, "median_qN": medians,
+                                    "exceed_frac": [r.empirical for r in rows],
+                                    "union_bound": [r.bound for r in rows]},
+                         target=random_target(delta), trials=trials)
 
 
 def cmd_counterexample(cfg: dict) -> int:
@@ -365,27 +301,18 @@ def cmd_counterexample(cfg: dict) -> int:
                  fmt17(gp.coeff_err), fmt17(gp.q_N_abs))
                 for fp, gp in zip(f_points, g_points))
         write_csv(cfg["out"], COUNTEREXAMPLE_CSV_HEADER, rows)
-    g_fit = _maybe_fit(ns, [p.coeff_err for p in g_points])
+    series = {"N": ns, "f_coeff_err": [p.coeff_err for p in f_points],
+              "f_qN_abs": [p.q_N_abs for p in f_points],
+              "g_coeff_err": [p.coeff_err for p in g_points]}
+    g_fit = fit_above(ns, series["g_coeff_err"])
     if g_fit is not None:
         print(f"fit g coeff_err: slope={g_fit.slope:.4f} r2={g_fit.r_squared:.4f}")
     if cfg["svg"]:
-        series = [("f coeff_err", ns, [p.coeff_err for p in f_points]),
-                  ("g coeff_err", ns, [p.coeff_err for p in g_points])]
-        _write_svg(cfg["svg"], series, g_fit, None,
+        _write_svg(cfg["svg"], [("f coeff_err", ns, series["f_coeff_err"]),
+                                ("g coeff_err", ns, series["g_coeff_err"])],
+                   g_fit, slope_band("counterexample"),
                    "multiplicative vs additive split schedule", "coeff_err")
-    if cfg["assert"]:
-        failures: list[str] = []
-        if g_fit is None or g_fit.slope > _G_SLOPE_MAX:
-            got = "n/a" if g_fit is None else f"{g_fit.slope:.3f}"
-            failures.append(f"g coeff_err slope {got} exceeds {_G_SLOPE_MAX}")
-        floor_pts = [p for p in f_points if p.N >= 500]
-        for p in floor_pts:
-            if p.coeff_err < _F_FLOOR:
-                failures.append(
-                    f"f coeff_err at N={p.N} is {p.coeff_err:.4g}, below floor {_F_FLOOR:.4g}")
-        if failures:
-            raise _AssertionFailed("; ".join(failures))
-    return 0
+    return _assert_bands("counterexample", series) if cfg["assert"] else 0
 
 
 def cmd_skew(cfg: dict) -> int:
@@ -401,29 +328,16 @@ def cmd_skew(cfg: dict) -> int:
               f"fiber_sup_err={res.fiber_sup_err:.6g}")
     if cfg["out"]:
         write_skew_csv(rows, cfg["out"])
-    fit = _maybe_fit(ns, [res.fiber_coeff_err for _, res in rows])
+    criterion = "skew_exact" if example == 1 else "skew"
+    errs = [res.fiber_coeff_err for _, res in rows]
+    fit = fit_above(ns, errs)
     if fit is not None:
         print(f"fit fiber_coeff_err: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
     if cfg["svg"]:
-        series = [(f"example {example}", ns, [res.fiber_coeff_err for _, res in rows])]
-        _write_svg(cfg["svg"], series, fit, None, f"skew example {example}", "fiber_coeff_err")
-    if cfg["assert"]:
-        failures: list[str] = []
-        if example == 1:
-            for _, res in rows:
-                if res.fiber_coeff_err > 1e-9:
-                    failures.append(
-                        f"fiber_coeff_err at N={res.N} is {res.fiber_coeff_err:.3g}, expected <= 1e-9")
-        else:
-            if fit is None or fit.slope > _SKEW_SLOPE_MAX:
-                got = "n/a" if fit is None else f"{fit.slope:.3f}"
-                failures.append(f"fiber_coeff_err slope {got} exceeds {_SKEW_SLOPE_MAX}")
-            w_abs = [abs(res.w_final) for _, res in rows]
-            if not w_abs[-1] < w_abs[0]:
-                failures.append(f"|w_N| did not shrink along the ladder: {w_abs[0]:.3g} -> {w_abs[-1]:.3g}")
-        if failures:
-            raise _AssertionFailed("; ".join(failures))
-    return 0
+        _write_svg(cfg["svg"], [(f"example {example}", ns, errs)], fit, slope_band(criterion),
+                   f"skew example {example}", "fiber_coeff_err")
+    series = {"N": ns, "fiber_coeff_err": errs, "|w_N|": [abs(res.w_final) for _, res in rows]}
+    return _assert_bands(criterion, series) if cfg["assert"] else 0
 
 
 def cmd_oracle(cfg: dict) -> int:
@@ -548,9 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidSpecError) as exc:
         print(f"parimplode: error: {exc}", file=sys.stderr)
         return 1
-    except _AssertionFailed as exc:
-        print(f"parimplode: assertion failed: {exc}", file=sys.stderr)
-        return 3
     except ParimplodeError as exc:
         print(f"parimplode: numerical failure: {exc}", file=sys.stderr)
         return 2

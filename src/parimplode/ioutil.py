@@ -44,15 +44,21 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 def worker_count(override: int | None = None, default: int | None = None) -> int:
     """Effective parallelism: explicit override, else PARIMPLODE_THREADS,
-    else ``default``, else the scheduler's view of available CPUs."""
+    else ``default``, else the scheduler's view of available CPUs.  An
+    override or PARIMPLODE_THREADS below 1 raises ValueError."""
     if override is not None:
-        return max(1, int(override))
+        if override < 1:
+            raise ValueError(f"threads: must be >= 1, got {override}")
+        return int(override)
     env = os.environ.get("PARIMPLODE_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"PARIMPLODE_THREADS must be an integer, got {env!r}") from None
+        if count < 1:
+            raise ValueError(f"PARIMPLODE_THREADS must be >= 1, got {env!r}")
+        return count
     if default is not None:
         return max(1, int(default))
     try:

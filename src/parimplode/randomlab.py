@@ -226,7 +226,7 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     the rule of :class:`RandomSchedule`, and every N must be >= 4.
     """
     if trials < 30:
-        raise ValueError(f"need at least 30 trials for quantiles, got {trials}")
+        raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
     if not (math.isfinite(exceed_threshold) and exceed_threshold > 0):
         raise ValueError(f"threshold must be a positive real, got {exceed_threshold}")
 

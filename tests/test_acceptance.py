@@ -1,5 +1,8 @@
 """Acceptance suite: one test per numbered criterion, one printed verdict line each.
 
+Every band comes from ``parimplode.bands``, the same table ``--assert``
+reads; only the timing clauses, and criterion 6's |q_N + 2i/pi|, live here.
+
 Known failures in this build, kept red on purpose (the implementation is
 faithful; the measured behavior genuinely differs from the target band):
 
@@ -31,8 +34,6 @@ from parimplode import (
     coefficients_from_qr,
     compose_chain,
     difference_formula,
-    fit_decay,
-    fit_loglog,
     iterate_skew,
     martingale_check,
     materialize,
@@ -45,11 +46,11 @@ from parimplode import (
     run_sweep,
     wronskian_residual,
 )
+from parimplode.bands import check, columns, random_target
 from parimplode.cli import main
 from parimplode.randomlab import exceedance_vs_bound
 
 _LADDER = [100 * 2**j for j in range(8)]
-_FLOOR = 1e-12
 
 
 def _report(capsys, num, name, ok, detail):
@@ -60,16 +61,11 @@ def _report(capsys, num, name, ok, detail):
         pytest.fail(line)
 
 
-def _decay_clause(ns, values, slope_max):
-    """Slope check with the below-floor escape: a series already at the
-    floating-point floor counts as converged, not as a fit failure."""
-    positive = [(n, v) for n, v in zip(ns, values) if v > _FLOOR]
-    if len(positive) < 3:
-        if max(values) <= _FLOOR:
-            return True, "below floor"
-        return False, "too few points above floor to fit"
-    fit = fit_loglog([n for n, _ in positive], [v for _, v in positive])
-    return fit.slope <= slope_max, f"slope {fit.slope:+.3f}"
+def _judge(criterion, series, **params):
+    """The band clauses of ``criterion`` (parimplode.bands, the table
+    ``--assert`` reads): whether all hold, and their details."""
+    results = check(criterion, series, **params)
+    return all(ok for ok, _ in results), ", ".join(detail for _, detail in results)
 
 
 def test_criterion_01_oracle_equivalence(capsys):
@@ -123,11 +119,9 @@ def test_criterion_04_theorem_a_rates(capsys):
         t0 = time.perf_counter()
         points = run_sweep(TheoremA(case), _LADDER, extended=True)
         dt = time.perf_counter() - t0
-        fit = fit_decay(points, "q_N_abs")
-        worst_nq = max(p.N * p.q_N_abs for p in points)
-        case_ok = -1.4 <= fit.slope <= -0.8 and worst_nq <= 50.0 and dt <= 5.0
-        ok = ok and case_ok
-        details.append(f"case{case}: slope {fit.slope:+.3f}, max N|q_N| {worst_nq:.2f}, {dt:.1f}s")
+        bands_ok, detail = _judge("theorem_a", columns(points))
+        ok = ok and bands_ok and dt <= 5.0
+        details.append(f"case{case}: {detail}, {dt:.1f}s")
     _report(capsys, 4, "TheoremA rates", ok, "; ".join(details))
 
 
@@ -135,34 +129,30 @@ def test_criterion_05_theorem_b_rates(capsys):
     details, ok = [], True
     for case in (1, 2, 3, 4, 5):
         points = run_sweep(TheoremB(case), _LADDER, extended=True)
-        ce_fit = fit_decay(points, "coeff_err")
-        ce_ok = -1.4 <= ce_fit.slope <= -0.6
-        rn_ok, rn_msg = _decay_clause(_LADDER, [p.r_N_err for p in points], -0.6)
-        rn1_ok, rn1_msg = _decay_clause(_LADDER, [p.r_N1_err for p in points], -0.6)
-        case_ok = ce_ok and rn_ok and rn1_ok
-        ok = ok and case_ok
-        details.append(
-            f"case{case}: ce slope {ce_fit.slope:+.3f}, r_N {rn_msg}"
-            + ("" if rn_ok else f" [r_N -> {points[-1].r_N_err:.3f}]")
-            + f", r_N1 {rn1_msg}")
+        bands_ok, detail = _judge("theorem_b", columns(points))
+        ok = ok and bands_ok
+        details.append(f"case{case}: {detail}"
+                       + ("" if bands_ok else f" [r_N -> {points[-1].r_N_err:.3f}]"))
     _report(capsys, 5, "TheoremB rates", ok, "; ".join(details))
 
 
 def test_criterion_06_counterexample_dichotomy(capsys):
+    """The band clauses, plus |q_N + 2i/pi| <= 0.05 at N = 2000: the limit
+    of the complex q_N, which no command reports, so it has no band."""
     t0 = time.perf_counter()
+    ns = [500, 1000, 2000, 4000]
+    f_points = run_sweep(CounterexampleC("multiplicative_f"), ns)
+    g_points = run_sweep(CounterexampleC("additive_g"), ns)
+    bands_ok, detail = _judge("counterexample", {
+        "N": ns, "f_coeff_err": [p.coeff_err for p in f_points],
+        "f_qN_abs": [p.q_N_abs for p in f_points], "g_coeff_err": [p.coeff_err for p in g_points]})
     n = 2000
-    triple = run_recurrences(materialize(CounterexampleC("multiplicative_f"), n))
-    q_n = triple.q[n]
-    target = -2j / math.pi
-    f_dev = abs(q_n - target)
-    f_mod = abs(q_n)
-    g_points = run_sweep(CounterexampleC("additive_g"), [500, 1000, 2000, 4000])
-    g_fit = fit_decay(g_points, "coeff_err")
+    f_dev = abs(run_recurrences(materialize(CounterexampleC("multiplicative_f"), n)).q[n]
+                + 2j / math.pi)
     dt = time.perf_counter() - t0
-    ok = f_dev <= 0.05 and f_mod >= 1.0 / math.pi - 0.05 and g_fit.slope <= -0.6 and dt <= 2.0
+    ok = bands_ok and f_dev <= 0.05 and dt <= 2.0
     _report(capsys, 6, "counterexample dichotomy", ok,
-            f"|q_N+2i/pi|={f_dev:.4f}, |q_N|={f_mod:.4f} (floor {1/math.pi - 0.05:.4f}), "
-            f"g slope {g_fit.slope:+.3f}, {dt:.1f}s")
+            f"|q_N+2i/pi|={f_dev:.4f} at N={n}, {detail}, {dt:.1f}s")
 
 
 def test_criterion_07_identity_residuals(capsys):
@@ -213,42 +203,34 @@ def test_criterion_09_random_ensembles(capsys):
     details, ok = [], True
     for delta in (0.25, 0.5, 1.0):
         t0 = time.perf_counter()
-        target = -(1.0 + delta) / 2.0
-        slopes = []
-        exceed_ok = True
+        seed_details = []
         for seed in (1, 2, 3, 4, 5):
             res = run_ensemble(delta, UniformSymmetric(1.0), ns, trials=200, seed=seed)
-            slopes.append(fit_loglog(ns, [s.median_qN for s in res.summaries]).slope)
-            for row in exceedance_vs_bound(res.summaries, PropLambda(), M=1.0):
-                if row.vacuous:
-                    continue  # union bound >= 1 carries no information
-                tol = 3.0 * math.sqrt(row.bound / 200.0) + 3.0 / 200.0
-                if row.empirical > row.bound + tol:
-                    exceed_ok = False
+            rows = exceedance_vs_bound(res.summaries, PropLambda(), M=1.0)
+            bands_ok, detail = _judge(
+                "random", {"N": ns, "median_qN": [s.median_qN for s in res.summaries],
+                           "exceed_frac": [r.empirical for r in rows],
+                           "union_bound": [r.bound for r in rows]},
+                target=random_target(delta), trials=200)
+            ok = ok and bands_ok
+            seed_details.append(f"seed {seed}: {detail}")
         dt = time.perf_counter() - t0
-        slope_ok = all(abs(s - target) <= 0.2 for s in slopes)
-        ok = ok and slope_ok and exceed_ok and dt <= 60.0
-        details.append(
-            f"d={delta}: slopes {min(slopes):+.3f}..{max(slopes):+.3f} vs target {target:+.3f}"
-            f" (measured law ~ N^{0.5 - delta:+.2f}), {dt:.1f}s")
+        ok = ok and dt <= 60.0
+        details.append(f"d={delta} vs target {random_target(delta):+.3f}: "
+                       + "; ".join(seed_details)
+                       + f" (measured law ~ N^{0.5 - delta:+.2f}), {dt:.1f}s")
     _report(capsys, 9, "random ensembles", ok, "; ".join(details))
 
 
 def test_criterion_10_skew_examples(capsys):
     details, ok = [], True
-    ex1_worst = 0.0
-    for n in _LADDER:
-        ex1_worst = max(ex1_worst, iterate_skew(build_example(1, n), n, extended=True).fiber_coeff_err)
-    ex1_ok = ex1_worst <= 1e-9
-    ok = ok and ex1_ok
-    details.append(f"ex1: max coeff_err {ex1_worst:.2e}")
-    for ex in (2, 3, 4, 5):
+    for ex in (1, 2, 3, 4, 5):
         rows = [iterate_skew(build_example(ex, n), n, extended=True) for n in _LADDER]
-        slope_ok, msg = _decay_clause(_LADDER, [r.fiber_coeff_err for r in rows], -0.5)
-        w_abs = [abs(r.w_final) for r in rows]
-        w_ok = w_abs[-1] < w_abs[0] and w_abs[-1] < 1e-4
-        ok = ok and slope_ok and w_ok
-        details.append(f"ex{ex}: {msg}, |w_N| {w_abs[0]:.1e}->{w_abs[-1]:.1e}")
+        bands_ok, detail = _judge("skew_exact" if ex == 1 else "skew", {
+            "N": _LADDER, "fiber_coeff_err": [r.fiber_coeff_err for r in rows],
+            "|w_N|": [abs(r.w_final) for r in rows]})
+        ok = ok and bands_ok
+        details.append(f"ex{ex}: {detail}")
     _report(capsys, 10, "skew examples", ok, "; ".join(details))
 
 

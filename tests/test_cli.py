@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from parimplode import UsageError, cli, errors
+from parimplode import UsageError, build_example, cli, errors, iterate_skew
+from parimplode.bands import check
 from parimplode.cli import main, parse_ladder
 
 # every subcommand's flags besides --config and --help; pinned here, apart
@@ -78,10 +79,11 @@ def test_sweep_eps_amp_needs_family_b(capsys):
 
 
 def test_random_usage_errors(capsys):
-    assert main(["random", "--delta", "0", "--trials", "50"]) == 1
-    assert main(["random", "--delta", "0.5", "--trials", "20"]) == 1
-    err = capsys.readouterr().err
-    assert "delta" in err and "trials" in err
+    for flags, field in ((["--delta", "0", "--trials", "50"], "delta"),
+                         (["--delta", "0.5", "--trials", "20"], "trials:"),
+                         (["--delta", "0.5", "--trials", "0"], "trials:")):
+        assert main(["random", *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"parimplode: error: {field} ")
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -187,9 +189,23 @@ def test_skew_requires_example(capsys):
 
 
 def test_skew_assert_example4(capsys):
-    rc = main(["skew", "--example", "4", "--n", "100:800:x2", "--assert"])
+    rc = main(["skew", "--example", "4", "--extended", "--assert"])
     assert rc == 0
     assert "fit fiber_coeff_err" in capsys.readouterr().out
+    # a short ladder ends above the top-rung band: |w_N| = 1.25e-3 at N = 800
+    assert main(["skew", "--example", "4", "--n", "100:800:x2", "--assert"]) == 3
+    assert "|w_N| 1.3e-03 at N=800" in capsys.readouterr().err
+
+
+def test_assert_quotes_the_checker_slope(capsys):
+    # the band fit reads values above the floor; the printed fit every value > 0
+    ns = parse_ladder("100:12800:x2")
+    rows = [iterate_skew(build_example(3, n), n, extended=True) for n in ns]
+    (_, detail), *_ = check("skew", {"N": ns, "fiber_coeff_err": [r.fiber_coeff_err for r in rows],
+                                     "|w_N|": [abs(r.w_final) for r in rows]})
+    assert main(["skew", "--example", "3", "--extended", "--assert"]) == 3
+    assert detail.startswith("fiber_coeff_err slope +2.362 ")
+    assert capsys.readouterr().err == f"parimplode: assertion failed: {detail}\n"
 
 
 def test_oracle_small_run(capsys):
@@ -218,6 +234,17 @@ def test_threads_below_one_is_a_usage_error(capsys, argv, threads):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parimplode: error: threads: must be >= 1, got {threads}\n"
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["random", "--delta", "0.5", "--n", "200", "--trials", "30"], "0"),
+    (["sweep", "--theorem", "A", "--n", "100"], "-3"),
+])
+def test_threads_env_below_one_is_a_usage_error(monkeypatch, capsys, argv, threads):
+    monkeypatch.setenv("PARIMPLODE_THREADS", threads)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"parimplode: error: PARIMPLODE_THREADS must be >= 1, got '{threads}'\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -152,7 +152,8 @@ def test_worker_count_precedence(monkeypatch):
     assert worker_count(None) >= 1
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
     assert worker_count(None, default=1) == 2
-    assert worker_count(0, default=1) == 1
+    with pytest.raises(ValueError, match="^threads: must be >= 1, got 0$"):
+        worker_count(0, default=1)
 
 
 @pytest.mark.parametrize("gate, message", [
