@@ -18,7 +18,7 @@ import math
 import sys
 
 from .bands import RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
-from .convergence import run_sweep, write_rate_csv
+from .convergence import check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, write_csv
 from .mobius import compose_chain, projective_distance
@@ -107,6 +107,16 @@ def parse_ladder(text) -> list[int]:
         raise UsageError(f"n: ladder step must start with 'x' or '+', got {rule!r}")
     if not ns:
         raise UsageError(f"n: ladder {text!r} is empty")
+    return ns
+
+
+def _rung_ladder(text) -> list[int]:
+    """parse_ladder, then the rule of a ladder swept rung by rung (check_ladder)."""
+    ns = parse_ladder(text)
+    try:
+        check_ladder(ns)
+    except ValueError as exc:
+        raise UsageError(f"n: {exc}") from None
     return ns
 
 
@@ -220,7 +230,7 @@ def _write_svg(path, series, fit, band, title, ylabel):
 
 def cmd_sweep(cfg: dict) -> int:
     spec = _build_deterministic_spec(cfg)
-    ns = parse_ladder(cfg["n"])
+    ns = _rung_ladder(cfg["n"])
     points = run_sweep(spec, ns, extended=cfg["extended"],
                        oracle_limit=cfg["oracle_limit"], max_workers=cfg["threads"])
     if cfg["out"]:
@@ -286,7 +296,7 @@ def cmd_random(cfg: dict) -> int:
 
 
 def cmd_counterexample(cfg: dict) -> int:
-    ns = parse_ladder(cfg["n"])
+    ns = _rung_ladder(cfg["n"])
     if any(n % 2 for n in ns):
         raise UsageError(f"n: counterexample ladder must be even, got {ns}")
     f_points = run_sweep(CounterexampleC("multiplicative_f"), ns,
@@ -317,7 +327,7 @@ def cmd_counterexample(cfg: dict) -> int:
 
 def cmd_skew(cfg: dict) -> int:
     example = cfg["example"]
-    ns = parse_ladder(cfg["n"])
+    ns = _rung_ladder(cfg["n"])
     rows = []
     for n in ns:
         sys_n = build_example(example, n)

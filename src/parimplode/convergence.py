@@ -111,6 +111,19 @@ def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
     )
 
 
+def check_ladder(Ns: list[int]) -> None:
+    """Raise ValueError unless Ns is non-empty, strictly increasing and every N >= 4.
+
+    The rule of every N ladder swept rung by rung (``run_sweep``, and the
+    sweep, counterexample and skew commands): a band read at the top rung
+    needs the top rung last.
+    """
+    if not Ns:
+        raise ValueError("ladder must be non-empty")
+    if any(n < 4 for n in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"ladder must be strictly increasing with every N >= 4, got {Ns}")
+
+
 def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
               oracle_limit: int = DEFAULT_ORACLE_LIMIT,
               max_workers: int | None = None) -> list[RatePoint]:
@@ -125,10 +138,8 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     faster, and on a machine whose CPUs are shared its GIL hand-offs cost
     up to half again the serial time.
     """
-    if not Ns:
-        raise ValueError("Ns must be non-empty")
-    if any(n < 4 for n in Ns) or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError(f"Ns must be strictly increasing with every N >= 4, got {Ns}")
+    check_ladder(Ns)
+
     def attempt(n: int) -> RatePoint | Exception:
         try:
             return run_point(spec, n, extended=extended, oracle_limit=oracle_limit)

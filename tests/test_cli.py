@@ -1,7 +1,9 @@
 """CLI surface: ladder parsing, exit codes, config merge, output determinism."""
 import argparse
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,15 @@ def test_skew_assert_example4(capsys):
     assert "|w_N| 1.3e-03 at N=800" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ladder", [[400, 200, 100], [100, 100, 100]])
+def test_skew_rejects_a_ladder_not_strictly_increasing(tmp_path, capsys, ladder):
+    # --assert judges the last rung as the top one, so the rungs must rise
+    assert _run_with_config(tmp_path, ["skew", "--example", "4", "--assert"], {"n": ladder}) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parimplode: error: n: ladder must be strictly increasing")
+    assert not captured.out
+
+
 def test_assert_quotes_the_checker_slope(capsys):
     # the band fit reads values above the floor; the printed fit every value > 0
     ns = parse_ladder("100:12800:x2")
@@ -350,3 +361,21 @@ def test_config_null_reads_as_left_out(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("oracle: 200 trials x 1 sizes")
     assert _run_with_config(tmp_path, ["random"], {"delta": None}) == 1
     assert "delta: required" in capsys.readouterr().err
+
+
+# the README's CLI block, one argv per `parimplode ...` line
+_README_BLOCK = (Path(__file__).resolve().parents[1] / "README.md").read_text() \
+    .split("\n## CLI\n", 1)[1].split("```", 2)[1]
+_README_COMMANDS = [shlex.split(line)[1:] for line in _README_BLOCK.splitlines()
+                    if line.startswith("parimplode ")]
+
+
+def test_readme_cli_block_is_found():
+    assert len(_README_COMMANDS) == 7
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS, ids=[" ".join(a[:1]) for a in _README_COMMANDS])
+def test_readme_cli_commands_exit_0(monkeypatch, tmp_path, capsys, argv):
+    # each documented example runs as written, outputs landing in tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err

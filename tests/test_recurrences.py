@@ -593,6 +593,152 @@ def test_kernels_hold_no_per_step_objects(extended):
     assert peak < 2 * outputs
 
 
+# -- the extended kernel against its two-term form ---------------------------------
+#
+# _reference_extended is the fixed-point kernel as it was before the increment
+# form and the vectorised conversions: the coefficient 1 + rho_k - eps_k^2
+# formed as an (F+1)-bit integer, inputs converted through as_integer_ratio,
+# outputs through int / int.  The kernel must reproduce it bit for bit,
+# including where it rounds outside the reach of _exact_reference: inputs so
+# fine that F > 1022, subnormals, signed zeros and values past 2**1024.
+
+
+def _reference_extended(seqs):
+    N = seqs.N
+    F = max(128, 117 - min(int(np.frexp(x.view(float))[1].min())
+                           for x in (seqs.rho, seqs.eps_sq)))
+    one = 1 << F
+    q = np.empty(N + 2, dtype=complex)
+    r = np.empty(N + 2, dtype=complex)
+    prod = np.empty(N + 1, dtype=complex)
+    q[:2] = 0j, 1 + 0j
+    r[:2] = 1 + 0j, 1 + 0j
+    prod[0] = 1 + 0j
+    qmr, qmi, qr, qi, rmr, rmi, rr, ri, pr, pi = 0, 0, one, 0, one, 0, one, 0, one, 0
+    qv, rv, pv = (x.view(float).reshape(-1, 2) for x in (q, r, prod))
+    for k0 in range(1, N + 1, 256):
+        k1 = min(k0 + 256, N + 1)
+        rho_b, es_b = ([(n << F) // d for n, d in map(float.as_integer_ratio, x.tolist())]
+                       for x in (seqs.rho[k0:k1].view(float), seqs.eps_sq[k0:k1].view(float)))
+        out = []
+        for i in range(0, len(rho_b), 2):
+            ar, ai = rho_b[i], rho_b[i + 1]
+            cr, ci = one + ar - es_b[i], ai - es_b[i + 1]
+            qmr, qmi, qr, qi = (qr, qi, (cr * qr - ci * qi - ar * qmr + ai * qmi) >> F,
+                                (cr * qi + ci * qr - ar * qmi - ai * qmr) >> F)
+            rmr, rmi, rr, ri = (rr, ri, (cr * rr - ci * ri - ar * rmr + ai * rmi) >> F,
+                                (cr * ri + ci * rr - ar * rmi - ai * rmr) >> F)
+            pr, pi = (pr * ar - pi * ai) >> F, (pr * ai + pi * ar) >> F
+            out += (qr, qi, rr, ri, pr, pi)
+        try:
+            rows = np.array([x / one for x in out]).reshape(-1, 6)
+        except OverflowError:
+            rows = np.array([x / one if abs(x) >> F < 2**1000 else math.inf
+                             for x in out]).reshape(-1, 6)
+        qv[k0 + 1:k1 + 1] = rows[:, 0:2]
+        rv[k0 + 1:k1 + 1] = rows[:, 2:4]
+        pv[k0:k1] = rows[:, 4:6]
+    return q, r, prod
+
+
+def _fraction_bits(seqs):
+    return max(128, 117 - min(int(np.frexp(x.view(float))[1].min())
+                              for x in (seqs.rho, seqs.eps_sq)))
+
+
+def _assert_matches_two_term_form(seqs):
+    """The kernel's raw q, r, prod against _reference_extended, bit for bit."""
+    from parimplode.recurrences import _run_extended
+
+    got, want = _run_extended(seqs), _reference_extended(seqs)
+    for name, g, w in zip(("q", "r", "rho_cumprod"), got, want):
+        diff = np.flatnonzero(g.view(np.uint64) != w.view(np.uint64))
+        assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
+    return want
+
+
+def _schedule(N, eps_sq_at, rho_shift=0.0):
+    """Rotation by e^{2 pi i / N}, shifted by rho_shift, with eps_sq_at(k) at step k."""
+    base = cmath.exp(2j * math.pi / N)
+    rho = np.full(N + 2, base + rho_shift)
+    eps_sq = np.array([0j] + [eps_sq_at(k) for k in range(1, N + 1)] + [0j])
+    return PerturbationSequences(rho, eps_sq, base)
+
+
+def test_extended_conversion_matches_as_integer_ratio():
+    from parimplode.recurrences import _to_fixed
+
+    values = [0.0, -0.0, 5e-324, -5e-324, 1 - 2**-53, -0.7, 2.0**-1000]
+    x = np.array(values)
+    F = 117 - int(np.frexp(x)[1].min())
+    for bits in (F, F + 7):
+        want = [(n << bits) // d for n, d in map(float.as_integer_ratio, values)]
+        assert _to_fixed(x, bits) == want
+
+
+def test_extended_matches_two_term_form_on_the_benchmark_rungs():
+    # the top rung of the sweep-extended ladders, N = 12800
+    for seqs in (materialize(TheoremA(2), 12800), materialize(TheoremB(2), 12800),
+                 materialize(TheoremB(4), 12800), induced_schedule(build_example(4, 12800), 12800)):
+        _assert_matches_two_term_form(seqs)
+
+
+def test_extended_matches_two_term_form_below_2_pow_minus_906():
+    # eps^2 = 1e-300 gives F = 1113 > 1022: 2**-F scaling is no longer exact
+    # for every value, so the outputs go through int / int
+    seqs = _schedule(300, lambda k: 1e-300j if k % 3 else 0.01 / k)
+    assert _fraction_bits(seqs) == 1113
+    _assert_matches_two_term_form(seqs)
+
+
+def test_extended_matches_two_term_form_on_subnormal_eps_sq():
+    seqs = _schedule(300, lambda k: 5e-324j if k == 7 else complex(-5e-324, 1e-3 / k))
+    assert _fraction_bits(seqs) == 1190
+    _assert_matches_two_term_form(seqs)
+
+
+def test_extended_rounds_a_subnormal_output_once():
+    # rho_1 rho_2 = (1.5 - 1.3e-18) * 2**-1074 sits just below a rounding tie
+    # of the subnormal grid: rounded once it reads 2**-1074; rounded to 53
+    # bits first (float(int)) and then scaled, it would tie and read 2**-1073.
+    # eps_1^2 = 1 keeps every value of the block below 2**-500, so float(int)
+    # does not overflow there and only the F <= 1022 rule routes it to int / int.
+    rho = np.array([0, math.ldexp(1 + 2**-30, -537), math.ldexp(1.5 / (1 + 2**-30), -537), 0.5])
+    eps_sq = np.array([0, 1, 5e-324, 0])  # F = 1190
+    seqs = PerturbationSequences(rho, eps_sq, 0.5)
+    q, r, prod = _assert_matches_two_term_form(seqs)
+    assert max(np.abs(q[2:]).max(), np.abs(r[2:]).max(), np.abs(prod[1:]).max()) < 2.0**-500
+    assert prod[2] == 5e-324
+
+
+def test_extended_matches_two_term_form_on_signed_zeros():
+    # rho = 1 - 0j and eps^2 = -0 + 0j, -0 - 0j keep q_k = k, r_k = 1 exactly
+    zeros = (complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 0j)
+    rho = np.array([0j] + [complex(1.0, -0.0)] * 300 + [1 + 0j])
+    eps_sq = np.array([0j] + [zeros[k % 4] for k in range(300)] + [0j])
+    seqs = PerturbationSequences(rho, eps_sq, 1.0)
+    q, r, _ = _assert_matches_two_term_form(seqs)
+    assert q.real.tolist() == list(range(302)) and r[1:].real.tolist() == [1.0] * 301
+    _assert_bit_identical(seqs, extended=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extended_matches_two_term_form_past_2_pow_1024():
+    # |b| = 1 doubles q and r every step: from step ~1024 on, the block's
+    # values leave the binary64 range and read inf
+    from parimplode.recurrences import _check_overflow
+
+    seqs = _schedule(1200, lambda k: 0j, rho_shift=1.0)
+    q, r, _ = _assert_matches_two_term_form(seqs)
+    assert np.isinf(q[-1].real)
+    with pytest.raises(RecurrenceOverflowError) as want:
+        _check_overflow(q, r)
+    with pytest.raises(RecurrenceOverflowError) as got:
+        run_recurrences(seqs, extended=True)
+    assert str(got.value) == str(want.value) == \
+        "|q_333| exceeded 1e100; schedule is far outside the perturbative regime"
+
+
 def test_kernels_bit_identical_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
