@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .bands import RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
+from .bands import ORACLE_GATE, RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
 from .convergence import check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, write_csv
@@ -369,9 +369,9 @@ def cmd_oracle(cfg: dict) -> int:
                 worst, worst_at = dev, (n, trial)
     print(f"oracle: {trials} trials x {len(ns)} sizes, max projective deviation "
           f"{worst:.3e} at N={worst_at[0]} trial={worst_at[1]}")
-    if worst > 1e-9:
+    if worst > ORACLE_GATE:
         raise OracleMismatchError(
-            f"recurrence vs chain deviation {worst:.3e} exceeds 1e-9 "
+            f"recurrence vs chain deviation {worst:.3e} exceeds {ORACLE_GATE:g} "
             f"at N={worst_at[0]} trial={worst_at[1]}")
     return 0
 

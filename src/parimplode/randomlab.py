@@ -1,16 +1,16 @@
 """Monte Carlo lab for additive random schedules eps_k = pi/N + eta_k/N^(1+delta).
 
-With rho == 1 the recurrence coefficient is 2 - eps_k^2 and everything is
-real; ensembles are vectorized across trials and still bit-identical to the
-scalar single-trial path (both take eps_k from ``RandomSchedule.eps``), because
-complex arithmetic on exactly-real values does the same operations on the
-real parts.
+With rho == 1 the increment of ``recurrences`` is d_{k+1} = d_k - eps_k^2 x_k
+and everything is real; ensembles are vectorized across trials and still
+bit-identical to the scalar single-trial path (both take eps_k from
+``RandomSchedule.eps``), because complex arithmetic on exactly-real values
+does the same operations on the real parts, and 1 * d_k is d_k exactly.
 
 Every trial of the lab runs in one step-major pass, ``_step_blocks``, over
 steps 1..N in blocks of ``recurrences._BLOCK`` steps.  A block draws its own
 variates, advances q and r of every trial (a buffer row holds one step of
-every trial, q then r, so a step is one multiply and one subtract) and
-extends the running martingale sums delta_n.  Only the last two rows carry
+every trial, q then r, so a step is three row ops) and extends the running
+martingale sums delta_n.  Only the last two rows and the increments carry
 over, so memory is O(trials x block).  ``run_ensemble`` folds the blocks
 into a running maximum of |delta_n| / lambda_n; ``martingale_check`` checks
 the summation identity on every row.  Randomness is counter-based, so the
@@ -144,21 +144,24 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int):
     """Yield (k0, rows, d, partial) per block of steps k = k0..k0+nb-1.
 
     Row j of ``rows`` (nb+2 of them) holds q_{k0-1+j} of every trial, then
-    r_{k0-1+j}; d[j] = (2 - eps_k^2) - 2 cos(pi/N) and partial[j] = delta_{k+1}
-    at k = k0+j.  ``rows`` is a view that the next block overwrites.
+    r_{k0-1+j}; d[j] = 4 sin^2(pi/(2N)) - eps_k^2 = (2 - eps_k^2) - 2 cos(pi/N)
+    and partial[j] = delta_{k+1} at k = k0+j.  ``rows`` is a view that the
+    next block overwrites.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
     theta = math.pi / N
-    x_cheb = 2.0 * math.cos(theta)
+    gap = 4.0 * math.sin(theta / 2.0) ** 2  # 2 - 2 cos(theta), not rounded at ulp(2)
     t_idx = np.arange(trials, dtype=np.uint64)
     phases = np.exp(1j * theta * np.arange(N + 1))
     x = np.empty((_BLOCK + 2, 2 * trials))
-    c = np.empty((_BLOCK, 2 * trials))
     x[0, :trials] = 0.0
     x[1, :trials] = 1.0
     x[:2, trials:] = 1.0
-    rows, c_rows = list(x), list(c)
+    # the carried increments x_k - x_{k-1}, q then r: 1 and 0 at k = 1
+    inc = np.repeat([1.0, 0.0], trials)
+    es_x = np.empty(2 * trials)
+    rows = list(x)
     # the k = 0 term of delta_n is d_0 q_0 = 0, so the running sum starts at 0
     partial = np.zeros(trials, dtype=complex)
     nb = 0
@@ -167,15 +170,15 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int):
             x[:2] = x[nb:nb + 2]
         nb = k1 - k0
         eps = spec.eps(N, t_idx[None, :], np.arange(k0, k1, dtype=np.uint64)[:, None])
-        coeff = 2.0 - eps * eps
-        d = coeff - x_cheb
-        c[:nb, :trials] = coeff
-        c[:nb, trials:] = coeff
+        es = eps * eps
+        d = gap - es
         with np.errstate(over="ignore", invalid="ignore"):
-            # one multiply and one subtract advance both recurrences of every trial
-            for j in range(nb):
-                np.multiply(c_rows[j], rows[j + 1], out=rows[j + 2])
-                np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
+            # three row ops advance both recurrences of every trial (rho_k = 1);
+            # eps_k^2 is laid out q then r, like the rows
+            for e, xk, xn in zip(np.hstack((es, es)), rows[1:], rows[2:]):
+                np.multiply(e, xk, out=es_x)
+                np.subtract(inc, es_x, out=inc)
+                np.add(xk, inc, out=xn)
             terms = d * x[1:nb + 1, :trials] * phases[k0:k1, None]
             terms[0] += partial
             np.cumsum(terms, axis=0, out=terms)

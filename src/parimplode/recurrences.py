@@ -6,10 +6,13 @@ F_N = f_N o ... o f_1 has coefficients (A, B, C, D) with
     A_N = q_{N+1} - q_N,  B_N = r_N - r_{N+1},  C_N = -q_N,  D_N = r_N,
 
 where q and r satisfy x_{k+1} = (1 + rho_k - eps_k^2) x_k - rho_k x_{k-1}
-from (q_0, q_1) = (0, 1) and (r_0, r_1) = (1, 1).  The auxiliary sequence
-s, which recovers r through r_k = q_k - rho_1 * s_{k-1}, is the q sequence
-of the same schedule shifted one step ahead.  The kernels do not carry it;
-``s_sequence`` works it out when asked.
+from (q_0, q_1) = (0, 1) and (r_0, r_1) = (1, 1).  Every kernel (both paths
+here and ``randomlab``'s trial-batched pass) runs it in increment form,
+d_{k+1} = rho_k d_k - eps_k^2 x_k and x_{k+1} = x_k + d_{k+1} from d_1 = 1 for q
+and 0 for r, which never rounds the O(1/N) part of the coefficient at ulp(2).
+The auxiliary sequence s, which recovers r through r_k = q_k - rho_1 * s_{k-1},
+is the q sequence of the same schedule shifted one step ahead.  The kernels
+do not carry it; ``s_sequence`` works it out when asked.
 
 The ``extended`` kernel runs in fixed-point integers with at least 128
 fraction bits and rounds each value once, to the correctly rounded value of
@@ -187,10 +190,10 @@ def _check_overflow(q: np.ndarray, r: np.ndarray) -> None:
 def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRSTriple:
     """Advance the q and r recurrences for the full composition.
 
-    Both paths make one pass over the schedule, in blocks of _BLOCK steps,
-    that advances q and r together.  The plain path's outputs are
-    bit-identical to the straightforward per-sequence loop over numpy
-    scalars, which the test suite keeps as a reference.
+    Both paths make one pass over the schedule in increment form, in blocks
+    of _BLOCK steps, that advances q and r together.  The plain path's
+    outputs are bit-identical to the straightforward per-sequence loop over
+    numpy scalars, which the test suite keeps as a reference.
 
     Parameters
     ----------
@@ -200,8 +203,8 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
         fraction bits, inputs converted exactly) and round each value once.
         Errors are absolute, about 2**-128 per step, so a value much smaller
         than that, such as a vanishing prod rho_j, loses its digits or reads
-        0.  About 8x the cost of the plain path per step (about 3.4 us
-        against 0.42 us on a 2.1 GHz Xeon vCPU).
+        0.  About 8x the cost of the plain path per step (about 3.6 us
+        against 0.45 us on a 2.1 GHz Xeon vCPU).
 
     Returns
     -------
@@ -235,17 +238,19 @@ def _blocks(N: int):
 def _run_plain(seqs: PerturbationSequences):
     N = seqs.N
     rho = seqs.rho
-    coeff = 1.0 + rho - seqs.eps_sq
     q = np.empty(N + 2, dtype=complex)
     r = np.empty(N + 2, dtype=complex)
-    qm, qk, rm, rk = 0j, 1 + 0j, 1 + 0j, 1 + 0j
-    q[:2] = qm, qk
-    r[:2] = rm, rk
+    q[:2] = 0j, 1 + 0j
+    r[:2] = 1 + 0j, 1 + 0j
+    # (x_1, d_1) is (1, 1) for q and (1, 0) for r
+    qk, qd, rk, rd = 1 + 0j, 1 + 0j, 1 + 0j, 0j
     for k0, k1 in _blocks(N):
         qb, rb = [], []
-        for c, p in zip(coeff[k0:k1].tolist(), rho[k0:k1].tolist()):
-            qm, qk = qk, c * qk - p * qm
-            rm, rk = rk, c * rk - p * rm
+        for p, e in zip(rho[k0:k1].tolist(), seqs.eps_sq[k0:k1].tolist()):
+            qd = p * qd - e * qk
+            rd = p * rd - e * rk
+            qk += qd
+            rk += rd
             qb.append(qk)
             rb.append(rk)
         q[k0 + 1:k1 + 1] = qb
@@ -263,12 +268,12 @@ def _run_plain(seqs: PerturbationSequences):
 # shift, and each output is rounded once; past the binary64 range it becomes
 # inf, which the overflow check then reports.
 #
-# q and r advance in increment form: with d_k = x_k - x_{k-1},
-# d_{k+1} = (rho_k d_k - eps_k^2 x_k) >> F and x_{k+1} = x_k + d_{k+1}.  Since
-# 1 + rho_k - eps_k^2 is 2**F + rho_k - eps_k^2 here, and x_k * 2**F is a
-# multiple of 2**F, floor((x_k * 2**F + X) / 2**F) = x_k + floor(X / 2**F) makes
-# this the same integer as the two-term form ((1 + rho_k - eps_k^2) x_k -
-# rho_k x_{k-1}) >> F, without forming the (F+1)-bit coefficient.
+# The increment d_{k+1} = (rho_k d_k - eps_k^2 x_k) >> F is the only rounded
+# step.  Since 1 + rho_k - eps_k^2 is 2**F + rho_k - eps_k^2 here, and
+# x_k * 2**F is a multiple of 2**F, floor((x_k * 2**F + X) / 2**F) =
+# x_k + floor(X / 2**F) makes x_{k+1} the same integer as the two-term form
+# ((1 + rho_k - eps_k^2) x_k - rho_k x_{k-1}) >> F, without forming the
+# (F+1)-bit coefficient.
 _FRAC_BITS = 128
 
 

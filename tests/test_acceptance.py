@@ -46,7 +46,7 @@ from parimplode import (
     run_sweep,
     wronskian_residual,
 )
-from parimplode.bands import check, columns, random_target
+from parimplode.bands import ORACLE_GATE, check, columns, random_target
 from parimplode.cli import main
 from parimplode.randomlab import exceedance_vs_bound
 
@@ -79,7 +79,7 @@ def test_criterion_01_oracle_equivalence(capsys):
             if dev > worst:
                 worst, worst_at = dev, (n, trial)
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-9 and dt <= 10.0
+    ok = worst <= ORACLE_GATE and dt <= 10.0
     _report(capsys, 1, "oracle equivalence", ok,
             f"max deviation {worst:.3e} at N={worst_at[0]} trial={worst_at[1]}, {dt:.1f}s")
 
