@@ -60,7 +60,6 @@ from .recurrences import (
     closed_form_T_array,
     coefficients_from_qr,
     difference_formula,
-    martingale_sum,
     r_from_qs,
     run_recurrences,
     s_sequence,
@@ -77,6 +76,7 @@ from .schedules import (
     UniformSymmetric,
     materialize,
     random_small_schedule,
+    random_small_schedules,
     summation_diagnostic,
 )
 from .skew import (

@@ -39,7 +39,7 @@ from .schedules import (
     TheoremB,
     UniformSymmetric,
     materialize,
-    random_small_schedule,
+    random_small_schedules,
     summation_diagnostic,
 )
 from .skew import build_example, iterate_skew, write_skew_csv
@@ -260,7 +260,7 @@ def cmd_random(cfg: dict) -> int:
     delta, trials = cfg["delta"], cfg["trials"]
     dist = UniformSymmetric(m=cfg["m"]) if cfg["dist"] == "uniform" else Rademacher()
     rule = PropLambda() if cfg["lambda_rule"] == "prop" else FixedLambda(cfg["lambda_value"])
-    ns = parse_ladder(cfg["n"])
+    ns = _rung_ladder(cfg["n"])
 
     result = run_ensemble(delta, dist, ns, trials, cfg["seed"], lambda_rule=rule,
                           exceed_threshold=cfg["threshold"], max_workers=cfg["threads"])
@@ -350,6 +350,9 @@ def cmd_skew(cfg: dict) -> int:
     return _assert_bands(criterion, series) if cfg["assert"] else 0
 
 
+_ORACLE_BATCH = 256  # schedules drawn per call, so memory stays flat at any --trials
+
+
 def cmd_oracle(cfg: dict) -> int:
     trials, n_max, seed = cfg["trials"], cfg["n_max"], cfg["seed"]
     if trials < 1:
@@ -360,13 +363,14 @@ def cmd_oracle(cfg: dict) -> int:
     worst = 0.0
     worst_at = (0, 0)
     for n in ns:
-        for trial in range(trials):
-            seqs = random_small_schedule(n, seed, trial)
-            coeffs = coefficients_from_qr(run_recurrences(seqs), n)
-            chain = compose_chain(seqs.step_maps())
-            dev = projective_distance(coeffs, chain)
-            if dev > worst:
-                worst, worst_at = dev, (n, trial)
+        for first in range(0, trials, _ORACLE_BATCH):
+            batch = range(first, min(first + _ORACLE_BATCH, trials))
+            for trial, seqs in zip(batch, random_small_schedules(n, seed, batch)):
+                coeffs = coefficients_from_qr(run_recurrences(seqs), n)
+                chain = compose_chain(seqs.step_maps())
+                dev = projective_distance(coeffs, chain)
+                if dev > worst:
+                    worst, worst_at = dev, (n, trial)
     print(f"oracle: {trials} trials x {len(ns)} sizes, max projective deviation "
           f"{worst:.3e} at N={worst_at[0]} trial={worst_at[1]}")
     if worst > ORACLE_GATE:

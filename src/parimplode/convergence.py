@@ -115,8 +115,8 @@ def check_ladder(Ns: list[int]) -> None:
     """Raise ValueError unless Ns is non-empty, strictly increasing and every N >= 4.
 
     The rule of every N ladder swept rung by rung (``run_sweep``, and the
-    sweep, counterexample and skew commands): a band read at the top rung
-    needs the top rung last.
+    sweep, random, counterexample and skew commands): a band read at the
+    top rung needs the top rung last.
     """
     if not Ns:
         raise ValueError("ladder must be non-empty")

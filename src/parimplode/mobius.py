@@ -98,11 +98,20 @@ class EvalRegion:
 
 
 def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
-    """Left-fold product M_n * ... * M_1 (row 1 applied first).
+    """Left-fold product M_n * ... * M_1 of step matrices (row 1 applied first).
 
-    Entries are renormalized by the largest modulus every 64 multiplies to
-    prevent overflow on adversarial inputs, so the returned coefficients
-    represent the product projectively.
+    Row k holds the two entries (a_k, b_k) of M_k = [[a_k, b_k], [-1, 1]]
+    that vary; the bottom row of every step matrix of the composition is
+    (-1, 1).  The fold therefore updates the product (a, b, c, d) as
+
+        (a_k a + b_k c,  a_k b + b_k d,  c - a,  d - b),
+
+    which is the four-entry fold bit for bit: binary64 multiplies by -1
+    and 1 without rounding, so dropping those four complex products can
+    change at most the sign of an entry that is exactly zero.  Entries are
+    renormalized by the largest modulus every 64 maps to prevent overflow
+    on adversarial inputs, so the returned coefficients represent the
+    product projectively.
 
     The fold runs over Python complex values.  A renormalization multiplies
     by the reciprocal of the scale rather than dividing by it: that is how
@@ -111,7 +120,7 @@ def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
 
     Parameters
     ----------
-    maps : (n, 4) complex array of rows (a, b, c, d)
+    maps : (n, 2) complex array of rows (a_k, b_k)
         Non-empty; the first row is applied first.  This is the layout
         ``PerturbationSequences.step_maps`` returns.
 
@@ -123,15 +132,10 @@ def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
     rows = maps.tolist()
     if not rows:
         raise ValueError("compose_chain requires at least one map")
-    a, b, c, d = rows[0]
-    for i, (ma, mb, mc, md) in enumerate(rows[1:], start=2):
+    (a, b), c, d = rows[0], -1 + 0j, 1 + 0j
+    for i, (ma, mb) in enumerate(rows[1:], start=2):
         # row times current, current applied first
-        a, b, c, d = (
-            ma * a + mb * c,
-            ma * b + mb * d,
-            mc * a + md * c,
-            mc * b + md * d,
-        )
+        a, b, c, d = ma * a + mb * c, ma * b + mb * d, c - a, d - b
         if i % _RENORM_EVERY == 0:
             scale = max(abs(a), abs(b), abs(c), abs(d))
             if scale == 0 or not math.isfinite(scale):

@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import (
     DegenerateMapError,
-    IdentityViolationError,
     InvalidSpecError,
     RecurrenceOverflowError,
 )
@@ -128,29 +127,29 @@ class PerturbationSequences:
         return self.b - self._eps_sq
 
     def step_maps(self) -> np.ndarray:
-        """The per-step coefficient matrices, index 1 first (oracle input).
+        """The entries of the per-step coefficient matrices that vary, index 1 first.
 
-        Returns an (N, 4) complex array whose row k-1 is the quadruple
-        (rho_k - eps_k^2, eps_k^2, -1, 1) of step k, the layout of
-        ``mobius.perturbed_parabolic_step``; ``compose_chain`` takes it as is.
+        Step k's matrix is [[rho_k - eps_k^2, eps_k^2], [-1, 1]], the layout of
+        ``mobius.perturbed_parabolic_step``.  Its bottom row is the same at
+        every step, so this returns an (N, 2) complex array whose row k-1 is
+        (rho_k - eps_k^2, eps_k^2); ``compose_chain`` takes it as is.
 
         Raises
         ------
         DegenerateMapError
-            If some step has a*d - b*c == 0, i.e. rho_k == 0.
+            If some step has determinant a_k + b_k == 0 (a*d - b*c for
+            that layout), i.e. rho_k == 0.
         """
         es = self._eps_sq[1:-1]
-        rows = np.empty((self.N, 4), dtype=complex)
+        rows = np.empty((self.N, 2), dtype=complex)
         rows[:, 0] = self._rho[1:-1] - es
         rows[:, 1] = es
-        rows[:, 2] = -1.0
-        rows[:, 3] = 1.0
-        a, b, c, d = rows.T
-        degenerate = np.flatnonzero(a * d - b * c == 0)
+        degenerate = np.flatnonzero(rows[:, 0] + rows[:, 1] == 0)
         if degenerate.size:
             k = int(degenerate[0])
             raise DegenerateMapError(
-                f"degenerate step map at k={k + 1}: coefficients {tuple(rows[k].tolist())}")
+                f"degenerate step map at k={k + 1}: coefficients "
+                f"{(*rows[k].tolist(), (-1 + 0j), (1 + 0j))}")
         return rows
 
 
@@ -468,46 +467,3 @@ def coefficients_from_qr(triple: QRSTriple, N: int) -> MoebiusCoeffs:
         -triple.q[N],
         triple.r[N],
     )
-
-
-def martingale_sum(d, triple: QRSTriple, theta: float, n: int) -> complex:
-    """Partial sum delta_n = sum_{k=0}^{n-1} d_k q_k e^{i k theta}.
-
-    The summation convention is verified on the spot: for the additive
-    regime (rho == 1, recurrence coefficient x + d_k with x = 2 cos theta)
-    the identity
-
-        sin(theta) * (q_n - U_n) = -Im(delta_n e^{-i n theta})
-
-    holds exactly in exact arithmetic, so any residual beyond 1e-8 is an
-    indexing or corruption bug and raises IdentityViolationError.
-
-    Parameters
-    ----------
-    d : array_like
-        Coefficient deviations d_k = (2 - eps_k^2) - x, indexed so that
-        d[k] multiplies q_k; entries 0..n-1 are consumed (d[0] is
-        irrelevant because q_0 = 0).
-    triple : QRSTriple
-        Output of run_recurrences for the schedule being probed.
-    theta : float
-        Comparison angle (pi/N for the random lab).
-    n : int
-        Number of terms, 1 <= n <= N+1.
-    """
-    N = triple.N
-    if not 1 <= n <= N + 1:
-        raise ValueError(f"n must be in 1..N+1, got {n}")
-    d = np.asarray(d, dtype=complex)
-    if d.size < n:
-        raise ValueError(f"need at least n={n} entries of d, got {d.size}")
-    k = np.arange(0, n)
-    delta_n = complex(np.sum(d[:n] * triple.q[:n] * np.exp(1j * k * theta)))
-    u_n = chebyshev_U(n, ChebyshevPoint.from_theta(theta))
-    lhs = math.sin(theta) * (triple.q[n] - u_n)
-    rhs = -(delta_n * cmath.exp(-1j * n * theta)).imag
-    resid = abs(lhs - rhs)
-    if resid > 1e-8:
-        raise IdentityViolationError(
-            f"martingale identity residual {resid:.3e} at n={n} exceeds 1e-8")
-    return delta_n

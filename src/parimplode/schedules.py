@@ -285,28 +285,37 @@ def materialize(spec: ScheduleSpec, N: int) -> PerturbationSequences:
     raise InvalidSpecError(f"unsupported schedule spec {type(spec).__name__}")
 
 
-def random_small_schedule(N: int, seed: int, trial: int,
-                          bound: float | None = None) -> PerturbationSequences:
-    """Randomized admissible schedule with |b_k| <= bound and |eps_k| <= bound.
+def random_small_schedules(N: int, seed: int, trials,
+                           bound: float | None = None) -> list[PerturbationSequences]:
+    """Randomized admissible schedules with |b_k| <= bound and |eps_k| <= bound.
 
-    bound defaults to N^-2.  Both perturbations get a uniform magnitude in
+    One schedule per entry of ``trials``, in the order listed.  bound
+    defaults to N^-2.  Both perturbations get a uniform magnitude in
     [0, bound] and a uniform phase; four independent counter lanes per step
-    (counter 4k + j for lane j at step k, drawn in one call) keep draws
-    order-free.  Intended for oracle cross-checks and identity tests, not
-    for rate measurement.
+    (counter 4k + j for lane j at step k) keep draws order-free, so every
+    listed trial is drawn in one call and each schedule is bit for bit the
+    one its trial gives alone.  Intended for oracle cross-checks and
+    identity tests, not for rate measurement.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
     if bound is None:
         bound = 1.0 / N**2
-    lanes = rng.uniform01(seed, trial, np.arange(4 * (N + 2), dtype=np.uint64)).reshape(N + 2, 4).T
-    b = bound * lanes[0] * np.exp(2j * np.pi * lanes[1])
-    eps = bound * lanes[2] * np.exp(2j * np.pi * lanes[3])
+    trials = np.asarray(trials, dtype=np.uint64)
+    counters = np.arange(4 * (N + 2), dtype=np.uint64)
+    # axis 2 is (b_k, eps_k), axis 3 (magnitude, phase); PerturbationSequences zeroes slot 0
+    lanes = rng.uniform01(seed, trials[:, None], counters[None, :]).reshape(trials.size, N + 2, 2, 2)
+    z = bound * lanes[..., 0] * np.exp(2j * np.pi * lanes[..., 1])
     base = cmath.exp(2j * math.pi / N)
-    rho = base + b
-    rho[0] = 0.0
-    eps[0] = 0.0
-    return PerturbationSequences.from_eps(rho, eps, base)
+    rho = base + z[..., 0]
+    eps_sq = z[..., 1] * z[..., 1]
+    return [PerturbationSequences(r, e, base) for r, e in zip(rho, eps_sq)]
+
+
+def random_small_schedule(N: int, seed: int, trial: int,
+                          bound: float | None = None) -> PerturbationSequences:
+    """The one-trial case of :func:`random_small_schedules`."""
+    return random_small_schedules(N, seed, [trial], bound)[0]
 
 
 # -- diagnostics ---------------------------------------------------------------

@@ -7,7 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from parimplode import QRSTriple, UsageError, build_example, cli, convergence, errors, iterate_skew
+from parimplode import (
+    QRSTriple,
+    UsageError,
+    build_example,
+    cli,
+    coefficients_from_qr,
+    compose_chain,
+    convergence,
+    errors,
+    iterate_skew,
+    projective_distance,
+    random_small_schedule,
+    run_recurrences,
+)
 from parimplode.bands import check
 from parimplode.cli import main, parse_ladder
 
@@ -211,6 +224,16 @@ def test_skew_rejects_a_ladder_not_strictly_increasing(tmp_path, capsys, ladder)
     assert not captured.out
 
 
+@pytest.mark.parametrize("ladder", [[400, 200, 100], [400, 200, 200]])
+def test_random_rejects_a_ladder_not_strictly_increasing(tmp_path, capsys, ladder):
+    # the random ensemble follows the rung rule of sweep, counterexample and skew
+    argv = ["random", "--delta", "0.5", "--trials", "30"]
+    assert _run_with_config(tmp_path, argv, {"n": ladder}) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parimplode: error: n: ladder must be strictly increasing")
+    assert not captured.out
+
+
 def test_assert_quotes_the_checker_slope(capsys):
     # the band fit reads values above the floor; the printed fit every value > 0
     ns = parse_ladder("100:12800:x2")
@@ -235,6 +258,38 @@ def test_oracle_needs_a_trial(capsys, trials):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parimplode: error: trials: must be >= 1, got {trials}\n"
+
+
+def test_oracle_matches_a_per_trial_replay(monkeypatch, capsys):
+    # the batched draw must print the deviation and (N, trial) that one
+    # schedule at a time, in (N, trial) order with the first maximum, gives;
+    # batches of 7 make 20 trials end on a partial batch
+    for seed in (1, 2, 3):
+        worst, worst_at = 0.0, (0, 0)
+        for n in (16, 64, 256, 512):
+            for trial in range(20):
+                seqs = random_small_schedule(n, seed, trial)
+                coeffs = coefficients_from_qr(run_recurrences(seqs), n)
+                dev = projective_distance(coeffs, compose_chain(seqs.step_maps()))
+                if dev > worst:
+                    worst, worst_at = dev, (n, trial)
+        want = (f"oracle: 20 trials x 4 sizes, max projective deviation {worst:.3e} "
+                f"at N={worst_at[0]} trial={worst_at[1]}\n")
+        for batch in (cli._ORACLE_BATCH, 7):
+            monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
+            assert main(["oracle", "--trials", "20", "--seed", str(seed)]) == 0
+            assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("argv", [["oracle", "--trials", "2"],
+                                  ["random", "--delta", "0.5", "--trials", "30", "--n", "200"]],
+                         ids=["oracle", "random"])
+def test_seed_out_of_range_is_a_usage_error(capsys, argv, seed):
+    assert main([*argv, f"--seed={seed}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parimplode: error: seed: must be in 0..2**64-1, got {seed}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,30 +51,46 @@ def test_identity_and_pole():
     assert MoebiusCoeffs(1.0, 0.0, -2.0, 1.0).pole() == 0.5
 
 
+def _random_step(rng: random.Random) -> tuple:
+    # the varying entries (a_k, b_k) of [[a_k, b_k], [-1, 1]], with the
+    # determinant a_k + b_k well away from 0
+    while True:
+        a, b = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+        if abs(a + b) > 0.5:
+            return a, b
+
+
 def test_compose_chain_equals_raw_matrix_fold():
     rng = random.Random(5)
-    maps = [_random_map(rng) for _ in range(130)]  # crosses two renormalizations
-    chain = compose_chain(np.array([m.as_tuple() for m in maps]))
-    acc = np.array([[maps[0].a, maps[0].b], [maps[0].c, maps[0].d]])
-    for m in maps[1:]:
-        acc = np.array([[m.a, m.b], [m.c, m.d]]) @ acc
+    rows = [_random_step(rng) for _ in range(130)]  # crosses two renormalizations
+    chain = compose_chain(np.array(rows))
+    acc = np.array([[rows[0][0], rows[0][1]], [-1, 1]])
+    for a, b in rows[1:]:
+        acc = np.array([[a, b], [-1, 1]]) @ acc
         acc /= np.max(np.abs(acc))
     want = MoebiusCoeffs(acc[0, 0], acc[0, 1], acc[1, 0], acc[1, 1])
     assert projective_distance(chain, want) < 1e-12
 
 
 def test_compose_chain_renormalizes_past_overflow():
-    # 1000 copies of 3*identity: the true product 3^1000 * I (about 1e477)
-    # is far past the binary64 range; 200 copies (about 1e95) would not be
-    rows = np.tile(np.array([3.0, 0.0, 0.0, 3.0], dtype=complex), (1000, 1))
-    coeffs = compose_chain(rows)
-    assert projective_coeff_error(coeffs) < 1e-13
+    # n copies of [[3, 0], [-1, 1]] multiply to [[3^n, 0], [-(3^n - 1)/2, 1]].
+    # At n = 700 the entry 3^n (about 1e334) is far past the binary64 range;
+    # 600 copies (about 1e286) would not be.  Projectively the product is
+    # [[1, 0], [-(1 - 3^-n)/2, 3^-n]], whose 3^-n lies below the range too,
+    # so the check reads c/a and the ratio |a/d| on a log scale.  From 704
+    # copies on, the renormalized d underflows to 0 and the product degenerates.
+    n = 700
+    coeffs = compose_chain(np.tile(np.array([3.0, 0.0], dtype=complex), (n, 1)))
     assert all(math.isfinite(abs(v)) for v in coeffs.as_tuple())
+    assert coeffs.b == 0
+    assert abs(coeffs.c / coeffs.a + 0.5) < 1e-13
+    log_ratio = math.log(abs(coeffs.a)) - math.log(abs(coeffs.d))
+    assert abs(log_ratio / (n * math.log(3.0)) - 1.0) < 1e-13
 
 
 def test_compose_chain_requires_maps():
     with pytest.raises(ValueError):
-        compose_chain(np.empty((0, 4), dtype=complex))
+        compose_chain(np.empty((0, 2), dtype=complex))
 
 
 def test_projective_distance_properties():

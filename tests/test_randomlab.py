@@ -22,7 +22,6 @@ from parimplode import (
     exceedance_vs_bound,
     fit_loglog,
     martingale_check,
-    martingale_sum,
     materialize,
     quantile_nearest_rank,
     run_ensemble,
@@ -289,8 +288,15 @@ def test_martingale_check_pins():
     assert chk.mean_increment_abs <= 5.0 * chk.increment_stderr
 
 
+def _martingale_sum(d, q, theta, n):
+    # delta_n = sum_{k<n} d_k q_k e^{i k theta}, one pairwise sum per prefix
+    k = np.arange(0, n)
+    d = np.asarray(d, dtype=complex)
+    return complex(np.sum(d[:n] * q[:n] * np.exp(1j * k * theta)))
+
+
 def _reference_martingale_check(delta, dist, N, trials, seed):
-    # martingale_check as it was: martingale_sum on every prefix, with the
+    # martingale_check as it was: _martingale_sum on every prefix, with the
     # residual worked out a second time; each delta_n is its own pairwise sum
     theta = math.pi / N
     n_mid = max(2, N // 2)
@@ -301,7 +307,7 @@ def _reference_martingale_check(delta, dist, N, trials, seed):
         triple = run_recurrences(seqs)
         d = 4.0 * math.sin(theta / 2) ** 2 - seqs.eps_sq.real
         for n in range(1, N + 2):
-            delta_n = martingale_sum(d, triple, theta, n)
+            delta_n = _martingale_sum(d, triple.q, theta, n)
             u_n = chebyshev_U(n, ChebyshevPoint.from_theta(theta))
             lhs = math.sin(theta) * (triple.q[n].real - u_n)
             rhs = -(delta_n * cmath.exp(-1j * n * theta)).imag

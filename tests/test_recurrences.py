@@ -1,6 +1,7 @@
 """Recurrence engine: oracle equivalence, conserved quantities, closed forms."""
 import cmath
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from parimplode import (
     CounterexampleC,
     Custom,
     DegenerateMapError,
-    IdentityViolationError,
     InvalidSpecError,
     PerturbationSequences,
     QRSTriple,
@@ -26,7 +26,6 @@ from parimplode import (
     coefficients_from_qr,
     compose_chain,
     difference_formula,
-    martingale_sum,
     materialize,
     perturbed_parabolic_step,
     projective_distance,
@@ -95,11 +94,10 @@ def test_from_eps_squares():
 def test_step_maps_match_inputs():
     seqs = random_small_schedule(12, seed=3, trial=0)
     rows = seqs.step_maps()
-    assert rows.shape == (12, 4)
-    for k, (a, b, c, d) in enumerate(rows, start=1):
+    assert rows.shape == (12, 2)
+    for k, (a, b) in enumerate(rows, start=1):
         assert a == seqs.rho[k] - seqs.eps_sq[k]
         assert b == seqs.eps_sq[k]
-        assert (c, d) == (-1.0, 1.0)
 
 
 def test_step_maps_reject_a_vanishing_rho():
@@ -108,7 +106,8 @@ def test_step_maps_reject_a_vanishing_rho():
     rho = np.full(8, 0.5 + 0.1j)
     rho[3] = 0.0
     seqs = PerturbationSequences(rho, np.full(8, 0.01 + 0.02j), 0.5)
-    with pytest.raises(DegenerateMapError, match=r"k=3"):
+    want = "degenerate step map at k=3: coefficients ((-0.01-0.02j), (0.01+0.02j), (-1+0j), (1+0j))"
+    with pytest.raises(DegenerateMapError, match=re.escape(want)):
         seqs.step_maps()
 
 
@@ -312,40 +311,6 @@ def test_additive_resonant_checkpoints():
     # r_N approaches -1: the all-real additive composite is projectively
     # the identity through A = D = -1, not through r -> 1
     assert triple.r[n].real == pytest.approx(-1.0, abs=5.0 / n)
-
-
-# -- martingale partial sums -----------------------------------------------------
-
-
-def test_martingale_sum_value_and_self_check():
-    n = 128
-    theta = math.pi / n
-    x = 2.0 * math.cos(theta)
-    rho = np.ones(n + 2, dtype=complex)
-    eps = math.pi / n + 0.3 / n**1.5 * np.cos(np.arange(n + 2))
-    eps[0] = 0.0
-    seqs = PerturbationSequences.from_eps(rho, eps.astype(complex), cmath.exp(2j * math.pi / n))
-    triple = run_recurrences(seqs)
-    d = (2.0 - seqs.eps_sq.real) - x
-    for m in (1, 2, n // 2, n + 1):
-        got = martingale_sum(d, triple, theta, m)
-        k = np.arange(m)
-        want = np.sum(d[:m] * triple.q[:m] * np.exp(1j * k * theta))
-        assert got == pytest.approx(complex(want), abs=1e-15)
-    with pytest.raises(ValueError):
-        martingale_sum(d, triple, theta, 0)
-    with pytest.raises(ValueError):
-        martingale_sum(d[:4], triple, theta, n)
-
-
-def test_martingale_sum_detects_wrong_deviations():
-    n = 64
-    theta = math.pi / n
-    seqs = materialize(TheoremB(4, amplitude=0.0), n)
-    triple = run_recurrences(seqs)
-    d_wrong = np.full(n + 2, 0.1)
-    with pytest.raises(IdentityViolationError):
-        martingale_sum(d_wrong, triple, theta, n)
 
 
 # -- overflow and extended path ---------------------------------------------------

@@ -19,6 +19,7 @@ from parimplode import (
     UniformSymmetric,
     materialize,
     random_small_schedule,
+    random_small_schedules,
     summation_diagnostic,
 )
 
@@ -209,6 +210,20 @@ def test_random_small_schedule_bit_identical_to_four_lane_draw():
         for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
             assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
         assert got.rho_base == want.rho_base
+
+
+def test_random_small_schedules_bit_identical_per_trial():
+    trials = [5, 0, 3, 1]  # out of order: each schedule belongs to its trial
+    for n in (16, 64, 512):
+        for seed in range(4):
+            for bound in (None, 0.01):
+                batch = random_small_schedules(n, seed, trials, bound)
+                assert len(batch) == len(trials)
+                for trial, got in zip(trials, batch):
+                    want = random_small_schedule(n, seed, trial, bound)
+                    for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
+                        assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+                    assert got.rho_base == want.rho_base
 
 
 def test_materialize_rejects_bad_sizes():
