@@ -54,6 +54,10 @@ class SweepError(ParimplodeError):
         parts = ", ".join(f"N={n}: {e}" for n, e in self.failures)
         super().__init__(f"{len(self.failures)} sweep point(s) failed: {parts}")
 
+    def __reduce__(self):
+        # Exception pickles its message as args; rebuild from the pairs instead
+        return SweepError, (self.failures,)
+
 
 class UsageError(ParimplodeError, ValueError):
     """Bad command-line or config input; maps to exit code 1."""

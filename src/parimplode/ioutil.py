@@ -1,4 +1,4 @@
-"""Shared output helpers: number formatting, atomic CSV writes, worker count."""
+"""Shared helpers: number formatting, atomic CSV writes, worker count, rung map."""
 from __future__ import annotations
 
 import contextlib
@@ -43,9 +43,10 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def worker_count(override: int | None = None, default: int | None = None) -> int:
-    """Effective parallelism: explicit override, else PARIMPLODE_THREADS,
-    else ``default``, else the scheduler's view of available CPUs.  An
-    override or PARIMPLODE_THREADS below 1 raises ValueError."""
+    """Number of worker processes for ``map_rungs``: explicit override
+    (``--threads``), else PARIMPLODE_THREADS, else ``default``, else the
+    scheduler's view of available CPUs.  An override or PARIMPLODE_THREADS
+    below 1 raises ValueError."""
     if override is not None:
         if override < 1:
             raise ValueError(f"threads: must be >= 1, got {override}")
@@ -65,3 +66,31 @@ def worker_count(override: int | None = None, default: int | None = None) -> int
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:
         return max(1, os.cpu_count() or 1)
+
+
+def map_rungs(fn, ns, workers: int) -> list:
+    """``[fn(n) for n in ns]``, on up to ``workers`` forked worker processes.
+
+    With one worker or one rung it runs inline.  The pool takes the largest
+    N first (the top rung of a doubling ladder is half its steps), returns
+    the results in ladder order and raises the exception of the lowest
+    failing rung, as the inline loop does.  ``fn`` and its results must
+    pickle, so callers bind a module-level function with functools.partial.
+    Forked workers inherit the loaded package instead of importing it again
+    (about 0.18 s each); multiprocessing is imported here, so importing the
+    package does not load it.
+    """
+    ns = list(ns)
+    workers = min(workers, len(ns))
+    if workers <= 1:
+        return [fn(n) for n in ns]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {n: pool.submit(fn, n) for n in sorted(set(ns), reverse=True)}
+        try:
+            return [futures[n].result() for n in ns]
+        finally:
+            for future in futures.values():
+                future.cancel()

@@ -14,21 +14,22 @@ martingale sums delta_n.  Only the last two rows and the increments carry
 over, so memory is O(trials x block).  ``run_ensemble`` folds the blocks
 into a running maximum of |delta_n| / lambda_n; ``martingale_check`` checks
 the summation identity on every row.  Randomness is counter-based, so the
-blocks draw the same variates as one full draw, and concurrent and
-sequential runs produce the same records in the same order.
+blocks draw the same variates as one full draw, and an ensemble run on
+worker processes (one rung each, ``ioutil.map_rungs``) produces the same
+records in the same order as one run inline.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import IdentityViolationError, InvalidSpecError
-from .ioutil import fmt17, worker_count, write_csv
+from .ioutil import fmt17, map_rungs, worker_count, write_csv
 from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U
 from .schedules import RandomDist, RandomSchedule
 
@@ -226,17 +227,18 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     quantiles and counts but never abort the ensemble.  The exceedance
     event for a trial is max_n |delta_n| / lambda_n >= exceed_threshold,
     the event the tail bound actually controls.  delta and dist follow
-    the rule of :class:`RandomSchedule`, and every N must be >= 4.
+    the rule of :class:`RandomSchedule`, and every N must be >= 4.  The
+    rungs run on ``max_workers`` worker processes, by default one per CPU
+    (``ioutil.worker_count``).
     """
     if trials < 30:
         raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
     if not (math.isfinite(exceed_threshold) and exceed_threshold > 0):
         raise ValueError(f"threshold must be a positive real, got {exceed_threshold}")
 
-    with ThreadPoolExecutor(max_workers=worker_count(max_workers)) as pool:
-        per_n = dict(zip(Ns, pool.map(
-            lambda n: _run_trials_at(n, delta, dist, trials, seed, lambda_rule, exceed_threshold),
-            Ns)))
+    rung = functools.partial(_run_trials_at, delta=delta, dist=dist, trials=trials, seed=seed,
+                             lambda_rule=lambda_rule, threshold=exceed_threshold)
+    per_n = dict(zip(Ns, map_rungs(rung, Ns, worker_count(max_workers))))
 
     summaries: list[EnsembleSummary] = []
     records: list[TrialRecord] = []

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from parimplode import (
+    OracleMismatchError,
     QRSTriple,
     UsageError,
     build_example,
@@ -213,6 +214,54 @@ def test_skew_assert_example4(capsys):
     # a short ladder ends above the top-rung band: |w_N| = 1.25e-3 at N = 800
     assert main(["skew", "--example", "4", "--n", "100:800:x2", "--assert"]) == 3
     assert "|w_N| 1.3e-03 at N=800" in capsys.readouterr().err
+
+
+def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two_cpus, watch_pids):
+    ran = watch_pids(cli, "iterate_skew")
+    csv = {}
+
+    def run(name, *flags):
+        out = tmp_path / f"{name}.csv"
+        assert main(["skew", "--example", "4", "--n", "100:800:x2", *flags, "--out", str(out)]) == 0
+        csv[name] = out.read_bytes()
+        return ran()
+
+    assert run("plain") == "parent"
+    assert run("extended", "--extended") == "workers"
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert run("extended inline", "--extended") == "parent"
+    monkeypatch.setenv("PARIMPLODE_THREADS", "2")
+    assert run("plain pooled") == "workers"
+    assert csv["extended inline"] == csv["extended"]
+    assert csv["plain pooled"] == csv["plain"]
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+def test_skew_reports_the_lowest_failing_rung(monkeypatch, tmp_path, capsys, two_cpus, threads):
+    # the pool takes the rungs largest first, so it runs the failing N = 800,
+    # which the inline loop never reaches; the command still names N = 200
+    reached = tmp_path / "reached"
+    real = cli.iterate_skew
+
+    def failing(sys_n, n, **kwargs):
+        with open(reached, "a") as fh:
+            fh.write(f"{n}\n")
+        if n in (200, 800):
+            raise OracleMismatchError(f"injected failure at N={n}")
+        return real(sys_n, n, **kwargs)
+
+    monkeypatch.setattr(cli, "iterate_skew", failing)
+    if threads is not None:
+        monkeypatch.setenv("PARIMPLODE_THREADS", threads)
+    assert main(["skew", "--example", "4", "--extended", "--n", "100:1600:x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parimplode: numerical failure: injected failure at N=200\n"
+    assert not captured.out
+    ns = [int(n) for n in reached.read_text().split()]
+    if threads is None:
+        assert 800 in ns
+    else:
+        assert ns == [100, 200]
 
 
 @pytest.mark.parametrize("ladder", [[400, 200, 100], [100, 100, 100]])

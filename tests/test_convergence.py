@@ -1,6 +1,6 @@
 """Rate measurement: run_point pins, sweep orchestration, decay fits, CSV bytes."""
 import math
-import threading
+import pickle
 
 import pytest
 
@@ -115,35 +115,45 @@ def test_run_sweep_aggregates_failures():
                for _, exc in ei.value.failures)
 
 
-def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch):
+def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpus, watch_pids):
     from parimplode import convergence
 
-    threads = set()
-    real_run_point = convergence.run_point
-
-    def recording_run_point(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return real_run_point(*args, **kwargs)
-
-    monkeypatch.delenv("PARIMPLODE_THREADS", raising=False)
-    monkeypatch.setattr(convergence, "run_point", recording_run_point)
+    ran = watch_pids(convergence, "run_point")
     ns = [100, 200, 400, 800]
     inline = run_sweep(TheoremB(1), ns)
-    assert threads == {threading.get_ident()}
-    threads.clear()
-    pooled = run_sweep(TheoremB(1), ns, max_workers=2)
-    assert threading.get_ident() not in threads
-    assert pooled == inline
-    threads.clear()
+    assert ran() == "parent"
+    assert run_sweep(TheoremB(1), ns, max_workers=2) == inline
+    assert ran() == "workers"
+    extended = run_sweep(TheoremB(1), ns, extended=True)
+    assert ran() == "workers"
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert run_sweep(TheoremB(1), ns, extended=True) == extended
+    assert ran() == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
     assert run_sweep(TheoremB(1), ns) == inline
-    assert threading.get_ident() not in threads
+    assert ran() == "workers"
+
+
+def _failures(err: SweepError):
+    return [(n, type(exc), str(exc)) for n, exc in err.failures]
 
 
 def test_run_sweep_pool_aggregates_failures():
-    with pytest.raises(SweepError) as ei:
-        run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301], max_workers=2)
-    assert [n for n, _ in ei.value.failures] == [101, 301]
+    ladder = [100, 101, 200, 301]
+    with pytest.raises(SweepError) as inline:
+        run_sweep(CounterexampleC("additive_g"), ladder, max_workers=1)
+    with pytest.raises(SweepError) as pooled:
+        run_sweep(CounterexampleC("additive_g"), ladder, max_workers=2)
+    assert [n for n, _ in pooled.value.failures] == [101, 301]
+    assert _failures(pooled.value) == _failures(inline.value)
+    assert str(pooled.value) == str(inline.value)
+
+
+def test_sweep_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(SweepError([(101, ValueError("odd"))])))
+    assert type(err) is SweepError
+    assert _failures(err) == [(101, ValueError, "odd")]
+    assert str(err) == "1 sweep point(s) failed: N=101: odd"
 
 
 def test_worker_count_precedence(monkeypatch):

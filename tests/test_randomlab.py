@@ -231,13 +231,19 @@ def test_trials_at_memory_is_bounded_by_the_block(run):
     assert peak < 16 * 2**20
 
 
-def test_ensemble_independent_of_thread_count():
+def test_ensemble_independent_of_worker_count(monkeypatch, two_cpus, watch_pids):
+    ran = watch_pids(randomlab, "_step_blocks")
     args = (0.5, UniformSymmetric(1.0), [100, 300, 600], 30, 11)
     one = run_ensemble(*args, max_workers=1)
-    two = run_ensemble(*args, max_workers=2)
-    assert one.records == two.records
-    assert one.summaries == two.summaries
-    assert one.failures == two.failures
+    assert ran() == "parent"
+    pooled = run_ensemble(*args)
+    assert ran() == "workers"
+    assert one.records == pooled.records
+    assert one.summaries == pooled.summaries
+    assert one.failures == pooled.failures
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert run_ensemble(*args) == pooled
+    assert ran() == "parent"
 
 
 def test_ensemble_summary_pins():
