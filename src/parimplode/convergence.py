@@ -146,9 +146,10 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     takes one worker per CPU and the binary64 path runs inline.  On 2 CPUs,
     two workers ran the exact-kernel ladders of the ``sweep-extended``
     benchmark in 0.27 s against 0.38 s inline, but eight plain sweeps over
-    100..12800 in 239 ms against 201 ms: a plain rung takes a few ms, and
-    starting and joining a pool, about 5 ms a sweep, costs more than the
-    second CPU saves.
+    100..12800 in 162 ms against 125 ms (median of ten alternating pairs,
+    one won by the workers): a plain rung takes a few ms, and forking and
+    reaping two workers, about 6 ms a sweep, costs more than the second CPU
+    saves.
     """
     check_ladder(Ns)
     workers = worker_count(max_workers, default=None if extended else 1)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
+import signal
 import tempfile
 from collections.abc import Iterable, Sequence
 
@@ -68,29 +70,106 @@ def worker_count(override: int | None = None, default: int | None = None) -> int
         return max(1, os.cpu_count() or 1)
 
 
-def map_rungs(fn, ns, workers: int) -> list:
-    """``[fn(n) for n in ns]``, on up to ``workers`` forked worker processes.
+def _shares(weights: Sequence[float], workers: int) -> list[list[int]]:
+    """Item indices split into ``workers`` shares: largest weight first, each
+    to the least-loaded share (the lowest-numbered on a tie)."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        s = loads.index(min(loads))
+        shares[s].append(i)
+        loads[s] += weights[i]
+    return shares
 
-    With one worker or one rung it runs inline.  The pool takes the largest
-    N first (the top rung of a doubling ladder is half its steps), returns
-    the results in ladder order and raises the exception of the lowest
-    failing rung, as the inline loop does.  ``fn`` and its results must
-    pickle, so callers bind a module-level function with functools.partial.
-    Forked workers inherit the loaded package instead of importing it again
-    (about 0.18 s each); multiprocessing is imported here, so importing the
-    package does not load it.
-    """
-    ns = list(ns)
-    workers = min(workers, len(ns))
-    if workers <= 1:
-        return [fn(n) for n in ns]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {n: pool.submit(fn, n) for n in sorted(set(ns), reverse=True)}
+def _reap(pid: int, status: dict) -> None:
+    """Kill and reap a child whose exit status is not yet in ``status``."""
+    if pid not in status:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _run_share(fn, items, share, fd: int) -> None:
+    """A worker's body: ``fn`` over its share, one pickled ``(ok, value or
+    exception)`` per item written to ``fd``.  A result that does not pickle
+    becomes that item's error."""
+    out = []
+    for i in share:
         try:
-            return [futures[n].result() for n in ns]
-        finally:
-            for future in futures.values():
-                future.cancel()
+            result = (True, fn(items[i]))
+        except Exception as exc:
+            result = (False, exc)
+        try:
+            out.append(pickle.dumps(result))
+        except Exception as exc:
+            out.append(pickle.dumps((False, RuntimeError(
+                f"the result of item {i} does not pickle: {type(exc).__name__}: {exc}"))))
+    with open(fd, "wb") as fh:
+        pickle.dump(out, fh)
+
+
+def map_rungs(fn, items, workers: int, weight=None) -> list:
+    """``[fn(item) for item in items]``, on up to ``workers`` forked worker processes.
+
+    With one worker or one item it runs inline.  Otherwise it forks
+    min(workers, len(items)) children, each with a fixed share of the items
+    and one pipe back.  Shares are filled largest first, each item to the
+    least-loaded share, by ``weight(item)``: its steps, by default the item
+    itself (a rung's N).  The parent runs no share; it reads every pipe to
+    EOF and reaps every child, so its memory peak stays that of the serial
+    bookkeeping, not of a rung.  A child pickles an ``(ok, value or
+    exception)`` per item to its pipe and leaves by ``os._exit``: it runs
+    none of the parent's exit handlers and never flushes its copy of the
+    parent's buffered output.  Results come back in item order, and the
+    exception of the lowest failing item is raised, as the inline loop
+    raises it.  A child that dies without its results raises RuntimeError
+    naming its pid and exit status.  If the parent is interrupted, it kills
+    and reaps the children it has not reaped yet, so none outlives the call.
+
+    ``fn`` need not pickle, but its results and exceptions must.  Forked
+    workers inherit the loaded package instead of importing it again (about
+    0.18 s each).  On 2 CPUs a map of eight trivial items on two workers
+    takes about 6 ms, against 10-13 ms on a ``ProcessPoolExecutor``.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    shares = _shares([item if weight is None else weight(item) for item in items], workers)
+    blobs, status = {}, {}
+    with contextlib.ExitStack() as stack:
+        children = []
+        for share in shares:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    _run_share(fn, items, share, w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            stack.callback(_reap, pid, status)
+            children.append((pid, share, stack.enter_context(open(r, "rb"))))
+        for pid, share, pipe in children:
+            data = pipe.read()
+            pipe.close()
+            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status[pid] == 0:
+                blobs.update(zip(share, pickle.loads(data)))
+    for pid, code in status.items():
+        if code != 0:
+            raise RuntimeError(f"worker process {pid} died with exit status {code}")
+    results = [pickle.loads(blobs[i]) for i in range(len(items))]
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]

@@ -14,9 +14,9 @@ martingale sums delta_n.  Only the last two rows and the increments carry
 over, so memory is O(trials x block).  ``run_ensemble`` folds the blocks
 into a running maximum of |delta_n| / lambda_n; ``martingale_check`` checks
 the summation identity on every row.  Randomness is counter-based, so the
-blocks draw the same variates as one full draw, and an ensemble run on
-worker processes (one rung each, ``ioutil.map_rungs``) produces the same
-records in the same order as one run inline.
+blocks draw the same variates as one full draw, and an ensemble whose rungs
+are shared out among worker processes (``ioutil.map_rungs``) produces the
+same records in the same order as one run inline.
 """
 from __future__ import annotations
 

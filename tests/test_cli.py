@@ -72,6 +72,20 @@ def test_parse_ladder_errors():
             parse_ladder(bad)
 
 
+def test_a_geometric_ladder_that_stalls_is_a_usage_error(capsys):
+    # round(100 * 1.004) = 100: the ladder would stop at its first rung
+    with pytest.raises(UsageError, match=r"^n: ladder '100:800:x1.004' stalls at 100: "
+                                         r"x1.004 rounds it back to 100$"):
+        parse_ladder("100:800:x1.004")
+    assert main(["sweep", "--theorem", "A", "--n", "100:800:x1.004"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parimplode: error: n: ladder '100:800:x1.004' stalls at 100: "
+                            "x1.004 rounds it back to 100\n")
+    assert parse_ladder("100:104:x1.01") == [100, 101, 102, 103, 104]
+    assert parse_ladder("100:100:x1.004") == [100]  # complete: nothing is cut
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "sweep" in capsys.readouterr().out
@@ -310,9 +324,10 @@ def test_oracle_needs_a_trial(capsys, trials):
 
 
 def test_oracle_matches_a_per_trial_replay(monkeypatch, capsys):
-    # the batched draw must print the deviation and (N, trial) that one
-    # schedule at a time, in (N, trial) order with the first maximum, gives;
-    # batches of 7 make 20 trials end on a partial batch
+    # the sliced, batched draw must print the deviation and (N, trial) that
+    # one schedule at a time, in (N, trial) order with the first maximum,
+    # gives; three workers cut 20 trials into slices of 7, 7 and 6, and
+    # batches of 7 make every worker count end an N on a partial slice
     for seed in (1, 2, 3):
         worst, worst_at = 0.0, (0, 0)
         for n in (16, 64, 256, 512):
@@ -324,10 +339,49 @@ def test_oracle_matches_a_per_trial_replay(monkeypatch, capsys):
                     worst, worst_at = dev, (n, trial)
         want = (f"oracle: 20 trials x 4 sizes, max projective deviation {worst:.3e} "
                 f"at N={worst_at[0]} trial={worst_at[1]}\n")
-        for batch in (cli._ORACLE_BATCH, 7):
-            monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
-            assert main(["oracle", "--trials", "20", "--seed", str(seed)]) == 0
-            assert capsys.readouterr().out == want
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PARIMPLODE_THREADS", threads)
+            for batch in (cli._ORACLE_BATCH, 7):
+                monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
+                assert main(["oracle", "--trials", "20", "--seed", str(seed)]) == 0
+                assert capsys.readouterr().out == want, (threads, batch)
+
+
+def test_oracle_runs_on_worker_processes(monkeypatch, capsys, two_cpus, watch_pids):
+    ran = watch_pids(cli, "run_recurrences")
+    assert main(["oracle", "--trials", "10", "--n-max", "64"]) == 0
+    assert ran() == "workers"
+    pooled = capsys.readouterr().out
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert main(["oracle", "--trials", "10", "--n-max", "64"]) == 0
+    assert ran() == "parent"
+    assert capsys.readouterr().out == pooled
+
+
+def test_oracle_reports_the_first_failing_trial_at_any_worker_count(monkeypatch, capsys):
+    # failures at N = 64 trial 3 and N = 256 trial 15: at two workers they
+    # fall in slices (64, 0..9) and (256, 10..19), run on different workers
+    real = cli.coefficients_from_qr
+    bad = {run_recurrences(random_small_schedule(n, 1, t)).q.tobytes(): (n, t)
+           for n, t in ((64, 3), (256, 15))}
+
+    def failing(qr, n):
+        at = bad.get(qr.q.tobytes())
+        if at is not None:
+            raise errors.DegenerateMapError(f"injected at N={at[0]} trial={at[1]}")
+        return real(qr, n)
+
+    monkeypatch.setattr(cli, "coefficients_from_qr", failing)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PARIMPLODE_THREADS", threads)
+        assert main(["oracle", "--trials", "20", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parimplode: numerical failure: injected at N=64 trial=3\n"
+    # the second failure is seen too, once it is the first
+    del bad[next(key for key, at in bad.items() if at == (64, 3))]
+    assert main(["oracle", "--trials", "20", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "parimplode: numerical failure: injected at N=256 trial=15\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
