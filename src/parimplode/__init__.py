@@ -33,7 +33,6 @@ from .mobius import (
     MoebiusCoeffs,
     compose_chain,
     identity_distance,
-    perturbed_parabolic_step,
     projective_coeff_error,
     projective_distance,
 )
@@ -56,13 +55,9 @@ from .recurrences import (
     PerturbationSequences,
     QRSTriple,
     chebyshev_U,
-    closed_form_T,
     closed_form_T_array,
     coefficients_from_qr,
-    difference_formula,
-    r_from_qs,
     run_recurrences,
-    s_sequence,
     wronskian_residual,
 )
 from .schedules import (

@@ -15,7 +15,6 @@ from .convergence import DecayFit, fit_loglog
 
 FLOOR = 1e-12
 RANDOM_HALFWIDTH = 0.2
-ORACLE_GATE = 1e-9  # largest recurrence vs step-matrix deviation ``oracle`` accepts
 
 # criterion -> clauses (series, kind, bound, first N read).  Kinds: "slope",
 # bound (lo, hi) around the target slope, lo None for a decay; "min"/"max",

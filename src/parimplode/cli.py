@@ -29,8 +29,8 @@ import json
 import math
 import sys
 
-from .bands import ORACLE_GATE, RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
-from .convergence import check_ladder, run_sweep, write_rate_csv
+from .bands import RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
+from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
 from .mobius import compose_chain, projective_distance

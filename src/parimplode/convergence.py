@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonPositiveValueError, OracleMismatchError, SweepError
+from .errors import InvalidSpecError, NonPositiveValueError, OracleMismatchError, SweepError
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
 from .mobius import EvalRegion, compose_chain, identity_distance, projective_coeff_error, projective_distance
 from .recurrences import coefficients_from_qr, run_recurrences, wronskian_residual
@@ -23,8 +23,7 @@ from .schedules import ScheduleSpec, materialize
 
 RATE_CSV_HEADER = "N,coeff_err,sup_err,qN_abs,qN1_err,rN_err,rN1_err,wronskian_resid"
 
-_ORACLE_TOL = 1e-8
-_WRONSKIAN_TOL = 1e-9
+ORACLE_GATE = 1e-9  # largest recurrence vs step-matrix deviation run_point and ``oracle`` accept
 # Largest N that run_point cross-checks against the direct matrix product.
 # It stays at 512: a one-step eps shift on TheoremB(4) at N = 12800 moves
 # the chain deviation by only 1.8e-11, below the oracle's own roundoff, so
@@ -76,27 +75,23 @@ def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
               oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> RatePoint:
     """Measure one composition length.
 
-    The Wronskian conservation law is enforced at 1e-9 relative and, for
-    N <= oracle_limit, the recurrence coefficients are compared against a
-    direct product of the step matrices; either failing, or reading NaN,
-    raises OracleMismatchError (a hard failure, never a data point).
+    ``coefficients_from_qr`` enforces the Wronskian conservation law at
+    ``recurrences.WRONSKIAN_GATE`` (DegenerateMapError); the residual it
+    passed fills the ``wronskian_resid`` field.  For N <= oracle_limit the
+    recurrence coefficients are also compared against a direct product of
+    the step matrices, and a deviation over ``ORACLE_GATE``, or NaN, raises
+    OracleMismatchError.  Either failure is hard, never a data point.
     ``oracle_limit`` defaults to 512; a higher limit costs N matrix products
     per point and still misses a one-step eps shift (see DEFAULT_ORACLE_LIMIT).
     """
     seqs = materialize(spec, N)
     triple = run_recurrences(seqs, extended=extended)
     coeffs = coefficients_from_qr(triple, N)
-
-    wr = wronskian_residual(triple, N)
-    # `not x <= tol` rather than `x > tol`, so that NaN fails the gates
-    if not wr <= _WRONSKIAN_TOL:
-        raise OracleMismatchError(f"Wronskian residual {wr:.3e} at N={N} exceeds {_WRONSKIAN_TOL}")
     if N <= oracle_limit:
-        chain = compose_chain(seqs.step_maps())
-        dev = projective_distance(coeffs, chain)
-        if not dev <= _ORACLE_TOL:
+        dev = projective_distance(coeffs, compose_chain(seqs.step_maps()))
+        if not dev <= ORACLE_GATE:  # `not <=`, so that NaN fails the gate
             raise OracleMismatchError(
-                f"recurrence vs chain deviation {dev:.3e} at N={N} exceeds {_ORACLE_TOL}")
+                f"recurrence vs chain deviation {dev:.3e} at N={N} exceeds {ORACLE_GATE:g}")
 
     sup, _skipped = identity_distance(coeffs, _REGION)
     q, r = triple.q, triple.r
@@ -108,7 +103,7 @@ def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
         q_N1_err=abs(q[N + 1] - 1.0),
         r_N_err=abs(r[N] - 1.0),
         r_N1_err=abs(r[N + 1] - 1.0),
-        wronskian_resid=wr,
+        wronskian_resid=wronskian_residual(triple, N),
     )
 
 
@@ -126,9 +121,12 @@ def check_ladder(Ns: list[int]) -> None:
 
 
 def _attempt(spec: ScheduleSpec, extended: bool, oracle_limit: int, n: int) -> RatePoint | Exception:
-    """run_point, with its exception returned rather than raised."""
+    """run_point, with its exception returned rather than raised, unless the
+    spec itself is inadmissible at n (InvalidSpecError)."""
     try:
         return run_point(spec, n, extended=extended, oracle_limit=oracle_limit)
+    except InvalidSpecError:
+        raise
     except Exception as exc:
         return exc
 
@@ -138,8 +136,10 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
               max_workers: int | None = None) -> list[RatePoint]:
     """run_point over a ladder, output in input order.
 
-    All points are attempted; failures are aggregated into one SweepError
-    carrying (N, exception) pairs.
+    A spec that is inadmissible at some N raises the InvalidSpecError of the
+    lowest such N, as it would for that N alone.  Otherwise all points are
+    attempted, and their failures are aggregated into one SweepError carrying
+    (N, exception) pairs.
 
     The points run on ``map_rungs`` worker processes.  Without
     ``max_workers`` or PARIMPLODE_THREADS, the exact kernel (``extended``)

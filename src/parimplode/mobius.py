@@ -213,12 +213,3 @@ def identity_distance(map_: MoebiusCoeffs, region: EvalRegion):
     sup = float(np.max(np.abs(W - Z)))
     return sup, skipped
 
-
-def perturbed_parabolic_step(rho: complex, eps_sq: complex) -> MoebiusCoeffs:
-    """One composition step z -> rho*z/(1-z) + eps^2 in matrix form.
-
-    Clearing denominators gives the quadruple ((rho - eps^2, eps^2), (-1, 1));
-    its determinant is rho.
-    """
-    return MoebiusCoeffs(rho - eps_sq, eps_sq, -1.0, 1.0)
-

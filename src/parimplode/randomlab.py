@@ -28,11 +28,12 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import IdentityViolationError, InvalidSpecError
+from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
 from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U
 from .schedules import RandomDist, RandomSchedule
 
+MARTINGALE_GATE = 1e-8  # largest martingale identity residual martingale_check accepts
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
 SUMMARY_CSV_HEADER = "N,delta,trials,median_qN,q90_qN,exceed_count,azuma_bound"
 
@@ -224,9 +225,10 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
 
     Returns summaries (one per N), all per-trial records, and a list of
     (N, trial, message) failures; failed trials are excluded from the
-    quantiles and counts but never abort the ensemble.  The exceedance
-    event for a trial is max_n |delta_n| / lambda_n >= exceed_threshold,
-    the event the tail bound actually controls.  delta and dist follow
+    quantiles and counts.  A rung where every trial fails has no quantiles
+    and raises RecurrenceOverflowError naming its N.  The exceedance event
+    for a trial is max_n |delta_n| / lambda_n >= exceed_threshold, the
+    event the tail bound actually controls.  delta and dist follow
     the rule of :class:`RandomSchedule`, and every N must be >= 4.  The
     rungs run on ``max_workers`` worker processes, by default one per CPU
     (``ioutil.worker_count``).
@@ -259,6 +261,8 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
             ))
         good_q = np.abs(data["q_N"][ok])
         n_ok = int(np.count_nonzero(ok))
+        if not n_ok:
+            raise RecurrenceOverflowError(f"all {trials} trials failed at N={n}: non-finite trial output")
         summaries.append(EnsembleSummary(
             N=n, delta=delta, trials=n_ok,
             median_qN=quantile_nearest_rank(good_q, 0.5),
@@ -275,9 +279,10 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
 
     For n = 1..N+1 the partial sum delta_n = sum_{k<n} d_k q_k e^{i k theta}
     must satisfy sin(theta) (q_n - U_n) = -Im(delta_n e^{-i n theta}) to
-    1e-8, else IdentityViolationError; the returned maximum residual is the
-    worst value observed.  The mean increment is taken at n = N//2 across
-    trials, with its standard error for a mean-zero sanity check.
+    ``MARTINGALE_GATE`` (1e-8), else IdentityViolationError; the returned
+    maximum residual is the worst value observed.  The mean increment is
+    taken at n = N//2 across trials, with its standard error for a
+    mean-zero sanity check.
 
     The q rows, d_k and running sums delta_n come from the same blocked
     pass as ``run_ensemble``, so the check sees the recurrence the ensembles
@@ -299,12 +304,12 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
             n = slice(k0 + 1, k0 + 1 + len(d))
             resid = np.abs(sin_t * (rows[2:, :trials] - u[n, None])
                            + (partial * turn[n, None]).imag)
-            bad = np.argwhere(~(resid <= 1e-8))  # a NaN residual fails too
+            bad = np.argwhere(~(resid <= MARTINGALE_GATE))  # a NaN residual fails too
             if bad.size:
                 j, t = bad[0]
                 raise IdentityViolationError(
                     f"martingale identity residual {resid[j, t]:.3e} at n={k0 + 1 + j} "
-                    "exceeds 1e-8")
+                    f"exceeds {MARTINGALE_GATE:g}")
             max_resid = max(max_resid, float(resid.max()))
             if 0 <= k_mid - k0 < len(d):
                 j = k_mid - k0

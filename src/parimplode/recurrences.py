@@ -10,9 +10,8 @@ from (q_0, q_1) = (0, 1) and (r_0, r_1) = (1, 1).  Every kernel (both paths
 here and ``randomlab``'s trial-batched pass) runs it in increment form,
 d_{k+1} = rho_k d_k - eps_k^2 x_k and x_{k+1} = x_k + d_{k+1} from d_1 = 1 for q
 and 0 for r, which never rounds the O(1/N) part of the coefficient at ulp(2).
-The auxiliary sequence s, which recovers r through r_k = q_k - rho_1 * s_{k-1},
-is the q sequence of the same schedule shifted one step ahead.  The kernels
-do not carry it; ``s_sequence`` works it out when asked.
+``coefficients_from_qr`` holds the Wronskian gate: q_{N+1} r_N - r_{N+1} q_N
+must equal prod_{j<=N} rho_j to ``WRONSKIAN_GATE`` relative.
 
 The ``extended`` kernel runs in fixed-point integers with at least 128
 fraction bits and rounds each value once, to the correctly rounded value of
@@ -21,15 +20,14 @@ the exact recurrence unless the value is tiny or within ~2**-128 of a tie.
 Index conventions (documented once, used everywhere):
 
 * ``rho`` and ``eps_sq`` have length N+2 and are 1-based; slot 0 is unused
-  and kept at 0.  No recurrence reads index N+1; it gives the shifted
-  schedule behind s the same N+2 layout.
-* ``q`` and ``r`` have length N+2 covering 0..N+1; s covers 0..N.
+  and kept at 0.  No recurrence reads index N+1; the schedules fill it by
+  the rule of 1..N.
+* ``q`` and ``r`` have length N+2 covering 0..N+1.
 * Additive perturbations enter only through eps^2, so sequences store
   eps_sq directly and no square root is ever taken.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,6 +41,7 @@ from .errors import (
 from .mobius import MoebiusCoeffs
 
 _OVERFLOW_LIMIT = 1e100
+WRONSKIAN_GATE = 1e-9  # largest relative Wronskian defect coefficients_from_qr accepts
 
 
 class PerturbationSequences:
@@ -129,9 +128,10 @@ class PerturbationSequences:
     def step_maps(self) -> np.ndarray:
         """The entries of the per-step coefficient matrices that vary, index 1 first.
 
-        Step k's matrix is [[rho_k - eps_k^2, eps_k^2], [-1, 1]], the layout of
-        ``mobius.perturbed_parabolic_step``.  Its bottom row is the same at
-        every step, so this returns an (N, 2) complex array whose row k-1 is
+        Step k's matrix is [[rho_k - eps_k^2, eps_k^2], [-1, 1]], from
+        clearing denominators in z -> rho_k z/(1 - z) + eps_k^2; its
+        determinant is rho_k.  Its bottom row is the same at every step, so
+        this returns an (N, 2) complex array whose row k-1 is
         (rho_k - eps_k^2, eps_k^2); ``compose_chain`` takes it as is.
 
         Raises
@@ -341,17 +341,6 @@ def _run_extended(seqs: PerturbationSequences):
     return q, r, prod
 
 
-def closed_form_T(k: int, N: int) -> complex:
-    """The unperturbed comparison value T_k = (1 - rho^k)/(1 - rho).
-
-    Evaluated in the product form e^{i pi (k-1)/N} sin(pi k/N)/sin(pi/N),
-    which is exact at the endpoints up to one rounding of the sine.
-    """
-    if not 0 <= k <= N + 1:
-        raise ValueError(f"k must be in 0..N+1, got k={k}, N={N}")
-    return cmath.exp(1j * math.pi * (k - 1) / N) * math.sin(math.pi * k / N) / math.sin(math.pi / N)
-
-
 def closed_form_T_array(N: int) -> np.ndarray:
     """Vectorized T_k for k = 0..N+1."""
     k = np.arange(0, N + 2, dtype=float)
@@ -392,51 +381,11 @@ def chebyshev_U(k: int, point: ChebyshevPoint) -> float:
     return math.sin(k * point.theta) / sin_t
 
 
-def difference_formula(seqs: PerturbationSequences, triple: QRSTriple, k: int) -> complex:
-    """Right-hand side of the exact perturbation expansion of q_k - T_k.
-
-    Returns sum_{j=1}^{k-1} (a_j q_j - b_j q_{j-1}) T_{k-j}.  This equals
-    q_k - closed_form_T(k, N) identically; callers check the residual.
-    """
-    N = seqs.N
-    if not 2 <= k <= N + 1:
-        raise ValueError(f"k must be in 2..N+1, got {k}")
-    a = seqs.a
-    b = seqs.b
-    q = triple.q
-    T = closed_form_T_array(N)
-    j = np.arange(1, k)
-    terms = (a[j] * q[j] - b[j] * q[j - 1]) * T[k - j]
-    return complex(np.sum(terms))
-
-
-def s_sequence(seqs: PerturbationSequences, extended: bool = False) -> np.ndarray:
-    """The auxiliary sequence s, entries 0..N, computed on demand.
-
-    s_{k+1} = (1 + rho_{k+1} - eps_{k+1}^2) s_k - rho_{k+1} s_{k-1} from
-    (s_0, s_1) = (0, 1), so s is the q sequence of the schedule shifted one
-    step ahead, bit for bit on either path.  For N = 1 that schedule is
-    empty and s is (0, 1).
-    """
-    if seqs.N == 1:
-        return np.array([0j, 1 + 0j])
-    shifted = PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)
-    return run_recurrences(shifted, extended).q
-
-
-def r_from_qs(seqs: PerturbationSequences, triple: QRSTriple) -> np.ndarray:
-    """Reconstruct r_1..r_{N+1} from q and s: r_k = q_k - rho_1 * s_{k-1}.
-
-    s is worked out once, on the plain path; index k-1 of the result is r_k.
-    """
-    return triple.q[1:] - seqs.rho[1] * s_sequence(seqs)
-
-
 def wronskian_residual(triple: QRSTriple, k: int) -> float:
     """Relative defect of q_{k+1} r_k - r_{k+1} q_k against prod rho_j.
 
     When prod rho_j vanishes the defect is inf (or NaN for 0/0), returned
-    without a numpy warning; the gates reject both.
+    without a numpy warning; the gate rejects both.
     """
     if not 0 <= k <= triple.N:
         raise ValueError(f"k must be in 0..N, got {k}")
@@ -452,15 +401,17 @@ def coefficients_from_qr(triple: QRSTriple, N: int) -> MoebiusCoeffs:
     Raises
     ------
     DegenerateMapError
-        If the Wronskian conservation law is violated beyond relative 1e-6,
-        or its residual is NaN, which indicates recurrence corruption rather
-        than bad input.
+        If the Wronskian residual at N exceeds ``WRONSKIAN_GATE`` (1e-9
+        relative) or is NaN, which indicates recurrence corruption or a
+        vanishing prod rho_j.  This is the package's one Wronskian check;
+        every ``run_point`` rung and every ``oracle`` trial goes through it.
     """
     if N > triple.N:
         raise ValueError(f"triple only covers N={triple.N}, asked for {N}")
     resid = wronskian_residual(triple, N)
-    if not resid <= 1e-6:  # written so that a NaN residual fails too
-        raise DegenerateMapError(f"Wronskian residual {resid:.3e} at k={N} exceeds 1e-6")
+    if not resid <= WRONSKIAN_GATE:  # written so that a NaN residual fails too
+        raise DegenerateMapError(
+            f"Wronskian residual {resid:.3e} at N={N} exceeds {WRONSKIAN_GATE:g}")
     return MoebiusCoeffs(
         triple.q[N + 1] - triple.q[N],
         triple.r[N] - triple.r[N + 1],

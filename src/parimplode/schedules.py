@@ -230,9 +230,10 @@ def _zero_slot(arr: np.ndarray) -> np.ndarray:
 def materialize(spec: ScheduleSpec, N: int) -> PerturbationSequences:
     """Generate the concrete sequences for one composition length.
 
-    Index N+1 is produced by the same rule as 1..N (the shifted recurrence
-    consumes it).  Raises InvalidSpecError for N < 4, for odd N with
-    CounterexampleC, and for Custom arrays of the wrong length.
+    Index N+1 is produced by the same rule as 1..N, so the schedule shifted
+    one step ahead is laid out the same way.  Raises InvalidSpecError for
+    N < 4, for odd N with CounterexampleC, and for Custom arrays of the
+    wrong length.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")

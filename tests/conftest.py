@@ -1,7 +1,23 @@
-"""Fixtures shared by the tests of the worker-process rung map."""
+"""Fixtures shared across test modules."""
 import os
 
+import numpy as np
 import pytest
+
+from parimplode import closed_form_T_array
+
+
+@pytest.fixture
+def difference_formula():
+    """``formula(seqs, triple, k)``, the right-hand side of the exact
+    perturbation expansion q_k - T_k = sum_{j=1}^{k-1} (a_j q_j - b_j q_{j-1}) T_{k-j}
+    for 2 <= k <= N+1, with T from ``closed_form_T_array``."""
+    def formula(seqs, triple, k):
+        j = np.arange(1, k)
+        T = closed_form_T_array(seqs.N)
+        return complex(np.sum((seqs.a[j] * triple.q[j] - seqs.b[j] * triple.q[j - 1]) * T[k - j]))
+
+    return formula
 
 
 @pytest.fixture

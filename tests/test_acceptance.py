@@ -23,22 +23,20 @@ import pytest
 
 from parimplode import (
     CounterexampleC,
+    PerturbationSequences,
     PropLambda,
     QuadraticNonconvergent,
     TheoremA,
     TheoremB,
     UniformSymmetric,
     build_example,
-    chebyshev_U,
     closed_form_T_array,
     coefficients_from_qr,
     compose_chain,
-    difference_formula,
     iterate_skew,
     martingale_check,
     materialize,
     projective_distance,
-    r_from_qs,
     random_small_schedule,
     run_ensemble,
     run_point,
@@ -46,9 +44,11 @@ from parimplode import (
     run_sweep,
     wronskian_residual,
 )
-from parimplode.bands import ORACLE_GATE, check, columns, random_target
+from parimplode.bands import check, columns, random_target
 from parimplode.cli import main
-from parimplode.randomlab import exceedance_vs_bound
+from parimplode.convergence import ORACLE_GATE
+from parimplode.randomlab import MARTINGALE_GATE, exceedance_vs_bound
+from parimplode.recurrences import WRONSKIAN_GATE
 
 _LADDER = [100 * 2**j for j in range(8)]
 
@@ -155,7 +155,7 @@ def test_criterion_06_counterexample_dichotomy(capsys):
             f"|q_N+2i/pi|={f_dev:.4f} at N={n}, {detail}, {dt:.1f}s")
 
 
-def test_criterion_07_identity_residuals(capsys):
+def test_criterion_07_identity_residuals(capsys, difference_formula):
     worst = {"difference": 0.0, "r_from_qs": 0.0, "wronskian": 0.0, "telescoping": 0.0}
     trial = 0
     for n in (16, 32, 64, 128, 256):
@@ -170,11 +170,13 @@ def test_criterion_07_identity_residuals(capsys):
             for k in (2, n // 2, n, n + 1):
                 resid = abs(triple.q[k] - T[k] - difference_formula(seqs, triple, k))
                 worst["difference"] = max(worst["difference"], resid / (1e-8 * n))
-            r_resid = np.max(np.abs(triple.r[1:] - r_from_qs(seqs, triple)))
+            # r_k = q_k - rho_1 s_{k-1}, s the q of the schedule shifted one step ahead
+            s = run_recurrences(PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)).q
+            r_resid = np.max(np.abs(triple.r[1:] - (triple.q[1:] - seqs.rho[1] * s)))
             worst["r_from_qs"] = max(worst["r_from_qs"], r_resid / (1e-9 * n))
-            worst["wronskian"] = max(worst["wronskian"], wronskian_residual(triple, n) / 1e-9)
+            worst["wronskian"] = max(worst["wronskian"], wronskian_residual(triple, n) / WRONSKIAN_GATE)
     chk = martingale_check(0.5, UniformSymmetric(1.0), N=256, trials=30, seed=3)
-    mart = chk.max_identity_residual / 1e-8
+    mart = chk.max_identity_residual / MARTINGALE_GATE
     ok = max(worst.values()) <= 1.0 and mart <= 1.0
     _report(capsys, 7, "identity residuals", ok,
             "scaled residuals: " + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())

@@ -440,6 +440,24 @@ def test_diagnose_sum(capsys):
     assert "N*|sum|" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["sweep", "--theorem", "B", "--case", "4"], ["counterexample"],
+                                     ["diagnose-sum", "--theorem", "B", "--case", "4"]], ids=lambda a: a[0])
+def test_inadmissible_n_exits_1_from_every_command(capsys, command):
+    # at N = 4 the steps of B4 and of the counterexample have |b_k| > 1: the
+    # spec is inadmissible there, whichever command builds it
+    assert main(command + ["--n", "4"]) == 1
+    assert capsys.readouterr().err == "parimplode: error: |b_k| must be <= 1, max is 1.414213562373095\n"
+
+
+def test_random_exits_2_when_every_trial_of_a_rung_fails(capsys):
+    # perturbations of order 1e300 overflow every trial: a numerical failure
+    # naming the rung, where no quantile can be taken
+    rc = main(["random", "--delta", "0.5", "--m", "1e300", "--trials", "30", "--n", "200:400:x2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("parimplode: numerical failure: "
+                                       "all 30 trials failed at N=200: non-finite trial output\n")
+
+
 def _replace_handler(monkeypatch, command, handler):
     _, help_text, fields = cli._COMMANDS[command]
     monkeypatch.setitem(cli._COMMANDS, command, (handler, help_text, fields))

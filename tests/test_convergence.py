@@ -7,10 +7,13 @@ import pytest
 from parimplode import (
     CounterexampleC,
     DecayFit,
+    DegenerateMapError,
+    InvalidSpecError,
     NonPositiveValueError,
     OracleMismatchError,
     QuadraticNonconvergent,
     RatePoint,
+    RecurrenceOverflowError,
     SweepError,
     TheoremA,
     TheoremB,
@@ -106,13 +109,12 @@ def test_run_sweep_order_and_validation():
         run_sweep(TheoremB(1), [3, 100])
 
 
-def test_run_sweep_aggregates_failures():
-    # counterexample schedules reject odd N; both bad rungs must be reported
-    with pytest.raises(SweepError) as ei:
-        run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301])
-    assert [n for n, _ in ei.value.failures] == [101, 301]
-    assert all("even" in str(exc).lower() or "odd" in str(exc).lower()
-               for _, exc in ei.value.failures)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_raises_the_lowest_spec_error(workers):
+    # counterexample schedules reject odd N: that is an inadmissible spec, not
+    # a numerical failure, so it is raised as is, for the lowest such rung
+    with pytest.raises(InvalidSpecError, match=r"^CounterexampleC needs even N, got 101$"):
+        run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301], max_workers=workers)
 
 
 def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpus, watch_pids):
@@ -138,13 +140,26 @@ def _failures(err: SweepError):
     return [(n, type(exc), str(exc)) for n, exc in err.failures]
 
 
-def test_run_sweep_pool_aggregates_failures():
+def test_run_sweep_pool_aggregates_failures(monkeypatch):
+    # numerical failures at the odd rungs (forked workers inherit the patch):
+    # both are reported, inline and pooled alike
+    from parimplode import convergence
+
+    real = convergence.run_recurrences
+
+    def overflow_at_odd_n(seqs, extended=False):
+        if seqs.N % 2:
+            raise RecurrenceOverflowError(f"|q_{seqs.N}| exceeded 1e100")
+        return real(seqs, extended)
+
+    monkeypatch.setattr(convergence, "run_recurrences", overflow_at_odd_n)
     ladder = [100, 101, 200, 301]
     with pytest.raises(SweepError) as inline:
-        run_sweep(CounterexampleC("additive_g"), ladder, max_workers=1)
+        run_sweep(TheoremB(1), ladder, max_workers=1)
     with pytest.raises(SweepError) as pooled:
-        run_sweep(CounterexampleC("additive_g"), ladder, max_workers=2)
-    assert [n for n, _ in pooled.value.failures] == [101, 301]
+        run_sweep(TheoremB(1), ladder, max_workers=2)
+    assert [(n, type(exc)) for n, exc in pooled.value.failures] == \
+        [(101, RecurrenceOverflowError), (301, RecurrenceOverflowError)]
     assert _failures(pooled.value) == _failures(inline.value)
     assert str(pooled.value) == str(inline.value)
 
@@ -172,11 +187,23 @@ def test_worker_count_precedence(monkeypatch):
     ("projective_distance", r"^recurrence vs chain deviation nan at N=100"),
 ])
 def test_run_point_gates_reject_nan(monkeypatch, gate, message):
-    # `x > tol` is False for NaN; both gates of run_point must fail it
+    # `x > tol` is False for NaN; both gates a rung passes must fail it: the
+    # Wronskian's in coefficients_from_qr, the oracle's in run_point
+    from parimplode import convergence, recurrences
+
+    module, error = {"wronskian_residual": (recurrences, DegenerateMapError),
+                     "projective_distance": (convergence, OracleMismatchError)}[gate]
+    monkeypatch.setattr(module, gate, lambda *args: math.nan)
+    with pytest.raises(error, match=message):
+        run_point(TheoremB(1), 100)
+
+
+def test_run_point_oracle_gate_is_1e_9(monkeypatch):
     from parimplode import convergence
 
-    monkeypatch.setattr(convergence, gate, lambda *args: math.nan)
-    with pytest.raises(OracleMismatchError, match=message):
+    monkeypatch.setattr(convergence, "projective_distance", lambda *args: 2e-9)
+    with pytest.raises(OracleMismatchError,
+                       match=r"^recurrence vs chain deviation 2\.000e-09 at N=100 exceeds 1e-09$"):
         run_point(TheoremB(1), 100)
 
 

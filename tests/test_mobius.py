@@ -14,7 +14,6 @@ from parimplode import (
     MoebiusCoeffs,
     compose_chain,
     identity_distance,
-    perturbed_parabolic_step,
     projective_coeff_error,
     projective_distance,
 )
@@ -152,10 +151,10 @@ def test_identity_distance_pole_guard_skips_points():
 
 
 def test_perturbed_parabolic_step_layout():
+    # the step matrix of PerturbationSequences.step_maps and compose_chain
     rho = cmath.exp(0.3j)
     eps_sq = 0.01 + 0.002j
-    m = perturbed_parabolic_step(rho, eps_sq)
-    assert m.as_tuple() == (rho - eps_sq, eps_sq, -1.0, 1.0)
+    m = MoebiusCoeffs(rho - eps_sq, eps_sq, -1.0, 1.0)
     assert m.det() == pytest.approx(rho)
     # the matrix must act like z -> rho*z/(1-z) + eps^2
     z = 0.1 - 0.07j

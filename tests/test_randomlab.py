@@ -389,7 +389,7 @@ def test_martingale_check_sees_corrupted_recurrence(monkeypatch):
         return k0, rows, d, partial
 
     _corrupt_step_blocks(monkeypatch, scale_q)
-    with pytest.raises(IdentityViolationError, match=r"martingale identity residual .* exceeds 1e-8"):
+    with pytest.raises(IdentityViolationError, match=r"martingale identity residual .* exceeds 1e-08"):
         martingale_check(0.5, UniformSymmetric(1.0), N=128, trials=3, seed=3)
 
 
@@ -404,7 +404,7 @@ def test_martingale_check_sees_one_corrupted_coefficient(monkeypatch):
 
     _corrupt_step_blocks(monkeypatch, bump_coefficient)
     with pytest.raises(IdentityViolationError,
-                       match=r"martingale identity residual .* at n=257 exceeds 1e-8"):
+                       match=r"martingale identity residual .* at n=257 exceeds 1e-08"):
         martingale_check(0.5, UniformSymmetric(1.0), N=600, trials=3, seed=3)
 
 

@@ -14,6 +14,7 @@ from parimplode import (
     Custom,
     DegenerateMapError,
     InvalidSpecError,
+    MoebiusCoeffs,
     PerturbationSequences,
     QRSTriple,
     QuadraticNonconvergent,
@@ -21,18 +22,13 @@ from parimplode import (
     TheoremA,
     TheoremB,
     chebyshev_U,
-    closed_form_T,
     closed_form_T_array,
     coefficients_from_qr,
     compose_chain,
-    difference_formula,
     materialize,
-    perturbed_parabolic_step,
     projective_distance,
-    r_from_qs,
     random_small_schedule,
     run_recurrences,
-    s_sequence,
     wronskian_residual,
 )
 from parimplode.skew import build_example, induced_schedule
@@ -42,6 +38,13 @@ def _exact_rotation(N: int) -> PerturbationSequences:
     base = cmath.exp(2j * math.pi / N)
     rho = np.full(N + 2, base)
     return PerturbationSequences(rho, np.zeros(N + 2, dtype=complex), base)
+
+
+def _r_from_qs(seqs, triple):
+    """r_1..r_{N+1} rebuilt as r_k = q_k - rho_1 s_{k-1}, where s_0..s_N is
+    the q sequence of the schedule shifted one step ahead (N >= 2)."""
+    s = run_recurrences(PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)).q
+    return triple.q[1:] - seqs.rho[1] * s
 
 
 # -- PerturbationSequences ----------------------------------------------------
@@ -156,16 +159,17 @@ def test_wronskian_residual_small_on_random_schedules():
 
 
 def test_wronskian_defends_against_corruption():
+    # q scaled by 1 + 1e-8 scales the Wronskian by it: a residual of about
+    # 1e-8, ten times the gate, where the clean schedule reads about 1e-15
     seqs = random_small_schedule(32, seed=2, trial=0)
     triple = run_recurrences(seqs)
-    broken = QRSTriple(q=triple.q * 1.001, r=triple.r,
-                       rho_cumprod=triple.rho_cumprod)
-    with pytest.raises(DegenerateMapError):
+    broken = QRSTriple(q=triple.q * (1 + 1e-8), r=triple.r, rho_cumprod=triple.rho_cumprod)
+    with pytest.raises(DegenerateMapError, match=r"^Wronskian residual 1\.000e-08 at N=32 exceeds 1e-09$"):
         coefficients_from_qr(broken, 32)
 
 
 def test_wronskian_gate_rejects_a_nan_residual():
-    # `resid > 1e-6` is False for NaN; the gate must fail it all the same
+    # `resid > WRONSKIAN_GATE` is False for NaN; the gate must fail it all the same
     seqs = random_small_schedule(32, seed=2, trial=0)
     triple = run_recurrences(seqs)
     q = triple.q.copy()
@@ -191,7 +195,7 @@ def test_vanishing_rho_fails_the_wronskian_gate():
     for extended in (True, False):
         triple = run_recurrences(materialize(spec, n), extended=extended)
         assert math.isnan(wronskian_residual(triple, n))
-        with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan at k=600"):
+        with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan at N=600"):
             coefficients_from_qr(triple, n)
 
 
@@ -199,11 +203,11 @@ def test_r_from_qs_identity():
     for n in (16, 64, 256):
         seqs = random_small_schedule(n, seed=4, trial=1)
         triple = run_recurrences(seqs)
-        assert np.max(np.abs(triple.r[1:] - r_from_qs(seqs, triple))) < 1e-9 * n
-    assert r_from_qs(seqs, triple)[0] == 1.0  # r_1 = q_1 - rho_1 * s_0 = 1
+        assert np.max(np.abs(triple.r[1:] - _r_from_qs(seqs, triple))) < 1e-9 * n
+    assert _r_from_qs(seqs, triple)[0] == 1.0  # r_1 = q_1 - rho_1 * s_0 = 1
 
 
-def test_difference_formula_identity():
+def test_difference_formula_identity(difference_formula):
     for n in (16, 64, 256):
         for trial in range(5):
             seqs = random_small_schedule(n, seed=6, trial=trial)
@@ -212,31 +216,20 @@ def test_difference_formula_identity():
             for k in (2, n // 2, n, n + 1):
                 resid = abs(triple.q[k] - T[k] - difference_formula(seqs, triple, k))
                 assert resid < 1e-8 * n, (n, trial, k)
-    with pytest.raises(ValueError):
-        difference_formula(seqs, triple, 1)
 
 
 # -- closed forms ----------------------------------------------------------------
 
 
 def test_closed_form_T_matches_geometric_sum():
-    for n in (5, 12, 97):
+    for n in (5, 12, 40, 97):
         rho = cmath.exp(2j * math.pi / n)
-        for k in (0, 1, 2, n - 1, n, n + 1):
-            direct = sum(rho**j for j in range(k))
-            assert closed_form_T(k, n) == pytest.approx(direct, abs=1e-12)
-    assert closed_form_T(0, 10) == pytest.approx(0.0, abs=1e-15)
-    assert closed_form_T(1, 10) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        closed_form_T(12, 10)
-
-
-def test_closed_form_T_array_matches_scalar():
-    n = 40
-    arr = closed_form_T_array(n)
-    assert arr.shape == (n + 2,)
-    for k in range(n + 2):
-        assert arr[k] == pytest.approx(closed_form_T(k, n), abs=1e-13)
+        T = closed_form_T_array(n)
+        assert T.shape == (n + 2,)
+        for k in range(n + 2):
+            assert T[k] == pytest.approx(sum(rho**j for j in range(k)), abs=1e-12)
+    assert closed_form_T_array(10)[0] == pytest.approx(0.0, abs=1e-15)
+    assert closed_form_T_array(10)[1] == pytest.approx(1.0)
 
 
 def test_telescoping_T_increment():
@@ -305,9 +298,7 @@ def test_additive_resonant_checkpoints():
     assert abs(triple.q[n]) < 5.0 / n
     assert triple.q[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
     assert triple.q[n + 1].real == pytest.approx(-1.0, abs=5.0 / n)
-    s = s_sequence(seqs)
-    assert s[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
-    assert s[n - 2].real == pytest.approx(2.0 * math.cos(math.pi / n), abs=5.0 / n)
+    assert triple.q[n - 2].real == pytest.approx(2.0 * math.cos(math.pi / n), abs=5.0 / n)
     # r_N approaches -1: the all-real additive composite is projectively
     # the identity through A = D = -1, not through r -> 1
     assert triple.r[n].real == pytest.approx(-1.0, abs=5.0 / n)
@@ -349,15 +340,13 @@ def test_extended_path_agrees_with_plain():
     ext = run_recurrences(seqs, extended=True)
     assert np.max(np.abs(plain.q - ext.q)) < 1e-11
     assert np.max(np.abs(plain.r - ext.r)) < 1e-11
-    assert np.max(np.abs(s_sequence(seqs) - s_sequence(seqs, extended=True))) < 1e-11
 
 
 # -- bit-identity against the reference loops -------------------------------------
 #
 # The plain kernel is a flat rewrite of _reference_plain and must reproduce
 # it bit for bit, so every CSV byte and pinned value computed from q, r and
-# rho_cumprod is unaffected by the rewrite; s, which the kernels no longer
-# carry, must come out of s_sequence bit for bit too.  The extended kernel
+# rho_cumprod is unaffected by the rewrite.  The extended kernel
 # must give the exact values on its binary64 inputs, correctly rounded, which
 # _exact_reference works out without truncating anything.  Likewise
 # compose_chain over the step_maps rows must reproduce the fold over
@@ -370,27 +359,22 @@ def _reference_plain(seqs):
     es = seqs.eps_sq
     q = np.zeros(N + 2, dtype=complex)
     r = np.zeros(N + 2, dtype=complex)
-    s = np.zeros(N + 1, dtype=complex)
     prod = np.ones(N + 1, dtype=complex)
     q[1] = 1.0
     r[0] = 1.0
     r[1] = 1.0
-    s[1] = 1.0
-    dq, dr, ds = 1.0 + 0j, 0j, 1.0 + 0j  # the increments x_1 - x_0
+    dq, dr = 1.0 + 0j, 0j  # the increments x_1 - x_0
     for k in range(1, N + 1):
         dq = rho[k] * dq - es[k] * q[k]
         dr = rho[k] * dr - es[k] * r[k]
         q[k + 1] = q[k] + dq
         r[k + 1] = r[k] + dr
         prod[k] = prod[k - 1] * rho[k]
-    for k in range(1, N):
-        ds = rho[k + 1] * ds - es[k + 1] * s[k]
-        s[k + 1] = s[k] + ds
-    return q, r, s, prod
+    return q, r, prod
 
 
 def _exact_reference(seqs):
-    """q, r, s and prod rho_j in exact rational arithmetic, each rounded once.
+    """q, r and prod rho_j in exact rational arithmetic, each rounded once.
 
     Every binary64 input is an integer over 2**F for one F, so a value after
     k steps is an integer over 2**(F k) and the loop never rounds; int / int
@@ -416,10 +400,9 @@ def _exact_reference(seqs):
 
     q = np.zeros(N + 2, dtype=complex)
     r = np.zeros(N + 2, dtype=complex)
-    s = np.zeros(N + 1, dtype=complex)
     prod = np.ones(N + 1, dtype=complex)
-    q[1] = r[0] = r[1] = s[1] = 1.0
-    qm, qk, rm, rk, sm, sk, pk = (0, 0), (D, 0), (1, 0), (D, 0), (0, 0), (1, 0), (1, 0)
+    q[1] = r[0] = r[1] = 1.0
+    qm, qk, rm, rk, pk = (0, 0), (D, 0), (1, 0), (D, 0), (1, 0)
     for k, (a, e) in enumerate(zip(seqs.rho[1:N + 1].tolist(), seqs.eps_sq[1:N + 1].tolist()), 1):
         p, e = exact(a), exact(e)
         c = (D + p[0] - e[0], p[1] - e[1])
@@ -427,10 +410,7 @@ def _exact_reference(seqs):
         rm, rk = rk, step(c, p, rk, rm)
         pk = (pk[0] * p[0] - pk[1] * p[1], pk[0] * p[1] + pk[1] * p[0])
         q[k + 1], r[k + 1], prod[k] = rounded(qk, k + 1), rounded(rk, k + 1), rounded(pk, k)
-        if k >= 2:  # s_k takes step k's coefficients and is over 2**(F (k-1))
-            sm, sk = sk, step(c, p, sk, sm)
-            s[k] = rounded(sk, k - 1)
-    return q, r, s, prod
+    return q, r, prod
 
 
 def test_exact_reference_matches_fractions():
@@ -453,15 +433,15 @@ def test_exact_reference_matches_fractions():
                 x.append((u[0] - v[0], u[1] - v[1]))
             p.append(mul(p[-1], rho))
         want = [np.array([rounded(z) for z in x]) for x in (q, r, p)]
-        got = _exact_reference(seqs)
-        for g, w in zip((got[0], got[1], got[3]), want):
+        for g, w in zip(_exact_reference(seqs), want):
             assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
 
 def _reference_chain(seqs):
     # compose_chain over step maps as it was: MoebiusCoeffs holding numpy
     # scalars, renormalized with / scale
-    maps = [perturbed_parabolic_step(seqs.rho[k], seqs.eps_sq[k]) for k in range(1, seqs.N + 1)]
+    maps = [MoebiusCoeffs(seqs.rho[k] - seqs.eps_sq[k], seqs.eps_sq[k], -1.0, 1.0)
+            for k in range(1, seqs.N + 1)]
     a, b, c, d = maps[0].as_tuple()
     for i, m in enumerate(maps[1:], start=2):
         a, b, c, d = (
@@ -486,8 +466,8 @@ def _assert_chain_bit_identical(seqs):
 def _assert_bit_identical(seqs, extended):
     triple = run_recurrences(seqs, extended=extended)
     reference = (_exact_reference if extended else _reference_plain)(seqs)
-    got_all = (triple.q, triple.r, s_sequence(seqs, extended), triple.rho_cumprod)
-    for name, got, want in zip(("q", "r", "s", "rho_cumprod"), got_all, reference):
+    got_all = (triple.q, triple.r, triple.rho_cumprod)
+    for name, got, want in zip(("q", "r", "rho_cumprod"), got_all, reference):
         assert got.shape == want.shape, name
         diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
         assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
@@ -531,7 +511,7 @@ def test_kernels_bit_identical_on_random_small_schedules(extended):
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_bit_identical_across_block_edges(extended):
     # the kernels advance steps 1..N in blocks of _BLOCK; N = 256 and 512 end
-    # on a block edge, 257 and 513 just past one; s_sequence runs N - 1 steps
+    # on a block edge, 257 and 513 just past one
     for trial, n in enumerate((5, 256, 257, 258, 512, 513, 514)):
         _assert_bit_identical(random_small_schedule(n, seed=12, trial=trial), extended)
 
@@ -555,7 +535,7 @@ def test_kernels_hold_no_per_step_objects(extended):
 #
 # N = 12800 is the top rung of every built-in ladder.  The plain kernel's
 # checkpoint values must agree with the exact kernel's to 1e-9 of their size,
-# and both must conserve the Wronskian far inside run_point's 1e-9 gate.
+# and both must conserve the Wronskian far inside coefficients_from_qr's 1e-9 gate.
 
 _REPORTED = (
     _FAMILIES
@@ -746,7 +726,8 @@ def test_kernels_bit_identical_property():
         seqs = PerturbationSequences(rho, np.array([0.0] + eps_sq + [0.0], dtype=complex), base)
         triple = _assert_bit_identical(seqs, extended)
         _assert_chain_bit_identical(seqs)
-        assert np.max(np.abs(triple.r[1:] - r_from_qs(seqs, triple))) < 1e-9 * n
+        if n > 1:  # the shifted schedule of N = 1 is empty
+            assert np.max(np.abs(triple.r[1:] - _r_from_qs(seqs, triple))) < 1e-9 * n
         # The residual is a difference of two binary64 products, so its
         # rounding scales with their size, which these draws can take to 1e7
         # times the Wronskian itself; the bound is 1e-12 of that size.
