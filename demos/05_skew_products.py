@@ -4,19 +4,19 @@
 # itself shrinks with N.  Examples 2 and 3 are perfectly self-cancelling:
 # their fiber composition is the identity up to roundoff, which is why
 # the table shows raw noise rather than a clean rate.
-from parimplode import build_example, fit_loglog, iterate_skew
+from parimplode import SkewExample, build_example, fit_loglog, run_sweep
 
 LADDER = [100, 200, 400, 800, 1600, 3200, 6400, 12800]
 
 for ex in (1, 2, 3, 4, 5):
-    rows = [iterate_skew(build_example(ex, n), n, extended=True) for n in LADDER]
-    errs = [r.fiber_coeff_err for r in rows]
+    errs = [p.coeff_err for p in run_sweep(SkewExample(ex), LADDER, extended=True)]
+    w_abs = [abs(build_example(ex, n).w_final(n)) for n in (LADDER[0], LADDER[-1])]
     try:
         slope = f"{fit_loglog(LADDER, errs).slope:+.3f}"
     except ValueError:
         slope = "  n/a"
     print(f"example {ex}:  fiber_coeff_err {errs[0]:.2e} -> {errs[-1]:.2e}"
-          f"   slope {slope}   |w_N| {abs(rows[0].w_final):.1e} -> {abs(rows[-1].w_final):.1e}")
+          f"   slope {slope}   |w_N| {w_abs[0]:.1e} -> {w_abs[1]:.1e}")
 
 print("\nexamples 4 and 5 carry real additive perturbations and decay like 1/N;")
 print("example 1 collapses to the exact rotation (errors at the 1e-10 scale);")

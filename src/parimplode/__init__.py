@@ -66,6 +66,7 @@ from .schedules import (
     QuadraticNonconvergent,
     Rademacher,
     RandomSchedule,
+    SkewExample,
     TheoremA,
     TheoremB,
     UniformSymmetric,
@@ -80,7 +81,6 @@ from .skew import (
     base_orbit,
     build_example,
     induced_schedule,
-    iterate_skew,
     write_skew_csv,
 )
 

@@ -110,9 +110,9 @@ def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
 def check_ladder(Ns: list[int]) -> None:
     """Raise ValueError unless Ns is non-empty, strictly increasing and every N >= 4.
 
-    The rule of every N ladder swept rung by rung (``run_sweep``, and the
-    sweep, random, counterexample and skew commands): a band read at the
-    top rung needs the top rung last.
+    The rule of every N ladder swept rung by rung (``run_sweep``,
+    ``randomlab.run_ensemble`` and the commands built on them): a band read
+    at the top rung needs the top rung last.
     """
     if not Ns:
         raise ValueError("ladder must be non-empty")
@@ -134,7 +134,8 @@ def _attempt(spec: ScheduleSpec, extended: bool, oracle_limit: int, n: int) -> R
 def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
               oracle_limit: int = DEFAULT_ORACLE_LIMIT,
               max_workers: int | None = None) -> list[RatePoint]:
-    """run_point over a ladder, output in input order.
+    """run_point over a ladder, output in input order; the ladders of the
+    sweep, counterexample and skew (``SkewExample``) commands all run here.
 
     A spec that is inadmissible at some N raises the InvalidSpecError of the
     lowest such N, as it would for that N alone.  Otherwise all points are

@@ -28,6 +28,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .convergence import check_ladder
 from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
 from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U
@@ -228,11 +229,12 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     quantiles and counts.  A rung where every trial fails has no quantiles
     and raises RecurrenceOverflowError naming its N.  The exceedance event
     for a trial is max_n |delta_n| / lambda_n >= exceed_threshold, the
-    event the tail bound actually controls.  delta and dist follow
-    the rule of :class:`RandomSchedule`, and every N must be >= 4.  The
-    rungs run on ``max_workers`` worker processes, by default one per CPU
+    event the tail bound actually controls.  delta and dist follow the rule
+    of :class:`RandomSchedule`, and Ns that of ``check_ladder``.  The rungs
+    run on ``max_workers`` worker processes, by default one per CPU
     (``ioutil.worker_count``).
     """
+    check_ladder(Ns)
     if trials < 30:
         raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
     if not (math.isfinite(exceed_threshold) and exceed_threshold > 0):
@@ -319,19 +321,15 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)
 
 
-def exceedance_vs_bound(summaries: list[EnsembleSummary], lambda_rule: LambdaRule,
-                        M: float = 1.0) -> list[ExceedanceRow]:
-    """Empirical exceedance fraction next to the union-bounded prediction.
+def exceedance_vs_bound(summaries: list[EnsembleSummary]) -> list[ExceedanceRow]:
+    """Empirical exceedance fraction next to the union bound of the same
+    threshold (each summary's ``azuma_bound``).
 
     Rows with bound >= 1 carry vacuous=True: the inequality holds trivially
     and says nothing about the data.
     """
-    rows = []
-    for s in summaries:
-        bound = union_bound(s.N, s.delta, M, lambda_rule)
-        empirical = s.exceed_count / s.trials if s.trials else 0.0
-        rows.append(ExceedanceRow(s.N, empirical, bound, bound >= 1.0))
-    return rows
+    return [ExceedanceRow(s.N, s.exceed_count / s.trials if s.trials else 0.0,
+                          s.azuma_bound, s.azuma_bound >= 1.0) for s in summaries]
 
 
 def write_trial_csv(records: list[TrialRecord], path: str) -> None:

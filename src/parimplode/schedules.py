@@ -19,6 +19,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidSpecError
 from .recurrences import PerturbationSequences, closed_form_T_array
+from .skew import build_example, check_example, induced_schedule
 
 # -- distributions for the random family -------------------------------------
 
@@ -130,6 +131,17 @@ class CounterexampleC:
 
 
 @dataclass(frozen=True)
+class SkewExample:
+    """The fiber schedule of skew-product preset ``example`` (one of
+    ``skew.EXAMPLES``), induced by its base orbit at each N."""
+
+    example: int
+
+    def __post_init__(self):
+        check_example(self.example)
+
+
+@dataclass(frozen=True)
 class RandomSchedule:
     """Additive random schedule eps_k = pi/N + eta_k/N^(1+delta), as :meth:`eps` forms it."""
 
@@ -165,7 +177,7 @@ class Custom:
 
 
 ScheduleSpec = Union[
-    TheoremA, TheoremB, QuadraticNonconvergent, CounterexampleC, RandomSchedule, Custom,
+    TheoremA, TheoremB, QuadraticNonconvergent, CounterexampleC, SkewExample, RandomSchedule, Custom,
 ]
 
 
@@ -232,11 +244,18 @@ def materialize(spec: ScheduleSpec, N: int) -> PerturbationSequences:
 
     Index N+1 is produced by the same rule as 1..N, so the schedule shifted
     one step ahead is laid out the same way.  Raises InvalidSpecError for
-    N < 4, for odd N with CounterexampleC, and for Custom arrays of the
-    wrong length.
+    N < 4, and, naming the rung ("N=<N>: ..."), for odd N with
+    CounterexampleC, wrong-length Custom arrays or a step with |b_k| > 1.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
+    try:
+        return _sequences(spec, N)
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"N={N}: {exc}") from None
+
+
+def _sequences(spec: ScheduleSpec, N: int) -> PerturbationSequences:
     base = cmath.exp(2j * math.pi / N)
     zeros = np.zeros(N + 2, dtype=complex)
 
@@ -272,6 +291,9 @@ def materialize(spec: ScheduleSpec, N: int) -> PerturbationSequences:
         rho = np.ones(N + 2, dtype=complex)
         eps = _zero_slot(2.0 * np.sin(theta / 2.0)).astype(complex)
         return PerturbationSequences.from_eps(rho, eps, base)
+
+    if isinstance(spec, SkewExample):
+        return induced_schedule(build_example(spec.example, N), N)
 
     if isinstance(spec, RandomSchedule):
         eps = spec.eps(N, spec.trial, np.arange(0, N + 2, dtype=np.uint64)).astype(complex)

@@ -1,10 +1,10 @@
 """Skew products F(z, w) = (f_w(z), g(w)) with a linear base w -> mu*w.
 
-The base orbit is evaluated in closed form (w_k = mu^k * w_0), the fiber
-consumes w_{k-1} (the parameter seen before applying step k), and the
-induced non-autonomous schedule is handed to the shared recurrence and
-measurement pipeline.  Five presets cover the constant, alternating and
-rotating bases, with and without additive perturbations.
+The base orbit is evaluated in closed form (w_k = mu^k * w_0) and the fiber
+consumes w_{k-1} (the parameter seen before applying step k).  This module
+holds only the five presets (constant, alternating and rotating bases, with
+and without additive perturbations) and their induced schedules, which
+``schedules.SkewExample`` hands to the shared pipeline like any other spec.
 """
 from __future__ import annotations
 
@@ -15,13 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .convergence import DEFAULT_ORACLE_LIMIT, RatePoint, run_point
 from .errors import InvalidSpecError
 from .ioutil import fmt17, write_csv
 from .recurrences import PerturbationSequences
-from .schedules import Custom
 
 SKEW_CSV_HEADER = "example_id,N,w_final_abs,fiber_coeff_err,fiber_sup_err"
+EXAMPLES = range(1, 6)  # the preset ids build_example takes
 
 _THETA_RULES = ("w_itself", "offset_plus_w")
 _EPS_SQ_RULES = ("zero", "w_squared", "w_fourth")
@@ -39,13 +38,16 @@ class SkewSystem:
     fiber_theta_rule: str
     fiber_eps_sq_rule: str
     w0_rule: Callable[[int], complex]
-    example_id: int | None = None
 
     def __post_init__(self):
         if self.fiber_theta_rule not in _THETA_RULES:
             raise InvalidSpecError(f"fiber_theta_rule must be one of {_THETA_RULES}")
         if self.fiber_eps_sq_rule not in _EPS_SQ_RULES:
             raise InvalidSpecError(f"fiber_eps_sq_rule must be one of {_EPS_SQ_RULES}")
+
+    def w_final(self, N: int) -> complex:
+        """w_N = mu^N w_0 in closed form (one scalar power, not ``base_orbit``)."""
+        return complex(self.w0_rule(N)) * complex(self.base_multiplier) ** N
 
 
 @dataclass(frozen=True)
@@ -56,22 +58,27 @@ class SkewOrbitResult:
     fiber_sup_err: float
 
 
+def check_example(example_id: int) -> None:
+    """Raise InvalidSpecError unless example_id is one of EXAMPLES."""
+    if example_id not in EXAMPLES:
+        raise InvalidSpecError(f"example_id must be {EXAMPLES[0]}..{EXAMPLES[-1]}, got {example_id}")
+
+
 def build_example(example_id: int, N: int) -> SkewSystem:
     """The five presets; example 3's base rotation is built for this N."""
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
+    check_example(example_id)
     if example_id == 1:
-        return SkewSystem(1.0, "w_itself", "zero", lambda n: 1.0 / n, 1)
+        return SkewSystem(1.0, "w_itself", "zero", lambda n: 1.0 / n)
     if example_id == 2:
-        return SkewSystem(-1.0, "offset_plus_w", "zero", lambda n: -1.0 / n**2, 2)
+        return SkewSystem(-1.0, "offset_plus_w", "zero", lambda n: -1.0 / n**2)
     if example_id == 3:
         mu = cmath.exp(2j * math.pi / N)
-        return SkewSystem(mu, "offset_plus_w", "zero", lambda n: cmath.exp(2j * math.pi / n) / n**2, 3)
+        return SkewSystem(mu, "offset_plus_w", "zero", lambda n: cmath.exp(2j * math.pi / n) / n**2)
     if example_id == 4:
-        return SkewSystem(1.0, "w_itself", "w_fourth", lambda n: 1.0 / n, 4)
-    if example_id == 5:
-        return SkewSystem(-1.0, "offset_plus_w", "w_squared", lambda n: -1.0 / n**2, 5)
-    raise InvalidSpecError(f"example_id must be 1..5, got {example_id}")
+        return SkewSystem(1.0, "w_itself", "w_fourth", lambda n: 1.0 / n)
+    return SkewSystem(-1.0, "offset_plus_w", "w_squared", lambda n: -1.0 / n**2)
 
 
 def base_orbit(sys: SkewSystem, N: int) -> np.ndarray:
@@ -96,18 +103,6 @@ def induced_schedule(sys: SkewSystem, N: int) -> PerturbationSequences:
     elif sys.fiber_eps_sq_rule == "w_fourth":
         eps_sq[1:] = w**4
     return PerturbationSequences(rho, eps_sq, cmath.exp(2j * math.pi / N))
-
-
-def iterate_skew(sys: SkewSystem, N: int, *, extended: bool = False,
-                 oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> SkewOrbitResult:
-    """Run the fiber composition over the exact base orbit and measure it."""
-    seqs = induced_schedule(sys, N)
-    point: RatePoint = run_point(Custom(rho=np.array(seqs.rho), eps_sq=np.array(seqs.eps_sq),
-                                        rho_base=seqs.rho_base),
-                                 N, extended=extended, oracle_limit=oracle_limit)
-    w_final = complex(sys.w0_rule(N)) * complex(sys.base_multiplier) ** N
-    return SkewOrbitResult(N=N, w_final=w_final,
-                           fiber_coeff_err=point.coeff_err, fiber_sup_err=point.sup_err)
 
 
 def write_skew_csv(rows: list[tuple[int, SkewOrbitResult]], path: str) -> None:

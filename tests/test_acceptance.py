@@ -24,8 +24,8 @@ import pytest
 from parimplode import (
     CounterexampleC,
     PerturbationSequences,
-    PropLambda,
     QuadraticNonconvergent,
+    SkewExample,
     TheoremA,
     TheoremB,
     UniformSymmetric,
@@ -33,7 +33,6 @@ from parimplode import (
     closed_form_T_array,
     coefficients_from_qr,
     compose_chain,
-    iterate_skew,
     martingale_check,
     materialize,
     projective_distance,
@@ -208,7 +207,7 @@ def test_criterion_09_random_ensembles(capsys):
         seed_details = []
         for seed in (1, 2, 3, 4, 5):
             res = run_ensemble(delta, UniformSymmetric(1.0), ns, trials=200, seed=seed)
-            rows = exceedance_vs_bound(res.summaries, PropLambda(), M=1.0)
+            rows = exceedance_vs_bound(res.summaries)
             bands_ok, detail = _judge(
                 "random", {"N": ns, "median_qN": [s.median_qN for s in res.summaries],
                            "exceed_frac": [r.empirical for r in rows],
@@ -227,10 +226,10 @@ def test_criterion_09_random_ensembles(capsys):
 def test_criterion_10_skew_examples(capsys):
     details, ok = [], True
     for ex in (1, 2, 3, 4, 5):
-        rows = [iterate_skew(build_example(ex, n), n, extended=True) for n in _LADDER]
+        points = run_sweep(SkewExample(ex), _LADDER, extended=True)
         bands_ok, detail = _judge("skew_exact" if ex == 1 else "skew", {
-            "N": _LADDER, "fiber_coeff_err": [r.fiber_coeff_err for r in rows],
-            "|w_N|": [abs(r.w_final) for r in rows]})
+            "N": _LADDER, "fiber_coeff_err": [p.coeff_err for p in points],
+            "|w_N|": [abs(build_example(ex, n).w_final(n)) for n in _LADDER]})
         ok = ok and bands_ok
         details.append(f"ex{ex}: {detail}")
     _report(capsys, 10, "skew examples", ok, "; ".join(details))

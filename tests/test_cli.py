@@ -11,18 +11,15 @@ from parimplode import (
     OracleMismatchError,
     QRSTriple,
     UsageError,
-    build_example,
     cli,
     coefficients_from_qr,
     compose_chain,
     convergence,
     errors,
-    iterate_skew,
     projective_distance,
     random_small_schedule,
     run_recurrences,
 )
-from parimplode.bands import check
 from parimplode.cli import main, parse_ladder
 
 # every subcommand's flags besides --config and --help; pinned here, apart
@@ -222,16 +219,16 @@ def test_skew_requires_example(capsys):
 
 
 def test_skew_assert_example4(capsys):
-    rc = main(["skew", "--example", "4", "--extended", "--assert"])
-    assert rc == 0
-    assert "fit fiber_coeff_err" in capsys.readouterr().out
-    # a short ladder ends above the top-rung band: |w_N| = 1.25e-3 at N = 800
+    # the full ladder passes (test_readme_cli_commands_exit_0); a short ladder
+    # ends above the top-rung band: |w_N| = 1.25e-3 at N = 800
     assert main(["skew", "--example", "4", "--n", "100:800:x2", "--assert"]) == 3
     assert "|w_N| 1.3e-03 at N=800" in capsys.readouterr().err
 
 
 def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two_cpus, watch_pids):
-    ran = watch_pids(cli, "iterate_skew")
+    # skew sweeps with run_sweep: inline when plain, on workers when --extended
+    # or PARIMPLODE_THREADS asks, with the same CSV bytes either way
+    ran = watch_pids(convergence, "run_point")
     csv = {}
 
     def run(name, *flags):
@@ -251,31 +248,24 @@ def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two
 
 
 @pytest.mark.parametrize("threads", [None, "1"])
-def test_skew_reports_the_lowest_failing_rung(monkeypatch, tmp_path, capsys, two_cpus, threads):
-    # the pool takes the rungs largest first, so it runs the failing N = 800,
-    # which the inline loop never reaches; the command still names N = 200
-    reached = tmp_path / "reached"
-    real = cli.iterate_skew
+def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, watch_pids, threads):
+    # inline and pooled alike, the ladder runs every rung and names each
+    # failing one, the lowest first, in one numerical failure
+    ran = watch_pids(convergence, "run_point")
+    real = convergence.run_point
 
-    def failing(sys_n, n, **kwargs):
-        with open(reached, "a") as fh:
-            fh.write(f"{n}\n")
+    def failing(spec, n, **kwargs):
         if n in (200, 800):
             raise OracleMismatchError(f"injected failure at N={n}")
-        return real(sys_n, n, **kwargs)
+        return real(spec, n, **kwargs)
 
-    monkeypatch.setattr(cli, "iterate_skew", failing)
+    monkeypatch.setattr(convergence, "run_point", failing)
     if threads is not None:
         monkeypatch.setenv("PARIMPLODE_THREADS", threads)
     assert main(["skew", "--example", "4", "--extended", "--n", "100:1600:x2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "parimplode: numerical failure: injected failure at N=200\n"
-    assert not captured.out
-    ns = [int(n) for n in reached.read_text().split()]
-    if threads is None:
-        assert 800 in ns
-    else:
-        assert ns == [100, 200]
+    assert ran() == ("workers" if threads is None else "parent")
+    assert capsys.readouterr() == ("", "parimplode: numerical failure: 2 sweep point(s) failed: "
+                                   "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
 
 
 @pytest.mark.parametrize("ladder", [[400, 200, 100], [100, 100, 100]])
@@ -299,13 +289,10 @@ def test_random_rejects_a_ladder_not_strictly_increasing(tmp_path, capsys, ladde
 
 def test_assert_quotes_the_checker_slope(capsys):
     # the band fit reads values above the floor; the printed fit every value > 0
-    ns = parse_ladder("100:12800:x2")
-    rows = [iterate_skew(build_example(3, n), n, extended=True) for n in ns]
-    (_, detail), *_ = check("skew", {"N": ns, "fiber_coeff_err": [r.fiber_coeff_err for r in rows],
-                                     "|w_N|": [abs(r.w_final) for r in rows]})
     assert main(["skew", "--example", "3", "--extended", "--assert"]) == 3
-    assert detail.startswith("fiber_coeff_err slope +2.362 ")
-    assert capsys.readouterr().err == f"parimplode: assertion failed: {detail}\n"
+    out, err = capsys.readouterr()
+    assert "fit fiber_coeff_err: slope=1.6429 " in out
+    assert err == "parimplode: assertion failed: fiber_coeff_err slope +2.362 (band <= -0.5)\n"
 
 
 def test_oracle_small_run(capsys):
@@ -446,7 +433,8 @@ def test_inadmissible_n_exits_1_from_every_command(capsys, command):
     # at N = 4 the steps of B4 and of the counterexample have |b_k| > 1: the
     # spec is inadmissible there, whichever command builds it
     assert main(command + ["--n", "4"]) == 1
-    assert capsys.readouterr().err == "parimplode: error: |b_k| must be <= 1, max is 1.414213562373095\n"
+    assert capsys.readouterr().err == \
+        "parimplode: error: N=4: |b_k| must be <= 1, max is 1.414213562373095\n"
 
 
 def test_random_exits_2_when_every_trial_of_a_rung_fails(capsys):

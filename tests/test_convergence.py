@@ -113,7 +113,7 @@ def test_run_sweep_order_and_validation():
 def test_run_sweep_raises_the_lowest_spec_error(workers):
     # counterexample schedules reject odd N: that is an inadmissible spec, not
     # a numerical failure, so it is raised as is, for the lowest such rung
-    with pytest.raises(InvalidSpecError, match=r"^CounterexampleC needs even N, got 101$"):
+    with pytest.raises(InvalidSpecError, match=r"^N=101: CounterexampleC needs even N, got 101$"):
         run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301], max_workers=workers)
 
 

@@ -93,8 +93,10 @@ def test_run_ensemble_validation():
         run_ensemble(0.0, dist, [100], trials=30, seed=0)
     with pytest.raises(ValueError):
         run_ensemble(0.5, dist, [100], trials=29, seed=0)
-    with pytest.raises(ValueError):
-        run_ensemble(0.5, dist, [3], trials=30, seed=0)
+    for ladder in ([3], [], [200, 200], [400, 200]):
+        # the rule of run_sweep and every CLI ladder: non-empty, rising, N >= 4
+        with pytest.raises(ValueError, match="^ladder must be"):
+            run_ensemble(0.5, dist, ladder, trials=30, seed=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="threshold"):
             run_ensemble(0.5, dist, [100], trials=30, seed=0, exceed_threshold=bad)
@@ -271,16 +273,22 @@ def test_ensemble_summary_validation():
 
 def test_exceedance_rows_vacuous_flag():
     res = run_ensemble(0.5, UniformSymmetric(1.0), [50, 100], trials=30, seed=2)
-    rows = exceedance_vs_bound(res.summaries, PropLambda())
+    rows = exceedance_vs_bound(res.summaries)
     assert all(r.vacuous for r in rows)  # the proof's rule gives bounds >= 1
     assert all(r.bound >= 1.0 for r in rows)
     assert all(0.0 <= r.empirical <= 1.0 for r in rows)
+    # a row quotes the union bound of the threshold its exceedances were
+    # counted against, not one recomputed from another rule or M
+    res = run_ensemble(1.0, UniformSymmetric(0.5), [400, 800], 30, 1, lambda_rule=FixedLambda(1e-4))
+    rows = exceedance_vs_bound(res.summaries)
+    assert [r.bound for r in rows] == [s.azuma_bound for s in res.summaries]
+    assert rows[1].bound == pytest.approx(0.029, rel=0.05) and not rows[1].vacuous
 
 
 def test_fixed_lambda_bound_is_sharp_at_large_N():
     res = run_ensemble(1.0, UniformSymmetric(1.0), [6400], trials=30, seed=4,
                        lambda_rule=FixedLambda(1.0))
-    row, = exceedance_vs_bound(res.summaries, FixedLambda(1.0))
+    row, = exceedance_vs_bound(res.summaries)
     assert row.bound == 0.0
     assert not row.vacuous
     assert row.empirical == 0.0  # no trial's partial sums ever reach lambda = 1

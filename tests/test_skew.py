@@ -1,5 +1,6 @@
 """Skew products: presets, exact base orbits, induced-schedule equivalences."""
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 
 from parimplode import (
     InvalidSpecError,
+    SkewExample,
+    SkewOrbitResult,
     SkewSystem,
     TheoremA,
     TheoremB,
     build_example,
-    iterate_skew,
     materialize,
+    run_point,
 )
-from parimplode.skew import SKEW_CSV_HEADER, base_orbit, induced_schedule, write_skew_csv
+from parimplode.skew import EXAMPLES, SKEW_CSV_HEADER, base_orbit, induced_schedule, write_skew_csv
 
 
 def test_build_example_presets():
@@ -29,10 +32,10 @@ def test_build_example_presets():
     assert ex4.fiber_eps_sq_rule == "w_fourth"
     ex5 = build_example(5, n)
     assert ex5.base_multiplier == -1.0 and ex5.fiber_eps_sq_rule == "w_squared"
-    with pytest.raises(InvalidSpecError):
-        build_example(6, n)
-    with pytest.raises(InvalidSpecError):
-        build_example(0, n)
+    for bad in (0, 6):
+        for build in (lambda: build_example(bad, n), lambda: SkewExample(bad)):
+            with pytest.raises(InvalidSpecError, match=f"^example_id must be 1..5, got {bad}$"):
+                build()
     with pytest.raises(InvalidSpecError):
         build_example(1, 3)
 
@@ -73,28 +76,40 @@ def test_induced_schedules_reduce_to_deterministic_families(example_id, twin):
     assert np.max(np.abs(skew_seqs.eps_sq - twin_seqs.eps_sq)) < 1e-15
 
 
+@pytest.mark.parametrize("example", [1, 2, 3, 4, 5])
+def test_skew_example_materializes_the_induced_schedule(example):
+    # the spec hands run_point the preset's own induced schedule, bit for bit
+    for n in (4, 100, 12800):
+        got, want = materialize(SkewExample(example), n), induced_schedule(build_example(example, n), n)
+        assert (got.rho.tobytes(), got.eps_sq.tobytes(), got.rho_base) == \
+            (want.rho.tobytes(), want.eps_sq.tobytes(), want.rho_base)
+
+
+def test_w_final_closed_form():
+    n = 64
+    assert abs(build_example(3, n).w_final(n)) == pytest.approx(1.0 / n**2, rel=1e-12)
+    assert build_example(2, n).w_final(n) == complex(-1.0 / n**2)  # (-1)^64 leaves w0 in place
+    # the one scalar power, bit for bit: base_orbit's numpy power moves the
+    # last bits of |w_N| for example 3
+    for ex, n in itertools.product(EXAMPLES, (100, 1600, 12800)):
+        system = build_example(ex, n)
+        want = complex(system.w0_rule(n)) * complex(system.base_multiplier) ** n
+        assert np.complex128(system.w_final(n)).tobytes() == np.complex128(want).tobytes()
+
+
 def test_iterate_skew_example1_collapses_to_identity():
     # constant base w = 1/N makes the fiber a pure 1/N-rotation composition
     n = 400
-    res = iterate_skew(build_example(1, n), n, extended=True)
-    assert res.fiber_coeff_err == pytest.approx(2.82832e-13, rel=1e-3)
-    assert res.fiber_coeff_err <= 1e-9
-    assert res.w_final == complex(1.0 / n)
-
-
-def test_iterate_skew_w_final_closed_form():
-    n = 64
-    res3 = iterate_skew(build_example(3, n), n)
-    mu = cmath.exp(2j * math.pi / n)
-    assert res3.w_final == pytest.approx(mu / n**2 * mu**n, rel=1e-12)
-    assert abs(res3.w_final) == pytest.approx(1.0 / n**2, rel=1e-12)
-    res2 = iterate_skew(build_example(2, n), n)
-    assert res2.w_final == complex(-1.0 / n**2)  # (-1)^64 leaves w0 in place
+    point = run_point(SkewExample(1), n, extended=True)
+    assert point.coeff_err == pytest.approx(2.82832e-13, rel=1e-3)
+    assert point.coeff_err <= 1e-9
+    assert build_example(1, n).w_final(n) == complex(1.0 / n)
 
 
 def test_write_skew_csv_format(tmp_path):
     n = 100
-    rows = [(1, iterate_skew(build_example(1, n), n, extended=True))]
+    point = run_point(SkewExample(1), n, extended=True)
+    rows = [(1, SkewOrbitResult(n, build_example(1, n).w_final(n), point.coeff_err, point.sup_err))]
     out = tmp_path / "skew.csv"
     write_skew_csv(rows, str(out))
     lines = out.read_text().split("\n")
