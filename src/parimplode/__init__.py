@@ -42,7 +42,6 @@ from .randomlab import (
     PropLambda,
     TrialRecord,
     azuma_tail_bound,
-    exceedance_vs_bound,
     martingale_check,
     quantile_nearest_rank,
     run_ensemble,

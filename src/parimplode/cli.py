@@ -9,6 +9,12 @@ the --config merge are both built from these tables.  A config document names
 fields by flag name with '-' replaced by '_'; explicit flags override document
 fields, and unknown document fields are rejected by name.
 
+No option turns a check off or rescales it: every rung of sweep,
+counterexample and skew at N <= 512 is cross-checked against direct
+composition (``convergence.run_point``), and ``random`` counts a trial's
+exceedance max_n |delta_n| / lambda_n >= 1 with the same lambda_n as the
+union bound it reports: the proof's, or the constant --lambda-value.
+
 The rungs of a ladder, and the oracle's slices of trials, run on forked
 worker processes (``ioutil.map_rungs``); sweep, counterexample and skew (the
 schedule ``SkewExample``) run theirs through ``convergence.run_sweep``.
@@ -35,14 +41,7 @@ from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
 from .mobius import compose_chain, projective_distance
-from .randomlab import (
-    FixedLambda,
-    PropLambda,
-    exceedance_vs_bound,
-    run_ensemble,
-    write_summary_csv,
-    write_trial_csv,
-)
+from .randomlab import FixedLambda, PropLambda, run_ensemble, write_summary_csv, write_trial_csv
 from .recurrences import coefficients_from_qr, run_recurrences
 from .schedules import (
     CounterexampleC,
@@ -210,16 +209,19 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
 
 
 def _build_deterministic_spec(cfg: dict):
+    params = {name: cfg[name] for name in
+              ("amplitude", "eps_amp", "pair_amp", "pair_bound", "rot_coeff")
+              if cfg[name] is not None}
     if cfg["quadratic_noncvg"]:
         if cfg["theorem"] is not None:
             raise UsageError("theorem: cannot combine --theorem with --quadratic-noncvg")
+        for name in ["case", *params]:
+            if cfg[name] is not None:
+                raise UsageError(f"{name}: only valid with --theorem A|B")
         return QuadraticNonconvergent()
     if cfg["theorem"] is None:
         raise UsageError("theorem: choose --theorem A|B or --quadratic-noncvg")
     case = cfg["case"] if cfg["case"] is not None else 1
-    params = {name: cfg[name] for name in
-              ("amplitude", "eps_amp", "pair_amp", "pair_bound", "rot_coeff")
-              if cfg[name] is not None}
     try:
         if cfg["theorem"].upper() == "A":
             if "eps_amp" in params:
@@ -248,8 +250,7 @@ def _write_svg(path, series, fit, band, title, ylabel):
 def cmd_sweep(cfg: dict) -> int:
     spec = _build_deterministic_spec(cfg)
     ns = _rung_ladder(cfg["n"])
-    points = run_sweep(spec, ns, extended=cfg["extended"],
-                       oracle_limit=cfg["oracle_limit"], max_workers=cfg["threads"])
+    points = run_sweep(spec, ns, extended=cfg["extended"], max_workers=cfg["threads"])
     if cfg["out"]:
         write_rate_csv(points, cfg["out"])
     for p in points:
@@ -275,12 +276,17 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_random(cfg: dict) -> int:
     delta, trials = cfg["delta"], cfg["trials"]
-    dist = UniformSymmetric(m=cfg["m"]) if cfg["dist"] == "uniform" else Rademacher()
-    rule = PropLambda() if cfg["lambda_rule"] == "prop" else FixedLambda(cfg["lambda_value"])
+    if cfg["dist"] == "rademacher":
+        if cfg["m"] is not None:
+            raise UsageError("m: only valid with --dist uniform")
+        dist = Rademacher()
+    else:
+        dist = UniformSymmetric() if cfg["m"] is None else UniformSymmetric(cfg["m"])
+    rule = PropLambda() if cfg["lambda_value"] is None else FixedLambda(cfg["lambda_value"])
     ns = _rung_ladder(cfg["n"])
 
     result = run_ensemble(delta, dist, ns, trials, cfg["seed"], lambda_rule=rule,
-                          exceed_threshold=cfg["threshold"], max_workers=cfg["threads"])
+                          max_workers=cfg["threads"])
     summaries = result.summaries
     for s in summaries:
         print(f"N={s.N} trials={s.trials} median|qN|={s.median_qN:.6g} "
@@ -305,10 +311,9 @@ def cmd_random(cfg: dict) -> int:
                    f"random delta={delta}", "|q_N| quantiles")
     if not cfg["assert"]:
         return 0
-    rows = exceedance_vs_bound(summaries)
     return _assert_bands("random", {"N": run_ns, "median_qN": medians,
-                                    "exceed_frac": [r.empirical for r in rows],
-                                    "union_bound": [r.bound for r in rows]},
+                                    "exceed_frac": [s.exceed_count / s.trials for s in summaries],
+                                    "union_bound": [s.azuma_bound for s in summaries]},
                          target=random_target(delta), trials=trials)
 
 
@@ -345,8 +350,7 @@ def cmd_counterexample(cfg: dict) -> int:
 def cmd_skew(cfg: dict) -> int:
     example = cfg["example"]
     ns = _rung_ladder(cfg["n"])
-    points = run_sweep(SkewExample(example), ns, extended=cfg["extended"],
-                       oracle_limit=cfg["oracle_limit"])
+    points = run_sweep(SkewExample(example), ns, extended=cfg["extended"])
     rows = [(example, SkewOrbitResult(p.N, build_example(example, p.N).w_final(p.N),
                                       p.coeff_err, p.sup_err)) for p in points]
     for _, res in rows:
@@ -434,7 +438,6 @@ _OPTIONS = {
     "svg": ({}, "SVG plot output path"),
     "assert": (_ON, "exit 3 if the pre-registered acceptance band fails"),
     "extended": (_ON, "exact fixed-point accumulation, each value rounded once"),
-    "oracle_limit": ({"type": int}, "largest N cross-checked against direct composition"),
     "threads": ({"type": int}, "worker count override"),
     "delta": ({"type": float}, "decay exponent offset (> 0)"),
     "trials": ({"type": int}, "seeded trials per N"),
@@ -443,9 +446,7 @@ _OPTIONS = {
     "m": ({"type": float}, "uniform distribution bound"),
     "out_trials": ({}, "per-trial CSV path"),
     "out_summary": ({}, "summary CSV path"),
-    "threshold": ({"type": float}, "exceedance ratio threshold"),
-    "lambda_rule": ({"choices": ["prop", "fixed"]}, "tail threshold: the proof's lambda_n or a constant"),
-    "lambda_value": ({"type": float}, "constant threshold for --lambda-rule fixed"),
+    "lambda_value": ({"type": float}, "constant tail threshold lambda_n (default: the proof's lambda_n)"),
     "example": ({"type": int}, "example id 1..5"),
     "n_max": ({"type": int}, "largest N checked, from 16, 64, 256, 512"),
     "config": ({}, "JSON config document (flags override)"),
@@ -460,18 +461,17 @@ _SCHEDULE = {"theorem": None, "case": None, "quadratic_noncvg": False,
 _COMMANDS = {
     "sweep": (cmd_sweep, "deterministic N-sweep for one schedule",
               {**_SCHEDULE, "n": ..., "out": None, "svg": None, "assert": False,
-               "extended": False, "oracle_limit": 512, "threads": None}),
+               "extended": False, "threads": None}),
     "random": (cmd_random, "seeded Monte Carlo ensemble",
                {"delta": ..., "trials": 200, "seed": 0, "n": "200:6400:x2",
-                "dist": "uniform", "m": 1.0, "out_trials": None, "out_summary": None,
-                "svg": None, "assert": False, "threshold": 1.0,
-                "lambda_rule": "prop", "lambda_value": 1.0, "threads": None}),
+                "dist": "uniform", "m": None, "out_trials": None, "out_summary": None,
+                "svg": None, "assert": False, "lambda_value": None, "threads": None}),
     "counterexample": (cmd_counterexample, "both sides of the split-angle schedule",
                        {"n": "500:8000:x2", "out": None, "svg": None, "assert": False,
                         "extended": False, "threads": None}),
     "skew": (cmd_skew, "skew-product example ladder",
              {"example": ..., "n": "100:12800:x2", "out": None, "svg": None,
-              "assert": False, "extended": False, "oracle_limit": 512}),
+              "assert": False, "extended": False}),
     "oracle": (cmd_oracle, "recurrence vs direct composition cross-check",
                {"trials": 200, "n_max": 512, "seed": 1}),
     "diagnose-sum": (cmd_diagnose_sum, "print the scaled admissibility sum per N",
@@ -512,7 +512,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parimplode: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"parimplode: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        reason = exc.strerror or str(exc)
+        if exc.filename is not None:
+            reason = f"cannot write {exc.filename}: {reason}"
+        print(f"parimplode: error: {reason}", file=sys.stderr)
         return 1
 
 

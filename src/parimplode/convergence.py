@@ -2,7 +2,7 @@
 
 ``run_point`` is the single-N workhorse: it materializes a schedule, runs
 the recurrences, and measures every error field, cross-checking the result
-against direct matrix composition for small N.  ``run_sweep`` runs the
+against direct matrix composition at every N <= 512.  ``run_sweep`` runs the
 points of a ladder, on worker processes for the exact kernel, and returns
 them in input order, and ``fit_decay`` turns a sweep into an empirical
 decay exponent.
@@ -71,23 +71,21 @@ class DecayFit:
             raise ValueError(f"r_squared must be in [0, 1], got {self.r_squared}")
 
 
-def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
-              oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> RatePoint:
+def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False) -> RatePoint:
     """Measure one composition length.
 
     ``coefficients_from_qr`` enforces the Wronskian conservation law at
     ``recurrences.WRONSKIAN_GATE`` (DegenerateMapError); the residual it
-    passed fills the ``wronskian_resid`` field.  For N <= oracle_limit the
-    recurrence coefficients are also compared against a direct product of
-    the step matrices, and a deviation over ``ORACLE_GATE``, or NaN, raises
-    OracleMismatchError.  Either failure is hard, never a data point.
-    ``oracle_limit`` defaults to 512; a higher limit costs N matrix products
-    per point and still misses a one-step eps shift (see DEFAULT_ORACLE_LIMIT).
+    passed fills the ``wronskian_resid`` field.  For every N <=
+    DEFAULT_ORACLE_LIMIT (512) the recurrence coefficients are also compared
+    against a direct product of the step matrices, and a deviation over
+    ``ORACLE_GATE``, or NaN, raises OracleMismatchError.  Either failure is
+    hard, never a data point.
     """
     seqs = materialize(spec, N)
     triple = run_recurrences(seqs, extended=extended)
     coeffs = coefficients_from_qr(triple, N)
-    if N <= oracle_limit:
+    if N <= DEFAULT_ORACLE_LIMIT:
         dev = projective_distance(coeffs, compose_chain(seqs.step_maps()))
         if not dev <= ORACLE_GATE:  # `not <=`, so that NaN fails the gate
             raise OracleMismatchError(
@@ -120,11 +118,11 @@ def check_ladder(Ns: list[int]) -> None:
         raise ValueError(f"ladder must be strictly increasing with every N >= 4, got {Ns}")
 
 
-def _attempt(spec: ScheduleSpec, extended: bool, oracle_limit: int, n: int) -> RatePoint | Exception:
+def _attempt(spec: ScheduleSpec, extended: bool, n: int) -> RatePoint | Exception:
     """run_point, with its exception returned rather than raised, unless the
     spec itself is inadmissible at n (InvalidSpecError)."""
     try:
-        return run_point(spec, n, extended=extended, oracle_limit=oracle_limit)
+        return run_point(spec, n, extended=extended)
     except InvalidSpecError:
         raise
     except Exception as exc:
@@ -132,10 +130,10 @@ def _attempt(spec: ScheduleSpec, extended: bool, oracle_limit: int, n: int) -> R
 
 
 def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
-              oracle_limit: int = DEFAULT_ORACLE_LIMIT,
               max_workers: int | None = None) -> list[RatePoint]:
     """run_point over a ladder, output in input order; the ladders of the
-    sweep, counterexample and skew (``SkewExample``) commands all run here.
+    sweep, counterexample and skew (``SkewExample``) commands all run here,
+    so the oracle cross-checks each of their rungs at N <= DEFAULT_ORACLE_LIMIT.
 
     A spec that is inadmissible at some N raises the InvalidSpecError of the
     lowest such N, as it would for that N alone.  Otherwise all points are
@@ -154,7 +152,7 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     """
     check_ladder(Ns)
     workers = worker_count(max_workers, default=None if extended else 1)
-    outcomes = map_rungs(functools.partial(_attempt, spec, extended, oracle_limit), Ns, workers)
+    outcomes = map_rungs(functools.partial(_attempt, spec, extended), Ns, workers)
     failures = [(n, out) for n, out in zip(Ns, outcomes) if isinstance(out, Exception)]
     if failures:
         raise SweepError(failures)

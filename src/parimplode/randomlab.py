@@ -111,13 +111,6 @@ class MartingaleCheck(NamedTuple):
     increment_stderr: float
 
 
-class ExceedanceRow(NamedTuple):
-    N: int
-    empirical: float
-    bound: float
-    vacuous: bool
-
-
 def azuma_tail_bound(lam: float, n: int, N: int, delta: float, M: float) -> float:
     """Sub-Gaussian tail exp(-lam^2 N^(2(1+delta)) / (2 M^2 n))."""
     if lam <= 0 or n <= 0 or N <= 0 or delta <= 0 or M <= 0:
@@ -190,7 +183,7 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int):
 
 
 def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: int,
-                   lambda_rule: LambdaRule, threshold: float):
+                   lambda_rule: LambdaRule):
     blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
     lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
     # running maximum of |delta_n| / lambda_n over n = 1..N+1; delta_1 = 0
@@ -206,7 +199,7 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
         c_coef = -q_N
         d_coef = r_N
         ce = np.abs(a_coef / d_coef - 1.0) + np.abs(b_coef / d_coef) + np.abs(c_coef / d_coef)
-    exceeded = ratio_max >= threshold
+    exceeded = ratio_max >= 1.0
 
     ok = (
         np.isfinite(q_Nm1) & np.isfinite(q_N) & np.isfinite(q_N1)
@@ -220,7 +213,6 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
 
 def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, seed: int, *,
                  lambda_rule: LambdaRule = PropLambda(),
-                 exceed_threshold: float = 1.0,
                  max_workers: int | None = None) -> EnsembleResult:
     """Seeded ensemble over an N ladder.
 
@@ -228,8 +220,9 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     (N, trial, message) failures; failed trials are excluded from the
     quantiles and counts.  A rung where every trial fails has no quantiles
     and raises RecurrenceOverflowError naming its N.  The exceedance event
-    for a trial is max_n |delta_n| / lambda_n >= exceed_threshold, the
-    event the tail bound actually controls.  delta and dist follow the rule
+    for a trial is max_n |delta_n| / lambda_n >= 1, with lambda_n from
+    ``lambda_rule``: the event that the summary's ``azuma_bound``, the union
+    bound of the same rule, controls.  delta and dist follow the rule
     of :class:`RandomSchedule`, and Ns that of ``check_ladder``.  The rungs
     run on ``max_workers`` worker processes, by default one per CPU
     (``ioutil.worker_count``).
@@ -237,11 +230,9 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     check_ladder(Ns)
     if trials < 30:
         raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
-    if not (math.isfinite(exceed_threshold) and exceed_threshold > 0):
-        raise ValueError(f"threshold must be a positive real, got {exceed_threshold}")
 
     rung = functools.partial(_run_trials_at, delta=delta, dist=dist, trials=trials, seed=seed,
-                             lambda_rule=lambda_rule, threshold=exceed_threshold)
+                             lambda_rule=lambda_rule)
     per_n = dict(zip(Ns, map_rungs(rung, Ns, worker_count(max_workers))))
 
     summaries: list[EnsembleSummary] = []
@@ -319,17 +310,6 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
     mean_inc = complex(np.mean(increments))
     stderr = float(np.std(increments) / math.sqrt(trials))
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)
-
-
-def exceedance_vs_bound(summaries: list[EnsembleSummary]) -> list[ExceedanceRow]:
-    """Empirical exceedance fraction next to the union bound of the same
-    threshold (each summary's ``azuma_bound``).
-
-    Rows with bound >= 1 carry vacuous=True: the inequality holds trivially
-    and says nothing about the data.
-    """
-    return [ExceedanceRow(s.N, s.exceed_count / s.trials if s.trials else 0.0,
-                          s.azuma_bound, s.azuma_bound >= 1.0) for s in summaries]
 
 
 def write_trial_csv(records: list[TrialRecord], path: str) -> None:

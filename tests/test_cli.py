@@ -1,5 +1,6 @@
 """CLI surface: ladder parsing, exit codes, config merge, output determinism."""
 import argparse
+import errno
 import json
 import shlex
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from parimplode import (
+    FixedLambda,
     OracleMismatchError,
     QRSTriple,
     UsageError,
@@ -19,31 +21,36 @@ from parimplode import (
     projective_distance,
     random_small_schedule,
     run_recurrences,
+    union_bound,
 )
 from parimplode.cli import main, parse_ladder
+from parimplode.ioutil import fmt17
 
 # every subcommand's flags besides --config and --help; pinned here, apart
 # from the option table, so that a flag dropped from the table shows
 _SCHEDULE_FLAGS = ["--theorem", "--case", "--quadratic-noncvg", "--amplitude", "--eps-amp",
                    "--pair-amp", "--pair-bound", "--rot-coeff"]
 _FLAGS = {
-    "sweep": _SCHEDULE_FLAGS + ["--n", "--out", "--svg", "--assert", "--extended",
-                                "--oracle-limit", "--threads"],
+    "sweep": _SCHEDULE_FLAGS + ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
     "random": ["--delta", "--trials", "--seed", "--n", "--dist", "--m", "--out-trials",
-               "--out-summary", "--svg", "--assert", "--threshold", "--lambda-rule",
-               "--lambda-value", "--threads"],
+               "--out-summary", "--svg", "--assert", "--lambda-value", "--threads"],
     "counterexample": ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
-    "skew": ["--example", "--n", "--out", "--svg", "--assert", "--extended", "--oracle-limit"],
+    "skew": ["--example", "--n", "--out", "--svg", "--assert", "--extended"],
     "oracle": ["--trials", "--n-max", "--seed"],
     "diagnose-sum": _SCHEDULE_FLAGS + ["--n"],
 }
 # a value each typed, choice or switch flag accepts; the rest take any string
 _DOC_VALUES = {"--theorem": "b", "--case": 2, "--quadratic-noncvg": True, "--amplitude": 0.25,
                "--eps-amp": 0.5, "--pair-amp": 0.75, "--pair-bound": 1.5, "--rot-coeff": 2.5,
-               "--assert": True, "--extended": False, "--oracle-limit": 64, "--threads": 2,
+               "--assert": True, "--extended": False, "--threads": 2,
                "--delta": 0.5, "--trials": 40, "--seed": 3, "--dist": "rademacher", "--m": 2.0,
-               "--threshold": 0.5, "--lambda-rule": "fixed", "--lambda-value": 0.125,
-               "--example": 4, "--n-max": 256}
+               "--lambda-value": 0.125, "--example": 4, "--n-max": 256}
+# the options that could switch a check off or rescale it, and the commands that took them
+_REMOVED = [("sweep", "--oracle-limit", "0"), ("skew", "--oracle-limit", "0"),
+            ("random", "--threshold", "0.25"), ("random", "--lambda-rule", "fixed")]
+_REMOVED_ARGV = {"sweep": ["sweep", "--theorem", "A", "--n", "100"],
+                 "skew": ["skew", "--example", "4", "--n", "100"],
+                 "random": ["random", "--delta", "0.5", "--trials", "30", "--n", "200"]}
 _ERRORS = sorted((c for c in vars(errors).values() if isinstance(c, type)
                   and issubclass(c, errors.ParimplodeError) and c is not errors.ParimplodeError),
                  key=lambda c: c.__name__)
@@ -116,7 +123,7 @@ def test_random_usage_errors(capsys):
 @pytest.mark.parametrize("flags, field", [
     (["--delta", "nan"], "delta"),
     (["--delta", "inf"], "delta"),
-    (["--delta", "0.5", "--threshold", "nan"], "threshold"),
+    (["--delta", "0.5", "--lambda-value", "nan"], "lambda"),
 ])
 def test_random_rejects_non_finite_values(capsys, flags, field):
     with warnings.catch_warnings():
@@ -125,6 +132,31 @@ def test_random_rejects_non_finite_values(capsys, flags, field):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"parimplode: error: {field} "), out.err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["random", "--delta", "0.5", "--dist", "rademacher", "--m", "7"], "m"),
+    (["sweep", "--quadratic-noncvg", "--case", "3", "--amplitude", "9"], "case"),
+    (["sweep", "--quadratic-noncvg", "--amplitude", "9"], "amplitude"),
+    (["sweep", "--quadratic-noncvg", "--rot-coeff", "1"], "rot_coeff"),
+    (["diagnose-sum", "--quadratic-noncvg", "--pair-bound", "2"], "pair_bound"),
+])
+def test_an_option_the_run_would_ignore_is_a_usage_error(capsys, argv, field):
+    assert main([*argv, "--n", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parimplode: error: {field}: only valid with --"), captured.err
+
+
+@pytest.mark.parametrize("command, flag, value", _REMOVED, ids=[f"{c} {f}" for c, f, _ in _REMOVED])
+def test_removed_options_are_unrecognized(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*_REMOVED_ARGV[command], flag, value])
+    assert exit_info.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert _run_with_config(tmp_path, _REMOVED_ARGV[command], {field: value}) == 1
+    assert capsys.readouterr() == ("", f"parimplode: error: config: unknown field {field!r}\n")
 
 
 def test_unknown_config_field_named(tmp_path, capsys):
@@ -161,6 +193,43 @@ def test_sweep_plain_hits_wronskian_gate_at_large_n(tmp_path, monkeypatch, capsy
     assert rc == 2
     assert "Wronskian" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theorem", "B", "--case", "1"], ["counterexample"], ["skew", "--example", "4"],
+], ids=lambda a: a[0])
+def test_every_ladder_is_cross_checked_up_to_512(monkeypatch, capsys, argv):
+    # an oracle deviation just over the gate fails every rung the oracle
+    # reaches, N = 256 and 512, and no rung above it
+    monkeypatch.setattr(convergence, "projective_distance", lambda coeffs, chain: 2e-9)
+    assert main([*argv, "--n", "256:1024:x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parimplode: numerical failure: 2 sweep point(s) failed: "
+        "N=256: recurrence vs chain deviation 2.000e-09 at N=256 exceeds 1e-09, "
+        "N=512: recurrence vs chain deviation 2.000e-09 at N=512 exceeds 1e-09\n")
+
+
+def test_random_lambda_value_quotes_its_own_bound(tmp_path):
+    # the summary's bound is the union bound of the lambda_n the exceedances
+    # were counted against, the constant --lambda-value
+    summary = tmp_path / "summary.csv"
+    assert main(["random", "--delta", "1", "--m", "0.5", "--trials", "30", "--seed", "1",
+                 "--n", "400:800:x2", "--lambda-value", "1e-4", "--out-summary", str(summary)]) == 0
+    rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == [fmt17(union_bound(n, 1.0, 0.5, FixedLambda(1e-4)))
+                                         for n in (400, 800)]
+
+
+def test_an_os_error_without_a_filename_names_no_file(monkeypatch, capsys):
+    # `parimplode sweep ... | head -1` closes stdout under the run
+    def handler(cfg):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    _replace_handler(monkeypatch, "oracle", handler)
+    assert main(["oracle"]) == 1
+    assert capsys.readouterr() == ("", "parimplode: error: Broken pipe\n")
 
 
 def test_random_assert_reports_slope_miss(capsys):

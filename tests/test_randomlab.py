@@ -19,7 +19,6 @@ from parimplode import (
     UniformSymmetric,
     azuma_tail_bound,
     chebyshev_U,
-    exceedance_vs_bound,
     fit_loglog,
     martingale_check,
     materialize,
@@ -97,9 +96,6 @@ def test_run_ensemble_validation():
         # the rule of run_sweep and every CLI ladder: non-empty, rising, N >= 4
         with pytest.raises(ValueError, match="^ladder must be"):
             run_ensemble(0.5, dist, ladder, trials=30, seed=0)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="threshold"):
-            run_ensemble(0.5, dist, [100], trials=30, seed=0, exceed_threshold=bad)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidSpecError, match="delta"):
             run_ensemble(bad, dist, [100], trials=30, seed=0)
@@ -130,7 +126,7 @@ def test_ensemble_matches_single_trial_path_bitwise():
         assert rec.q_Nm1 == triple.q[N - 1]
 
 
-def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule, threshold):
+def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule):
     # _run_trials_at as a column loop: every array (trials, N+2), one step of
     # every trial at a time, in the increment form with rho_k = 1
     t_idx = np.arange(trials, dtype=np.uint64)
@@ -161,7 +157,7 @@ def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule, threshold):
         delta_partial = np.cumsum(terms, axis=1)
         lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
         ratios = np.abs(delta_partial) / lam[None, :]
-        exceeded = np.max(ratios, axis=1) >= threshold
+        exceeded = np.max(ratios, axis=1) >= 1.0
 
         a_coef = q[:, N + 1] - q[:, N]
         b_coef = r_prev - r_cur
@@ -193,7 +189,7 @@ def _assert_same_outputs(got, want):
 @pytest.mark.parametrize("dist", [UniformSymmetric(1.0), Rademacher()], ids=["uniform", "rademacher"])
 @pytest.mark.parametrize("rule", [PropLambda(), FixedLambda(1e-3)], ids=["prop", "fixed"])
 def test_trials_at_bit_identical_to_column_loop(N, dist, rule):
-    args = (N, 0.5, dist, 40, 3, rule, 1.0)
+    args = (N, 0.5, dist, 40, 3, rule)
     _assert_same_outputs(randomlab._run_trials_at(*args), _reference_trials_at(*args))
 
 
@@ -202,7 +198,7 @@ def test_trials_at_bit_identical_to_column_loop(N, dist, rule):
                                            (1000, Rademacher(), FixedLambda(1e-3))])
 def test_bit_identity_cases_see_both_exceedance_outcomes(N, dist, rule):
     # the comparison above covers trials on both sides of the threshold
-    exceeded = _reference_trials_at(N, 0.5, dist, 40, 3, rule, 1.0)["exceeded"]
+    exceeded = _reference_trials_at(N, 0.5, dist, 40, 3, rule)["exceeded"]
     assert exceeded.any() and not exceeded.all()
 
 
@@ -210,7 +206,7 @@ def test_bit_identity_cases_see_both_exceedance_outcomes(N, dist, rule):
 # late in a trial's partial sums leaves its maximum NaN and `exceeded` false
 @pytest.mark.parametrize("N, m", [(300, 1e6), (100, 1e4)])
 def test_trials_at_bit_identical_when_trials_diverge(N, m):
-    args = (N, 0.01, UniformSymmetric(m), 40, 2, PropLambda(), 1.0)
+    args = (N, 0.01, UniformSymmetric(m), 40, 2, PropLambda())
     want = _reference_trials_at(*args)
     assert not want["ok"].all()
     assert not np.isfinite(want["q_N"]).all()
@@ -218,7 +214,7 @@ def test_trials_at_bit_identical_when_trials_diverge(N, m):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1, PropLambda(), 1.0),
+    lambda: randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1, PropLambda()),
     lambda: martingale_check(0.5, UniformSymmetric(1.0), 6400, 200, 1),
 ], ids=["ensemble", "martingale"])
 def test_trials_at_memory_is_bounded_by_the_block(run):
@@ -273,25 +269,21 @@ def test_ensemble_summary_validation():
 
 def test_exceedance_rows_vacuous_flag():
     res = run_ensemble(0.5, UniformSymmetric(1.0), [50, 100], trials=30, seed=2)
-    rows = exceedance_vs_bound(res.summaries)
-    assert all(r.vacuous for r in rows)  # the proof's rule gives bounds >= 1
-    assert all(r.bound >= 1.0 for r in rows)
-    assert all(0.0 <= r.empirical <= 1.0 for r in rows)
-    # a row quotes the union bound of the threshold its exceedances were
+    assert all(s.azuma_bound >= 1.0 for s in res.summaries)  # the proof's rule: vacuous
+    # a summary quotes the union bound of the lambda_n its exceedances were
     # counted against, not one recomputed from another rule or M
     res = run_ensemble(1.0, UniformSymmetric(0.5), [400, 800], 30, 1, lambda_rule=FixedLambda(1e-4))
-    rows = exceedance_vs_bound(res.summaries)
-    assert [r.bound for r in rows] == [s.azuma_bound for s in res.summaries]
-    assert rows[1].bound == pytest.approx(0.029, rel=0.05) and not rows[1].vacuous
+    assert [s.azuma_bound for s in res.summaries] == [union_bound(n, 1.0, 0.5, FixedLambda(1e-4))
+                                                      for n in (400, 800)]
+    assert res.summaries[1].azuma_bound == pytest.approx(0.029, rel=0.05)  # < 1: not vacuous
 
 
 def test_fixed_lambda_bound_is_sharp_at_large_N():
     res = run_ensemble(1.0, UniformSymmetric(1.0), [6400], trials=30, seed=4,
                        lambda_rule=FixedLambda(1.0))
-    row, = exceedance_vs_bound(res.summaries)
-    assert row.bound == 0.0
-    assert not row.vacuous
-    assert row.empirical == 0.0  # no trial's partial sums ever reach lambda = 1
+    s, = res.summaries
+    assert s.azuma_bound == 0.0
+    assert s.exceed_count == 0  # no trial's partial sums ever reach lambda = 1
 
 
 def test_martingale_check_pins():
