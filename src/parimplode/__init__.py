@@ -50,10 +50,8 @@ from .randomlab import (
     write_trial_csv,
 )
 from .recurrences import (
-    ChebyshevPoint,
     PerturbationSequences,
     QRSTriple,
-    chebyshev_U,
     closed_form_T_array,
     coefficients_from_qr,
     run_recurrences,
@@ -77,7 +75,6 @@ from .schedules import (
 from .skew import (
     SkewOrbitResult,
     SkewSystem,
-    base_orbit,
     build_example,
     induced_schedule,
     write_skew_csv,

@@ -7,7 +7,10 @@ ParimplodeError), 3 assertion failure.  Each option is declared once, in
 (handler, help and the hard default of every field it takes); the parser and
 the --config merge are both built from these tables.  A config document names
 fields by flag name with '-' replaced by '_'; explicit flags override document
-fields, and unknown document fields are rejected by name.
+fields, and unknown document fields are rejected by name.  sweep and
+diagnose-sum build their schedule from --theorem and --case (or
+--quadratic-noncvg) alone, at the family's default parameters; the library's
+``TheoremA``/``TheoremB`` take the others.
 
 No option turns a check off or rescales it: every rung of sweep,
 counterexample and skew at N <= 512 is cross-checked against direct
@@ -209,25 +212,18 @@ def _resolve(args: argparse.Namespace, fields: dict) -> dict:
 
 
 def _build_deterministic_spec(cfg: dict):
-    params = {name: cfg[name] for name in
-              ("amplitude", "eps_amp", "pair_amp", "pair_bound", "rot_coeff")
-              if cfg[name] is not None}
     if cfg["quadratic_noncvg"]:
         if cfg["theorem"] is not None:
             raise UsageError("theorem: cannot combine --theorem with --quadratic-noncvg")
-        for name in ["case", *params]:
-            if cfg[name] is not None:
-                raise UsageError(f"{name}: only valid with --theorem A|B")
+        if cfg["case"] is not None:
+            raise UsageError("case: only valid with --theorem A|B")
         return QuadraticNonconvergent()
     if cfg["theorem"] is None:
         raise UsageError("theorem: choose --theorem A|B or --quadratic-noncvg")
     case = cfg["case"] if cfg["case"] is not None else 1
+    family = TheoremA if cfg["theorem"].upper() == "A" else TheoremB
     try:
-        if cfg["theorem"].upper() == "A":
-            if "eps_amp" in params:
-                raise UsageError("eps_amp: only valid with --theorem B")
-            return TheoremA(case=case, **params)
-        return TheoremB(case=case, **params)
+        return family(case)
     except InvalidSpecError as exc:
         raise UsageError(str(exc)) from None
 
@@ -428,11 +424,6 @@ _OPTIONS = {
     "theorem": ({"choices": ["A", "B", "a", "b"]}, "deterministic schedule family"),
     "case": ({"type": int}, "case number within the family"),
     "quadratic_noncvg": (_ON, "constant-angle non-convergent schedule"),
-    "amplitude": ({"type": float}, "cubic remainder amplitude"),
-    "eps_amp": ({"type": float}, "additive amplitude (family B cases 1-3)"),
-    "pair_amp": ({"type": float}, "pair-cancelling amplitude (case 2 / case 5)"),
-    "pair_bound": ({"type": float}, "bound constant for pair sums (case 2 / case 5)"),
-    "rot_coeff": ({"type": float}, "rotating-term coefficient (case 3)"),
     "n": ({}, "N ladder: single value, start:end:xFACTOR, or start:end:+STEP"),
     "out": ({}, "CSV output path"),
     "svg": ({}, "SVG plot output path"),
@@ -452,9 +443,7 @@ _OPTIONS = {
     "config": ({}, "JSON config document (flags override)"),
 }
 
-_SCHEDULE = {"theorem": None, "case": None, "quadratic_noncvg": False,
-             "amplitude": None, "eps_amp": None, "pair_amp": None,
-             "pair_bound": None, "rot_coeff": None}
+_SCHEDULE = {"theorem": None, "case": None, "quadratic_noncvg": False}
 
 # subcommand -> (handler, help, {field: hard default}); ``...`` marks a
 # required field.  Every subcommand also takes --config.

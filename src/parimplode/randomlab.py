@@ -31,7 +31,7 @@ import numpy as np
 from .convergence import check_ladder
 from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
-from .recurrences import _BLOCK, ChebyshevPoint, _blocks, chebyshev_U
+from .recurrences import _BLOCK, _blocks
 from .schedules import RandomDist, RandomSchedule
 
 MARTINGALE_GATE = 1e-8  # largest martingale identity residual martingale_check accepts
@@ -41,11 +41,8 @@ SUMMARY_CSV_HEADER = "N,delta,trials,median_qN,q90_qN,exceed_count,azuma_bound"
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Checkpoint values for one (seed, trial) at one N.
-
-    q_Nm1 is q_{N-1}.  The record is a pure function of
-    (delta, dist, seed, trial, N).
-    """
+    """Checkpoint values q_N, q_{N+1} and coeff_err for one (seed, trial) at
+    one N: a pure function of (delta, dist, seed, trial, N)."""
 
     N: int
     delta: float
@@ -53,7 +50,6 @@ class TrialRecord:
     trial: int
     q_N: complex
     q_N1: complex
-    q_Nm1: complex
     coeff_err: float
 
 
@@ -90,7 +86,7 @@ class FixedLambda:
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"lambda must be positive, got {self.value}")
+            raise ValueError(f"lambda_value: must be a positive finite number, got {self.value}")
 
     def lambda_at(self, n, N: int, delta: float):
         return np.full_like(np.asarray(n, dtype=float), self.value)
@@ -192,7 +188,7 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
         for k0, rows, _, partial in blocks:
             ratio_max = np.maximum(
                 ratio_max, np.max(np.abs(partial) / lam[k0:k0 + len(partial), None], axis=0))
-        q_Nm1, q_N, q_N1 = rows[-3:, :trials]
+        q_N, q_N1 = rows[-2:, :trials]
         r_N, r_N1 = rows[-2:, trials:]
         a_coef = q_N1 - q_N
         b_coef = r_N - r_N1
@@ -201,14 +197,8 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
         ce = np.abs(a_coef / d_coef - 1.0) + np.abs(b_coef / d_coef) + np.abs(c_coef / d_coef)
     exceeded = ratio_max >= 1.0
 
-    ok = (
-        np.isfinite(q_Nm1) & np.isfinite(q_N) & np.isfinite(q_N1)
-        & np.isfinite(ce) & (np.abs(d_coef) > 1e-12)
-    )
-    return {
-        "q_Nm1": q_Nm1, "q_N": q_N, "q_N1": q_N1,
-        "coeff_err": ce, "exceeded": exceeded, "ok": ok,
-    }
+    ok = np.isfinite(q_N) & np.isfinite(q_N1) & np.isfinite(ce) & (np.abs(d_coef) > 1e-12)
+    return {"q_N": q_N, "q_N1": q_N1, "coeff_err": ce, "exceeded": exceeded, "ok": ok}
 
 
 def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, seed: int, *,
@@ -249,7 +239,6 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
             records.append(TrialRecord(
                 N=n, delta=delta, seed=seed, trial=t,
                 q_N=complex(data["q_N"][t]), q_N1=complex(data["q_N1"][t]),
-                q_Nm1=complex(data["q_Nm1"][t]),
                 coeff_err=float(data["coeff_err"][t]),
             ))
         good_q = np.abs(data["q_N"][ok])
@@ -271,7 +260,8 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
     """Verify the summation identity on every prefix of every trial.
 
     For n = 1..N+1 the partial sum delta_n = sum_{k<n} d_k q_k e^{i k theta}
-    must satisfy sin(theta) (q_n - U_n) = -Im(delta_n e^{-i n theta}) to
+    must satisfy sin(theta) (q_n - U_n) = -Im(delta_n e^{-i n theta}), with
+    U_n = sin(n theta)/sin(theta) the second-kind Chebyshev value, to
     ``MARTINGALE_GATE`` (1e-8), else IdentityViolationError; the returned
     maximum residual is the worst value observed.  The mean increment is
     taken at n = N//2 across trials, with its standard error for a
@@ -286,9 +276,8 @@ def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
     blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
     theta = math.pi / N
     sin_t = math.sin(theta)
-    point = ChebyshevPoint.from_theta(theta)
-    # indexed by n = 0..N+1; n = 1 holds exactly (q_1 = U_1 = 1, delta_1 = 0)
-    u = np.array([chebyshev_U(n, point) for n in range(N + 2)])
+    # U_n at n = 0..N+1; n = 1 holds exactly (q_1 = U_1 = 1, delta_1 = 0)
+    u = np.array([math.sin(n * theta) for n in range(N + 2)]) / sin_t
     turn = np.exp(-1j * theta * np.arange(N + 2))
     k_mid = max(2, N // 2) - 1  # delta_n - delta_{n-1} at n = N//2
     max_resid = 0.0

@@ -347,40 +347,6 @@ def closed_form_T_array(N: int) -> np.ndarray:
     return np.exp(1j * np.pi * (k - 1) / N) * np.sin(np.pi * k / N) / math.sin(math.pi / N)
 
 
-@dataclass(frozen=True)
-class ChebyshevPoint:
-    """A point x = 2 cos(theta) on the Chebyshev interval [-2, 2]."""
-
-    theta: float
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta) or not math.isfinite(self.x):
-            raise ValueError("theta and x must be finite")
-        if abs(self.x - 2.0 * math.cos(self.theta)) > 1e-9:
-            raise ValueError(f"x={self.x} is not 2*cos(theta={self.theta})")
-        if not -2.0 <= self.x <= 2.0:
-            raise ValueError(f"x must lie in [-2, 2], got {self.x}")
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "ChebyshevPoint":
-        return cls(theta=theta, x=2.0 * math.cos(theta))
-
-
-def chebyshev_U(k: int, point: ChebyshevPoint) -> float:
-    """Second-kind Chebyshev value U_k = sin(k theta)/sin(theta).
-
-    At sin(theta) == 0 the limit value k * cos(theta)^(k+1) is returned
-    (k at x = 2, (-1)^(k+1) k at x = -2).
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    sin_t = math.sin(point.theta)
-    if sin_t == 0.0:
-        return float(k) * math.cos(point.theta) ** (k + 1)
-    return math.sin(k * point.theta) / sin_t
-
-
 def wronskian_residual(triple: QRSTriple, k: int) -> float:
     """Relative defect of q_{k+1} r_k - r_{k+1} q_k against prod rho_j.
 

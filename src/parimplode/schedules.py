@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -69,6 +69,8 @@ class TheoremA:
     Case 3: theta_k = 1/N + rot_coeff e^{2 pi i k/N}/N^2 plus an
         amplitude-scaled cubic remainder (amplitude=0 gives the pure
         rotating schedule, which converges beyond measurable rates).
+
+    A parameter the case does not read must keep its default.
     """
 
     case: int
@@ -80,7 +82,7 @@ class TheoremA:
     def __post_init__(self):
         if self.case not in (1, 2, 3):
             raise InvalidSpecError(f"TheoremA case must be 1..3, got {self.case}")
-        _require_finite(self, "amplitude", "pair_amp", "pair_bound", "rot_coeff")
+        _check_params(self, _A_READS[self.case])
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class TheoremB:
     Cases 1..3 reuse the matching TheoremA angles and add a constant
     eps_k = eps_amp/N^2.  Cases 4..5 are purely additive: theta_k = 0 with
     eps_k = pi/N plus a cubic (case 4) or mirrored-pair quadratic (case 5)
-    remainder.
+    remainder.  A parameter the case does not read must keep its default.
     """
 
     case: int
@@ -103,7 +105,7 @@ class TheoremB:
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5):
             raise InvalidSpecError(f"TheoremB case must be 1..5, got {self.case}")
-        _require_finite(self, "amplitude", "eps_amp", "pair_amp", "pair_bound", "rot_coeff")
+        _check_params(self, _B_READS[self.case])
 
 
 @dataclass(frozen=True)
@@ -181,11 +183,21 @@ ScheduleSpec = Union[
 ]
 
 
-def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        val = getattr(obj, name)
+# the parameters each case reads, as _theorem_angles and _sequences use them
+_A_READS = {1: ("amplitude",), 2: ("pair_amp", "pair_bound"), 3: ("rot_coeff", "amplitude")}
+_B_READS = {**{case: (*reads, "eps_amp") for case, reads in _A_READS.items()},
+            4: ("amplitude",), 5: ("pair_amp", "pair_bound")}
+
+
+def _check_params(spec, reads: tuple[str, ...]) -> None:
+    """Every parameter after ``case`` finite, and at its default unless ``reads`` names it."""
+    for field in fields(spec)[1:]:
+        val = getattr(spec, field.name)
         if not math.isfinite(val):
-            raise InvalidSpecError(f"{name} must be finite, got {val}")
+            raise InvalidSpecError(f"{field.name} must be finite, got {val}")
+        if field.name not in reads and val != field.default:
+            raise InvalidSpecError(
+                f"{field.name}: {type(spec).__name__} case {spec.case} does not read it, got {val}")
 
 
 # -- generators ----------------------------------------------------------------
@@ -308,37 +320,33 @@ def _sequences(spec: ScheduleSpec, N: int) -> PerturbationSequences:
     raise InvalidSpecError(f"unsupported schedule spec {type(spec).__name__}")
 
 
-def random_small_schedules(N: int, seed: int, trials,
-                           bound: float | None = None) -> list[PerturbationSequences]:
-    """Randomized admissible schedules with |b_k| <= bound and |eps_k| <= bound.
+def random_small_schedules(N: int, seed: int, trials) -> list[PerturbationSequences]:
+    """Randomized admissible schedules with |b_k| <= N^-2 and |eps_k| <= N^-2.
 
-    One schedule per entry of ``trials``, in the order listed.  bound
-    defaults to N^-2.  Both perturbations get a uniform magnitude in
-    [0, bound] and a uniform phase; four independent counter lanes per step
-    (counter 4k + j for lane j at step k) keep draws order-free, so every
-    listed trial is drawn in one call and each schedule is bit for bit the
-    one its trial gives alone.  Intended for oracle cross-checks and
-    identity tests, not for rate measurement.
+    One schedule per entry of ``trials``, in the order listed.  Both
+    perturbations get a uniform magnitude in [0, N^-2] and a uniform phase;
+    four independent counter lanes per step (counter 4k + j for lane j at
+    step k) keep draws order-free, so every listed trial is drawn in one
+    call and each schedule is bit for bit the one its trial gives alone.
+    Intended for oracle cross-checks and identity tests, not for rate
+    measurement.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
-    if bound is None:
-        bound = 1.0 / N**2
     trials = np.asarray(trials, dtype=np.uint64)
     counters = np.arange(4 * (N + 2), dtype=np.uint64)
     # axis 2 is (b_k, eps_k), axis 3 (magnitude, phase); PerturbationSequences zeroes slot 0
     lanes = rng.uniform01(seed, trials[:, None], counters[None, :]).reshape(trials.size, N + 2, 2, 2)
-    z = bound * lanes[..., 0] * np.exp(2j * np.pi * lanes[..., 1])
+    z = (1.0 / N**2) * lanes[..., 0] * np.exp(2j * np.pi * lanes[..., 1])
     base = cmath.exp(2j * math.pi / N)
     rho = base + z[..., 0]
     eps_sq = z[..., 1] * z[..., 1]
     return [PerturbationSequences(r, e, base) for r, e in zip(rho, eps_sq)]
 
 
-def random_small_schedule(N: int, seed: int, trial: int,
-                          bound: float | None = None) -> PerturbationSequences:
+def random_small_schedule(N: int, seed: int, trial: int) -> PerturbationSequences:
     """The one-trial case of :func:`random_small_schedules`."""
-    return random_small_schedules(N, seed, [trial], bound)[0]
+    return random_small_schedules(N, seed, [trial])[0]
 
 
 # -- diagnostics ---------------------------------------------------------------

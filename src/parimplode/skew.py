@@ -46,7 +46,8 @@ class SkewSystem:
             raise InvalidSpecError(f"fiber_eps_sq_rule must be one of {_EPS_SQ_RULES}")
 
     def w_final(self, N: int) -> complex:
-        """w_N = mu^N w_0 in closed form (one scalar power, not ``base_orbit``)."""
+        """w_N = mu^N w_0 in closed form (one scalar power, not the numpy
+        powers of ``induced_schedule``)."""
         return complex(self.w0_rule(N)) * complex(self.base_multiplier) ** N
 
 
@@ -81,15 +82,10 @@ def build_example(example_id: int, N: int) -> SkewSystem:
     return SkewSystem(-1.0, "offset_plus_w", "w_squared", lambda n: -1.0 / n**2)
 
 
-def base_orbit(sys: SkewSystem, N: int) -> np.ndarray:
-    """w_0, ..., w_N in closed form."""
-    w0 = complex(sys.w0_rule(N))
-    return w0 * np.asarray(sys.base_multiplier, dtype=complex) ** np.arange(0, N + 1)
-
-
 def induced_schedule(sys: SkewSystem, N: int) -> PerturbationSequences:
     """The non-autonomous fiber schedule: step k sees w_{k-1}."""
-    w = base_orbit(sys, N)  # w[k-1] drives step k, k = 1..N+1
+    # the base orbit w_0..w_N in closed form; w[k-1] drives step k, k = 1..N+1
+    w = complex(sys.w0_rule(N)) * np.asarray(sys.base_multiplier, dtype=complex) ** np.arange(0, N + 1)
     if sys.fiber_theta_rule == "w_itself":
         theta = w
     else:

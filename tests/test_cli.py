@@ -28,8 +28,7 @@ from parimplode.ioutil import fmt17
 
 # every subcommand's flags besides --config and --help; pinned here, apart
 # from the option table, so that a flag dropped from the table shows
-_SCHEDULE_FLAGS = ["--theorem", "--case", "--quadratic-noncvg", "--amplitude", "--eps-amp",
-                   "--pair-amp", "--pair-bound", "--rot-coeff"]
+_SCHEDULE_FLAGS = ["--theorem", "--case", "--quadratic-noncvg"]
 _FLAGS = {
     "sweep": _SCHEDULE_FLAGS + ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
     "random": ["--delta", "--trials", "--seed", "--n", "--dist", "--m", "--out-trials",
@@ -40,15 +39,19 @@ _FLAGS = {
     "diagnose-sum": _SCHEDULE_FLAGS + ["--n"],
 }
 # a value each typed, choice or switch flag accepts; the rest take any string
-_DOC_VALUES = {"--theorem": "b", "--case": 2, "--quadratic-noncvg": True, "--amplitude": 0.25,
-               "--eps-amp": 0.5, "--pair-amp": 0.75, "--pair-bound": 1.5, "--rot-coeff": 2.5,
+_DOC_VALUES = {"--theorem": "b", "--case": 2, "--quadratic-noncvg": True,
                "--assert": True, "--extended": False, "--threads": 2,
                "--delta": 0.5, "--trials": 40, "--seed": 3, "--dist": "rademacher", "--m": 2.0,
                "--lambda-value": 0.125, "--example": 4, "--n-max": 256}
-# the options that could switch a check off or rescale it, and the commands that took them
+# deleted options and the commands that took them: those that could switch a
+# check off or rescale it, and the schedule parameters that no run set (the
+# library's TheoremA/TheoremB still take them)
 _REMOVED = [("sweep", "--oracle-limit", "0"), ("skew", "--oracle-limit", "0"),
-            ("random", "--threshold", "0.25"), ("random", "--lambda-rule", "fixed")]
+            ("random", "--threshold", "0.25"), ("random", "--lambda-rule", "fixed"),
+            *((command, flag, "0.5") for command in ("sweep", "diagnose-sum")
+              for flag in ("--amplitude", "--eps-amp", "--pair-amp", "--pair-bound", "--rot-coeff"))]
 _REMOVED_ARGV = {"sweep": ["sweep", "--theorem", "A", "--n", "100"],
+                 "diagnose-sum": ["diagnose-sum", "--theorem", "B", "--n", "100"],
                  "skew": ["skew", "--example", "4", "--n", "100"],
                  "random": ["random", "--delta", "0.5", "--trials", "30", "--n", "200"]}
 _ERRORS = sorted((c for c in vars(errors).values() if isinstance(c, type)
@@ -106,16 +109,12 @@ def test_sweep_rejects_conflicting_family():
     assert main(["sweep", "--quadratic-noncvg", "--theorem", "A", "--n", "100"]) == 1
 
 
-def test_sweep_eps_amp_needs_family_b(capsys):
-    rc = main(["sweep", "--theorem", "A", "--eps-amp", "1.0", "--n", "100:400:x2"])
-    assert rc == 1
-    assert "eps_amp" in capsys.readouterr().err
-
-
 def test_random_usage_errors(capsys):
     for flags, field in ((["--delta", "0", "--trials", "50"], "delta"),
                          (["--delta", "0.5", "--trials", "20"], "trials:"),
-                         (["--delta", "0.5", "--trials", "0"], "trials:")):
+                         (["--delta", "0.5", "--trials", "0"], "trials:"),
+                         (["--delta", "0.5", "--lambda-value", "0"], "lambda_value:"),
+                         (["--delta", "0.5", "--lambda-value", "-1"], "lambda_value:")):
         assert main(["random", *flags]) == 1
         assert capsys.readouterr().err.startswith(f"parimplode: error: {field} ")
 
@@ -123,7 +122,8 @@ def test_random_usage_errors(capsys):
 @pytest.mark.parametrize("flags, field", [
     (["--delta", "nan"], "delta"),
     (["--delta", "inf"], "delta"),
-    (["--delta", "0.5", "--lambda-value", "nan"], "lambda"),
+    (["--delta", "0.5", "--lambda-value", "nan"], "lambda_value:"),
+    (["--delta", "0.5", "--lambda-value", "inf"], "lambda_value:"),
 ])
 def test_random_rejects_non_finite_values(capsys, flags, field):
     with warnings.catch_warnings():
@@ -136,10 +136,7 @@ def test_random_rejects_non_finite_values(capsys, flags, field):
 
 @pytest.mark.parametrize("argv, field", [
     (["random", "--delta", "0.5", "--dist", "rademacher", "--m", "7"], "m"),
-    (["sweep", "--quadratic-noncvg", "--case", "3", "--amplitude", "9"], "case"),
-    (["sweep", "--quadratic-noncvg", "--amplitude", "9"], "amplitude"),
-    (["sweep", "--quadratic-noncvg", "--rot-coeff", "1"], "rot_coeff"),
-    (["diagnose-sum", "--quadratic-noncvg", "--pair-bound", "2"], "pair_bound"),
+    (["sweep", "--quadratic-noncvg", "--case", "3"], "case"),
 ])
 def test_an_option_the_run_would_ignore_is_a_usage_error(capsys, argv, field):
     assert main([*argv, "--n", "200"]) == 1

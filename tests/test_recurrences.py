@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from parimplode import (
-    ChebyshevPoint,
     CounterexampleC,
     Custom,
     DegenerateMapError,
@@ -21,7 +20,6 @@ from parimplode import (
     RecurrenceOverflowError,
     TheoremA,
     TheoremB,
-    chebyshev_U,
     closed_form_T_array,
     coefficients_from_qr,
     compose_chain,
@@ -246,47 +244,6 @@ def test_exact_rotation_reproduces_T():
     T = closed_form_T_array(n)
     assert np.max(np.abs(triple.q - T)) < 1e-8
     assert np.max(np.abs(triple.r - 1.0)) == 0.0  # eps == 0 keeps r frozen at 1
-
-
-# -- Chebyshev comparison sequence ----------------------------------------------
-
-
-def test_chebyshev_point_validation():
-    p = ChebyshevPoint.from_theta(0.7)
-    assert p.x == pytest.approx(2.0 * math.cos(0.7))
-    with pytest.raises(ValueError):
-        ChebyshevPoint(theta=0.7, x=1.0)
-    with pytest.raises(ValueError):
-        ChebyshevPoint(theta=float("nan"), x=0.0)
-
-
-def test_chebyshev_U_recurrence_and_seeds():
-    p = ChebyshevPoint.from_theta(0.3)
-    assert chebyshev_U(0, p) == 0.0
-    assert chebyshev_U(1, p) == 1.0
-    for k in range(1, 30):
-        lhs = chebyshev_U(k + 1, p)
-        rhs = p.x * chebyshev_U(k, p) - chebyshev_U(k - 1, p)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-    with pytest.raises(ValueError):
-        chebyshev_U(-1, p)
-
-
-def test_chebyshev_U_degenerate_angles():
-    # x = 2: U_k = k; x = -2: U_k = (-1)^(k+1) k
-    top = ChebyshevPoint.from_theta(0.0)
-    bottom = ChebyshevPoint.from_theta(math.pi)
-    for k in (0, 1, 2, 7):
-        assert chebyshev_U(k, top) == float(k)
-        assert chebyshev_U(k, bottom) == pytest.approx((-1.0) ** (k + 1) * k, abs=1e-12)
-
-
-def test_chebyshev_U_resonance_endpoints():
-    n = 64
-    p = ChebyshevPoint.from_theta(math.pi / n)
-    assert chebyshev_U(n - 1, p) == pytest.approx(1.0, abs=1e-12)
-    assert abs(chebyshev_U(n, p)) < 1e-12
-    assert chebyshev_U(n + 1, p) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_additive_resonant_checkpoints():

@@ -1,5 +1,6 @@
 """Schedule construction: per-variant shapes and exact structure."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -180,17 +181,13 @@ def test_random_small_schedule_bounds():
     s = random_small_schedule(50, seed=0, trial=0)
     assert np.max(np.abs(s.b)) <= 1.0 / 50**2
     assert np.max(np.abs(s.eps_sq)) <= 1.0 / 50**4
-    tight = random_small_schedule(50, seed=0, trial=0, bound=0.01)
-    assert np.max(np.abs(tight.b)) <= 0.01
-    assert np.max(np.abs(tight.eps_sq)) <= 1e-4
     again = random_small_schedule(50, seed=0, trial=0)
     assert np.array_equal(s.rho, again.rho) and np.array_equal(s.eps_sq, again.eps_sq)
 
 
-def _reference_random_small(N, seed, trial, bound=None):
+def _reference_random_small(N, seed, trial):
     # random_small_schedule as it was: one uniform01 draw per counter lane
-    if bound is None:
-        bound = 1.0 / N**2
+    bound = 1.0 / N**2
     k = np.arange(0, N + 2, dtype=np.uint64)
     lanes = [rng.uniform01(seed, trial, np.uint64(4) * k + np.uint64(j)) for j in range(4)]
     b = bound * lanes[0] * np.exp(2j * np.pi * lanes[1])
@@ -203,10 +200,9 @@ def _reference_random_small(N, seed, trial, bound=None):
 
 
 def test_random_small_schedule_bit_identical_to_four_lane_draw():
-    for n, seed, trial, bound in ((4, 0, 0, None), (16, 1, 3, None), (64, 201, 7, None),
-                                  (257, 5, 1, 0.01), (512, 2**40, 199, None)):
-        got = random_small_schedule(n, seed, trial, bound)
-        want = _reference_random_small(n, seed, trial, bound)
+    for n, seed, trial in ((4, 0, 0), (16, 1, 3), (64, 201, 7), (257, 5, 1), (512, 2**40, 199)):
+        got = random_small_schedule(n, seed, trial)
+        want = _reference_random_small(n, seed, trial)
         for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
             assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
         assert got.rho_base == want.rho_base
@@ -216,14 +212,13 @@ def test_random_small_schedules_bit_identical_per_trial():
     trials = [5, 0, 3, 1]  # out of order: each schedule belongs to its trial
     for n in (16, 64, 512):
         for seed in range(4):
-            for bound in (None, 0.01):
-                batch = random_small_schedules(n, seed, trials, bound)
-                assert len(batch) == len(trials)
-                for trial, got in zip(trials, batch):
-                    want = random_small_schedule(n, seed, trial, bound)
-                    for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
-                        assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
-                    assert got.rho_base == want.rho_base
+            batch = random_small_schedules(n, seed, trials)
+            assert len(batch) == len(trials)
+            for trial, got in zip(trials, batch):
+                want = random_small_schedule(n, seed, trial)
+                for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
+                    assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+                assert got.rho_base == want.rho_base
 
 
 def test_materialize_rejects_bad_sizes():
@@ -258,6 +253,30 @@ def test_spec_constructor_validation():
         UniformSymmetric(0.0)
     with pytest.raises(InvalidSpecError):
         CounterexampleC("g")
+
+
+def test_each_case_rejects_exactly_the_parameters_it_never_reads():
+    # a parameter the case reads changes its schedule; any other is an error
+    # naming the field and the case, never a silent no-op
+    with pytest.raises(InvalidSpecError, match=r"^pair_amp: TheoremA case 1 does not read it, got 5$"):
+        TheoremA(1, pair_amp=5, rot_coeff=3)
+    with pytest.raises(InvalidSpecError, match=r"^eps_amp: TheoremB case 4 does not read it, got 7$"):
+        TheoremB(4, eps_amp=7)
+    n = 64
+    rejected = 0
+    for family, cases in ((TheoremA, (1, 2, 3)), (TheoremB, (1, 2, 3, 4, 5))):
+        for case in cases:
+            default = materialize(family(case), n)
+            for field in dataclasses.fields(family)[1:]:
+                try:
+                    seqs = materialize(family(case, **{field.name: 0.5}), n)
+                except InvalidSpecError as exc:
+                    assert str(exc) == f"{field.name}: {family.__name__} case {case} does not read it, got 0.5"
+                    rejected += 1
+                    continue
+                assert not (np.array_equal(seqs.rho, default.rho)
+                            and np.array_equal(seqs.eps_sq, default.eps_sq)), (family, case, field.name)
+    assert rejected == 21  # 7 in family A, 14 in family B
 
 
 def test_summation_diagnostic_scaled_pins():

@@ -17,7 +17,7 @@ from parimplode import (
     materialize,
     run_point,
 )
-from parimplode.skew import EXAMPLES, SKEW_CSV_HEADER, base_orbit, induced_schedule, write_skew_csv
+from parimplode.skew import EXAMPLES, SKEW_CSV_HEADER, induced_schedule, write_skew_csv
 
 
 def test_build_example_presets():
@@ -48,15 +48,18 @@ def test_skew_system_rule_validation():
 
 
 def test_base_orbit_closed_form():
+    # step k of the induced schedule sees w_{k-1} = mu^(k-1) w_0, through
+    # rho_k = exp(2 pi i (1/N + w_{k-1})) for these presets
     n = 50
     for ex in (2, 3, 5):
         sys = build_example(ex, n)
-        w = base_orbit(sys, n)
-        assert w.shape == (n + 1,)
+        rho = induced_schedule(sys, n).rho
         w0 = complex(sys.w0_rule(n))
         for k in (0, 1, n // 2, n):
-            assert w[k] == pytest.approx(w0 * sys.base_multiplier**k, rel=1e-12)
+            want = cmath.exp(2j * math.pi * (1.0 / n + w0 * sys.base_multiplier**k))
+            assert rho[k + 1] == pytest.approx(want, rel=1e-12)
         # |mu| = 1 for every preset, so the orbit never grows or decays
+        w = np.log(rho[1:]) / (2j * np.pi) - 1.0 / n
         assert np.max(np.abs(np.abs(w) - abs(w0))) < 1e-15
 
 
@@ -89,8 +92,8 @@ def test_w_final_closed_form():
     n = 64
     assert abs(build_example(3, n).w_final(n)) == pytest.approx(1.0 / n**2, rel=1e-12)
     assert build_example(2, n).w_final(n) == complex(-1.0 / n**2)  # (-1)^64 leaves w0 in place
-    # the one scalar power, bit for bit: base_orbit's numpy power moves the
-    # last bits of |w_N| for example 3
+    # the one scalar power, bit for bit: the numpy power of induced_schedule
+    # moves the last bits of |w_N| for example 3
     for ex, n in itertools.product(EXAMPLES, (100, 1600, 12800)):
         system = build_example(ex, n)
         want = complex(system.w0_rule(n)) * complex(system.base_multiplier) ** n
