@@ -26,8 +26,8 @@ schedule ``SkewExample``) run theirs through ``convergence.run_sweep``.
 ``oracle`` and every ``--extended`` ladder take one worker per CPU, and the
 binary64 ladders of sweep, counterexample and skew run inline, where forking
 workers costs more than it saves (on 2 CPUs: exact-kernel benchmark ladders
-0.38 s inline against 0.27 s on workers, eight plain sweeps 125 against
-162 ms).  ``oracle`` cuts each N's trials into slices of at most
+0.43-0.46 s inline against 0.28-0.31 s on workers, eight plain sweeps 125
+against 162 ms).  ``oracle`` cuts each N's trials into slices of at most
 min(_ORACLE_BATCH, ceil(trials / workers)) and folds the slice maxima in
 (N, trial) order, so its line is the same at any worker count.
 """

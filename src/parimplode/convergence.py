@@ -144,11 +144,12 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     ``max_workers`` or PARIMPLODE_THREADS, the exact kernel (``extended``)
     takes one worker per CPU and the binary64 path runs inline.  On 2 CPUs,
     two workers ran the exact-kernel ladders of the ``sweep-extended``
-    benchmark in 0.27 s against 0.38 s inline, but eight plain sweeps over
-    100..12800 in 162 ms against 125 ms (median of ten alternating pairs,
-    one won by the workers): a plain rung takes a few ms, and forking and
-    reaping two workers, about 6 ms a sweep, costs more than the second CPU
-    saves.
+    benchmark in 0.28-0.31 s against 0.43-0.46 s inline (medians of two
+    runs of ten alternating pairs, all won by the workers), but eight plain
+    sweeps over 100..12800 in 162 ms against 125 ms (median of ten
+    alternating pairs, one won by the workers): a plain rung takes a few ms,
+    and forking and reaping two workers, about 6 ms a sweep, costs more than
+    the second CPU saves.
     """
     check_ladder(Ns)
     workers = worker_count(max_workers, default=None if extended else 1)

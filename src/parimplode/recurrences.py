@@ -14,7 +14,8 @@ and 0 for r, which never rounds the O(1/N) part of the coefficient at ulp(2).
 must equal prod_{j<=N} rho_j to ``WRONSKIAN_GATE`` relative.
 
 The ``extended`` kernel runs in fixed-point integers with at least 128
-fraction bits and rounds each value once, to the correctly rounded value of
+fraction bits and keeps only the tail it reports: q_N, q_{N+1}, r_N, r_{N+1}
+and prod_{j<=N} rho_j, each rounded once, to the correctly rounded value of
 the exact recurrence unless the value is tiny or within ~2**-128 of a tie.
 
 Index conventions (documented once, used everywhere):
@@ -22,7 +23,8 @@ Index conventions (documented once, used everywhere):
 * ``rho`` and ``eps_sq`` have length N+2 and are 1-based; slot 0 is unused
   and kept at 0.  No recurrence reads index N+1; the schedules fill it by
   the rule of 1..N.
-* ``q`` and ``r`` have length N+2 covering 0..N+1.
+* ``q`` and ``r`` have length N+2 covering 0..N+1 (on the ``extended`` path
+  every entry before index N is NaN).
 * Additive perturbations enter only through eps^2, so sequences store
   eps_sq directly and no square root is ever taken.
 """
@@ -160,6 +162,10 @@ class QRSTriple:
     ``rho_cumprod[k]`` is prod_{j<=k} rho_j (length N+1, index 0 = 1); it is
     the exact value of the Wronskian q_{k+1} r_k - r_{k+1} q_k and is carried
     along so corruption checks need no access to the original schedule.
+
+    The exact (``extended``) kernel sets only the tail: q[N], q[N+1], r[N],
+    r[N+1] and rho_cumprod[N].  Every other entry is NaN, so a check at an
+    index k < N fails its gate rather than reading a stale value.
     """
 
     q: np.ndarray
@@ -171,15 +177,17 @@ class QRSTriple:
         return self.q.size - 2
 
 
-def _check_overflow(q: np.ndarray, r: np.ndarray) -> None:
-    """Raise on the first entry that is non-finite or exceeds 1e100 in modulus.
+def _check_overflow(q: np.ndarray, r: np.ndarray, start: int = 0) -> None:
+    """Raise on the first entry from index ``start`` on that is non-finite or
+    exceeds 1e100 in modulus.
 
     q and r are scanned together by index (q first on a tie), which names
     the same entry a step-by-step check would have stopped at.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bad_q, bad_r = (~(np.abs(x) <= _OVERFLOW_LIMIT) for x in (q, r))
-    hits = [(int(np.argmax(bad)), name) for bad, name in ((bad_q, "q"), (bad_r, "r")) if bad.any()]
+        bad_q, bad_r = (~(np.abs(x[start:]) <= _OVERFLOW_LIMIT) for x in (q, r))
+    hits = [(start + int(np.argmax(bad)), name)
+            for bad, name in ((bad_q, "q"), (bad_r, "r")) if bad.any()]
     if hits:
         k, name = min(hits)
         raise RecurrenceOverflowError(
@@ -199,11 +207,13 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     seqs : PerturbationSequences
     extended : bool
         When True, run the recurrence in fixed-point integers (at least 128
-        fraction bits, inputs converted exactly) and round each value once.
-        Errors are absolute, about 2**-128 per step, so a value much smaller
-        than that, such as a vanishing prod rho_j, loses its digits or reads
-        0.  About 8x the cost of the plain path per step (about 3.6 us
-        against 0.45 us on a 2.1 GHz Xeon vCPU).
+        fraction bits, inputs converted exactly) and return only the tail:
+        q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j, each rounded once; every
+        earlier entry is NaN (see ``QRSTriple``).  Errors are absolute,
+        about 2**-128 per step, so a value much smaller than that, such as
+        a vanishing prod rho_j, loses its digits or reads 0.  About 6x the
+        cost of the plain path per step (about 2.6 us against 0.45 us on a
+        2.1 GHz Xeon vCPU).
 
     Returns
     -------
@@ -212,19 +222,22 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     Raises
     ------
     RecurrenceOverflowError
-        If any sequence value is non-finite or exceeds 1e100 in modulus.
+        If a returned q or r value is non-finite or exceeds 1e100 in
+        modulus: any of them on the plain path, the tail on the exact one,
+        whose integers cannot overflow.
     """
     q, r, prod = (_run_extended if extended else _run_plain)(seqs)
-    _check_overflow(q, r)
+    _check_overflow(q, r, seqs.N if extended else 0)
     return QRSTriple(q=q, r=r, rho_cumprod=prod)
 
 
 # Both kernels walk the schedule in blocks of _BLOCK steps.  A block's
-# Python objects are copied into the output arrays and freed before the
-# next block, so the allocator reuses the same few pages.  Holding one
-# object per step for the whole schedule instead maps fresh memory on every
-# call (about 2 MB and 500 page faults at N = 12800), a cost that swings
-# with the load on the machine far more than the arithmetic does.
+# Python objects (the plain path's outputs, the exact path's converted
+# inputs) are freed before the next block, so the allocator reuses the same
+# few pages.  Holding one object per step for the whole schedule instead
+# maps fresh memory on every call (about 2 MB and 500 page faults at
+# N = 12800), a cost that swings with the load on the machine far more than
+# the arithmetic does.
 _BLOCK = 256
 
 
@@ -265,7 +278,8 @@ def _run_plain(seqs: PerturbationSequences):
 # _FRAC_BITS, and 64 more than the finest bit of any input, so every input
 # converts exactly.  Sums are exact, each product drops its low F bits with one
 # shift, and each output is rounded once; past the binary64 range it becomes
-# inf, which the overflow check then reports.
+# inf, which the overflow check then reports.  Only the final state is kept,
+# so the rounding is paid once per run, not once per step.
 #
 # The increment d_{k+1} = (rho_k d_k - eps_k^2 x_k) >> F is the only rounded
 # step.  Since 1 + rho_k - eps_k^2 is 2**F + rho_k - eps_k^2 here, and
@@ -291,16 +305,9 @@ def _to_fixed(x: np.ndarray, F: int) -> list[int]:
 def _to_float(out: list[int], F: int) -> np.ndarray:
     """Each x / 2**F, correctly rounded to binary64 (inf past 2**1000).
 
-    float(int) rounds correctly, and for F <= 1022 every nonzero x / 2**F is
-    at least 2**-1022, a normal number, so the scaling by 2**-F is exact and
-    equals int / int bit for bit.  A finer F, or an x past the binary64 range,
-    takes the int / int division.
+    int / int rounds the quotient correctly, for any F and into the
+    subnormal range.
     """
-    if F <= 1022:
-        try:
-            return np.ldexp(np.array(list(map(float, out))), -F)
-        except OverflowError:  # handled below, value by value
-            pass
     one = 1 << F
     # any value past 2**1000 fails the overflow check
     return np.array([x / one if abs(x) >> F < 2**1000 else math.inf for x in out])
@@ -312,20 +319,11 @@ def _run_extended(seqs: PerturbationSequences):
     F = max(_FRAC_BITS, 117 - min(int(np.frexp(x.view(float))[1].min())
                                   for x in (seqs.rho, seqs.eps_sq)))
     one = 1 << F
-    q = np.empty(N + 2, dtype=complex)
-    r = np.empty(N + 2, dtype=complex)
-    prod = np.empty(N + 1, dtype=complex)
-    q[:2] = 0j, 1 + 0j
-    r[:2] = 1 + 0j, 1 + 0j
-    prod[0] = 1 + 0j
     # (x_1, d_1) is (1, 1) for q and (1, 0) for r
     qr, qi, qdr, qdi, rr, ri, rdr, rdi, pr, pi = one, 0, one, 0, one, 0, 0, 0, one, 0
-    # each block's values as rows (q.re, q.im, r.re, r.im, prod.re, prod.im)
-    qv, rv, pv = (x.view(float).reshape(-1, 2) for x in (q, r, prod))
     for k0, k1 in _blocks(N):
         rho_b = _to_fixed(seqs.rho[k0:k1], F)
         es_b = _to_fixed(seqs.eps_sq[k0:k1], F)
-        out = []
         for ar, ai, er, ei in zip(rho_b[0::2], rho_b[1::2], es_b[0::2], es_b[1::2]):
             qdr, qdi = ((ar * qdr - ai * qdi - er * qr + ei * qi) >> F,
                         (ar * qdi + ai * qdr - er * qi - ei * qr) >> F)
@@ -333,11 +331,12 @@ def _run_extended(seqs: PerturbationSequences):
                         (ar * rdi + ai * rdr - er * ri - ei * rr) >> F)
             qr, qi, rr, ri = qr + qdr, qi + qdi, rr + rdr, ri + rdi
             pr, pi = (pr * ar - pi * ai) >> F, (pr * ai + pi * ar) >> F
-            out += (qr, qi, rr, ri, pr, pi)
-        rows = _to_float(out, F).reshape(-1, 6)
-        qv[k0 + 1:k1 + 1] = rows[:, 0:2]
-        rv[k0 + 1:k1 + 1] = rows[:, 2:4]
-        pv[k0:k1] = rows[:, 4:6]
+    # x_N = x_{N+1} - d_{N+1} is exact, so each tail value is rounded once
+    tail = _to_float([qr - qdr, qi - qdi, qr, qi, rr - rdr, ri - rdi, rr, ri, pr, pi], F).view(complex)
+    q = np.full(N + 2, complex(math.nan, math.nan))
+    r = np.full(N + 2, complex(math.nan, math.nan))
+    prod = np.full(N + 1, complex(math.nan, math.nan))
+    q[N:], r[N:], prod[N] = tail[0:2], tail[2:4], tail[4]
     return q, r, prod
 
 

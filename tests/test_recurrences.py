@@ -2,6 +2,7 @@
 import cmath
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -264,17 +265,31 @@ def test_additive_resonant_checkpoints():
 # -- overflow and extended path ---------------------------------------------------
 
 
+def _doubling(n):
+    """|b| = 1: admissible, but q_k grows like 2^k, past 1e100 from k = 333 on."""
+    return _schedule(n, lambda k: 0j, rho_shift=1.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard():
     # at N = 1200 the unchecked values run on to inf and nan; the guard must
     # still name the first entry past 1e100, and numpy must stay silent
     for n in (400, 1200):
-        base = cmath.exp(2j * math.pi / n)
-        rho = np.full(n + 2, base + 1.0)  # |b| = 1: admissible but grows like 2^k
-        spec = Custom(rho=rho, eps_sq=np.zeros(n + 2, dtype=complex), rho_base=base)
-        for extended in (False, True):
-            with pytest.raises(RecurrenceOverflowError, match=r"^\|q_333\| exceeded 1e100"):
-                run_recurrences(materialize(spec, n), extended=extended)
+        with pytest.raises(RecurrenceOverflowError, match=r"^\|q_333\| exceeded 1e100"):
+            run_recurrences(_doubling(n))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_guard_reads_the_exact_tail():
+    # The exact kernel returns only the tail, so the guard names the first
+    # tail entry past 1e100 by its true index (inf at N = 1200); its integers
+    # cannot overflow, so nothing earlier needs the check.  Below 1e100 the
+    # run passes: |q_301| is about 2^301 = 4e90.
+    for n in (400, 1200):
+        with pytest.raises(RecurrenceOverflowError, match=rf"^\|q_{n}\| exceeded 1e100"):
+            run_recurrences(_doubling(n), extended=True)
+    triple = run_recurrences(_doubling(300), extended=True)
+    assert 1e90 < abs(triple.q[301]) < 1e100
 
 
 def test_overflow_check_treats_non_finite_as_overflow():
@@ -292,11 +307,13 @@ def test_overflow_check_treats_non_finite_as_overflow():
 
 
 def test_extended_path_agrees_with_plain():
+    # the exact kernel returns only its tail, so it runs on every prefix
     seqs = random_small_schedule(64, seed=8, trial=0)
     plain = run_recurrences(seqs)
-    ext = run_recurrences(seqs, extended=True)
-    assert np.max(np.abs(plain.q - ext.q)) < 1e-11
-    assert np.max(np.abs(plain.r - ext.r)) < 1e-11
+    for n in range(1, 65):
+        ext = run_recurrences(_prefix(seqs, n), extended=True)
+        assert np.max(np.abs(plain.q[n:n + 2] - ext.q[n:])) < 1e-11
+        assert np.max(np.abs(plain.r[n:n + 2] - ext.r[n:])) < 1e-11
 
 
 # -- bit-identity against the reference loops -------------------------------------
@@ -305,9 +322,11 @@ def test_extended_path_agrees_with_plain():
 # it bit for bit, so every CSV byte and pinned value computed from q, r and
 # rho_cumprod is unaffected by the rewrite.  The extended kernel
 # must give the exact values on its binary64 inputs, correctly rounded, which
-# _exact_reference works out without truncating anything.  Likewise
-# compose_chain over the step_maps rows must reproduce the fold over
-# MoebiusCoeffs objects that it replaced.
+# _exact_reference works out without truncating anything.  It returns only
+# the tail at N, so where N is small it runs on every prefix of the schedule
+# and each step's value is still checked once.  Likewise compose_chain over
+# the step_maps rows must reproduce the fold over MoebiusCoeffs objects that
+# it replaced.
 
 
 def _reference_plain(seqs):
@@ -420,15 +439,41 @@ def _assert_chain_bit_identical(seqs):
     assert got_bits.tolist() == want_bits.tolist()
 
 
-def _assert_bit_identical(seqs, extended):
-    triple = run_recurrences(seqs, extended=extended)
+def _prefix(seqs, n):
+    """The first n steps of seqs as a schedule of their own."""
+    return PerturbationSequences(seqs.rho[:n + 2], seqs.eps_sq[:n + 2], seqs.rho_base)
+
+
+def _assert_tail_bit_identical(got, want):
+    """The exact kernel's (q, r, rho_cumprod) at some N against ``want``, full
+    arrays of a schedule that N steps begin: q[N:], r[N:] and rho_cumprod[N:]
+    bit for bit, and every earlier entry NaN."""
+    n = got[0].size - 2
+    for name, g, w in zip(("q", "r", "rho_cumprod"), got, want):
+        assert np.isnan(g[:n].view(float)).all(), f"{name} holds a value before N={n}"
+        diff = np.flatnonzero(g[n:].view(np.uint64) != w[n:g.size].view(np.uint64))
+        assert diff.size == 0, f"{name} at N={n} differs first at flat index {diff[:1]}"
+
+
+def _assert_bit_identical(seqs, extended, ns=None):
+    """The kernel against its reference, which it returns as a QRSTriple.
+
+    The exact kernel's tail is checked at N and at each prefix length in ns;
+    the plain kernel's arrays are checked whole.
+    """
     reference = (_exact_reference if extended else _reference_plain)(seqs)
-    got_all = (triple.q, triple.r, triple.rho_cumprod)
-    for name, got, want in zip(("q", "r", "rho_cumprod"), got_all, reference):
-        assert got.shape == want.shape, name
-        diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
-        assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
-    return triple
+    if extended:
+        for n in (seqs.N,) if ns is None else ns:
+            triple = run_recurrences(_prefix(seqs, n), extended=True)
+            _assert_tail_bit_identical((triple.q, triple.r, triple.rho_cumprod), reference)
+    else:
+        triple = run_recurrences(seqs)
+        got_all = (triple.q, triple.r, triple.rho_cumprod)
+        for name, got, want in zip(("q", "r", "rho_cumprod"), got_all, reference):
+            assert got.shape == want.shape, name
+            diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
+    return QRSTriple(*reference)
 
 
 _FAMILIES = (
@@ -475,9 +520,14 @@ def test_kernels_bit_identical_across_block_edges(extended):
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_hold_no_per_step_objects(extended):
-    # Memory at N = 12800 stays near the output arrays themselves: a kernel
-    # that keeps one Python object per step would more than double it.
-    seqs = materialize(TheoremB(3), 12800)
+    # Plain: memory at N = 12800 stays near the output arrays themselves; a
+    # kernel that keeps one Python object per step would more than double it.
+    # Exact: the outputs are NaN but for the tail, so what counts is the peak
+    # beyond them.  At N = 2400 it reads about 20 KB, one block's converted
+    # inputs and the O(N) numpy temporaries of the fraction-bit rule; one int
+    # per step would cost 106 KB more, and six per step 0.6 MB.
+    n = 2400 if extended else 12800
+    seqs = materialize(TheoremB(3), n)
     tracemalloc.start()
     try:
         triple = run_recurrences(seqs, extended=extended)
@@ -485,7 +535,10 @@ def test_kernels_hold_no_per_step_objects(extended):
     finally:
         tracemalloc.stop()
     outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.rho_cumprod))
-    assert peak < 2 * outputs
+    if extended:
+        assert peak - outputs < n * sys.getsizeof(1 << 128)
+    else:
+        assert peak < 2 * outputs
 
 
 # -- the plain kernel against the exact kernel at the reported N -----------------
@@ -567,14 +620,19 @@ def _fraction_bits(seqs):
                               for x in (seqs.rho, seqs.eps_sq)))
 
 
-def _assert_matches_two_term_form(seqs):
-    """The kernel's raw q, r, prod against _reference_extended, bit for bit."""
+def _assert_matches_two_term_form(seqs, ns=None):
+    """The kernel's raw tail against _reference_extended, bit for bit, at N
+    and at each prefix length in ns; returns the reference's full arrays.
+
+    The kernel's rounding depends on F, so each prefix must keep seqs's F.
+    """
     from parimplode.recurrences import _run_extended
 
-    got, want = _run_extended(seqs), _reference_extended(seqs)
-    for name, g, w in zip(("q", "r", "rho_cumprod"), got, want):
-        diff = np.flatnonzero(g.view(np.uint64) != w.view(np.uint64))
-        assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
+    want = _reference_extended(seqs)
+    for n in (seqs.N,) if ns is None else ns:
+        prefix = _prefix(seqs, n)
+        assert _fraction_bits(prefix) == _fraction_bits(seqs), n
+        _assert_tail_bit_identical(_run_extended(prefix), want)
     return want
 
 
@@ -604,31 +662,34 @@ def test_extended_matches_two_term_form_on_the_benchmark_rungs():
         _assert_matches_two_term_form(seqs)
 
 
+# A step costs about 45 us at F = 1113 or 1190, so the two schedules below
+# check every prefix up to N = 40 and then N = 300 alone, whose tail reads
+# every input; every prefix of N = 300 would take 2 s.
+_FINE_F_PREFIXES = (*range(1, 41), 300)
+
+
 def test_extended_matches_two_term_form_below_2_pow_minus_906():
-    # eps^2 = 1e-300 gives F = 1113 > 1022: 2**-F scaling is no longer exact
-    # for every value, so the outputs go through int / int
+    # eps^2 = 1e-300 gives F = 1113 > 1022: 2**-F is below the binary64
+    # range, and the outputs still round once, through int / int
     seqs = _schedule(300, lambda k: 1e-300j if k % 3 else 0.01 / k)
     assert _fraction_bits(seqs) == 1113
-    _assert_matches_two_term_form(seqs)
+    _assert_matches_two_term_form(seqs, _FINE_F_PREFIXES)
 
 
 def test_extended_matches_two_term_form_on_subnormal_eps_sq():
     seqs = _schedule(300, lambda k: 5e-324j if k == 7 else complex(-5e-324, 1e-3 / k))
     assert _fraction_bits(seqs) == 1190
-    _assert_matches_two_term_form(seqs)
+    _assert_matches_two_term_form(seqs, _FINE_F_PREFIXES)
 
 
 def test_extended_rounds_a_subnormal_output_once():
     # rho_1 rho_2 = (1.5 - 1.3e-18) * 2**-1074 sits just below a rounding tie
     # of the subnormal grid: rounded once it reads 2**-1074; rounded to 53
     # bits first (float(int)) and then scaled, it would tie and read 2**-1073.
-    # eps_1^2 = 1 keeps every value of the block below 2**-500, so float(int)
-    # does not overflow there and only the F <= 1022 rule routes it to int / int.
     rho = np.array([0, math.ldexp(1 + 2**-30, -537), math.ldexp(1.5 / (1 + 2**-30), -537), 0.5])
     eps_sq = np.array([0, 1, 5e-324, 0])  # F = 1190
     seqs = PerturbationSequences(rho, eps_sq, 0.5)
-    q, r, prod = _assert_matches_two_term_form(seqs)
-    assert max(np.abs(q[2:]).max(), np.abs(r[2:]).max(), np.abs(prod[1:]).max()) < 2.0**-500
+    _, _, prod = _assert_matches_two_term_form(seqs, (1, 2))
     assert prod[2] == 5e-324
 
 
@@ -638,26 +699,18 @@ def test_extended_matches_two_term_form_on_signed_zeros():
     rho = np.array([0j] + [complex(1.0, -0.0)] * 300 + [1 + 0j])
     eps_sq = np.array([0j] + [zeros[k % 4] for k in range(300)] + [0j])
     seqs = PerturbationSequences(rho, eps_sq, 1.0)
-    q, r, _ = _assert_matches_two_term_form(seqs)
+    q, r, _ = _assert_matches_two_term_form(seqs, range(1, 301))
     assert q.real.tolist() == list(range(302)) and r[1:].real.tolist() == [1.0] * 301
-    _assert_bit_identical(seqs, extended=True)
+    _assert_bit_identical(seqs, extended=True, ns=range(1, 301))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extended_matches_two_term_form_past_2_pow_1024():
-    # |b| = 1 doubles q and r every step: from step ~1024 on, the block's
-    # values leave the binary64 range and read inf
-    from parimplode.recurrences import _check_overflow
-
-    seqs = _schedule(1200, lambda k: 0j, rho_shift=1.0)
-    q, r, _ = _assert_matches_two_term_form(seqs)
-    assert np.isinf(q[-1].real)
-    with pytest.raises(RecurrenceOverflowError) as want:
-        _check_overflow(q, r)
-    with pytest.raises(RecurrenceOverflowError) as got:
-        run_recurrences(seqs, extended=True)
-    assert str(got.value) == str(want.value) == \
-        "|q_333| exceeded 1e100; schedule is far outside the perturbative regime"
+    # |b| = 1 doubles q and r every step: q_k passes 2**1000, where the
+    # kernel's rounding reads inf, at k = 1001, and binary64 ends at 2**1024.
+    # The prefixes 990..1030 straddle both; every prefix would take 2 s.
+    q, _, _ = _assert_matches_two_term_form(_doubling(1200), range(990, 1031))
+    assert np.isfinite(q[990]) and np.isinf(q[1001].real) and np.isinf(q[-1].real)
 
 
 def test_kernels_bit_identical_property():
@@ -681,7 +734,7 @@ def test_kernels_bit_identical_property():
         base = cmath.exp(1j * angle)
         rho = np.array([0.0] + [base + x for x in b] + [base], dtype=complex)
         seqs = PerturbationSequences(rho, np.array([0.0] + eps_sq + [0.0], dtype=complex), base)
-        triple = _assert_bit_identical(seqs, extended)
+        triple = _assert_bit_identical(seqs, extended, range(1, n + 1))
         _assert_chain_bit_identical(seqs)
         if n > 1:  # the shifted schedule of N = 1 is empty
             assert np.max(np.abs(triple.r[1:] - _r_from_qs(seqs, triple))) < 1e-9 * n
