@@ -4,11 +4,9 @@ Subcommands: sweep, random, counterexample, skew, oracle, diagnose-sum.
 Exit codes: 0 success, 1 usage error, 2 numerical failure (any other
 ParimplodeError), 3 assertion failure.  Each option is declared once, in
 ``_OPTIONS`` (flag spec and help), and each subcommand once, in ``_COMMANDS``
-(handler, help and the hard default of every field it takes); the parser and
-the --config merge are both built from these tables.  A config document names
-fields by flag name with '-' replaced by '_'; explicit flags override document
-fields, and unknown document fields are rejected by name.  sweep and
-diagnose-sum build their schedule from --theorem and --case (or
+(handler, help and the default of every field it takes); the parser is built
+from these tables, so argparse alone types, defaults and requires each flag.
+sweep and diagnose-sum build their schedule from --theorem and --case (or
 --quadratic-noncvg) alone, at the family's default parameters; the library's
 ``TheoremA``/``TheoremB`` take the others.
 
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -69,17 +66,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def parse_ladder(text) -> list[int]:
-    """'1000' | 'start:end:xFACTOR' (geometric) | 'start:end:+STEP' (arithmetic).
-
-    A config document may also give one number or a list of them.
-    """
-    if isinstance(text, (list, tuple)):
-        if not text:
-            raise UsageError("n: ladder list is empty")
-        return [_as_type("n", int, v) for v in text]
-    if not isinstance(text, str):
-        return [_as_type("n", int, text)]
+def parse_ladder(text: str) -> list[int]:
+    """'1000' | 'start:end:xFACTOR' (geometric) | 'start:end:+STEP' (arithmetic)."""
     text = text.strip()
     if ":" not in text:
         try:
@@ -129,7 +117,7 @@ def parse_ladder(text) -> list[int]:
     return ns
 
 
-def _rung_ladder(text) -> list[int]:
+def _rung_ladder(text: str) -> list[int]:
     """parse_ladder, then the rule of a ladder swept rung by rung (check_ladder)."""
     ns = parse_ladder(text)
     try:
@@ -137,78 +125,6 @@ def _rung_ladder(text) -> list[int]:
     except ValueError as exc:
         raise UsageError(f"n: {exc}") from None
     return ns
-
-
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"config: cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config: invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise UsageError("config: document must be a JSON object")
-    return doc
-
-
-def _as_type(name: str, kind: type, value):
-    """A config document value converted to ``kind`` (int or float).
-
-    It takes a number or a string the type accepts, never a bool, and an
-    int no fraction.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except (ValueError, OverflowError):
-        raise UsageError(f"{name}: expected {kind.__name__}, got {value!r}") from None
-
-
-def _document_value(name: str, value):
-    """A config document value, checked and converted as its flag would be.
-
-    A typed field goes through ``_as_type``; a switch takes only true or false.
-    """
-    spec = _OPTIONS[name][0]
-    if spec is _ON:
-        if not isinstance(value, bool):
-            raise UsageError(f"{name}: expected true or false, got {value!r}")
-        return value
-    kind = spec.get("type")
-    if kind is not None:
-        value = _as_type(name, kind, value)
-    choices = spec.get("choices")
-    if choices is not None and value not in choices:
-        raise UsageError(f"{name}: expected one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
-def _resolve(args: argparse.Namespace, fields: dict) -> dict:
-    """Merge flag values over config document values over hard defaults.
-
-    ``fields`` maps field name -> hard default; a default of ``...``
-    marks the field required.  A document value goes through its flag's
-    type and choices; null reads as the field left out.
-    """
-    doc = _load_config(args.config) if args.config else {}
-    for key in doc:
-        if key not in fields:
-            raise UsageError(f"config: unknown field {key!r}")
-    merged = {}
-    for name, default in fields.items():
-        flag_val = getattr(args, name)
-        if flag_val is not None:
-            merged[name] = flag_val
-        elif doc.get(name) is not None:
-            merged[name] = _document_value(name, doc[name])
-        elif default is ...:
-            raise UsageError(f"{name}: required (flag or config field)")
-        else:
-            merged[name] = default
-    return merged
 
 
 def _build_deterministic_spec(cfg: dict):
@@ -417,7 +333,7 @@ def cmd_diagnose_sum(cfg: dict) -> int:
     return 0
 
 
-_ON = {"action": "store_const", "const": True}
+_ON = {"action": "store_true"}
 
 # field -> (add_argument keywords, help); the flag is --field with '_' -> '-'
 _OPTIONS = {
@@ -440,13 +356,11 @@ _OPTIONS = {
     "lambda_value": ({"type": float}, "constant tail threshold lambda_n (default: the proof's lambda_n)"),
     "example": ({"type": int}, "example id 1..5"),
     "n_max": ({"type": int}, "largest N checked, from 16, 64, 256, 512"),
-    "config": ({}, "JSON config document (flags override)"),
 }
 
 _SCHEDULE = {"theorem": None, "case": None, "quadratic_noncvg": False}
 
-# subcommand -> (handler, help, {field: hard default}); ``...`` marks a
-# required field.  Every subcommand also takes --config.
+# subcommand -> (handler, help, {field: default}); ``...`` marks a required flag
 _COMMANDS = {
     "sweep": (cmd_sweep, "deterministic N-sweep for one schedule",
               {**_SCHEDULE, "n": ..., "out": None, "svg": None, "assert": False,
@@ -475,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, (_, help_text, fields) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name in [*fields, "config"]:
+        for name, default in fields.items():
             spec, option_help = _OPTIONS[name]
-            p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
-                           help=option_help, **spec)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=default,
+                           required=default is ..., help=option_help, **spec)
     return parser
 
 
@@ -488,9 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 1
-    handler, _, fields = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
-        return handler(_resolve(args, fields))
+        return handler(vars(args))
     except (UsageError, InvalidSpecError) as exc:
         print(f"parimplode: error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,6 @@
-"""CLI surface: ladder parsing, exit codes, config merge, output determinism."""
+"""CLI surface: ladder parsing, flags and their defaults, exit codes, output determinism."""
 import argparse
 import errno
-import json
 import shlex
 import warnings
 from pathlib import Path
@@ -26,8 +25,8 @@ from parimplode import (
 from parimplode.cli import main, parse_ladder
 from parimplode.ioutil import fmt17
 
-# every subcommand's flags besides --config and --help; pinned here, apart
-# from the option table, so that a flag dropped from the table shows
+# every subcommand's flags besides --help; pinned here, apart from the option
+# table, so that a flag dropped from the table shows
 _SCHEDULE_FLAGS = ["--theorem", "--case", "--quadratic-noncvg"]
 _FLAGS = {
     "sweep": _SCHEDULE_FLAGS + ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
@@ -38,22 +37,21 @@ _FLAGS = {
     "oracle": ["--trials", "--n-max", "--seed"],
     "diagnose-sum": _SCHEDULE_FLAGS + ["--n"],
 }
-# a value each typed, choice or switch flag accepts; the rest take any string
-_DOC_VALUES = {"--theorem": "b", "--case": 2, "--quadratic-noncvg": True,
-               "--assert": True, "--extended": False, "--threads": 2,
-               "--delta": 0.5, "--trials": 40, "--seed": 3, "--dist": "rademacher", "--m": 2.0,
-               "--lambda-value": 0.125, "--example": 4, "--n-max": 256}
 # deleted options and the commands that took them: those that could switch a
-# check off or rescale it, and the schedule parameters that no run set (the
-# library's TheoremA/TheoremB still take them)
+# check off or rescale it, the schedule parameters that no run set (the
+# library's TheoremA/TheoremB still take them), and --config, a JSON document
+# that gave every flag a second spelling
 _REMOVED = [("sweep", "--oracle-limit", "0"), ("skew", "--oracle-limit", "0"),
             ("random", "--threshold", "0.25"), ("random", "--lambda-rule", "fixed"),
             *((command, flag, "0.5") for command in ("sweep", "diagnose-sum")
-              for flag in ("--amplitude", "--eps-amp", "--pair-amp", "--pair-bound", "--rot-coeff"))]
+              for flag in ("--amplitude", "--eps-amp", "--pair-amp", "--pair-bound", "--rot-coeff")),
+            *((command, "--config", "cfg.json") for command in sorted(_FLAGS))]
 _REMOVED_ARGV = {"sweep": ["sweep", "--theorem", "A", "--n", "100"],
                  "diagnose-sum": ["diagnose-sum", "--theorem", "B", "--n", "100"],
                  "skew": ["skew", "--example", "4", "--n", "100"],
-                 "random": ["random", "--delta", "0.5", "--trials", "30", "--n", "200"]}
+                 "random": ["random", "--delta", "0.5", "--trials", "30", "--n", "200"],
+                 "counterexample": ["counterexample", "--n", "500"],
+                 "oracle": ["oracle", "--trials", "5"]}
 _ERRORS = sorted((c for c in vars(errors).values() if isinstance(c, type)
                   and issubclass(c, errors.ParimplodeError) and c is not errors.ParimplodeError),
                  key=lambda c: c.__name__)
@@ -67,14 +65,11 @@ def test_parse_ladder_geometric():
 def test_parse_ladder_arithmetic_and_single():
     assert parse_ladder("10:40:+10") == [10, 20, 30, 40]
     assert parse_ladder("512") == [512]
-    assert parse_ladder(512) == [512]
-    assert parse_ladder([100, 200]) == [100, 200]
-    assert parse_ladder([100.0, "200"]) == [100, 200]  # integral, as an int flag takes them
 
 
 def test_parse_ladder_errors():
     for bad in ("abc", "100:200", "100:200:y2", "100:200:x0.5", "100:200:+0",
-                "200:100:x2", "a:b:x2", [], "100:200:xinf", "100:200:xnan"):
+                "200:100:x2", "a:b:x2", "100:200:xinf", "100:200:xnan"):
         with pytest.raises(UsageError, match="^n: "):
             parse_ladder(bad)
 
@@ -146,32 +141,11 @@ def test_an_option_the_run_would_ignore_is_a_usage_error(capsys, argv, field):
 
 
 @pytest.mark.parametrize("command, flag, value", _REMOVED, ids=[f"{c} {f}" for c, f, _ in _REMOVED])
-def test_removed_options_are_unrecognized(tmp_path, capsys, command, flag, value):
+def test_removed_options_are_unrecognized(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exit_info:
         main([*_REMOVED_ARGV[command], flag, value])
     assert exit_info.value.code == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-    field = flag[2:].replace("-", "_")
-    assert _run_with_config(tmp_path, _REMOVED_ARGV[command], {field: value}) == 1
-    assert capsys.readouterr() == ("", f"parimplode: error: config: unknown field {field!r}\n")
-
-
-def test_unknown_config_field_named(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta": 0.5, "trails": 60}))
-    assert main(["random", "--config", str(cfg)]) == 1
-    assert "trails" in capsys.readouterr().err
-
-
-def test_config_merge_flags_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta": 0.5, "trials": 50, "seed": 1, "n": "200"}))
-    summary = tmp_path / "summary.csv"
-    rc = main(["random", "--config", str(cfg), "--trials", "30",
-               "--out-summary", str(summary)])
-    assert rc == 0
-    row = summary.read_text().split("\n")[1].split(",")
-    assert row[0] == "200" and row[2] == "30"  # flag beat the document
 
 
 def test_sweep_plain_hits_wronskian_gate_at_large_n(tmp_path, monkeypatch, capsys):
@@ -279,9 +253,24 @@ def test_counterexample_small_run(tmp_path, capsys):
                         "0.015936139270263085,0.0080000056806486253")
 
 
-def test_skew_requires_example(capsys):
-    assert main(["skew", "--n", "100:400:x2"]) == 1
-    assert "example" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, flag", [(["skew", "--n", "100:400:x2"], "--example"),
+                                        (["random", "--n", "200"], "--delta")],
+                         ids=["skew", "random"])
+def test_a_missing_required_flag_exits_1(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert capsys.readouterr() == (
+        "", f"parimplode {argv[0]}: error: the following arguments are required: {flag}\n")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--theorem", "A"], ["random", "--delta", "0.5"]],
+                         ids=lambda a: a[0])
+def test_a_rung_below_4_is_a_usage_error(capsys, argv):
+    # a string ladder always rises; N >= 4 is the part of check_ladder left to catch
+    assert main([*argv, "--n", "3"]) == 1
+    assert capsys.readouterr() == (
+        "", "parimplode: error: n: ladder must be strictly increasing with every N >= 4, got [3]\n")
 
 
 def test_skew_assert_example4(capsys):
@@ -332,25 +321,6 @@ def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, wat
     assert ran() == ("workers" if threads is None else "parent")
     assert capsys.readouterr() == ("", "parimplode: numerical failure: 2 sweep point(s) failed: "
                                    "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
-
-
-@pytest.mark.parametrize("ladder", [[400, 200, 100], [100, 100, 100]])
-def test_skew_rejects_a_ladder_not_strictly_increasing(tmp_path, capsys, ladder):
-    # --assert judges the last rung as the top one, so the rungs must rise
-    assert _run_with_config(tmp_path, ["skew", "--example", "4", "--assert"], {"n": ladder}) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("parimplode: error: n: ladder must be strictly increasing")
-    assert not captured.out
-
-
-@pytest.mark.parametrize("ladder", [[400, 200, 100], [400, 200, 200]])
-def test_random_rejects_a_ladder_not_strictly_increasing(tmp_path, capsys, ladder):
-    # the random ensemble follows the rung rule of sweep, counterexample and skew
-    argv = ["random", "--delta", "0.5", "--trials", "30"]
-    assert _run_with_config(tmp_path, argv, {"n": ladder}) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("parimplode: error: n: ladder must be strictly increasing")
-    assert not captured.out
 
 
 def test_assert_quotes_the_checker_slope(capsys):
@@ -530,70 +500,17 @@ def test_exit_code_by_error_class(monkeypatch, capsys, exc_type):
 
 
 @pytest.mark.parametrize("command", sorted(_FLAGS))
-def test_config_accepts_every_field(monkeypatch, tmp_path, command):
-    seen = []
-    _replace_handler(monkeypatch, command, lambda cfg: seen.append(cfg) or 0)
-    doc = {flag[2:].replace("-", "_"): _DOC_VALUES.get(flag, f"value of {flag}")
-           for flag in _FLAGS[command]}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert main([command, "--config", str(cfg)]) == 0
-    assert seen == [doc]
-
-
-@pytest.mark.parametrize("command", sorted(_FLAGS))
 def test_help_lists_every_flag_with_help(capsys, command):
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     helps = {opt: a.help for a in sub.choices[command]._actions for opt in a.option_strings}
-    assert sorted(helps) == sorted(_FLAGS[command] + ["--config", "-h", "--help"])
+    assert sorted(helps) == sorted(_FLAGS[command] + ["-h", "--help"])
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
     assert exit_info.value.code == 0
     text = "".join(capsys.readouterr().out.split())  # argparse wraps at any width
-    for flag in _FLAGS[command] + ["--config"]:
+    for flag in _FLAGS[command]:
         assert helps[flag] and "".join(helps[flag].split()) in text, flag
-
-
-def _run_with_config(tmp_path, argv, doc):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    return main(argv + ["--config", str(cfg)])
-
-
-@pytest.mark.parametrize("command, doc, field", [
-    ("oracle", {"trials": "many"}, "trials"),
-    ("oracle", {"trials": 50.7}, "trials"),
-    ("oracle", {"trials": True}, "trials"),
-    ("oracle", {"trials": [50]}, "trials"),
-    ("random", {"delta": 0.5, "trials": 30.5}, "trials"),
-    ("random", {"delta": "half"}, "delta"),
-    ("random", {"delta": 0.5, "dist": "gauss"}, "dist"),
-    ("sweep", {"theorem": "A", "n": "100", "extended": "false"}, "extended"),
-    ("sweep", {"theorem": "A", "n": [100.7, 200]}, "n"),
-    ("sweep", {"theorem": "A", "n": True}, "n"),
-    ("sweep", {"theorem": "A", "n": ["abc"]}, "n"),
-])
-def test_config_values_take_the_flag_types(tmp_path, capsys, command, doc, field):
-    # each of these values is one the flag would refuse; none may be cast or truncated
-    assert _run_with_config(tmp_path, [command], doc) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"parimplode: error: {field}: expected "), err
-
-
-@pytest.mark.parametrize("trials", [50, 50.0, "50"])
-def test_config_integral_values_run_as_the_flag(tmp_path, capsys, trials):
-    assert main(["oracle", "--trials", "50", "--n-max", "64"]) == 0
-    want = capsys.readouterr()
-    assert _run_with_config(tmp_path, ["oracle"], {"trials": trials, "n_max": 64}) == 0
-    assert capsys.readouterr() == want
-
-
-def test_config_null_reads_as_left_out(tmp_path, capsys):
-    assert _run_with_config(tmp_path, ["oracle"], {"trials": None, "n_max": 16}) == 0
-    assert capsys.readouterr().out.startswith("oracle: 200 trials x 1 sizes")
-    assert _run_with_config(tmp_path, ["random"], {"delta": None}) == 1
-    assert "delta: required" in capsys.readouterr().err
 
 
 # the README's CLI block, one argv per `parimplode ...` line

@@ -14,6 +14,7 @@ from parimplode import (
     QuadraticNonconvergent,
     RatePoint,
     RecurrenceOverflowError,
+    SkewExample,
     SweepError,
     TheoremA,
     TheoremB,
@@ -107,6 +108,13 @@ def test_run_sweep_order_and_validation():
         run_sweep(TheoremB(1), [100, 100, 200])
     with pytest.raises(ValueError):
         run_sweep(TheoremB(1), [3, 100])
+
+
+@pytest.mark.parametrize("ladder", [[400, 200, 100], [100, 100, 100]])
+def test_run_sweep_rejects_a_ladder_not_strictly_increasing(ladder):
+    # a band read at the top rung needs the top rung last
+    with pytest.raises(ValueError, match=r"^ladder must be strictly increasing with every N >= 4, got "):
+        run_sweep(SkewExample(4), ladder)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -99,6 +99,13 @@ def test_run_ensemble_validation():
             run_ensemble(bad, dist, [100], trials=30, seed=0)
 
 
+@pytest.mark.parametrize("ladder", [[400, 200, 100], [400, 200, 200]])
+def test_run_ensemble_rejects_a_ladder_not_strictly_increasing(ladder):
+    # the random ensemble follows the rung rule of run_sweep
+    with pytest.raises(ValueError, match=r"^ladder must be strictly increasing with every N >= 4, got "):
+        run_ensemble(0.5, UniformSymmetric(1.0), ladder, trials=30, seed=0)
+
+
 def test_run_ensemble_deterministic():
     a = run_ensemble(0.5, UniformSymmetric(1.0), [50, 100], trials=30, seed=7)
     b = run_ensemble(0.5, UniformSymmetric(1.0), [50, 100], trials=30, seed=7)
