@@ -16,7 +16,6 @@ from .convergence import (
     write_rate_csv,
 )
 from .errors import (
-    AllPointsSkippedError,
     DegenerateMapError,
     DegenerateNormalizationError,
     IdentityViolationError,

@@ -38,7 +38,8 @@ class RatePoint:
 
     q_N1_err is |q_{N+1} - 1|, r_N_err is |r_N - 1|, r_N1_err is
     |r_{N+1} - 1|; coeff_err and sup_err are the projective coefficient
-    distance and the sup distance to the identity over ``EvalRegion()``.
+    distance and the sup distance to the identity over the disk
+    |z| <= 0.25, read on the 3,096 in-disk points of a 64 x 64 grid.
     """
 
     N: int

@@ -25,10 +25,6 @@ class DegenerateNormalizationError(ParimplodeError):
     """|d| is too small to normalize by; the map is far from the identity."""
 
 
-class AllPointsSkippedError(ParimplodeError):
-    """Every grid point fell inside the pole guard; gross divergence."""
-
-
 class RecurrenceOverflowError(ParimplodeError):
     """A recurrence value left the perturbative regime (|q_k| > 1e100)."""
 

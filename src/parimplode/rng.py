@@ -25,13 +25,6 @@ def _mix(x):
     return z ^ (z >> _S31)
 
 
-def mix64(x):
-    """splitmix64 finalizer on uint64 scalars or arrays (wrapping)."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix(x)
-
-
 def words(seed: int, trial, k):
     """64-bit output words for broadcastable trial/k indices.
 

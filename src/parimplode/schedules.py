@@ -215,25 +215,19 @@ def _pair_cancelling(N: int, pair_amp: float, pair_bound: float) -> np.ndarray:
     # c_{2j-1} = pair_amp, c_{2j} = -pair_amp + pair_bound/N, so each
     # consecutive odd/even pair sums to pair_bound/N exactly.
     k = np.arange(0, N + 2)
-    c = np.where(k % 2 == 1, pair_amp, -pair_amp + pair_bound / N)
-    c[0] = 0.0
-    return c.astype(float)
+    return np.where(k % 2 == 1, pair_amp, -pair_amp + pair_bound / N).astype(float)
 
 
 def _mirrored_pairs(N: int, pair_amp: float, pair_bound: float) -> np.ndarray:
     # antisymmetric about N/2 plus a mirror-symmetric ripple of size
     # pair_bound/(2N), so |c_k + c_{N-k}| <= pair_bound/N.
     k = np.arange(0, N + 2, dtype=float)
-    c = pair_amp * np.sign(N - 2.0 * k) + (pair_bound / (2.0 * N)) * np.cos(2.0 * np.pi * k / 16.0)
-    c[0] = 0.0
-    return c
+    return pair_amp * np.sign(N - 2.0 * k) + (pair_bound / (2.0 * N)) * np.cos(2.0 * np.pi * k / 16.0)
 
 
 def _split_angles(N: int) -> np.ndarray:
     k = np.arange(0, N + 2)
-    theta = np.where(k <= N // 2, math.pi / (N - 1), math.pi / (N + 1))
-    theta[0] = 0.0
-    return theta.astype(float)
+    return np.where(k <= N // 2, math.pi / (N - 1), math.pi / (N + 1)).astype(float)
 
 
 def _theorem_angles(spec, N: int) -> np.ndarray:
@@ -244,11 +238,6 @@ def _theorem_angles(spec, N: int) -> np.ndarray:
     k = np.arange(0, N + 2, dtype=float)
     rotating = spec.rot_coeff * np.exp(2j * np.pi * k / N) / N**2
     return 1.0 / N + rotating + spec.amplitude * _bump_pattern(N) / N**3
-
-
-def _zero_slot(arr: np.ndarray) -> np.ndarray:
-    arr[0] = 0.0
-    return arr
 
 
 def materialize(spec: ScheduleSpec, N: int) -> PerturbationSequences:
@@ -273,13 +262,12 @@ def _sequences(spec: ScheduleSpec, N: int) -> PerturbationSequences:
 
     if isinstance(spec, TheoremA):
         theta = _theorem_angles(spec, N)
-        rho = _zero_slot(np.exp(2j * np.pi * theta))
-        return PerturbationSequences(rho, zeros, base)
+        return PerturbationSequences(np.exp(2j * np.pi * theta), zeros, base)
 
     if isinstance(spec, TheoremB):
         if spec.case <= 3:
             theta = _theorem_angles(spec, N)
-            rho = _zero_slot(np.exp(2j * np.pi * theta))
+            rho = np.exp(2j * np.pi * theta)
             eps = np.full(N + 2, spec.eps_amp / N**2)
         elif spec.case == 4:
             rho = np.ones(N + 2, dtype=complex)
@@ -287,7 +275,7 @@ def _sequences(spec: ScheduleSpec, N: int) -> PerturbationSequences:
         else:
             rho = np.ones(N + 2, dtype=complex)
             eps = math.pi / N + _mirrored_pairs(N, spec.pair_amp, spec.pair_bound) / N**2
-        return PerturbationSequences.from_eps(rho, _zero_slot(eps.astype(complex)), base)
+        return PerturbationSequences.from_eps(rho, eps, base)
 
     if isinstance(spec, QuadraticNonconvergent):
         rho = np.full(N + 2, cmath.exp(2j * math.pi / (N + 1)))
@@ -298,18 +286,16 @@ def _sequences(spec: ScheduleSpec, N: int) -> PerturbationSequences:
             raise InvalidSpecError(f"CounterexampleC needs even N, got {N}")
         theta = _split_angles(N)
         if spec.side == "multiplicative_f":
-            rho = _zero_slot(np.exp(2j * theta))
-            return PerturbationSequences(rho, zeros, base)
+            return PerturbationSequences(np.exp(2j * theta), zeros, base)
         rho = np.ones(N + 2, dtype=complex)
-        eps = _zero_slot(2.0 * np.sin(theta / 2.0)).astype(complex)
-        return PerturbationSequences.from_eps(rho, eps, base)
+        return PerturbationSequences.from_eps(rho, 2.0 * np.sin(theta / 2.0), base)
 
     if isinstance(spec, SkewExample):
         return induced_schedule(build_example(spec.example, N), N)
 
     if isinstance(spec, RandomSchedule):
-        eps = spec.eps(N, spec.trial, np.arange(0, N + 2, dtype=np.uint64)).astype(complex)
-        return PerturbationSequences.from_eps(np.ones(N + 2, dtype=complex), _zero_slot(eps), base)
+        eps = spec.eps(N, spec.trial, np.arange(0, N + 2, dtype=np.uint64))
+        return PerturbationSequences.from_eps(np.ones(N + 2, dtype=complex), eps, base)
 
     if isinstance(spec, Custom):
         if spec.rho.shape != (N + 2,):

@@ -19,17 +19,17 @@ def _finite_positive(xs, ys):
     return pts
 
 
-def loglog_svg(series, *, title: str = "", xlabel: str = "N", ylabel: str = "error",
+def loglog_svg(series, *, title: str = "", ylabel: str = "error",
                fit: tuple[float, float] | None = None,
-               band: tuple[float, float] | None = None,
-               width: int = 720, height: int = 540) -> str:
-    """Render (label, xs, ys) series on log10 axes.
+               band: tuple[float, float] | None = None) -> str:
+    """Render (label, xs, ys) series on log10 axes of N, 720 x 540 px.
 
     ``fit`` is (slope, intercept) from a natural-log least squares fit;
     ``band`` is a (slope_lo, slope_hi) pair drawn as a wedge through the
     fitted line's midpoint (requires ``fit``).  Non-positive or non-finite
     points cannot be placed on log axes and are dropped.
     """
+    width, height = 720, 540
     margin_l, margin_r, margin_t, margin_b = 72.0, 24.0, 44.0, 56.0
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -79,7 +79,7 @@ def loglog_svg(series, *, title: str = "", xlabel: str = "N", ylabel: str = "err
         out.append(f'<text x="{margin_l - 6}" y="{y + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">1e{k}</text>')
     out.append(f'<text x="{margin_l + plot_w / 2}" y="{height - 14}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>')
+               f'font-family="sans-serif" font-size="13">N</text>')
     out.append(f'<text x="18" y="{margin_t + plot_h / 2}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 18 {margin_t + plot_h / 2})">{escape(ylabel)}</text>')

@@ -1,6 +1,7 @@
 """CLI surface: ladder parsing, flags and their defaults, exit codes, output determinism."""
 import argparse
 import errno
+import hashlib
 import shlex
 import warnings
 from pathlib import Path
@@ -24,6 +25,7 @@ from parimplode import (
 )
 from parimplode.cli import main, parse_ladder
 from parimplode.ioutil import fmt17
+from parimplode.svgplot import loglog_svg
 
 # every subcommand's flags besides --help; pinned here, apart from the option
 # table, so that a flag dropped from the table shows
@@ -236,6 +238,17 @@ def test_svg_output(tmp_path):
     assert rc == 0
     text = svg.read_text()
     assert text.startswith("<?xml") and "<svg" in text
+
+
+def test_svg_bytes_pinned():
+    # two series (one point non-positive, so dropped), a fit, a band and a
+    # title that needs escaping; any change to the drawn bytes shows here
+    series = [("coeff_err", [100, 200, 400, 800], [3e-4, 7.6e-5, 1.9e-5, 4.7e-6]),
+              ("sup_err <A&B>", [100, 200, 400, 800], [1e-3, 2.4e-4, 6.1e-5, 0.0])]
+    text = loglog_svg(series, title='Theorem "B" <case 2> & rates', ylabel="error",
+                      fit=(-2.0, -1.0), band=(-2.2, -1.8))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "89a246a5057aa538bc0a7bb0e0875a03122a444adcfbcc855f0d8c754fc00b23")
 
 
 def test_counterexample_rejects_odd_ladder(capsys):

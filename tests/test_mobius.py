@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from parimplode import (
-    AllPointsSkippedError,
     DegenerateMapError,
     DegenerateNormalizationError,
     EvalRegion,
@@ -111,23 +110,25 @@ def test_projective_coeff_error_identity_and_normalization_guard():
         projective_coeff_error(MoebiusCoeffs(0.0, 1.0, 1.0, 0.0))
 
 
-def test_eval_region_grid_and_validation():
-    region = EvalRegion(center=0.0, radius=0.25, grid_points=64)
-    grid = region.grid()
-    assert np.all(np.abs(grid) <= 0.25 + 1e-15)
-    # square grid masked to the inscribed disk: about pi/4 of the mesh survives
-    assert 0.70 * 64 * 64 < grid.size < 0.80 * 64 * 64
-    assert region.pole_guard == pytest.approx(2.5e-4)
+def test_eval_region_grid_is_the_fixed_read_only_disk_mesh():
+    xs = np.linspace(-0.25, 0.25, 64)
+    X, Y = np.meshgrid(xs, xs)
+    mesh = (X + 1j * Y).ravel()
+    expected = mesh[np.abs(mesh) <= 0.25]
+    grid = EvalRegion().grid()
+    assert grid.size == expected.size == 3096
+    assert grid.tobytes() == expected.tobytes()  # bit for bit, row-major (y, x)
+    assert grid is EvalRegion().grid()  # built once, at import
     with pytest.raises(ValueError):
-        EvalRegion(radius=0.0)
-    with pytest.raises(ValueError):
-        EvalRegion(grid_points=1)
+        grid[0] = 0.0
+    with pytest.raises(TypeError):
+        EvalRegion(radius=0.1)
 
 
 def test_identity_distance_frozen_values():
     # reference values frozen from the initial implementation; these pin the
     # exact grid layout (row-major 64x64 mesh masked to the disk)
-    region = EvalRegion(center=0.0, radius=0.25, grid_points=64)
+    region = EvalRegion()
     sup, skipped = identity_distance(MoebiusCoeffs(1.0, 0.0, -100.0, 1.0), region)
     assert skipped == 0
     assert sup == pytest.approx(0.25936604025477983, rel=1e-13)
@@ -141,13 +142,21 @@ def test_identity_distance_of_identity_is_zero():
 
 
 def test_identity_distance_pole_guard_skips_points():
-    # map with pole at the center: the guard must discard nearby grid points
-    region = EvalRegion(center=0.0, radius=0.25, grid_points=65, pole_guard=0.02)
-    m = MoebiusCoeffs(0.0, 1.0, 1.0, 0.0)  # z -> 1/z, pole at 0
-    _sup, skipped = identity_distance(m, region)
-    assert skipped > 0
-    with pytest.raises(AllPointsSkippedError):
-        identity_distance(m, EvalRegion(center=0.0, radius=0.25, pole_guard=10.0))
+    """The guard drops the grid point on the pole and nothing else.
+
+    Grid points are 0.5/63, about 0.0079, apart and the guard is 2.5e-4, so
+    it can remove at most one of the 3,096 points: no map can empty the
+    grid, and there is no all-points-skipped failure left to test.
+    """
+    region = EvalRegion()
+    p = complex(region.grid()[1000])
+    on_point = MoebiusCoeffs(0.0, 1.0, 1.0, -p)  # z -> 1/(z - p), pole on a grid point
+    assert on_point.pole() == p
+    sup, skipped = identity_distance(on_point, region)
+    assert skipped == 1 and math.isfinite(sup)
+    # 0 lies between grid points (the mesh has an even number of columns)
+    _sup, skipped = identity_distance(MoebiusCoeffs(0.0, 1.0, 1.0, 0.0), region)
+    assert skipped == 0
 
 
 def test_perturbed_parabolic_step_layout():

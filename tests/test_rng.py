@@ -87,6 +87,6 @@ def test_distinct_seeds_and_trials_decorrelate():
 
 
 def test_mix64_zero_is_not_fixed_point():
-    assert int(rng.mix64(np.uint64(0))) == 0  # splitmix finalizer maps 0 to 0 ...
+    assert int(rng._mix(np.uint64(0))) == 0  # splitmix finalizer maps 0 to 0 ...
     # ... which is why words() adds GOLDEN to the seed first
     assert int(rng.words(0, 0, 0)) != 0
