@@ -141,16 +141,16 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     attempted, and their failures are aggregated into one SweepError carrying
     (N, exception) pairs.
 
-    The points run on ``map_rungs`` worker processes.  Without
-    ``max_workers`` or PARIMPLODE_THREADS, the exact kernel (``extended``)
-    takes one worker per CPU and the binary64 path runs inline.  On 2 CPUs,
-    two workers ran the exact-kernel ladders of the ``sweep-extended``
-    benchmark in 0.28-0.31 s against 0.43-0.46 s inline (medians of two
-    runs of ten alternating pairs, all won by the workers), but eight plain
-    sweeps over 100..12800 in 162 ms against 125 ms (median of ten
-    alternating pairs, one won by the workers): a plain rung takes a few ms,
-    and forking and reaping two workers, about 6 ms a sweep, costs more than
-    the second CPU saves.
+    The points run through ``map_rungs`` on ``max_workers`` processes, the
+    caller included.  Without ``max_workers`` or PARIMPLODE_THREADS, the
+    exact kernel (``extended``) takes one process per CPU and the binary64
+    path runs inline.  On 2 CPUs, two processes ran the exact-kernel ladders
+    of the ``sweep-extended`` benchmark in 0.29 s against 0.41 s inline
+    (medians of twelve alternating pairs, eleven won by the pool), but eight
+    plain sweeps over 100..12800 in 0.18-0.19 s against 0.13-0.16 s (medians
+    of two runs of ten alternating pairs, one of twenty won by the pool): a
+    plain rung takes a few ms, and forking and reaping a worker costs more
+    than the second CPU saves.
     """
     check_ladder(Ns)
     workers = worker_count(max_workers, default=None if extended else 1)

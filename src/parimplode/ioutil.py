@@ -45,10 +45,10 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def worker_count(override: int | None = None, default: int | None = None) -> int:
-    """Number of worker processes for ``map_rungs``: explicit override
-    (``--threads``), else PARIMPLODE_THREADS, else ``default``, else the
-    scheduler's view of available CPUs.  An override or PARIMPLODE_THREADS
-    below 1 raises ValueError."""
+    """Number of processes for ``map_rungs``, the caller included: explicit
+    override (``--threads``), else PARIMPLODE_THREADS, else ``default``, else
+    the scheduler's view of available CPUs.  An override or
+    PARIMPLODE_THREADS below 1 raises ValueError."""
     if override is not None:
         if override < 1:
             raise ValueError(f"threads: must be >= 1, got {override}")
@@ -90,10 +90,9 @@ def _reap(pid: int, status: dict) -> None:
         status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _run_share(fn, items, share, fd: int) -> None:
-    """A worker's body: ``fn`` over its share, one pickled ``(ok, value or
-    exception)`` per item written to ``fd``.  A result that does not pickle
-    becomes that item's error."""
+def _run_share(fn, items, share) -> list:
+    """``fn`` over a share, one pickled ``(ok, value or exception)`` per item.
+    A result that does not pickle becomes that item's error."""
     out = []
     for i in share:
         try:
@@ -105,32 +104,36 @@ def _run_share(fn, items, share, fd: int) -> None:
         except Exception as exc:
             out.append(pickle.dumps((False, RuntimeError(
                 f"the result of item {i} does not pickle: {type(exc).__name__}: {exc}"))))
-    with open(fd, "wb") as fh:
-        pickle.dump(out, fh)
+    return out
 
 
 def map_rungs(fn, items, workers: int, weight=None) -> list:
-    """``[fn(item) for item in items]``, on up to ``workers`` forked worker processes.
+    """``[fn(item) for item in items]``, on up to ``workers`` processes.
 
-    With one worker or one item it runs inline.  Otherwise it forks
-    min(workers, len(items)) children, each with a fixed share of the items
-    and one pipe back.  Shares are filled largest first, each item to the
-    least-loaded share, by ``weight(item)``: its steps, by default the item
-    itself (a rung's N).  The parent runs no share; it reads every pipe to
-    EOF and reaps every child, so its memory peak stays that of the serial
-    bookkeeping, not of a rung.  A child pickles an ``(ok, value or
-    exception)`` per item to its pipe and leaves by ``os._exit``: it runs
-    none of the parent's exit handlers and never flushes its copy of the
-    parent's buffered output.  Results come back in item order, and the
-    exception of the lowest failing item is raised, as the inline loop
-    raises it.  A child that dies without its results raises RuntimeError
-    naming its pid and exit status.  If the parent is interrupted, it kills
-    and reaps the children it has not reaped yet, so none outlives the call.
+    With one worker or one item it runs inline.  Otherwise it cuts the items
+    into min(workers, len(items)) fixed shares, filled largest first, each
+    item to the least-loaded share, by ``weight(item)``: its steps, by
+    default the item itself (a rung's N).  It forks one child, with one pipe
+    back, for every share but the first, then runs the first share, which
+    holds the largest item, itself.  So the calling process counts as a
+    worker, and its memory peak is that of the largest item, as in the
+    inline loop.  Either side keeps one pickled ``(ok, value or exception)``
+    per item of its share.  A child writes its list to its pipe and leaves
+    by ``os._exit``: it runs none of the parent's exit handlers and never
+    flushes its copy of the parent's buffered output.  The parent then
+    reads every pipe to EOF and reaps every child.  Results come back in
+    item order, and the exception of the lowest failing item is raised, as
+    the inline loop raises it.  A child that dies without its results
+    raises RuntimeError naming its pid and exit status.  An Exception in the
+    parent's own share is that item's result, as in a child; a
+    KeyboardInterrupt there, or any exception while it reads a pipe,
+    interrupts the map, and the parent kills and reaps the children it has
+    not reaped yet, so none outlives the call.
 
-    ``fn`` need not pickle, but its results and exceptions must.  Forked
-    workers inherit the loaded package instead of importing it again (about
-    0.18 s each).  On 2 CPUs a map of eight trivial items on two workers
-    takes about 6 ms, against 10-13 ms on a ``ProcessPoolExecutor``.
+    ``fn`` need not pickle, but its results and exceptions must, wherever
+    the item ran.  Forked workers inherit the loaded package instead of
+    importing it again (about 0.18 s each).  On 2 CPUs a map of eight
+    trivial items on two workers takes about 3 ms.
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -140,7 +143,7 @@ def map_rungs(fn, items, workers: int, weight=None) -> list:
     blobs, status = {}, {}
     with contextlib.ExitStack() as stack:
         children = []
-        for share in shares:
+        for share in shares[1:]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -152,13 +155,15 @@ def map_rungs(fn, items, workers: int, weight=None) -> list:
                 code = 1
                 try:
                     os.close(r)
-                    _run_share(fn, items, share, w)
+                    with open(w, "wb") as fh:
+                        pickle.dump(_run_share(fn, items, share), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
             stack.callback(_reap, pid, status)
             children.append((pid, share, stack.enter_context(open(r, "rb"))))
+        blobs.update(zip(shares[0], _run_share(fn, items, shares[0])))
         for pid, share, pipe in children:
             data = pipe.read()
             pipe.close()

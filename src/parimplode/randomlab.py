@@ -15,7 +15,7 @@ over, so memory is O(trials x block).  ``run_ensemble`` folds the blocks
 into a running maximum of |delta_n| / lambda_n; ``martingale_check`` checks
 the summation identity on every row.  Randomness is counter-based, so the
 blocks draw the same variates as one full draw, and an ensemble whose rungs
-are shared out among worker processes (``ioutil.map_rungs``) produces the
+are shared out among processes (``ioutil.map_rungs``) produces the
 same records in the same order as one run inline.
 """
 from __future__ import annotations
@@ -214,8 +214,8 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     ``lambda_rule``: the event that the summary's ``azuma_bound``, the union
     bound of the same rule, controls.  delta and dist follow the rule
     of :class:`RandomSchedule`, and Ns that of ``check_ladder``.  The rungs
-    run on ``max_workers`` worker processes, by default one per CPU
-    (``ioutil.worker_count``).
+    run on ``max_workers`` processes, the caller included, by default one
+    per CPU (``ioutil.worker_count``).
     """
     check_ladder(Ns)
     if trials < 30:

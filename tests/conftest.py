@@ -31,7 +31,9 @@ def two_cpus(monkeypatch):
 def watch_pids(tmp_path, monkeypatch):
     """``watch(module, name)`` wraps ``module.name`` to log the pid of every
     call and returns ``ran()``, which says where the calls since the last
-    ``ran()`` were made: "parent", "workers", "both" or "none".
+    ``ran()`` were made: "parent", "workers", "both" or "none".  A pooled
+    map runs one share in the calling process, so it reads "both": the
+    parent and at least one forked child.
 
     The log is a file, so calls made on forked worker processes show in it,
     where a set in memory would be each worker's own copy.

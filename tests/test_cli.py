@@ -306,11 +306,11 @@ def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two
         return ran()
 
     assert run("plain") == "parent"
-    assert run("extended", "--extended") == "workers"
+    assert run("extended", "--extended") == "both"
     monkeypatch.setenv("PARIMPLODE_THREADS", "1")
     assert run("extended inline", "--extended") == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
-    assert run("plain pooled") == "workers"
+    assert run("plain pooled") == "both"
     assert csv["extended inline"] == csv["extended"]
     assert csv["plain pooled"] == csv["plain"]
 
@@ -331,7 +331,7 @@ def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, wat
     if threads is not None:
         monkeypatch.setenv("PARIMPLODE_THREADS", threads)
     assert main(["skew", "--example", "4", "--extended", "--n", "100:1600:x2"]) == 2
-    assert ran() == ("workers" if threads is None else "parent")
+    assert ran() == ("both" if threads is None else "parent")
     assert capsys.readouterr() == ("", "parimplode: numerical failure: 2 sweep point(s) failed: "
                                    "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
 
@@ -386,7 +386,7 @@ def test_oracle_matches_a_per_trial_replay(monkeypatch, capsys):
 def test_oracle_runs_on_worker_processes(monkeypatch, capsys, two_cpus, watch_pids):
     ran = watch_pids(cli, "run_recurrences")
     assert main(["oracle", "--trials", "10", "--n-max", "64"]) == 0
-    assert ran() == "workers"
+    assert ran() == "both"
     pooled = capsys.readouterr().out
     monkeypatch.setenv("PARIMPLODE_THREADS", "1")
     assert main(["oracle", "--trials", "10", "--n-max", "64"]) == 0

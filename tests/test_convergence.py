@@ -133,15 +133,15 @@ def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpu
     inline = run_sweep(TheoremB(1), ns)
     assert ran() == "parent"
     assert run_sweep(TheoremB(1), ns, max_workers=2) == inline
-    assert ran() == "workers"
+    assert ran() == "both"
     extended = run_sweep(TheoremB(1), ns, extended=True)
-    assert ran() == "workers"
+    assert ran() == "both"
     monkeypatch.setenv("PARIMPLODE_THREADS", "1")
     assert run_sweep(TheoremB(1), ns, extended=True) == extended
     assert ran() == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
     assert run_sweep(TheoremB(1), ns) == inline
-    assert ran() == "workers"
+    assert ran() == "both"
 
 
 def _failures(err: SweepError):

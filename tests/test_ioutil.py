@@ -82,7 +82,7 @@ def test_map_rungs_returns_results_in_item_order(workers, tmp_path, calls):
     assert map_rungs(_logging(log, lambda n: n * n), items, workers) == [n * n for n in items]
     pids = set(_pids(log).values())
     assert len(pids) == workers
-    assert (os.getpid() in pids) == (workers == 1)
+    assert os.getpid() in pids  # the caller runs a share of its own
     assert not [name for name, _ in calls if name == "kill"]
 
 
@@ -98,18 +98,22 @@ def test_weight_sets_the_shares(tmp_path):
 
 
 def test_the_lowest_failing_item_is_raised(tmp_path, calls):
+    # the shares are [60, 30, 20], run by the caller, and [50, 40, 10], by the
+    # child; the lowest failure is the caller's, then the child's
     log = tmp_path / "pids"
+    for failing in ((20, 50), (10, 30)):
+        def fn(n):
+            if n in failing:
+                raise ValueError(f"bad {n}")
+            return n
 
-    def fn(n):
-        if n in (20, 50):
-            raise ValueError(f"bad {n}")
-        return n
-
-    with pytest.raises(ValueError, match="^bad 20$"):
-        map_rungs(_logging(log, fn), [10, 20, 30, 40, 50, 60], 2)
-    pids = _pids(log)
-    assert len(pids) == 6  # every item ran, in two shares
-    assert pids[20] != pids[50]
+        with pytest.raises(ValueError, match=f"^bad {min(failing)}$"):
+            map_rungs(_logging(log, fn), [10, 20, 30, 40, 50, 60], 2)
+        pids = _pids(log)
+        log.unlink()
+        assert len(pids) == 6  # every item ran, in two shares
+        assert pids[50] != os.getpid()
+        assert {pids[n] for n in failing} == {os.getpid(), pids[50]}  # one on each side
     assert not [name for name, _ in calls if name == "kill"]
 
 
@@ -141,16 +145,27 @@ def _raises_with_a_lambda(n):
     raise ValueError(lambda: n)
 
 
-@pytest.mark.parametrize("fn", [_returns_a_lambda, _returns_a_generator, _raises_with_a_lambda])
-def test_an_unpicklable_result_raises(fn, calls):
-    with pytest.raises(RuntimeError, match=r"^the result of item 0 does not pickle: "):
-        map_rungs(fn, [3, 1, 2], 2)
+@pytest.mark.parametrize("make", [_returns_a_lambda, _returns_a_generator, _raises_with_a_lambda])
+def test_an_unpicklable_result_raises(make, tmp_path, calls):
+    # the shares are [3], run by the caller, and [2, 1], by the child; a result
+    # the caller keeps is pickled too, so it fails as it would in a child
+    log = tmp_path / "pids"
+    items = [3, 1, 2]
+    for bad in (3, 1):
+        def fn(n):
+            return make(n) if n == bad else n
+
+        with pytest.raises(RuntimeError, match=rf"^the result of item {items.index(bad)} does not pickle: "):
+            map_rungs(_logging(log, fn), items, 2)
+        assert (_pids(log)[bad] == os.getpid()) == (bad == 3)
+        log.unlink()
     assert not [name for name, _ in calls if name == "kill"]
 
 
 def test_an_interrupted_parent_kills_only_the_children_it_has_not_reaped(tmp_path, calls):
-    # share 0 (item 40) returns at once and is reaped; share 1 (item 10)
-    # sleeps, and the alarm interrupts the parent while it reads that pipe
+    # the caller's item 40 returns at once; the child of item 30 does too and
+    # is reaped; the child of item 10 sleeps, and the alarm interrupts the
+    # parent while it reads that pipe
     log = tmp_path / "pids"
 
     def fn(n):
@@ -161,11 +176,38 @@ def test_an_interrupted_parent_kills_only_the_children_it_has_not_reaped(tmp_pat
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     try:
         with pytest.raises(TimeoutError):
-            map_rungs(_logging(log, fn), [40, 10], 2)
+            map_rungs(_logging(log, fn), [40, 30, 10], 3)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     pids = _pids(log)
-    assert calls == [("wait", pids[40]), ("kill", pids[10]), ("wait", pids[10])]
+    assert pids[40] == os.getpid()
+    assert calls == [("wait", pids[30]), ("kill", pids[10]), ("wait", pids[10])]
+
+
+def test_an_interrupt_in_the_callers_share_kills_every_child(tmp_path, calls):
+    # every item sleeps; the alarm interrupts the caller in its own item 40,
+    # and both children, still running, are killed and reaped, the last forked
+    # first. A KeyboardInterrupt, unlike an Exception, is no item's result.
+    log = tmp_path / "pids"
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    def fn(n):
+        time.sleep(60)
+        return n
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            map_rungs(_logging(log, fn), [40, 30, 10], 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pids = _pids(log)
+    assert pids[40] == os.getpid()
+    assert calls == [("kill", pids[10]), ("wait", pids[10]), ("kill", pids[30]), ("wait", pids[30])]
 
 
 def test_workers_beyond_the_item_count_are_not_forked(monkeypatch):
@@ -180,7 +222,7 @@ def test_workers_beyond_the_item_count_are_not_forked(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     assert map_rungs(str, [1, 2, 3], 50) == ["1", "2", "3"]
-    assert len(forked) == 3
+    assert len(forked) == 2  # three shares, one of them run by the caller
 
 
 def test_output_buffered_before_the_map_appears_once():

@@ -233,7 +233,7 @@ def test_ensemble_independent_of_worker_count(monkeypatch, two_cpus, watch_pids)
     one = run_ensemble(*args, max_workers=1)
     assert ran() == "parent"
     pooled = run_ensemble(*args)
-    assert ran() == "workers"
+    assert ran() == "both"
     assert one.records == pooled.records
     assert one.summaries == pooled.summaries
     assert one.failures == pooled.failures
