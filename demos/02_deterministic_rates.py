@@ -29,5 +29,6 @@ for case in (1, 2, 3, 4, 5):
     write_rate_csv(points, csv_path)
 
 print(f"\nper-N tables written to {OUT_DIR}/")
-print("note: extended=True gives correctly rounded q and r at about 6x the cost;")
+print("note: extended=True gives correctly rounded q and r at about 6x the cost per step")
+print("(2x on the real schedules of cases B4 and B5, whose imaginary parts it skips);")
 print("the plain binary64 kernel clears the same 1e-9 conservation gate on every rung")

@@ -329,7 +329,7 @@ def cmd_oracle(cfg: dict) -> int:
 
 def cmd_diagnose_sum(cfg: dict) -> int:
     spec = _build_deterministic_spec(cfg)
-    for n in parse_ladder(cfg["n"]):
+    for n in _rung_ladder(cfg["n"]):
         total, scaled = summation_diagnostic(materialize(spec, n))
         print(f"N={n} sum={total.real:.6g}{total.imag:+.6g}j N*|sum|={scaled:.6g}")
     return 0

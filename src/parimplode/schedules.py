@@ -32,7 +32,7 @@ class UniformSymmetric:
 
     def __post_init__(self):
         if not (math.isfinite(self.m) and self.m > 0):
-            raise InvalidSpecError(f"m must be a positive real, got {self.m}")
+            raise InvalidSpecError(f"m: must be a positive real, got {self.m}")
 
     def draw(self, seed: int, trial: int, k: np.ndarray) -> np.ndarray:
         return rng.uniform_symmetric(seed, trial, k, bound=self.m)
@@ -81,7 +81,7 @@ class TheoremA:
 
     def __post_init__(self):
         if self.case not in (1, 2, 3):
-            raise InvalidSpecError(f"TheoremA case must be 1..3, got {self.case}")
+            raise InvalidSpecError(f"case: TheoremA has cases 1..3, got {self.case}")
         _check_params(self, _A_READS[self.case])
 
 
@@ -104,7 +104,7 @@ class TheoremB:
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5):
-            raise InvalidSpecError(f"TheoremB case must be 1..5, got {self.case}")
+            raise InvalidSpecError(f"case: TheoremB has cases 1..5, got {self.case}")
         _check_params(self, _B_READS[self.case])
 
 
@@ -154,7 +154,7 @@ class RandomSchedule:
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
-            raise InvalidSpecError(f"delta must be a positive real, got {self.delta}")
+            raise InvalidSpecError(f"delta: must be a positive real, got {self.delta}")
         if not isinstance(self.dist, (UniformSymmetric, Rademacher)):
             raise InvalidSpecError(f"unsupported distribution {self.dist!r}")
         if not isinstance(self.seed, int) or not isinstance(self.trial, int):

@@ -62,7 +62,7 @@ class SkewOrbitResult:
 def check_example(example_id: int) -> None:
     """Raise InvalidSpecError unless example_id is one of EXAMPLES."""
     if example_id not in EXAMPLES:
-        raise InvalidSpecError(f"example_id must be {EXAMPLES[0]}..{EXAMPLES[-1]}, got {example_id}")
+        raise InvalidSpecError(f"example: must be {EXAMPLES[0]}..{EXAMPLES[-1]}, got {example_id}")
 
 
 def build_example(example_id: int, N: int) -> SkewSystem:

@@ -107,7 +107,7 @@ def test_sweep_rejects_conflicting_family():
 
 
 def test_random_usage_errors(capsys):
-    for flags, field in ((["--delta", "0", "--trials", "50"], "delta"),
+    for flags, field in ((["--delta", "0", "--trials", "50"], "delta:"),
                          (["--delta", "0.5", "--trials", "20"], "trials:"),
                          (["--delta", "0.5", "--trials", "0"], "trials:"),
                          (["--delta", "0.5", "--lambda-value", "0"], "lambda_value:"),
@@ -128,7 +128,23 @@ def test_random_rejects_non_finite_values(capsys, flags, field):
         assert main(["random", "--trials", "30", "--n", "200", *flags]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"parimplode: error: {field} "), out.err
+    assert out.err.startswith(f"parimplode: error: {field.rstrip(':')}: "), out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["random", "--delta", "inf"], "delta: must be a positive real, got inf"),
+    (["random", "--delta", "0.5", "--m", "nan"], "m: must be a positive real, got nan"),
+    (["skew", "--example", "6"], "example: must be 1..5, got 6"),
+    (["sweep", "--theorem", "A", "--case", "4", "--n", "100"], "case: TheoremA has cases 1..3, got 4"),
+    (["sweep", "--theorem", "B", "--case", "6", "--n", "100"], "case: TheoremB has cases 1..5, got 6"),
+    (["diagnose-sum", "--theorem", "A", "--n", "3"],
+     "n: ladder must be strictly increasing with every N >= 4, got [3]"),
+], ids=["delta", "m", "example", "case-A", "case-B", "n"])
+def test_a_bad_value_names_its_field(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parimplode: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, field", [

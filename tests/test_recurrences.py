@@ -513,9 +513,12 @@ def test_kernels_bit_identical_on_random_small_schedules(extended):
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_bit_identical_across_block_edges(extended):
     # the kernels advance steps 1..N in blocks of _BLOCK; N = 256 and 512 end
-    # on a block edge, 257 and 513 just past one
-    for trial, n in enumerate((5, 256, 257, 258, 512, 513, 514)):
+    # on a block edge, 257 and 513 just past one.  B5 is real, so the exact
+    # kernel runs it on its real loop.
+    ns = (5, 256, 257, 258, 512, 513, 514)
+    for trial, n in enumerate(ns):
         _assert_bit_identical(random_small_schedule(n, seed=12, trial=trial), extended)
+    _assert_bit_identical(materialize(TheoremB(5), ns[-1]), extended, ns)
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
@@ -525,20 +528,22 @@ def test_kernels_hold_no_per_step_objects(extended):
     # Exact: the outputs are NaN but for the tail, so what counts is the peak
     # beyond them.  At N = 2400 it reads about 20 KB, one block's converted
     # inputs and the O(N) numpy temporaries of the fraction-bit rule; one int
-    # per step would cost 106 KB more, and six per step 0.6 MB.
+    # per step would cost 106 KB more, and six per step 0.6 MB.  B4 is real,
+    # so the exact kernel runs it on its real loop, held to the same bound.
     n = 2400 if extended else 12800
-    seqs = materialize(TheoremB(3), n)
-    tracemalloc.start()
-    try:
-        triple = run_recurrences(seqs, extended=extended)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.rho_cumprod))
-    if extended:
-        assert peak - outputs < n * sys.getsizeof(1 << 128)
-    else:
-        assert peak < 2 * outputs
+    for spec in (TheoremB(3), TheoremB(4)) if extended else (TheoremB(3),):
+        seqs = materialize(spec, n)
+        tracemalloc.start()
+        try:
+            triple = run_recurrences(seqs, extended=extended)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.rho_cumprod))
+        if extended:
+            assert peak - outputs < n * sys.getsizeof(1 << 128), spec
+        else:
+            assert peak < 2 * outputs
 
 
 # -- the plain kernel against the exact kernel at the reported N -----------------
@@ -704,6 +709,28 @@ def test_extended_matches_two_term_form_on_signed_zeros():
     _assert_bit_identical(seqs, extended=True, ns=range(1, 301))
 
 
+def test_extended_takes_the_real_loop_only_when_every_imaginary_part_is_zero():
+    # B4 is real (rho_k = 1, real eps_k^2), so the exact kernel runs its real
+    # loop.  One eps_k^2 with an imaginary part of 1e-9 must send it to the
+    # complex loop: the real loop would drop that part, and q_N's imaginary
+    # part, which the reference sees, would read 0.
+    n = 300
+    seqs = materialize(TheoremB(4), n)
+    nudged = seqs.eps_sq.copy()
+    nudged[n // 2] += 1e-9j
+    triple = _assert_bit_identical(PerturbationSequences(seqs.rho, nudged, seqs.rho_base), True,
+                                   (n // 2 - 1, n // 2, n // 2 + 1, n))
+    assert triple.q[n].imag != 0
+    # an imaginary part of -0.0 is zero: the bytes of +0.0, on the real loop
+    rho, eps_sq = seqs.rho.copy(), seqs.eps_sq.copy()
+    rho.imag = eps_sq.imag = -0.0
+    negated = PerturbationSequences(rho, eps_sq, seqs.rho_base)
+    assert np.signbit(negated.rho[1:].imag).all() and np.signbit(negated.eps_sq[1:].imag).all()
+    want, got = run_recurrences(seqs, extended=True), run_recurrences(negated, extended=True)
+    for w, g in zip((want.q, want.r, want.rho_cumprod), (got.q, got.r, got.rho_cumprod)):
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extended_matches_two_term_form_past_2_pow_1024():
     # |b| = 1 doubles q and r every step: q_k passes 2**1000, where the
@@ -717,21 +744,23 @@ def test_kernels_bit_identical_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    # signed zeros are drawn on purpose: the kernels must keep their signs
-    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
-    cplx = st.builds(complex, part, part)
+    # signed zeros are drawn on purpose: the kernels must keep their signs.
+    # A real schedule (rotation angle 0 or pi, every imaginary part +-0) runs
+    # on the exact kernel's real loop.
+    zero = st.sampled_from([0.0, -0.0])
+    part = st.one_of(zero, st.floats(-0.7, 0.7))
 
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
-    @hypothesis.given(
-        b=st.lists(cplx, min_size=1, max_size=40),
-        data=st.data(),
-        angle=st.floats(-math.pi, math.pi),
-        extended=st.booleans(),
-    )
-    def check(b, data, angle, extended):
+    @hypothesis.settings(max_examples=90, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), real=st.booleans(), extended=st.booleans())
+    def check(data, real, extended):
+        value = st.builds(complex, part, zero if real else part)
+        b = data.draw(st.lists(value, min_size=1, max_size=40))
         n = len(b)
-        eps_sq = data.draw(st.lists(cplx, min_size=n, max_size=n))
-        base = cmath.exp(1j * angle)
+        eps_sq = data.draw(st.lists(value, min_size=n, max_size=n))
+        if real:
+            base = complex(data.draw(st.sampled_from([1.0, -1.0])), data.draw(zero))
+        else:
+            base = cmath.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
         rho = np.array([0.0] + [base + x for x in b] + [base], dtype=complex)
         seqs = PerturbationSequences(rho, np.array([0.0] + eps_sq + [0.0], dtype=complex), base)
         triple = _assert_bit_identical(seqs, extended, range(1, n + 1))

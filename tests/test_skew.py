@@ -34,7 +34,7 @@ def test_build_example_presets():
     assert ex5.base_multiplier == -1.0 and ex5.fiber_eps_sq_rule == "w_squared"
     for bad in (0, 6):
         for build in (lambda: build_example(bad, n), lambda: SkewExample(bad)):
-            with pytest.raises(InvalidSpecError, match=f"^example_id must be 1..5, got {bad}$"):
+            with pytest.raises(InvalidSpecError, match=f"^example: must be 1..5, got {bad}$"):
                 build()
     with pytest.raises(InvalidSpecError):
         build_example(1, 3)
