@@ -322,11 +322,10 @@ def test_extended_path_agrees_with_plain():
 # it bit for bit, so every CSV byte and pinned value computed from q, r and
 # rho_cumprod is unaffected by the rewrite.  The extended kernel
 # must give the exact values on its binary64 inputs, correctly rounded, which
-# _exact_reference works out without truncating anything.  It returns only
-# the tail at N, so where N is small it runs on every prefix of the schedule
-# and each step's value is still checked once.  Likewise compose_chain over
-# the step_maps rows must reproduce the fold over MoebiusCoeffs objects that
-# it replaced.
+# _ziv_reference works out.  It returns only the tail at N, so where N is
+# small it runs on every prefix of the schedule and each step's value is
+# still checked once.  Likewise compose_chain over the step_maps rows must
+# reproduce the fold over MoebiusCoeffs objects that it replaced.
 
 
 def _reference_plain(seqs):
@@ -349,43 +348,55 @@ def _reference_plain(seqs):
     return q, r, prod
 
 
-def _exact_reference(seqs):
-    """q, r and prod rho_j in exact rational arithmetic, each rounded once.
+def _ziv_reference(seqs, ns=None):
+    """q, r and prod rho_j of seqs's recurrence on its binary64 inputs, each
+    value correctly rounded, as full-length arrays that hold the tail at N,
+    or at each prefix length in ns, and NaN elsewhere.
 
-    Every binary64 input is an integer over 2**F for one F, so a value after
-    k steps is an integer over 2**(F k) and the loop never rounds; int / int
-    rounds the quotient correctly.  This is fractions.Fraction arithmetic
-    without the gcd reductions, which make Fraction 25-75x slower at N = 258.
+    The two-term form x_{k+1} = ((1 + rho_k - eps_k^2) x_k - rho_k x_{k-1})
+    runs on integers over 2**G, G = (finest input bit) + 64 + 2 bitlen(N),
+    so every input converts exactly and each step truncates once.  Each value
+    is rounded once through int / int (inf past 2**1000, as _to_float reads
+    it).  The run is repeated at G + 64 and, while any rounding differs,
+    again at twice G and twice G + 64, up to 2**14 bits (Ziv, ACM TOMS 17(3),
+    1991).  A value below about 2**-(G + 64) in modulus can read the same at
+    both precisions and still be wrong; no schedule here has one.
     """
     N = seqs.N
+    ks = sorted({k for n in ((N,) if ns is None else ns) for k in (n - 1, n)} - {0})
+    marks = set(ks)
     parts = np.concatenate((seqs.rho[1:N + 1], seqs.eps_sq[1:N + 1])).view(float).tolist()
-    F = max(x.as_integer_ratio()[1].bit_length() - 1 for x in parts)
-    D = 1 << F
+    ratios = [x.as_integer_ratio() for x in parts]  # denominators are powers of 2
 
-    def exact(z):
-        (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        return nr * (D // dr), ni * (D // di)
+    def run(G):  # (q_{k+1}, r_{k+1}, prod_k) after each step k in marks
+        one = 1 << G
+        fixed = [n * (one // d) for n, d in ratios]
+        rho, es = fixed[:2 * N], fixed[2 * N:]
+        qmr, qmi, qr, qi, rmr, rmi, rr, ri, pr, pi = 0, 0, one, 0, one, 0, one, 0, one, 0
+        out = []
+        for k, ar, ai, er, ei in zip(range(1, N + 1), rho[0::2], rho[1::2], es[0::2], es[1::2]):
+            cr, ci = one + ar - er, ai - ei
+            qmr, qmi, qr, qi = (qr, qi, (cr * qr - ci * qi - ar * qmr + ai * qmi) >> G,
+                                (cr * qi + ci * qr - ar * qmi - ai * qmr) >> G)
+            rmr, rmi, rr, ri = (rr, ri, (cr * rr - ci * ri - ar * rmr + ai * rmi) >> G,
+                                (cr * ri + ci * rr - ar * rmi - ai * rmr) >> G)
+            pr, pi = (pr * ar - pi * ai) >> G, (pr * ai + pi * ar) >> G
+            if k in marks:
+                out += (qr, qi, rr, ri, pr, pi)
+        return [x / one if abs(x) >> G < 2**1000 else math.inf for x in out]
 
-    def step(c, p, x, y):  # c*x - p*y over 2**(F (k+1)), x over 2**(F k), y over 2**(F (k-1))
-        return (c[0] * x[0] - c[1] * x[1] - ((p[0] * y[0] - p[1] * y[1]) << F),
-                c[0] * x[1] + c[1] * x[0] - ((p[0] * y[1] + p[1] * y[0]) << F))
-
-    def rounded(x, k):
-        den = 1 << (F * k)
-        return complex(x[0] / den, x[1] / den)
-
-    q = np.zeros(N + 2, dtype=complex)
-    r = np.zeros(N + 2, dtype=complex)
-    prod = np.ones(N + 1, dtype=complex)
-    q[1] = r[0] = r[1] = 1.0
-    qm, qk, rm, rk, pk = (0, 0), (D, 0), (1, 0), (D, 0), (1, 0)
-    for k, (a, e) in enumerate(zip(seqs.rho[1:N + 1].tolist(), seqs.eps_sq[1:N + 1].tolist()), 1):
-        p, e = exact(a), exact(e)
-        c = (D + p[0] - e[0], p[1] - e[1])
-        qm, qk = qk, step(c, p, qk, qm)
-        rm, rk = rk, step(c, p, rk, rm)
-        pk = (pk[0] * p[0] - pk[1] * p[1], pk[0] * p[1] + pk[1] * p[0])
-        q[k + 1], r[k + 1], prod[k] = rounded(qk, k + 1), rounded(rk, k + 1), rounded(pk, k)
+    G = max(d for _, d in ratios).bit_length() - 1 + 64 + 2 * N.bit_length()
+    want = run(G)
+    while run(G + 64) != want:
+        G *= 2
+        if G > 1 << 14:
+            raise RuntimeError(f"roundings at N={N} still differ at {G // 2} fraction bits")
+        want = run(G)
+    q = np.full(N + 2, complex(math.nan, math.nan))
+    r = q.copy()
+    prod = np.full(N + 1, complex(math.nan, math.nan))
+    q[:2], r[:2], prod[0] = (0, 1), 1, 1
+    q[np.add(ks, 1)], r[np.add(ks, 1)], prod[ks] = np.reshape(want, (-1, 6)).view(complex).T
     return q, r, prod
 
 
@@ -397,8 +408,11 @@ def test_exact_reference_matches_fractions():
     def rounded(x):
         return complex(float(x[0]), float(x[1]))
 
+    # prod rho_j = 2**-k of the last schedule drops below 2**-G at k = 80,
+    # so the two precisions disagree and G doubles
     for seqs in (random_small_schedule(40, seed=14, trial=0),
-                 induced_schedule(build_example(5, 40), 40)):
+                 induced_schedule(build_example(5, 40), 40),
+                 PerturbationSequences(np.full(102, 0.5 + 0j), np.zeros(102), 0.5)):
         one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
         q, r, p = [zero, one], [one, one], [one]
         for a, e in zip(seqs.rho[1:-1].tolist(), seqs.eps_sq[1:-1].tolist()):
@@ -409,7 +423,7 @@ def test_exact_reference_matches_fractions():
                 x.append((u[0] - v[0], u[1] - v[1]))
             p.append(mul(p[-1], rho))
         want = [np.array([rounded(z) for z in x]) for x in (q, r, p)]
-        for g, w in zip(_exact_reference(seqs), want):
+        for g, w in zip(_ziv_reference(seqs, range(1, seqs.N + 1)), want):
             assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
 
@@ -444,29 +458,26 @@ def _prefix(seqs, n):
     return PerturbationSequences(seqs.rho[:n + 2], seqs.eps_sq[:n + 2], seqs.rho_base)
 
 
-def _assert_tail_bit_identical(got, want):
-    """The exact kernel's (q, r, rho_cumprod) at some N against ``want``, full
-    arrays of a schedule that N steps begin: q[N:], r[N:] and rho_cumprod[N:]
-    bit for bit, and every earlier entry NaN."""
-    n = got[0].size - 2
-    for name, g, w in zip(("q", "r", "rho_cumprod"), got, want):
-        assert np.isnan(g[:n].view(float)).all(), f"{name} holds a value before N={n}"
-        diff = np.flatnonzero(g[n:].view(np.uint64) != w[n:g.size].view(np.uint64))
-        assert diff.size == 0, f"{name} at N={n} differs first at flat index {diff[:1]}"
-
-
 def _assert_bit_identical(seqs, extended, ns=None):
     """The kernel against its reference, which it returns as a QRSTriple.
 
-    The exact kernel's tail is checked at N and at each prefix length in ns;
-    the plain kernel's arrays are checked whole.
+    The exact kernel's raw tail, without the overflow check of
+    run_recurrences, is checked at N and at each prefix length N' in ns:
+    q[N':], r[N':] and rho_cumprod[N':] bit for bit, and every earlier entry
+    NaN.  The plain kernel's arrays are checked whole.
     """
-    reference = (_exact_reference if extended else _reference_plain)(seqs)
+    from parimplode.recurrences import _run_extended
+
     if extended:
+        reference = _ziv_reference(seqs, ns)
         for n in (seqs.N,) if ns is None else ns:
-            triple = run_recurrences(_prefix(seqs, n), extended=True)
-            _assert_tail_bit_identical((triple.q, triple.r, triple.rho_cumprod), reference)
+            got = _run_extended(_prefix(seqs, n))
+            for name, g, w in zip(("q", "r", "rho_cumprod"), got, reference):
+                assert np.isnan(g[:n].view(float)).all(), f"{name} holds a value before N={n}"
+                diff = np.flatnonzero(g[n:].view(np.uint64) != w[n:g.size].view(np.uint64))
+                assert diff.size == 0, f"{name} at N={n} differs first at flat index {diff[:1]}"
     else:
+        reference = _reference_plain(seqs)
         triple = run_recurrences(seqs)
         got_all = (triple.q, triple.r, triple.rho_cumprod)
         for name, got, want in zip(("q", "r", "rho_cumprod"), got_all, reference):
@@ -546,11 +557,13 @@ def test_kernels_hold_no_per_step_objects(extended):
             assert peak < 2 * outputs
 
 
-# -- the plain kernel against the exact kernel at the reported N -----------------
+# -- both kernels against the reference at the reported N ---------------------------
 #
-# N = 12800 is the top rung of every built-in ladder.  The plain kernel's
-# checkpoint values must agree with the exact kernel's to 1e-9 of their size,
-# and both must conserve the Wronskian far inside coefficients_from_qr's 1e-9 gate.
+# N = 12800 is the top rung of every built-in ladder.  There the exact
+# kernel's tail must equal _ziv_reference's bit for bit, the plain kernel's
+# must agree with it to 1e-9 of its size, and both must conserve the
+# Wronskian far inside coefficients_from_qr's 1e-9 gate (the exact kernel's
+# residual is the reference's, bit for bit).
 
 _REPORTED = (
     _FAMILIES
@@ -564,81 +577,18 @@ _REPORTED = (
 def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build):
     n = 12800
     seqs = build(n)
-    plain, exact = run_recurrences(seqs), run_recurrences(seqs, extended=True)
-    for name, got, want in (("q", plain.q, exact.q), ("r", plain.r, exact.r)):
-        err = np.abs(got[n:] - want[n:]) / np.maximum(np.abs(want[n:]), 1.0)
+    want, plain = _assert_bit_identical(seqs, True), run_recurrences(seqs)
+    for name, got, w in (("q", plain.q, want.q), ("r", plain.r, want.r)):
+        err = np.abs(got[n:] - w[n:]) / np.maximum(np.abs(w[n:]), 1.0)
         assert err.max() <= 1e-9, (name, err.tolist())
-    for triple in (plain, exact):
+    for triple in (plain, want):
         assert wronskian_residual(triple, n) <= 1e-12
 
 
-# -- the extended kernel against its two-term form ---------------------------------
+# -- the extended kernel on extreme inputs -----------------------------------------
 #
-# _reference_extended is the fixed-point kernel as it was before the increment
-# form and the vectorised conversions: the coefficient 1 + rho_k - eps_k^2
-# formed as an (F+1)-bit integer, inputs converted through as_integer_ratio,
-# outputs through int / int.  The kernel must reproduce it bit for bit,
-# including where it rounds outside the reach of _exact_reference: inputs so
-# fine that F > 1022, subnormals, signed zeros and values past 2**1024.
-
-
-def _reference_extended(seqs):
-    N = seqs.N
-    F = max(128, 117 - min(int(np.frexp(x.view(float))[1].min())
-                           for x in (seqs.rho, seqs.eps_sq)))
-    one = 1 << F
-    q = np.empty(N + 2, dtype=complex)
-    r = np.empty(N + 2, dtype=complex)
-    prod = np.empty(N + 1, dtype=complex)
-    q[:2] = 0j, 1 + 0j
-    r[:2] = 1 + 0j, 1 + 0j
-    prod[0] = 1 + 0j
-    qmr, qmi, qr, qi, rmr, rmi, rr, ri, pr, pi = 0, 0, one, 0, one, 0, one, 0, one, 0
-    qv, rv, pv = (x.view(float).reshape(-1, 2) for x in (q, r, prod))
-    for k0 in range(1, N + 1, 256):
-        k1 = min(k0 + 256, N + 1)
-        rho_b, es_b = ([(n << F) // d for n, d in map(float.as_integer_ratio, x.tolist())]
-                       for x in (seqs.rho[k0:k1].view(float), seqs.eps_sq[k0:k1].view(float)))
-        out = []
-        for i in range(0, len(rho_b), 2):
-            ar, ai = rho_b[i], rho_b[i + 1]
-            cr, ci = one + ar - es_b[i], ai - es_b[i + 1]
-            qmr, qmi, qr, qi = (qr, qi, (cr * qr - ci * qi - ar * qmr + ai * qmi) >> F,
-                                (cr * qi + ci * qr - ar * qmi - ai * qmr) >> F)
-            rmr, rmi, rr, ri = (rr, ri, (cr * rr - ci * ri - ar * rmr + ai * rmi) >> F,
-                                (cr * ri + ci * rr - ar * rmi - ai * rmr) >> F)
-            pr, pi = (pr * ar - pi * ai) >> F, (pr * ai + pi * ar) >> F
-            out += (qr, qi, rr, ri, pr, pi)
-        try:
-            rows = np.array([x / one for x in out]).reshape(-1, 6)
-        except OverflowError:
-            rows = np.array([x / one if abs(x) >> F < 2**1000 else math.inf
-                             for x in out]).reshape(-1, 6)
-        qv[k0 + 1:k1 + 1] = rows[:, 0:2]
-        rv[k0 + 1:k1 + 1] = rows[:, 2:4]
-        pv[k0:k1] = rows[:, 4:6]
-    return q, r, prod
-
-
-def _fraction_bits(seqs):
-    return max(128, 117 - min(int(np.frexp(x.view(float))[1].min())
-                              for x in (seqs.rho, seqs.eps_sq)))
-
-
-def _assert_matches_two_term_form(seqs, ns=None):
-    """The kernel's raw tail against _reference_extended, bit for bit, at N
-    and at each prefix length in ns; returns the reference's full arrays.
-
-    The kernel's rounding depends on F, so each prefix must keep seqs's F.
-    """
-    from parimplode.recurrences import _run_extended
-
-    want = _reference_extended(seqs)
-    for n in (seqs.N,) if ns is None else ns:
-        prefix = _prefix(seqs, n)
-        assert _fraction_bits(prefix) == _fraction_bits(seqs), n
-        _assert_tail_bit_identical(_run_extended(prefix), want)
-    return want
+# Inputs so fine that the kernel's F > 1022, subnormals, signed zeros, a
+# near tie, and values past 2**1000, which kernel and reference read as inf.
 
 
 def _schedule(N, eps_sq_at, rho_shift=0.0):
@@ -660,13 +610,6 @@ def test_extended_conversion_matches_as_integer_ratio():
         assert _to_fixed(x, bits) == want
 
 
-def test_extended_matches_two_term_form_on_the_benchmark_rungs():
-    # the top rung of the sweep-extended ladders, N = 12800
-    for seqs in (materialize(TheoremA(2), 12800), materialize(TheoremB(2), 12800),
-                 materialize(TheoremB(4), 12800), induced_schedule(build_example(4, 12800), 12800)):
-        _assert_matches_two_term_form(seqs)
-
-
 # A step costs about 45 us at F = 1113 or 1190, so the two schedules below
 # check every prefix up to N = 40 and then N = 300 alone, whose tail reads
 # every input; every prefix of N = 300 would take 2 s.
@@ -677,14 +620,12 @@ def test_extended_matches_two_term_form_below_2_pow_minus_906():
     # eps^2 = 1e-300 gives F = 1113 > 1022: 2**-F is below the binary64
     # range, and the outputs still round once, through int / int
     seqs = _schedule(300, lambda k: 1e-300j if k % 3 else 0.01 / k)
-    assert _fraction_bits(seqs) == 1113
-    _assert_matches_two_term_form(seqs, _FINE_F_PREFIXES)
+    _assert_bit_identical(seqs, True, _FINE_F_PREFIXES)
 
 
 def test_extended_matches_two_term_form_on_subnormal_eps_sq():
     seqs = _schedule(300, lambda k: 5e-324j if k == 7 else complex(-5e-324, 1e-3 / k))
-    assert _fraction_bits(seqs) == 1190
-    _assert_matches_two_term_form(seqs, _FINE_F_PREFIXES)
+    _assert_bit_identical(seqs, True, _FINE_F_PREFIXES)
 
 
 def test_extended_rounds_a_subnormal_output_once():
@@ -694,8 +635,7 @@ def test_extended_rounds_a_subnormal_output_once():
     rho = np.array([0, math.ldexp(1 + 2**-30, -537), math.ldexp(1.5 / (1 + 2**-30), -537), 0.5])
     eps_sq = np.array([0, 1, 5e-324, 0])  # F = 1190
     seqs = PerturbationSequences(rho, eps_sq, 0.5)
-    _, _, prod = _assert_matches_two_term_form(seqs, (1, 2))
-    assert prod[2] == 5e-324
+    assert _assert_bit_identical(seqs, True, (1, 2)).rho_cumprod[2] == 5e-324
 
 
 def test_extended_matches_two_term_form_on_signed_zeros():
@@ -704,9 +644,18 @@ def test_extended_matches_two_term_form_on_signed_zeros():
     rho = np.array([0j] + [complex(1.0, -0.0)] * 300 + [1 + 0j])
     eps_sq = np.array([0j] + [zeros[k % 4] for k in range(300)] + [0j])
     seqs = PerturbationSequences(rho, eps_sq, 1.0)
-    q, r, _ = _assert_matches_two_term_form(seqs, range(1, 301))
-    assert q.real.tolist() == list(range(302)) and r[1:].real.tolist() == [1.0] * 301
-    _assert_bit_identical(seqs, extended=True, ns=range(1, 301))
+    triple = _assert_bit_identical(seqs, True, range(1, 301))
+    assert triple.q.real.tolist() == list(range(302)) and triple.r[1:].real.tolist() == [1.0] * 301
+
+
+@pytest.mark.xfail(strict=True, reason="the exact kernel's error is absolute, about 2**-128 "
+                   "per step, and Im r_5 lies 2**-202 from a tie: it reads -3e-12 where the "
+                   "correctly rounded value is -2.9999999999999997e-12")
+def test_extended_rounds_a_near_tie_correctly():
+    # N = 5 steps whose exact Im r_5 lies 2**-202 from a rounding tie
+    eps_sq = np.zeros(7, dtype=complex)
+    eps_sq[2] = 1e-12j
+    _assert_bit_identical(PerturbationSequences(np.full(7, 1 - 3.66e-25j), eps_sq, 1.0), True)
 
 
 def test_extended_takes_the_real_loop_only_when_every_imaginary_part_is_zero():
@@ -736,7 +685,7 @@ def test_extended_matches_two_term_form_past_2_pow_1024():
     # |b| = 1 doubles q and r every step: q_k passes 2**1000, where the
     # kernel's rounding reads inf, at k = 1001, and binary64 ends at 2**1024.
     # The prefixes 990..1030 straddle both; every prefix would take 2 s.
-    q, _, _ = _assert_matches_two_term_form(_doubling(1200), range(990, 1031))
+    q = _assert_bit_identical(_doubling(1200), True, (*range(990, 1031), 1200)).q
     assert np.isfinite(q[990]) and np.isinf(q[1001].real) and np.isinf(q[-1].real)
 
 
