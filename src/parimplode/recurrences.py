@@ -19,7 +19,15 @@ and prod_{j<=N} rho_j, each rounded once, to the correctly rounded value of
 the exact recurrence unless the value is tiny or within ~2**-128 of a tie.
 On a real schedule (every imaginary part of rho and eps_sq zero, as in
 TheoremB cases 4 and 5) it runs the real parts alone, 5 big-integer products
-a step instead of 20, and gets the integers the complex loop would.
+a step instead of 20, and gets the integers the complex loop would.  A
+schedule whose steps repeat with a period p <= N/2 (``_period``) is not
+stepped through: the product of one period's 2x2 transfer matrices is formed
+once, raised to N // p by binary powering, and followed by the last N % p
+steps, at 64 + 2 bitlen(N) more fraction bits; the tail stands when 64 bits
+more round it alike, and the loop runs otherwise.  12 of the 16 built-in
+schedules are periodic: TheoremA(1), TheoremB(1) and TheoremB(4) with
+period 8, TheoremA(2), TheoremB(2) and skew example 2 with period 2, and the
+quadratic and skew examples 1 and 4 constant.
 
 Index conventions (documented once, used everywhere):
 
@@ -214,11 +222,13 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
         q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j, each rounded once; every
         earlier entry is NaN (see ``QRSTriple``).  Errors are absolute,
         about 2**-128 per step, so a value much smaller than that, such as
-        a vanishing prod rho_j, loses its digits or reads 0.  A step costs
-        about 6x the plain path's on a complex schedule and 2x on a real one,
-        whose imaginary parts it skips (at N = 12800 on a 2.1 GHz Xeon vCPU:
-        TheoremB(2) 2.3 us against 0.37 us, TheoremB(4) 0.75 us against
-        0.36 us).
+        a vanishing prod rho_j, loses its digits or reads 0.  A periodic
+        schedule costs about a tenth of the plain path; on the loop a step
+        costs about 4-8x the plain path's on a complex schedule and 2.5x on
+        a real one, whose imaginary parts it skips (medians of 15 calls at
+        N = 12800 on a shared 2.1 GHz Xeon vCPU: TheoremB(2) 1.0-1.1 ms
+        against 6.6-8.0 ms, TheoremB(3) 4.5-4.7 us a step against
+        0.60-0.64 us, TheoremB(5) 1.5-1.6 us against 0.60-0.64 us).
 
     Returns
     -------
@@ -246,9 +256,9 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
 _BLOCK = 256
 
 
-def _blocks(N: int):
-    """(k0, k1) ranges covering steps 1..N."""
-    for k0 in range(1, N + 1, _BLOCK):
+def _blocks(N: int, start: int = 1):
+    """(k0, k1) ranges covering steps start..N."""
+    for k0 in range(start, N + 1, _BLOCK):
         yield k0, min(k0 + _BLOCK, N + 1)
 
 
@@ -324,42 +334,147 @@ def _run_extended(seqs: PerturbationSequences):
     # x = m * 2**e with 0.5 <= |m| < 1 is a multiple of 2**(e - 53)
     F = max(_FRAC_BITS, 117 - min(int(np.frexp(x.view(float))[1].min())
                                   for x in (seqs.rho, seqs.eps_sq)))
-    one = 1 << F
-    # (x_1, d_1) is (1, 1) for q and (1, 0) for r
-    qr, qi, qdr, qdi, rr, ri, rdr, rdi, pr, pi = one, 0, one, 0, one, 0, 0, 0, one, 0
     # Every imaginary lane starts at 0, and it stays 0 while each input's
-    # imaginary part is 0 (of either sign): then the real loop below makes
-    # the integers the complex one would, with 5 products a step, not 20.
+    # imaginary part is 0 (of either sign): then the real loop of _advance
+    # makes the integers the complex one would, with 5 products a step, not 20.
     real = not (seqs.rho.imag.any() or seqs.eps_sq.imag.any())
     rho, eps_sq = (x.real if real else x for x in (seqs.rho, seqs.eps_sq))
-    for k0, k1 in _blocks(N):
-        rho_b = _to_fixed(rho[k0:k1], F)
-        es_b = _to_fixed(eps_sq[k0:k1], F)
-        if real:
-            for a, e in zip(rho_b, es_b):
-                qdr = (a * qdr - e * qr) >> F
-                rdr = (a * rdr - e * rr) >> F
-                qr += qdr
-                rr += rdr
-                pr = (pr * a) >> F
-            continue
-        for ar, ai, er, ei in zip(rho_b[0::2], rho_b[1::2], es_b[0::2], es_b[1::2]):
-            qdr, qdi = ((ar * qdr - ai * qdi - er * qr + ei * qi) >> F,
-                        (ar * qdi + ai * qdr - er * qi - ei * qr) >> F)
-            rdr, rdi = ((ar * rdr - ai * rdi - er * rr + ei * ri) >> F,
-                        (ar * rdi + ai * rdr - er * ri - ei * rr) >> F)
-            qr += qdr
-            qi += qdi
-            rr += rdr
-            ri += rdi
-            pr, pi = (pr * ar - pi * ai) >> F, (pr * ai + pi * ar) >> F
-    # x_N = x_{N+1} - d_{N+1} is exact, so each tail value is rounded once
-    tail = _to_float([qr - qdr, qi - qdi, qr, qi, rr - rdr, ri - rdi, rr, ri, pr, pi], F).view(complex)
+    # A periodic schedule's tail stands when 64 more fraction bits round
+    # it alike (Ziv's test); otherwise, and on any other schedule, the loop runs.
+    p = _period(seqs)
+    G = F + 64 + 2 * N.bit_length()
+    tail = _tail(rho, eps_sq, N, p, G, real) if p else None
+    if tail is None or tail.tobytes() != _tail(rho, eps_sq, N, p, G + 64, real).tobytes():
+        tail = _tail(rho, eps_sq, N, 0, F, real)
     q = np.full(N + 2, complex(math.nan, math.nan))
     r = np.full(N + 2, complex(math.nan, math.nan))
     prod = np.full(N + 1, complex(math.nan, math.nan))
     q[N:], r[N:], prod[N] = tail[0:2], tail[2:4], tail[4]
     return q, r, prod
+
+
+def _tail(rho: np.ndarray, eps_sq: np.ndarray, N: int, p: int, F: int, real: bool) -> np.ndarray:
+    """q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j at F fraction bits, each
+    rounded once, as a complex array.
+
+    With p = 0 the loop runs steps 1..N.  With a period p, the product
+    M_p ... M_1 of one period's transfer matrices is formed once, raised to
+    N // p by binary powering, and applied to the start; the last N % p
+    steps, which are steps 1.. of the period again, then run on the loop.
+    """
+    one = 1 << F
+    # (x_1, d_1) is (1, 1) for q and (1, 0) for r
+    state, start = (one, 0, one, 0, one, 0, 0, 0, one, 0), 1
+    if p:
+        # columns (1, 0) and (0, 1): the identity's
+        period = _advance(rho, eps_sq, 1, p, F, real, (one, 0, 0, 0, 0, 0, one, 0, one, 0))
+        state, start = _compose(_power(period, N // p, F), state, F), N - N % p + 1
+    qr, qi, qdr, qdi, rr, ri, rdr, rdi, pr, pi = _advance(rho, eps_sq, start, N, F, real, state)
+    # x_N = x_{N+1} - d_{N+1} is exact, so each tail value is rounded once
+    return _to_float([qr - qdr, qi - qdi, qr, qi, rr - rdr, ri - rdi, rr, ri, pr, pi], F).view(complex)
+
+
+def _advance(rho: np.ndarray, eps_sq: np.ndarray, start: int, N: int, F: int, real: bool,
+             state: tuple) -> tuple:
+    """The fixed-point state after steps start..N of the exact loop.
+
+    A state is two columns (x, d), each a complex pair of integers, and
+    prod rho_j: (ur, ui, udr, udi, vr, vi, vdr, vdi, pr, pi).  On a full run
+    the columns are q's and r's; each advances as d <- (rho_k d - eps_k^2 x) >> F,
+    x <- x + d, so step k multiplies the 2x2 matrix of the two columns on the
+    left by M_k = [[1 - eps_k^2, rho_k], [-eps_k^2, rho_k]], which acts on
+    (x_k, d_k).
+    """
+    ur, ui, udr, udi, vr, vi, vdr, vdi, pr, pi = state
+    for k0, k1 in _blocks(N, start):
+        rho_b = _to_fixed(rho[k0:k1], F)
+        es_b = _to_fixed(eps_sq[k0:k1], F)
+        if real:
+            for a, e in zip(rho_b, es_b):
+                udr = (a * udr - e * ur) >> F
+                vdr = (a * vdr - e * vr) >> F
+                ur += udr
+                vr += vdr
+                pr = (pr * a) >> F
+            continue
+        for ar, ai, er, ei in zip(rho_b[0::2], rho_b[1::2], es_b[0::2], es_b[1::2]):
+            udr, udi = ((ar * udr - ai * udi - er * ur + ei * ui) >> F,
+                        (ar * udi + ai * udr - er * ui - ei * ur) >> F)
+            vdr, vdi = ((ar * vdr - ai * vdi - er * vr + ei * vi) >> F,
+                        (ar * vdi + ai * vdr - er * vi - ei * vr) >> F)
+            ur += udr
+            ui += udi
+            vr += vdr
+            vi += vdi
+            pr, pi = (pr * ar - pi * ai) >> F, (pr * ai + pi * ar) >> F
+    return ur, ui, udr, udi, vr, vi, vdr, vdi, pr, pi
+
+
+def _compose(a: tuple, b: tuple, F: int) -> tuple:
+    """a's matrix times b's two columns, each entry's sum truncated once,
+    and the product of their prod rho_j: the state after b's steps, then a's."""
+    uxr, uxi, udr, udi, vxr, vxi, vdr, vdi, ar, ai = a
+
+    def times(xr, xi, dr, di):  # a's matrix times the column (x, d)
+        return ((uxr * xr - uxi * xi + vxr * dr - vxi * di) >> F,
+                (uxr * xi + uxi * xr + vxr * di + vxi * dr) >> F,
+                (udr * xr - udi * xi + vdr * dr - vdi * di) >> F,
+                (udr * xi + udi * xr + vdr * di + vdi * dr) >> F)
+
+    br, bi = b[8:]
+    return (*times(*b[:4]), *times(*b[4:8]), (ar * br - ai * bi) >> F, (ar * bi + ai * br) >> F)
+
+
+def _power(a: tuple, m: int, F: int) -> tuple:
+    """a composed with itself m >= 1 times, by binary powering (Knuth, TAOCP
+    vol. 2, sec. 4.6.3): at most 2 log2(m) products."""
+    out = None
+    while True:
+        if m & 1:
+            out = a if out is None else _compose(out, a, F)
+        m >>= 1
+        if not m:
+            return out
+        a = _compose(a, a, F)
+
+
+# At most this many candidate periods are checked, each with two O(N) array
+# comparisons.  A failed candidate rules out every period up to its first
+# mismatch, so a built-in schedule needs one to three.
+_PERIOD_TRIES = 8
+
+
+def _period(seqs: PerturbationSequences) -> int:
+    """The smallest p <= N/2 such that step k + p equals step k (rho_k and
+    eps_k^2 alike, compared by value) for every k, or 0 if there is none.
+
+    A candidate p is a step 1 + p equal to step 1, taken in increasing order.
+    If step j + p is the first to differ from step j, no period of the
+    schedule lies in p..j - 1: any such period p' would, with p, be a period
+    of steps 1..j + p - 1, and so would gcd(p, p') (Fine and Wilf, Proc.
+    AMS 16, 1965), which makes step j + p equal step j.  So the next
+    candidate is sought from max(p + 1, j) on.  After _PERIOD_TRIES failed
+    candidates the scan returns 0.  It reads numpy views of the inputs and
+    writes one N-byte mask.
+    """
+    N = seqs.N
+    rho, es = seqs.rho[1:N + 1], seqs.eps_sq[1:N + 1]
+    same = np.empty(N, dtype=bool)
+    p = 1  # the least candidate not yet ruled out
+    for _ in range(_PERIOD_TRIES):
+        found = same[:max(N // 2 + 1 - p, 0)]  # steps 1 + p..1 + N // 2 against step 1
+        np.equal(rho[p:N // 2 + 1], rho[0], out=found)
+        np.equal(es[p:N // 2 + 1], es[0], out=found, where=found)
+        if not found.any():
+            return 0
+        p += int(found.argmax())
+        match = same[:N - p]  # steps 1 + p..N against steps 1..N - p
+        np.equal(rho[p:], rho[:N - p], out=match)
+        np.equal(es[p:], es[:N - p], out=match, where=match)
+        if match.all():
+            return p
+        p = max(p, int(match.argmin())) + 1
+    return 0
 
 
 def closed_form_T_array(N: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from parimplode import (
     run_recurrences,
     wronskian_residual,
 )
+from parimplode.recurrences import _PERIOD_TRIES, _period
 from parimplode.skew import build_example, induced_schedule
 
 
@@ -265,9 +266,13 @@ def test_additive_resonant_checkpoints():
 # -- overflow and extended path ---------------------------------------------------
 
 
-def _doubling(n):
-    """|b| = 1: admissible, but q_k grows like 2^k, past 1e100 from k = 333 on."""
-    return _schedule(n, lambda k: 0j, rho_shift=1.0)
+def _doubling(n, periodic=False):
+    """|b| = 1: admissible, but q_k grows like 2^k, past 1e100 from k = 333 on.
+
+    eps_k^2 is 0 at every step, or k * 1e-30, which leaves that growth as it
+    is but makes every step distinct, so that the exact kernel runs its loop.
+    """
+    return _schedule(n, (lambda k: 0j) if periodic else (lambda k: k * 1e-30), rho_shift=1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -284,12 +289,15 @@ def test_overflow_guard_reads_the_exact_tail():
     # The exact kernel returns only the tail, so the guard names the first
     # tail entry past 1e100 by its true index (inf at N = 1200); its integers
     # cannot overflow, so nothing earlier needs the check.  Below 1e100 the
-    # run passes: |q_301| is about 2^301 = 4e90.
-    for n in (400, 1200):
-        with pytest.raises(RecurrenceOverflowError, match=rf"^\|q_{n}\| exceeded 1e100"):
-            run_recurrences(_doubling(n), extended=True)
-    triple = run_recurrences(_doubling(300), extended=True)
-    assert 1e90 < abs(triple.q[301]) < 1e100
+    # run passes: |q_301| is about 2^301 = 4e90.  The loop and the periodic
+    # path (the constant schedule) read alike.
+    for periodic in (False, True):
+        for n in (400, 1200):
+            assert _period(_doubling(n, periodic)) == periodic
+            with pytest.raises(RecurrenceOverflowError, match=rf"^\|q_{n}\| exceeded 1e100"):
+                run_recurrences(_doubling(n, periodic), extended=True)
+        triple = run_recurrences(_doubling(300, periodic), extended=True)
+        assert 1e90 < abs(triple.q[301]) < 1e100
 
 
 def test_overflow_check_treats_non_finite_as_overflow():
@@ -458,6 +466,21 @@ def _prefix(seqs, n):
     return PerturbationSequences(seqs.rho[:n + 2], seqs.eps_sq[:n + 2], seqs.rho_base)
 
 
+def _record_tails(monkeypatch):
+    """A list that gets the period of every tail the exact kernel works out
+    from now on: 0 for the loop, p for the periodic path at one precision."""
+    from parimplode import recurrences
+
+    periods, tail = [], recurrences._tail
+
+    def recording(rho, eps_sq, N, p, F, real):
+        periods.append(p)
+        return tail(rho, eps_sq, N, p, F, real)
+
+    monkeypatch.setattr(recurrences, "_tail", recording)
+    return periods
+
+
 def _assert_bit_identical(seqs, extended, ns=None):
     """The kernel against its reference, which it returns as a QRSTriple.
 
@@ -539,11 +562,15 @@ def test_kernels_hold_no_per_step_objects(extended):
     # Exact: the outputs are NaN but for the tail, so what counts is the peak
     # beyond them.  At N = 2400 it reads about 20 KB, one block's converted
     # inputs and the O(N) numpy temporaries of the fraction-bit rule; one int
-    # per step would cost 106 KB more, and six per step 0.6 MB.  B4 is real,
-    # so the exact kernel runs it on its real loop, held to the same bound.
-    n = 2400 if extended else 12800
-    for spec in (TheoremB(3), TheoremB(4)) if extended else (TheoremB(3),):
+    # per step would cost 106 KB more, and six per step 0.6 MB.  B5 is real
+    # and aperiodic, so the exact kernel runs it on its real loop, held to the
+    # same bound.  B4 has period 8 and takes the periodic path, held to the
+    # same bound at N = 12800.
+    cases = ((TheoremB(3), 2400, 0), (TheoremB(5), 2400, 0), (TheoremB(4), 12800, 8)) \
+        if extended else ((TheoremB(3), 12800, 0),)
+    for spec, n, period in cases:
         seqs = materialize(spec, n)
+        assert not extended or _period(seqs) == period
         tracemalloc.start()
         try:
             triple = run_recurrences(seqs, extended=extended)
@@ -574,10 +601,13 @@ _REPORTED = (
 
 
 @pytest.mark.parametrize("build", [b for _, b in _REPORTED], ids=[name for name, _ in _REPORTED])
-def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build):
+def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build, monkeypatch):
     n = 12800
     seqs = build(n)
+    tails = _record_tails(monkeypatch)
     want, plain = _assert_bit_identical(seqs, True), run_recurrences(seqs)
+    # a periodic schedule's tail stands at both precisions, with no loop run
+    assert tails == ([_period(seqs)] * 2 if _period(seqs) else [0])
     for name, got, w in (("q", plain.q, want.q), ("r", plain.r, want.r)):
         err = np.abs(got[n:] - w[n:]) / np.maximum(np.abs(w[n:]), 1.0)
         assert err.max() <= 1e-9, (name, err.tolist())
@@ -591,9 +621,10 @@ def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build):
 # near tie, and values past 2**1000, which kernel and reference read as inf.
 
 
-def _schedule(N, eps_sq_at, rho_shift=0.0):
-    """Rotation by e^{2 pi i / N}, shifted by rho_shift, with eps_sq_at(k) at step k."""
-    base = cmath.exp(2j * math.pi / N)
+def _schedule(N, eps_sq_at, rho_shift=0.0, real=False):
+    """Rotation by e^{2 pi i / N} (by 1 if real), shifted by rho_shift, with
+    eps_sq_at(k) at step k."""
+    base = 1 + 0j if real else cmath.exp(2j * math.pi / N)
     rho = np.full(N + 2, base + rho_shift)
     eps_sq = np.array([0j] + [eps_sq_at(k) for k in range(1, N + 1)] + [0j])
     return PerturbationSequences(rho, eps_sq, base)
@@ -639,13 +670,24 @@ def test_extended_rounds_a_subnormal_output_once():
 
 
 def test_extended_matches_two_term_form_on_signed_zeros():
-    # rho = 1 - 0j and eps^2 = -0 + 0j, -0 - 0j keep q_k = k, r_k = 1 exactly
+    # rho = 1 - 0j and eps^2 = -0 + 0j, -0 - 0j keep q_k = k, r_k = 1 exactly.
+    # Zeros of either sign are equal steps, so this schedule has period 1 and
+    # takes the periodic path; with eps_1^2 = 0.5 - 0j no step repeats the
+    # first, the loop runs, and q_k = (k + 1)/2, r_k = (3 - k)/2 exactly.
     zeros = (complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 0j)
     rho = np.array([0j] + [complex(1.0, -0.0)] * 300 + [1 + 0j])
     eps_sq = np.array([0j] + [zeros[k % 4] for k in range(300)] + [0j])
     seqs = PerturbationSequences(rho, eps_sq, 1.0)
+    assert _period(seqs) == 1
     triple = _assert_bit_identical(seqs, True, range(1, 301))
     assert triple.q.real.tolist() == list(range(302)) and triple.r[1:].real.tolist() == [1.0] * 301
+    eps_sq[1] = complex(0.5, -0.0)
+    seqs = PerturbationSequences(rho, eps_sq, 1.0)
+    assert not any(_period(_prefix(seqs, n)) for n in range(1, 301))
+    triple = _assert_bit_identical(seqs, True, range(1, 301))
+    k = np.arange(1, 302)
+    assert triple.q[1:].real.tolist() == ((k + 1) / 2).tolist()
+    assert triple.r[1:].real.tolist() == ((3 - k) / 2).tolist()
 
 
 @pytest.mark.xfail(strict=True, reason="the exact kernel's error is absolute, about 2**-128 "
@@ -659,34 +701,43 @@ def test_extended_rounds_a_near_tie_correctly():
 
 
 def test_extended_takes_the_real_loop_only_when_every_imaginary_part_is_zero():
-    # B4 is real (rho_k = 1, real eps_k^2), so the exact kernel runs its real
-    # loop.  One eps_k^2 with an imaginary part of 1e-9 must send it to the
-    # complex loop: the real loop would drop that part, and q_N's imaginary
-    # part, which the reference sees, would read 0.
+    # B5 is real (rho_k = 1, real eps_k^2) and aperiodic, so the exact kernel
+    # runs its real loop.  One eps_k^2 with an imaginary part of 1e-9 must
+    # send it to the complex loop: the real loop would drop that part, and
+    # q_N's imaginary part, which the reference sees, would read 0.
     n = 300
-    seqs = materialize(TheoremB(4), n)
+    seqs = materialize(TheoremB(5), n)
     nudged = seqs.eps_sq.copy()
     nudged[n // 2] += 1e-9j
-    triple = _assert_bit_identical(PerturbationSequences(seqs.rho, nudged, seqs.rho_base), True,
-                                   (n // 2 - 1, n // 2, n // 2 + 1, n))
+    nudged = PerturbationSequences(seqs.rho, nudged, seqs.rho_base)
+    assert _period(seqs) == _period(nudged) == 0
+    triple = _assert_bit_identical(nudged, True, (n // 2 - 1, n // 2, n // 2 + 1, n))
     assert triple.q[n].imag != 0
     # an imaginary part of -0.0 is zero: the bytes of +0.0, on the real loop
-    rho, eps_sq = seqs.rho.copy(), seqs.eps_sq.copy()
-    rho.imag = eps_sq.imag = -0.0
-    negated = PerturbationSequences(rho, eps_sq, seqs.rho_base)
-    assert np.signbit(negated.rho[1:].imag).all() and np.signbit(negated.eps_sq[1:].imag).all()
-    want, got = run_recurrences(seqs, extended=True), run_recurrences(negated, extended=True)
-    for w, g in zip((want.q, want.r, want.rho_cumprod), (got.q, got.r, got.rho_cumprod)):
-        assert g.tobytes() == w.tobytes()
+    # of B5 and on B4's periodic path (period 8) alike
+    for spec, period in ((TheoremB(5), 0), (TheoremB(4), 8)):
+        seqs = materialize(spec, n)
+        rho, eps_sq = seqs.rho.copy(), seqs.eps_sq.copy()
+        rho.imag = eps_sq.imag = -0.0
+        negated = PerturbationSequences(rho, eps_sq, seqs.rho_base)
+        assert np.signbit(negated.rho[1:].imag).all() and np.signbit(negated.eps_sq[1:].imag).all()
+        assert _period(seqs) == _period(negated) == period
+        want, got = run_recurrences(seqs, extended=True), run_recurrences(negated, extended=True)
+        for w, g in zip((want.q, want.r, want.rho_cumprod), (got.q, got.r, got.rho_cumprod)):
+            assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extended_matches_two_term_form_past_2_pow_1024():
     # |b| = 1 doubles q and r every step: q_k passes 2**1000, where the
     # kernel's rounding reads inf, at k = 1001, and binary64 ends at 2**1024.
-    # The prefixes 990..1030 straddle both; every prefix would take 2 s.
-    q = _assert_bit_identical(_doubling(1200), True, (*range(990, 1031), 1200)).q
-    assert np.isfinite(q[990]) and np.isinf(q[1001].real) and np.isinf(q[-1].real)
+    # The prefixes 990..1030 straddle both; every prefix would take 2 s.  The
+    # loop and the periodic path (the constant schedule) are both checked.
+    for periodic in (False, True):
+        seqs = _doubling(1200, periodic)
+        assert _period(seqs) == periodic
+        q = _assert_bit_identical(seqs, True, (*range(990, 1031), 1200)).q
+        assert np.isfinite(q[990]) and np.isinf(q[1001].real) and np.isinf(q[-1].real)
 
 
 def test_kernels_bit_identical_property():
@@ -724,3 +775,104 @@ def test_kernels_bit_identical_property():
         assert wronskian_residual(triple, n) < 1e-12 * size
 
     check()
+
+
+def test_kernels_bit_identical_property_on_periodic_schedules():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # One drawn block of steps, repeated twice or more and then cut anywhere,
+    # so that every prefix of at least two blocks takes the periodic path.
+    # Each nonzero part, and the rotation angle, is at least 2**-24 in
+    # modulus: the kernel's error is absolute, so a tail value far below
+    # 2**-F reads wrongly on either path (the strict xfail below).
+    zero = st.sampled_from([0.0, -0.0])
+    part = st.one_of(zero, st.floats(-0.7, 0.7).filter(lambda x: abs(x) >= 2**-24))
+    angle = st.one_of(zero, st.floats(-math.pi, math.pi).filter(lambda x: abs(x) >= 2**-24))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), real=st.booleans())
+    def check(data, real):
+        value = st.builds(complex, part, zero if real else part)
+        p = data.draw(st.integers(1, 8))
+        b = data.draw(st.lists(value, min_size=p, max_size=p))
+        e = data.draw(st.lists(value, min_size=p, max_size=p))
+        n = data.draw(st.integers(2 * p, 6 * p))
+        if real:
+            base = complex(data.draw(st.sampled_from([1.0, -1.0])), data.draw(zero))
+        else:
+            base = cmath.exp(1j * data.draw(angle))
+        rho = np.array([0.0] + [base + b[k % p] for k in range(n)] + [base], dtype=complex)
+        eps_sq = np.array([0.0] + [e[k % p] for k in range(n)] + [0.0], dtype=complex)
+        seqs = PerturbationSequences(rho, eps_sq, base)
+        # the smallest period divides any other one that fits twice in N
+        assert _period(seqs) and p % _period(seqs) == 0
+        _assert_bit_identical(seqs, True, range(1, n + 1))
+
+    check()
+
+
+@pytest.mark.xfail(strict=True, reason="the exact kernel's error is absolute: Im r_3 = -5.0e-373 "
+                   "lies below 2**-F, its truncated product floors to -1 on the fixed-point grid, "
+                   "and the loop reads -5.5e-222 where the correctly rounded value is -0.0; the "
+                   "periodic path reads -1.9e-242 and 64 bits more disagree, so it runs the loop")
+@pytest.mark.parametrize("periodic", [False, True], ids=["loop", "periodic"])
+def test_extended_rounds_a_value_below_the_fixed_point_grid_correctly(periodic):
+    theta = 7.074330979387023e-187
+    base = cmath.exp(1j * theta)  # 1 + theta i
+    eps_sq = np.array([0, theta, theta if periodic else 2 * theta, 0], dtype=complex)
+    seqs = PerturbationSequences(np.full(4, base), eps_sq, base)
+    assert _period(seqs) == periodic
+    _assert_bit_identical(seqs, True)
+
+
+# -- the extended kernel's periodic path ------------------------------------------
+#
+# A schedule whose steps repeat with period p <= N/2 is run as the product of
+# one period's transfer matrices, raised to N // p by binary powering, and
+# the first N % p steps again.  Its tail must equal _ziv_reference's bit for
+# bit, as the loop's does.
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("p", [1, 2, 8])
+def test_extended_powers_a_periodic_schedule(p, real, monkeypatch):
+    # eps_k^2 takes p distinct values in turn, so the smallest period is p.
+    # The prefixes take N = 2p, N mod p != 0 and N = 1000 on the periodic
+    # path, where the tail stands at both precisions, and N < 2p, where no
+    # period fits twice, on the loop.
+    n = 1000
+    seqs = _schedule(n, lambda k: (1e-3 if real else 1e-3 + 2e-4j) / (1 + (k - 1) % p), real=real)
+    ns = sorted({1, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p + 1, 5 * p - 1, n - 1, n})
+    for m in ns:
+        assert _period(_prefix(seqs, m)) == (p if m >= 2 * p else 0), m
+    tails = _record_tails(monkeypatch)
+    _assert_bit_identical(seqs, True, ns)
+    assert tails == [x for m in ns for x in ([p, p] if m >= 2 * p else [0])]
+
+
+def test_extended_declines_a_period_past_the_scans_limits():
+    # Steps 1..8 twice, period 8, fit N = 16 but not N = 15, whose period
+    # would pass N/2: that prefix runs on the loop.
+    seqs = _schedule(16, lambda k: 1e-3 / (1 + (k - 1) % 8))
+    assert _period(seqs) == 8 and _period(_prefix(seqs, 15)) == 0
+    _assert_bit_identical(seqs, True, (15, 16))
+    # A block a, x_1, a, x_2, ..., a, x_t with every x_j distinct: candidate
+    # periods 2, 4, ..., 2t - 2 each fail at their second step, so the true
+    # period 2t is the (t)th candidate, past the scan's _PERIOD_TRIES.
+    for t, period in ((_PERIOD_TRIES, 2 * _PERIOD_TRIES), (_PERIOD_TRIES + 1, 0)):
+        seqs = _schedule(4 * t, lambda k: 1e-3 / k if k % 2 == 0 else 0.5)
+        block = seqs.eps_sq[1:2 * t + 1]
+        seqs = PerturbationSequences(seqs.rho, np.concatenate(([0], block, block, [0])), seqs.rho_base)
+        assert _period(seqs) == period
+        _assert_bit_identical(seqs, True)
+
+
+def test_extended_falls_back_to_the_loop_when_the_last_step_breaks_the_period():
+    n = 300
+    seqs = _schedule(n, lambda k: 1e-3 + 5e-4j if k % 2 else 2e-3 - 1e-4j)
+    eps_sq = seqs.eps_sq.copy()
+    eps_sq[n] += 1e-9
+    nudged = PerturbationSequences(seqs.rho, eps_sq, seqs.rho_base)
+    assert _period(seqs) == 2 and _period(_prefix(nudged, n - 1)) == 2 and _period(nudged) == 0
+    _assert_bit_identical(nudged, True, (n - 1, n))
