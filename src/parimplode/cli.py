@@ -22,9 +22,9 @@ process each of the others; sweep, counterexample and skew (the schedule
 ``SkewExample``) run theirs through ``convergence.run_sweep``.  --threads, or
 PARIMPLODE_THREADS where it is not given, sets the number of processes, the
 caller included (``skew`` and ``oracle`` read only the variable).  By default
-``random`` and ``oracle`` take one process per CPU, and the ladders of
-sweep, counterexample and skew run inline, binary64 and ``--extended``
-alike (``convergence.run_sweep`` says why).  ``oracle`` cuts each N's trials
+``random``, ``oracle`` and every ``--extended`` ladder take one process per
+CPU, and the binary64 ladders of sweep, counterexample and skew run inline
+(README gives the timings).  ``oracle`` cuts each N's trials
 into slices of at most min(_ORACLE_BATCH, ceil(trials / workers)) and folds
 the slice maxima in (N, trial) order, so its line is the same at any worker
 count.

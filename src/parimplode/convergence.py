@@ -3,7 +3,7 @@
 ``run_point`` is the single-N workhorse: it materializes a schedule, runs
 the recurrences, and measures every error field, cross-checking the result
 against direct matrix composition at every N <= 512.  ``run_sweep`` runs the
-points of a ladder, inline unless more processes are asked for, and returns
+points of a ladder, on worker processes for the exact kernel, and returns
 them in input order, and ``fit_decay`` turns a sweep into an empirical
 decay exponent.
 """
@@ -142,16 +142,15 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     (N, exception) pairs.
 
     The points run through ``map_rungs`` on ``max_workers`` processes, the
-    caller included.  Without ``max_workers`` or PARIMPLODE_THREADS they run
-    inline, on either path.  The exact kernel raises a periodic schedule to
-    its power in about a millisecond a rung, less than forking and reaping a
-    worker costs: on 2 vCPUs the four exact ladders of the ``sweep-extended``
-    benchmark took 0.038 s inline against 0.071 s on two processes (medians
-    of twenty alternating pairs, none won by the pool).  Ladders that still
-    run a per-step loop can gain from ``max_workers=2``; README quotes both.
+    caller included.  Without ``max_workers`` or PARIMPLODE_THREADS, the
+    exact kernel (``extended``) takes one process per CPU and the binary64
+    path runs inline.  Two processes win on the exact ladders that step
+    through the kernel's loop (A3, B3, B5, the counterexample) and lose on
+    the periodic ones, which the kernel raises to their power in about a
+    millisecond a rung; README gives the timings.
     """
     check_ladder(Ns)
-    workers = worker_count(max_workers, default=1)
+    workers = worker_count(max_workers, default=None if extended else 1)
     outcomes = map_rungs(functools.partial(_attempt, spec, extended), Ns, workers)
     failures = [(n, out) for n, out in zip(Ns, outcomes) if isinstance(out, Exception)]
     if failures:

@@ -309,9 +309,9 @@ def test_skew_assert_example4(capsys):
     assert "|w_N| 1.3e-03 at N=800" in capsys.readouterr().err
 
 
-def test_skew_runs_inline_unless_workers_are_asked_for(monkeypatch, tmp_path, two_cpus, watch_pids):
-    # skew sweeps with run_sweep: inline by default, plain and --extended
-    # alike, on workers when PARIMPLODE_THREADS asks, with the same CSV bytes
+def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two_cpus, watch_pids):
+    # skew sweeps with run_sweep: inline when plain, on workers when --extended
+    # or PARIMPLODE_THREADS asks, with the same CSV bytes either way
     ran = watch_pids(convergence, "run_point")
     csv = {}
 
@@ -322,17 +322,18 @@ def test_skew_runs_inline_unless_workers_are_asked_for(monkeypatch, tmp_path, tw
         return ran()
 
     assert run("plain") == "parent"
-    assert run("extended", "--extended") == "parent"
+    assert run("extended", "--extended") == "both"
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert run("extended inline", "--extended") == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
     assert run("plain pooled") == "both"
-    assert run("extended pooled", "--extended") == "both"
+    assert csv["extended inline"] == csv["extended"]
     assert csv["plain pooled"] == csv["plain"]
-    assert csv["extended pooled"] == csv["extended"]
 
 
-@pytest.mark.parametrize("threads", [None, "1", "2"])
+@pytest.mark.parametrize("threads", [None, "1"])
 def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, watch_pids, threads):
-    # inline (by default) and pooled alike, the ladder runs every rung and names each
+    # inline and pooled alike, the ladder runs every rung and names each
     # failing one, the lowest first, in one numerical failure
     ran = watch_pids(convergence, "run_point")
     real = convergence.run_point
@@ -346,7 +347,7 @@ def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, wat
     if threads is not None:
         monkeypatch.setenv("PARIMPLODE_THREADS", threads)
     assert main(["skew", "--example", "4", "--extended", "--n", "100:1600:x2"]) == 2
-    assert ran() == ("both" if threads == "2" else "parent")
+    assert ran() == ("both" if threads is None else "parent")
     assert capsys.readouterr() == ("", "parimplode: numerical failure: 2 sweep point(s) failed: "
                                    "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
 

@@ -126,21 +126,22 @@ def test_run_sweep_raises_the_lowest_spec_error(workers):
 
 
 def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpus, watch_pids):
-    # one default on both paths: inline, and on two processes, the caller's
-    # share and a forked worker's, under max_workers=2 or PARIMPLODE_THREADS=2
     from parimplode import convergence
 
     ran = watch_pids(convergence, "run_point")
     ns = [100, 200, 400, 800]
-    for extended in (False, True):
-        inline = run_sweep(TheoremB(1), ns, extended=extended)
-        assert ran() == "parent"
-        assert run_sweep(TheoremB(1), ns, extended=extended, max_workers=2) == inline
-        assert ran() == "both"
-        monkeypatch.setenv("PARIMPLODE_THREADS", "2")
-        assert run_sweep(TheoremB(1), ns, extended=extended) == inline
-        assert ran() == "both"
-        monkeypatch.delenv("PARIMPLODE_THREADS")
+    inline = run_sweep(TheoremB(1), ns)
+    assert ran() == "parent"
+    assert run_sweep(TheoremB(1), ns, max_workers=2) == inline
+    assert ran() == "both"
+    extended = run_sweep(TheoremB(1), ns, extended=True)
+    assert ran() == "both"
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert run_sweep(TheoremB(1), ns, extended=True) == extended
+    assert ran() == "parent"
+    monkeypatch.setenv("PARIMPLODE_THREADS", "2")
+    assert run_sweep(TheoremB(1), ns) == inline
+    assert ran() == "both"
 
 
 def _failures(err: SweepError):
