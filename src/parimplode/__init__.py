@@ -37,8 +37,6 @@ from .mobius import (
 )
 from .randomlab import (
     EnsembleSummary,
-    FixedLambda,
-    PropLambda,
     TrialRecord,
     azuma_tail_bound,
     martingale_check,
@@ -60,7 +58,6 @@ from .schedules import (
     CounterexampleC,
     Custom,
     QuadraticNonconvergent,
-    Rademacher,
     RandomSchedule,
     SkewExample,
     TheoremA,

@@ -13,8 +13,8 @@ sweep and diagnose-sum build their schedule from --theorem and --case (or
 No option turns a check off or rescales it: every rung of sweep,
 counterexample and skew at N <= 512 is cross-checked against direct
 composition (``convergence.run_point``), and ``random`` counts a trial's
-exceedance max_n |delta_n| / lambda_n >= 1 with the same lambda_n as the
-union bound it reports: the proof's, or the constant --lambda-value.
+exceedance max_n |delta_n| / lambda_n >= 1 at the one threshold of the union
+bound it reports, the proof's lambda_n = sqrt(2n) N^(-(3/2+delta/2)).
 
 The rungs of a ladder, and the oracle's slices of trials, are shared out by
 ``ioutil.map_rungs``: the calling process runs one share and a forked worker
@@ -41,12 +41,11 @@ from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
 from .mobius import compose_chain, projective_distance
-from .randomlab import FixedLambda, PropLambda, run_ensemble, write_summary_csv, write_trial_csv
+from .randomlab import run_ensemble, write_summary_csv, write_trial_csv
 from .recurrences import coefficients_from_qr, run_recurrences
 from .schedules import (
     CounterexampleC,
     QuadraticNonconvergent,
-    Rademacher,
     SkewExample,
     TheoremA,
     TheoremB,
@@ -97,7 +96,8 @@ def parse_ladder(text: str) -> list[int]:
             ns.append(cur)
             nxt = int(round(cur * factor))
             if nxt <= cur:
-                if cur < end:
+                # no factor grows a rung below 1, which check_ladder rejects
+                if 0 < cur < end:
                     raise UsageError(f"n: ladder {text!r} stalls at {cur}: "
                                      f"x{rule[1:]} rounds it back to {nxt}")
                 break
@@ -188,17 +188,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_random(cfg: dict) -> int:
     delta, trials = cfg["delta"], cfg["trials"]
-    if cfg["dist"] == "rademacher":
-        if cfg["m"] is not None:
-            raise UsageError("m: only valid with --dist uniform")
-        dist = Rademacher()
-    else:
-        dist = UniformSymmetric() if cfg["m"] is None else UniformSymmetric(cfg["m"])
-    rule = PropLambda() if cfg["lambda_value"] is None else FixedLambda(cfg["lambda_value"])
+    dist = UniformSymmetric(cfg["m"])
     ns = _rung_ladder(cfg["n"])
 
-    result = run_ensemble(delta, dist, ns, trials, cfg["seed"], lambda_rule=rule,
-                          max_workers=cfg["threads"])
+    result = run_ensemble(delta, dist, ns, trials, cfg["seed"], max_workers=cfg["threads"])
     summaries = result.summaries
     for s in summaries:
         print(f"N={s.N} trials={s.trials} median|qN|={s.median_qN:.6g} "
@@ -349,11 +342,9 @@ _OPTIONS = {
     "delta": ({"type": float}, "decay exponent offset (> 0)"),
     "trials": ({"type": int}, "seeded trials per N"),
     "seed": ({"type": int}, "seed of the counter-based random stream"),
-    "dist": ({"choices": ["uniform", "rademacher"]}, "distribution of the random perturbations"),
-    "m": ({"type": float}, "uniform distribution bound"),
+    "m": ({"type": float}, "bound M of the uniform perturbations eta_k on [-M, M]"),
     "out_trials": ({}, "per-trial CSV path"),
     "out_summary": ({}, "summary CSV path"),
-    "lambda_value": ({"type": float}, "constant tail threshold lambda_n (default: the proof's lambda_n)"),
     "example": ({"type": int}, "example id 1..5"),
     "n_max": ({"type": int}, "largest N checked, from 16, 64, 256, 512"),
 }
@@ -367,8 +358,8 @@ _COMMANDS = {
                "extended": False, "threads": None}),
     "random": (cmd_random, "seeded Monte Carlo ensemble",
                {"delta": ..., "trials": 200, "seed": 0, "n": "200:6400:x2",
-                "dist": "uniform", "m": None, "out_trials": None, "out_summary": None,
-                "svg": None, "assert": False, "lambda_value": None, "threads": None}),
+                "m": 1.0, "out_trials": None, "out_summary": None,
+                "svg": None, "assert": False, "threads": None}),
     "counterexample": (cmd_counterexample, "both sides of the split-angle schedule",
                        {"n": "500:8000:x2", "out": None, "svg": None, "assert": False,
                         "extended": False, "threads": None}),

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateMapError, DegenerateNormalizationError
 
 _RENORM_EVERY = 64  # renormalize chain products this often to dodge overflow
+NORMALIZATION_FLOOR = 1e-12  # largest |d| that a coefficient error refuses to divide by
 
 
 def _require_finite(name: str, z: complex) -> None:
@@ -143,10 +144,10 @@ def projective_coeff_error(map_: MoebiusCoeffs) -> float:
     Raises
     ------
     DegenerateNormalizationError
-        When |d| <= 1e-12; the map is far from the identity and the caller
-        should report divergence instead.
+        When |d| <= ``NORMALIZATION_FLOOR`` (1e-12); the map is far from the
+        identity and the caller should report divergence instead.
     """
-    if abs(map_.d) <= 1e-12:
+    if abs(map_.d) <= NORMALIZATION_FLOOR:
         raise DegenerateNormalizationError(f"|d|={abs(map_.d)!r} too small to normalize")
     return abs(map_.a / map_.d - 1.0) + abs(map_.b / map_.d) + abs(map_.c / map_.d)
 

@@ -24,15 +24,16 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .convergence import check_ladder
 from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
+from .mobius import NORMALIZATION_FLOOR
 from .recurrences import _BLOCK, _blocks
-from .schedules import RandomDist, RandomSchedule
+from .schedules import RandomSchedule, UniformSymmetric
 
 MARTINGALE_GATE = 1e-8  # largest martingale identity residual martingale_check accepts
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
@@ -69,32 +70,6 @@ class EnsembleSummary:
                 f"exceed_count {self.exceed_count} outside 0..trials={self.trials}")
 
 
-@dataclass(frozen=True)
-class PropLambda:
-    """The proof's threshold choice lambda_n = sqrt(2n) * N^(-(3/2+delta/2)),
-    which makes the per-n tail exponent independent of n."""
-
-    def lambda_at(self, n, N: int, delta: float):
-        return np.sqrt(2.0 * np.asarray(n, dtype=float)) * N ** -(1.5 + delta / 2.0)
-
-
-@dataclass(frozen=True)
-class FixedLambda:
-    """Constant threshold; the tail bound then collapses to 0 for large N."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"lambda_value: must be a positive finite number, got {self.value}")
-
-    def lambda_at(self, n, N: int, delta: float):
-        return np.full_like(np.asarray(n, dtype=float), self.value)
-
-
-LambdaRule = Union[PropLambda, FixedLambda]
-
-
 class EnsembleResult(NamedTuple):
     summaries: list
     records: list
@@ -126,9 +101,16 @@ def quantile_nearest_rank(values, p: float) -> float:
     return float(v[idx])
 
 
-def union_bound(N: int, delta: float, M: float, lambda_rule: LambdaRule) -> float:
-    """(N+1) times the worst per-n Azuma term (n = N+1, where it is largest)."""
-    lam = float(lambda_rule.lambda_at(np.array(N + 1), N, delta))
+def proof_lambda(n, N: int, delta: float):
+    """The proof's threshold lambda_n = sqrt(2n) * N^(-(3/2+delta/2)), which
+    makes the per-n tail exponent N^(delta-1)/M^2 independent of n."""
+    return np.sqrt(2.0 * np.asarray(n, dtype=float)) * N ** -(1.5 + delta / 2.0)
+
+
+def union_bound(N: int, delta: float, M: float) -> float:
+    """Sum of the Azuma terms at the proof's lambda_n over n = 1..N+1, all equal:
+    (N+1) exp(-N^(delta-1)/M^2), computed from the term at n = N+1."""
+    lam = float(proof_lambda(N + 1, N, delta))
     return (N + 1) * azuma_tail_bound(lam, N + 1, N, delta, M)
 
 
@@ -178,10 +160,9 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int):
         yield k0, x[:nb + 2], d, terms
 
 
-def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: int,
-                   lambda_rule: LambdaRule):
+def _run_trials_at(N: int, delta: float, dist: UniformSymmetric, trials: int, seed: int):
     blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
-    lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
+    lam = proof_lambda(np.arange(1, N + 2), N, delta)
     # running maximum of |delta_n| / lambda_n over n = 1..N+1; delta_1 = 0
     ratio_max = np.zeros(trials)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -197,12 +178,12 @@ def _run_trials_at(N: int, delta: float, dist: RandomDist, trials: int, seed: in
         ce = np.abs(a_coef / d_coef - 1.0) + np.abs(b_coef / d_coef) + np.abs(c_coef / d_coef)
     exceeded = ratio_max >= 1.0
 
-    ok = np.isfinite(q_N) & np.isfinite(q_N1) & np.isfinite(ce) & (np.abs(d_coef) > 1e-12)
+    ok = (np.isfinite(q_N) & np.isfinite(q_N1) & np.isfinite(ce)
+          & (np.abs(d_coef) > NORMALIZATION_FLOOR))
     return {"q_N": q_N, "q_N1": q_N1, "coeff_err": ce, "exceeded": exceeded, "ok": ok}
 
 
-def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, seed: int, *,
-                 lambda_rule: LambdaRule = PropLambda(),
+def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: int, seed: int, *,
                  max_workers: int | None = None) -> EnsembleResult:
     """Seeded ensemble over an N ladder.
 
@@ -210,9 +191,9 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     (N, trial, message) failures; failed trials are excluded from the
     quantiles and counts.  A rung where every trial fails has no quantiles
     and raises RecurrenceOverflowError naming its N.  The exceedance event
-    for a trial is max_n |delta_n| / lambda_n >= 1, with lambda_n from
-    ``lambda_rule``: the event that the summary's ``azuma_bound``, the union
-    bound of the same rule, controls.  delta and dist follow the rule
+    for a trial is max_n |delta_n| / lambda_n >= 1, with the proof's lambda_n
+    (``proof_lambda``): the event that the summary's ``azuma_bound``, the
+    union bound at the same lambda_n, controls.  delta and dist follow the rule
     of :class:`RandomSchedule`, and Ns that of ``check_ladder``.  The rungs
     run on ``max_workers`` processes, the caller included, by default one
     per CPU (``ioutil.worker_count``).
@@ -221,14 +202,12 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
     if trials < 30:
         raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
 
-    rung = functools.partial(_run_trials_at, delta=delta, dist=dist, trials=trials, seed=seed,
-                             lambda_rule=lambda_rule)
+    rung = functools.partial(_run_trials_at, delta=delta, dist=dist, trials=trials, seed=seed)
     per_n = dict(zip(Ns, map_rungs(rung, Ns, worker_count(max_workers))))
 
     summaries: list[EnsembleSummary] = []
     records: list[TrialRecord] = []
     failures: list[tuple[int, int, str]] = []
-    m_bound = dist.magnitude_bound
     for n in Ns:
         data = per_n[n]
         ok = data["ok"]
@@ -250,12 +229,12 @@ def run_ensemble(delta: float, dist: RandomDist, Ns: list[int], trials: int, see
             median_qN=quantile_nearest_rank(good_q, 0.5),
             q90_qN=quantile_nearest_rank(good_q, 0.9),
             exceed_count=int(np.count_nonzero(data["exceeded"] & ok)),
-            azuma_bound=union_bound(n, delta, m_bound, lambda_rule),
+            azuma_bound=union_bound(n, delta, dist.m),
         ))
     return EnsembleResult(summaries, records, failures)
 
 
-def martingale_check(delta: float, dist: RandomDist, N: int, trials: int,
+def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
                      seed: int) -> MartingaleCheck:
     """Verify the summation identity on every prefix of every trial.
 

@@ -225,10 +225,7 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
         a vanishing prod rho_j, loses its digits or reads 0.  A periodic
         schedule costs about a tenth of the plain path; on the loop a step
         costs about 4-8x the plain path's on a complex schedule and 2.5x on
-        a real one, whose imaginary parts it skips (medians of 15 calls at
-        N = 12800 on a shared 2.1 GHz Xeon vCPU: TheoremB(2) 1.0-1.1 ms
-        against 6.6-8.0 ms, TheoremB(3) 4.5-4.7 us a step against
-        0.60-0.64 us, TheoremB(5) 1.5-1.6 us against 0.60-0.64 us).
+        a real one, whose imaginary parts it skips (README gives the timings).
 
     Returns
     -------

@@ -50,9 +50,3 @@ def uniform01(seed: int, trial, k):
 def uniform_symmetric(seed: int, trial, k, bound: float = 1.0):
     """Uniform variates in [-bound, bound] (mean zero)."""
     return bound * (2.0 * uniform01(seed, trial, k) - 1.0)
-
-
-def rademacher(seed: int, trial, k):
-    """Fair +/-1 variates from the top output bit."""
-    top = (words(seed, trial, k) >> np.uint64(63)).astype(np.float64)
-    return 1.0 - 2.0 * top

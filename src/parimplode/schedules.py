@@ -21,7 +21,7 @@ from .errors import InvalidSpecError
 from .recurrences import PerturbationSequences, closed_form_T_array
 from .skew import build_example, check_example, induced_schedule
 
-# -- distributions for the random family -------------------------------------
+# -- the distribution of the random family ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,6 @@ class UniformSymmetric:
 
     def draw(self, seed: int, trial: int, k: np.ndarray) -> np.ndarray:
         return rng.uniform_symmetric(seed, trial, k, bound=self.m)
-
-    @property
-    def magnitude_bound(self) -> float:
-        return self.m
-
-
-@dataclass(frozen=True)
-class Rademacher:
-    """Equal probability on {-1, +1}."""
-
-    def draw(self, seed: int, trial: int, k: np.ndarray) -> np.ndarray:
-        return rng.rademacher(seed, trial, k).astype(float)
-
-    @property
-    def magnitude_bound(self) -> float:
-        return 1.0
-
-
-RandomDist = Union[UniformSymmetric, Rademacher]
 
 
 # -- schedule families --------------------------------------------------------
@@ -148,14 +129,14 @@ class RandomSchedule:
     """Additive random schedule eps_k = pi/N + eta_k/N^(1+delta), as :meth:`eps` forms it."""
 
     delta: float
-    dist: RandomDist
+    dist: UniformSymmetric
     seed: int
     trial: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise InvalidSpecError(f"delta: must be a positive real, got {self.delta}")
-        if not isinstance(self.dist, (UniformSymmetric, Rademacher)):
+        if not isinstance(self.dist, UniformSymmetric):
             raise InvalidSpecError(f"unsupported distribution {self.dist!r}")
         if not isinstance(self.seed, int) or not isinstance(self.trial, int):
             raise InvalidSpecError("seed and trial must be integers")

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from parimplode import (
-    FixedLambda,
     OracleMismatchError,
     QRSTriple,
     UsageError,
@@ -32,8 +31,8 @@ from parimplode.svgplot import loglog_svg
 _SCHEDULE_FLAGS = ["--theorem", "--case", "--quadratic-noncvg"]
 _FLAGS = {
     "sweep": _SCHEDULE_FLAGS + ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
-    "random": ["--delta", "--trials", "--seed", "--n", "--dist", "--m", "--out-trials",
-               "--out-summary", "--svg", "--assert", "--lambda-value", "--threads"],
+    "random": ["--delta", "--trials", "--seed", "--n", "--m", "--out-trials",
+               "--out-summary", "--svg", "--assert", "--threads"],
     "counterexample": ["--n", "--out", "--svg", "--assert", "--extended", "--threads"],
     "skew": ["--example", "--n", "--out", "--svg", "--assert", "--extended"],
     "oracle": ["--trials", "--n-max", "--seed"],
@@ -41,10 +40,12 @@ _FLAGS = {
 }
 # deleted options and the commands that took them: those that could switch a
 # check off or rescale it, the schedule parameters that no run set (the
-# library's TheoremA/TheoremB still take them), and --config, a JSON document
-# that gave every flag a second spelling
+# library's TheoremA/TheoremB still take them), the law and the threshold
+# that no run but the unit tests changed, and --config, a JSON document that
+# gave every flag a second spelling
 _REMOVED = [("sweep", "--oracle-limit", "0"), ("skew", "--oracle-limit", "0"),
             ("random", "--threshold", "0.25"), ("random", "--lambda-rule", "fixed"),
+            ("random", "--lambda-value", "1e-4"), ("random", "--dist", "rademacher"),
             *((command, flag, "0.5") for command in ("sweep", "diagnose-sum")
               for flag in ("--amplitude", "--eps-amp", "--pair-amp", "--pair-bound", "--rot-coeff")),
             *((command, "--config", "cfg.json") for command in sorted(_FLAGS))]
@@ -88,6 +89,13 @@ def test_a_geometric_ladder_that_stalls_is_a_usage_error(capsys):
                             "x1.004 rounds it back to 100\n")
     assert parse_ladder("100:104:x1.01") == [100, 101, 102, 103, 104]
     assert parse_ladder("100:100:x1.004") == [100]  # complete: nothing is cut
+    # no factor grows a start below 1, and rounding is not what stops it:
+    # the ladder ends there, and the rung rule names it
+    assert parse_ladder("0:100:x2") == [0]
+    assert parse_ladder("-8:100:x2") == [-8]
+    assert main(["sweep", "--theorem", "A", "--n", "0:100:x2"]) == 1
+    assert capsys.readouterr() == (
+        "", "parimplode: error: n: ladder must be strictly increasing with every N >= 4, got [0]\n")
 
 
 def test_no_command_prints_help(capsys):
@@ -110,8 +118,8 @@ def test_random_usage_errors(capsys):
     for flags, field in ((["--delta", "0", "--trials", "50"], "delta:"),
                          (["--delta", "0.5", "--trials", "20"], "trials:"),
                          (["--delta", "0.5", "--trials", "0"], "trials:"),
-                         (["--delta", "0.5", "--lambda-value", "0"], "lambda_value:"),
-                         (["--delta", "0.5", "--lambda-value", "-1"], "lambda_value:")):
+                         (["--delta", "0.5", "--m", "0"], "m:"),
+                         (["--delta", "0.5", "--m", "-1"], "m:")):
         assert main(["random", *flags]) == 1
         assert capsys.readouterr().err.startswith(f"parimplode: error: {field} ")
 
@@ -119,8 +127,8 @@ def test_random_usage_errors(capsys):
 @pytest.mark.parametrize("flags, field", [
     (["--delta", "nan"], "delta"),
     (["--delta", "inf"], "delta"),
-    (["--delta", "0.5", "--lambda-value", "nan"], "lambda_value:"),
-    (["--delta", "0.5", "--lambda-value", "inf"], "lambda_value:"),
+    (["--delta", "0.5", "--m", "nan"], "m"),
+    (["--delta", "0.5", "--m", "inf"], "m"),
 ])
 def test_random_rejects_non_finite_values(capsys, flags, field):
     with warnings.catch_warnings():
@@ -148,7 +156,7 @@ def test_a_bad_value_names_its_field(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["random", "--delta", "0.5", "--dist", "rademacher", "--m", "7"], "m"),
+    (["diagnose-sum", "--quadratic-noncvg", "--case", "3"], "case"),
     (["sweep", "--quadratic-noncvg", "--case", "3"], "case"),
 ])
 def test_an_option_the_run_would_ignore_is_a_usage_error(capsys, argv, field):
@@ -200,15 +208,18 @@ def test_every_ladder_is_cross_checked_up_to_512(monkeypatch, capsys, argv):
         "N=512: recurrence vs chain deviation 2.000e-09 at N=512 exceeds 1e-09\n")
 
 
-def test_random_lambda_value_quotes_its_own_bound(tmp_path):
-    # the summary's bound is the union bound of the lambda_n the exceedances
-    # were counted against, the constant --lambda-value
+def test_random_tail_clause_reads_a_bound_below_1(tmp_path, capsys):
+    # at M = 0.25 the union bound is (N+1) exp(-16), 9.0e-5 at N = 800, so
+    # --assert judges the exceedance clause against it, not vacuously; no
+    # trial exceeds, and only the median slope misses its band
     summary = tmp_path / "summary.csv"
-    assert main(["random", "--delta", "1", "--m", "0.5", "--trials", "30", "--seed", "1",
-                 "--n", "400:800:x2", "--lambda-value", "1e-4", "--out-summary", str(summary)]) == 0
+    assert main(["random", "--delta", "1", "--m", "0.25", "--trials", "30", "--n", "200:800:x2",
+                 "--out-summary", str(summary), "--assert"]) == 3
     rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
-    assert [row[-1] for row in rows] == [fmt17(union_bound(n, 1.0, 0.5, FixedLambda(1e-4)))
-                                         for n in (400, 800)]
+    assert [row[-1] for row in rows] == [fmt17(union_bound(n, 1.0, 0.25)) for n in (200, 400, 800)]
+    assert [row[-2] for row in rows] == ["0", "0", "0"]
+    assert capsys.readouterr().err == (
+        "parimplode: assertion failed: median_qN slope -0.394 (band [-1.200, -0.800])\n")
 
 
 def test_an_os_error_without_a_filename_names_no_file(monkeypatch, capsys):

@@ -9,11 +9,8 @@ import pytest
 
 from parimplode import (
     EnsembleSummary,
-    FixedLambda,
     IdentityViolationError,
     InvalidSpecError,
-    PropLambda,
-    Rademacher,
     RandomSchedule,
     UniformSymmetric,
     azuma_tail_bound,
@@ -30,6 +27,7 @@ from parimplode.randomlab import (
     SUMMARY_CSV_HEADER,
     TRIAL_CSV_HEADER,
     MartingaleCheck,
+    proof_lambda,
     write_summary_csv,
     write_trial_csv,
 )
@@ -47,27 +45,21 @@ def test_azuma_bound_closed_form():
 
 
 def test_prop_lambda_makes_exponent_n_independent():
-    rule = PropLambda()
     N, delta = 400, 0.5
     want = math.exp(-float(N) ** (delta - 1.0))
     for n in (1, 7, N // 2, N + 1):
-        lam = float(rule.lambda_at(np.array(n), N, delta))
+        lam = float(proof_lambda(n, N, delta))
         assert azuma_tail_bound(lam, n, N, delta, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_union_bound_is_sum_of_identical_terms():
+    # (N+1) exp(-N^(delta-1)/M^2): at M = 1 the exponent is at most 1 for
+    # every delta <= 1, so the bound is vacuous at any N >= 2
     N, delta = 200, 0.5
-    got = union_bound(N, delta, 1.0, PropLambda())
+    got = union_bound(N, delta, 1.0)
     assert got == pytest.approx((N + 1) * math.exp(-float(N) ** (delta - 1.0)), rel=1e-12)
-    assert got > 1.0  # vacuous for the proof's rule at any realistic N
-    assert union_bound(6400, 1.0, 1.0, FixedLambda(1.0)) == 0.0
-
-
-def test_fixed_lambda_validation():
-    # the message names the CLI field, as the other usage errors do
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=r"^lambda_value: must be a positive finite number, got "):
-            FixedLambda(bad)
+    assert got > 1.0
+    assert union_bound(800, 1.0, 0.25) == pytest.approx(801 * math.exp(-16.0), rel=1e-12)
 
 
 def test_quantile_nearest_rank():
@@ -130,7 +122,7 @@ def test_ensemble_matches_single_trial_path_bitwise():
         assert rec.q_N1 == triple.q[N + 1]
 
 
-def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule):
+def _reference_trials_at(N, delta, dist, trials, seed):
     # _run_trials_at as a column loop: every array (trials, N+2), one step of
     # every trial at a time, in the increment form with rho_k = 1
     t_idx = np.arange(trials, dtype=np.uint64)
@@ -159,7 +151,7 @@ def _reference_trials_at(N, delta, dist, trials, seed, lambda_rule):
         phases = np.exp(1j * theta * np.arange(N + 1))
         terms = d[:, : N + 1] * q[:, : N + 1] * phases[None, :]
         delta_partial = np.cumsum(terms, axis=1)
-        lam = lambda_rule.lambda_at(np.arange(1, N + 2), N, delta)
+        lam = np.sqrt(2.0 * np.arange(1, N + 2)) * N ** -(1.5 + delta / 2.0)
         ratios = np.abs(delta_partial) / lam[None, :]
         exceeded = np.max(ratios, axis=1) >= 1.0
 
@@ -182,21 +174,22 @@ def _assert_same_outputs(got, want):
             assert got[key].view(np.uint64).tolist() == value.view(np.uint64).tolist(), key
 
 
-# the block edges of the step loop sit at 256, 512, ... steps
-@pytest.mark.parametrize("N", [4, 5, 255, 256, 257, 258, 512, 513, 1000])
-@pytest.mark.parametrize("dist", [UniformSymmetric(1.0), Rademacher()], ids=["uniform", "rademacher"])
-@pytest.mark.parametrize("rule", [PropLambda(), FixedLambda(1e-3)], ids=["prop", "fixed"])
-def test_trials_at_bit_identical_to_column_loop(N, dist, rule):
-    args = (N, 0.5, dist, 40, 3, rule)
+# the block edges of the step loop sit at 256, 512, ... steps; the last two
+# cases see trials on both sides of the threshold past a block edge
+_EXCEEDANCE_CASES = [(4, 0.5, 1.0), (1000, 1.0, 1.0), (513, 0.5, 0.25)]
+
+
+@pytest.mark.parametrize("N, delta, m", [(N, 0.5, 1.0) for N in (4, 5, 255, 256, 257, 258, 512, 513, 1000)]
+                         + _EXCEEDANCE_CASES[1:])
+def test_trials_at_bit_identical_to_column_loop(N, delta, m):
+    args = (N, delta, UniformSymmetric(m), 40, 3)
     _assert_same_outputs(randomlab._run_trials_at(*args), _reference_trials_at(*args))
 
 
-@pytest.mark.parametrize("N, dist, rule", [(4, UniformSymmetric(1.0), PropLambda()),
-                                           (1000, UniformSymmetric(1.0), FixedLambda(1e-3)),
-                                           (1000, Rademacher(), FixedLambda(1e-3))])
-def test_bit_identity_cases_see_both_exceedance_outcomes(N, dist, rule):
+@pytest.mark.parametrize("N, delta, m", _EXCEEDANCE_CASES)
+def test_bit_identity_cases_see_both_exceedance_outcomes(N, delta, m):
     # the comparison above covers trials on both sides of the threshold
-    exceeded = _reference_trials_at(N, 0.5, dist, 40, 3, rule)["exceeded"]
+    exceeded = _reference_trials_at(N, delta, UniformSymmetric(m), 40, 3)["exceeded"]
     assert exceeded.any() and not exceeded.all()
 
 
@@ -204,7 +197,7 @@ def test_bit_identity_cases_see_both_exceedance_outcomes(N, dist, rule):
 # late in a trial's partial sums leaves its maximum NaN and `exceeded` false
 @pytest.mark.parametrize("N, m", [(300, 1e6), (100, 1e4)])
 def test_trials_at_bit_identical_when_trials_diverge(N, m):
-    args = (N, 0.01, UniformSymmetric(m), 40, 2, PropLambda())
+    args = (N, 0.01, UniformSymmetric(m), 40, 2)
     want = _reference_trials_at(*args)
     assert not want["ok"].all()
     assert not np.isfinite(want["q_N"]).all()
@@ -212,7 +205,7 @@ def test_trials_at_bit_identical_when_trials_diverge(N, m):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1, PropLambda()),
+    lambda: randomlab._run_trials_at(6400, 0.5, UniformSymmetric(1.0), 200, 1),
     lambda: martingale_check(0.5, UniformSymmetric(1.0), 6400, 200, 1),
 ], ids=["ensemble", "martingale"])
 def test_trials_at_memory_is_bounded_by_the_block(run):
@@ -267,21 +260,13 @@ def test_ensemble_summary_validation():
 
 def test_exceedance_rows_vacuous_flag():
     res = run_ensemble(0.5, UniformSymmetric(1.0), [50, 100], trials=30, seed=2)
-    assert all(s.azuma_bound >= 1.0 for s in res.summaries)  # the proof's rule: vacuous
-    # a summary quotes the union bound of the lambda_n its exceedances were
-    # counted against, not one recomputed from another rule or M
-    res = run_ensemble(1.0, UniformSymmetric(0.5), [400, 800], 30, 1, lambda_rule=FixedLambda(1e-4))
-    assert [s.azuma_bound for s in res.summaries] == [union_bound(n, 1.0, 0.5, FixedLambda(1e-4))
-                                                      for n in (400, 800)]
-    assert res.summaries[1].azuma_bound == pytest.approx(0.029, rel=0.05)  # < 1: not vacuous
-
-
-def test_fixed_lambda_bound_is_sharp_at_large_N():
-    res = run_ensemble(1.0, UniformSymmetric(1.0), [6400], trials=30, seed=4,
-                       lambda_rule=FixedLambda(1.0))
-    s, = res.summaries
-    assert s.azuma_bound == 0.0
-    assert s.exceed_count == 0  # no trial's partial sums ever reach lambda = 1
+    assert all(s.azuma_bound >= 1.0 for s in res.summaries)  # M = 1: vacuous
+    # a summary quotes the union bound at its own M, which a smaller M
+    # brings below 1; no trial's partial sums reach lambda_n there
+    res = run_ensemble(1.0, UniformSymmetric(0.25), [400, 800], 30, 0)
+    assert [s.azuma_bound for s in res.summaries] == [union_bound(n, 1.0, 0.25) for n in (400, 800)]
+    assert res.summaries[1].azuma_bound == pytest.approx(9.0e-5, rel=0.01)  # < 1: not vacuous
+    assert [s.exceed_count for s in res.summaries] == [0, 0]
 
 
 def test_martingale_check_pins():
@@ -421,12 +406,6 @@ def test_median_scaling_follows_sqrt_n_law():
     decaying = run_ensemble(1.0, UniformSymmetric(1.0), ns, trials=50, seed=1)
     slope_dec = fit_loglog(ns, [s.median_qN for s in decaying.summaries]).slope
     assert -0.9 < slope_dec < -0.2
-
-
-def test_rademacher_ensemble_runs():
-    res = run_ensemble(0.5, Rademacher(), [64], trials=30, seed=5)
-    assert res.summaries[0].trials == 30
-    assert res.failures == []
 
 
 def test_trial_and_summary_csv_format(tmp_path):

@@ -69,13 +69,6 @@ def test_uniform_symmetric_bound():
     assert abs(v.mean()) < 0.01
 
 
-def test_rademacher_values_and_balance():
-    v = rng.rademacher(77, 0, np.arange(20000, dtype=np.uint64))
-    assert set(np.unique(v)) == {-1.0, 1.0}
-    assert abs(v.mean()) < 0.03
-    assert v.dtype == np.float64
-
-
 def test_distinct_seeds_and_trials_decorrelate():
     k = np.arange(1000, dtype=np.uint64)
     a = rng.uniform01(1, 0, k)
