@@ -179,7 +179,9 @@ def _assert_same_outputs(got, want):
 _EXCEEDANCE_CASES = [(4, 0.5, 1.0), (1000, 1.0, 1.0), (513, 0.5, 0.25)]
 
 
-@pytest.mark.parametrize("N, delta, m", [(N, 0.5, 1.0) for N in (4, 5, 255, 256, 257, 258, 512, 513, 1000)]
+# "prop-uniform": the proof's lambda_n, eta_k uniform on [-1, 1]
+@pytest.mark.parametrize("N, delta, m", [pytest.param(N, 0.5, 1.0, id=f"prop-uniform-{N}")
+                                         for N in (4, 5, 255, 256, 257, 258, 512, 513, 1000)]
                          + _EXCEEDANCE_CASES[1:])
 def test_trials_at_bit_identical_to_column_loop(N, delta, m):
     args = (N, delta, UniformSymmetric(m), 40, 3)
