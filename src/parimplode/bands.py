@@ -1,10 +1,11 @@
 """Acceptance bands: the paper's claims as clauses, declared once.
 
-``check`` judges a run's series against ``CRITERIA``; ``--assert`` and the
-acceptance suite both call it.  A slope is the log-log fit over the values
-above ``FLOOR``.  A decay clause whose values all sit at or below the floor
-passes; any other slope clause with fewer than 3 distinct N above the floor
-fails, and so does a NaN or infinite value.
+``check`` judges a run's series against ``CRITERIA`` for the acceptance
+suite; ``judge`` also returns the fit the CLI plots.  The package's one fit
+rule is here: a slope is the log-log fit over the values above ``FLOOR``,
+made once per clause.  A decay clause whose values all sit at or below the
+floor passes; any other slope clause with fewer than 3 distinct N above the
+floor fails, and so does a NaN or infinite value.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import fields
 from .convergence import DecayFit, fit_loglog
 
 FLOOR = 1e-12
-RANDOM_HALFWIDTH = 0.2
 
 # criterion -> clauses (series, kind, bound, first N read).  Kinds: "slope",
 # bound (lo, hi) around the target slope, lo None for a decay; "min"/"max",
@@ -30,7 +30,7 @@ CRITERIA = {
     "counterexample": (("g_coeff_err", "slope", (None, -0.6), 0),
                        ("f_coeff_err", "min", 1.0 / math.pi - 0.07, 500),
                        ("f_qN_abs", "min", 1.0 / math.pi - 0.05, 500)),
-    "random": (("median_qN", "slope", (-RANDOM_HALFWIDTH, RANDOM_HALFWIDTH), 0),
+    "random": (("median_qN", "slope", (-0.2, 0.2), 0),
                ("exceed_frac", "tail", 3.0, 0)),
     "skew_exact": (("fiber_coeff_err", "max", 1e-9, 0),),
     "skew": (("fiber_coeff_err", "slope", (None, -0.5), 0), ("|w_N|", "shrinks", None, 0),
@@ -48,58 +48,66 @@ def columns(rows) -> dict[str, list]:
     return {f.name: [getattr(r, f.name) for r in rows] for f in fields(rows[0])}
 
 
-def fit_above(ns, values, floor: float = 0.0) -> DecayFit | None:
-    """Log-log fit over the values above ``floor``; None below 3 distinct N."""
-    pts = [(n, v) for n, v in zip(ns, values) if v > floor]
+def fit_above(ns, values) -> DecayFit | None:
+    """Log-log fit over the values above ``FLOOR``; None below 3 distinct N."""
+    pts = [(n, v) for n, v in zip(ns, values) if v > FLOOR]
     return fit_loglog(*zip(*pts)) if len({n for n, _ in pts}) >= 3 else None
-
-
-def slope_band(criterion: str, target: float = 0.0) -> tuple[float, float] | None:
-    """The two-sided slope band a plot draws for ``criterion``, if it has one."""
-    for _, kind, bound, _ in CRITERIA[criterion]:
-        if kind == "slope" and bound[0] is not None:
-            return (target + bound[0], target + bound[1])
-    return None
 
 
 def check(criterion: str, series, target: float = 0.0,
           trials: int | None = None) -> list[tuple[bool, str]]:
     """(ok, detail) per clause.  ``series`` maps "N" and each clause's series
     to one value per N; "random" also takes its target slope and trials."""
-    return [_judge(*clause, series, target, trials) for clause in CRITERIA[criterion]]
+    return judge(criterion, series, target, trials)[0]
 
 
-def _judge(name, kind, bound, from_n, series, target, trials) -> tuple[bool, str]:
+def judge(criterion: str, series, target: float = 0.0, trials: int | None = None):
+    """``check``'s verdicts, then the fit and the slope wedge a plot draws:
+    those of the criterion's first slope clause, the wedge only for a
+    two-sided band.  Without a slope clause both are None."""
+    verdicts, slopes = [], []
+    for name, kind, bound, from_n in CRITERIA[criterion]:
+        ok, detail, fit = _judge(name, kind, bound, from_n, series, target, trials)
+        verdicts.append((ok, detail))
+        if kind == "slope":
+            lo, hi = bound
+            slopes.append((fit, None if lo is None else (target + lo, target + hi)))
+    return (verdicts, *slopes[0]) if slopes else (verdicts, None, None)
+
+
+def _judge(name, kind, bound, from_n, series, target, trials):
+    """(ok, detail, fit) for one clause; fit is None unless a slope was fitted."""
     idx = [i for i, n in enumerate(series["N"]) if n >= from_n]
     ns, vs = [series["N"][i] for i in idx], [float(series[name][i]) for i in idx]
     for n, v in zip(ns, vs):
         if not math.isfinite(v):
-            return False, f"{name} is {v} at N={n}"
+            return False, f"{name} is {v} at N={n}", None
     if not vs:
-        return True, f"{name}: no N >= {from_n}"
+        return True, f"{name}: no N >= {from_n}", None
     if kind == "slope":
         lo, hi = bound
-        fit = fit_above(ns, vs, FLOOR)
+        fit = fit_above(ns, vs)
         if fit is None:
             if lo is None and max(vs) <= FLOOR:
-                return True, f"{name} below floor {FLOOR:g}"
-            return False, f"{name} has too few points above floor {FLOOR:g}"
+                return True, f"{name} below floor {FLOOR:g}", None
+            return False, f"{name} has too few points above floor {FLOOR:g}", None
         s = fit.slope - target
         band = f"<= {hi}" if lo is None else f"[{target + lo:+.3f}, {target + hi:+.3f}]"
-        return (lo is None or lo <= s) and s <= hi, f"{name} slope {fit.slope:+.3f} (band {band})"
+        ok = (lo is None or lo <= s) and s <= hi
+        return ok, f"{name} slope {fit.slope:+.3f} (band {band})", fit
     if kind == "tail":
         for n, v, b in zip(ns, vs, (series["union_bound"][i] for i in idx)):
             tol = bound * math.sqrt(b / trials) + bound / trials if b < 1.0 else math.inf
             if not v <= b + tol:
-                return False, f"{name} {v:.4g} at N={n} (band <= {b:.4g} + {tol:.4g})"
-        return True, f"{name} within the tail bound"
+                return False, f"{name} {v:.4g} at N={n} (band <= {b:.4g} + {tol:.4g})", None
+        return True, f"{name} within the tail bound", None
     if kind == "shrinks":
-        return vs[-1] < vs[0], f"{name} {vs[0]:.1e}->{vs[-1]:.1e} (band: shrinks)"
+        return vs[-1] < vs[0], f"{name} {vs[0]:.1e}->{vs[-1]:.1e} (band: shrinks)", None
     if kind == "last":
-        return vs[-1] < bound, f"{name} {vs[-1]:.1e} at N={ns[-1]} (band < {bound:g})"
+        return vs[-1] < bound, f"{name} {vs[-1]:.1e} at N={ns[-1]} (band < {bound:g})", None
     if kind == "min":
         v, n = min(zip(vs, ns))
-        return v >= bound, f"min {name} {v:.4f} at N={n} (band >= {bound:.4f})"
+        return v >= bound, f"min {name} {v:.4f} at N={n} (band >= {bound:.4f})", None
     scale = "N*" if kind == "n_max" else ""
     v, n = max((n * v if scale else v, n) for n, v in zip(ns, vs))
-    return v <= bound, f"max {scale}{name} {v:.3g} at N={n} (band <= {bound:g})"
+    return v <= bound, f"max {scale}{name} {v:.3g} at N={n} (band <= {bound:g})", None

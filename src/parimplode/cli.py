@@ -10,6 +10,11 @@ sweep and diagnose-sum build their schedule from --theorem and --case (or
 --quadratic-noncvg) alone, at the family's default parameters; the library's
 ``TheoremA``/``TheoremB`` take the others.
 
+sweep, random, counterexample and skew end in ``_report``: every run prints
+a ``band <criterion>: ok|MISSED: <detail>`` line per clause of its criterion,
+and --assert only makes a missed clause exit 3.  This module fits nothing:
+each slope printed or plotted is the one fit ``bands`` judges.
+
 No option turns a check off or rescales it: every rung of sweep,
 counterexample and skew at N <= 512 is cross-checked against direct
 composition (``convergence.run_point``), and ``random`` counts a trial's
@@ -36,7 +41,7 @@ import functools
 import math
 import sys
 
-from .bands import RANDOM_HALFWIDTH, check, columns, fit_above, random_target, slope_band
+from .bands import columns, judge, random_target
 from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
@@ -144,19 +149,21 @@ def _build_deterministic_spec(cfg: dict):
         raise UsageError(str(exc)) from None
 
 
-def _assert_bands(criterion: str, series, **params) -> int:
-    """Exit code 3 naming every clause of ``criterion`` that fails, else 0."""
-    failures = [detail for ok, detail in check(criterion, series, **params) if not ok]
-    if failures:
+def _report(cfg: dict, criterion: str, series, plotted, title: str, ylabel: str,
+            target: float = 0.0, trials: int | None = None) -> int:
+    """Print the band lines of ``criterion``, plot ``plotted`` and pick the exit code."""
+    verdicts, fit, wedge = judge(criterion, series, target, trials)
+    for ok, detail in verdicts:
+        print(f"band {criterion}: {'ok' if ok else 'MISSED'}: {detail}")
+    if cfg["svg"]:
+        atomic_write_text(cfg["svg"], loglog_svg(
+            plotted, title=title, ylabel=ylabel, band=wedge,
+            fit=None if fit is None else (fit.slope, fit.intercept)))
+    failures = [detail for ok, detail in verdicts if not ok]
+    if cfg["assert"] and failures:
         print(f"parimplode: assertion failed: {'; '.join(failures)}", file=sys.stderr)
         return 3
     return 0
-
-
-def _write_svg(path, series, fit, band, title, ylabel):
-    fit_tuple = (fit.slope, fit.intercept) if fit is not None else None
-    atomic_write_text(path, loglog_svg(series, title=title, ylabel=ylabel,
-                                       fit=fit_tuple, band=band))
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -168,22 +175,11 @@ def cmd_sweep(cfg: dict) -> int:
     for p in points:
         print(f"N={p.N} coeff_err={p.coeff_err:.6g} sup_err={p.sup_err:.6g} "
               f"qN_abs={p.q_N_abs:.6g} rN_err={p.r_N_err:.6g}")
-
-    criterion = {TheoremA: "theorem_a", TheoremB: "theorem_b",
-                 QuadraticNonconvergent: "quadratic"}[type(spec)]
-    field = "q_N_abs" if isinstance(spec, TheoremA) else "coeff_err"
+    criterion, field = {TheoremA: ("theorem_a", "q_N_abs"), TheoremB: ("theorem_b", "coeff_err"),
+                        QuadraticNonconvergent: ("quadratic", "coeff_err")}[type(spec)]
     series = columns(points)
-    fit = fit_above(ns, series[field])
-    if fit is not None:
-        print(f"fit {field}: slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
-              f"r2={fit.r_squared:.4f} n={fit.n_points}")
-    else:
-        print(f"fit {field}: not available (needs >= 3 positive points)")
-
-    if cfg["svg"]:
-        _write_svg(cfg["svg"], [(field, ns, series[field])], fit,
-                   slope_band(criterion), f"sweep {type(spec).__name__}", field)
-    return _assert_bands(criterion, series) if cfg["assert"] else 0
+    return _report(cfg, criterion, series, [(field, ns, series[field])],
+                   f"sweep {type(spec).__name__}", field)
 
 
 def cmd_random(cfg: dict) -> int:
@@ -198,28 +194,15 @@ def cmd_random(cfg: dict) -> int:
               f"q90|qN|={s.q90_qN:.6g} exceed={s.exceed_count} bound={s.azuma_bound:.4g}")
     if result.failures:
         print(f"failed trials: {len(result.failures)}", file=sys.stderr)
-
-    run_ns = [s.N for s in summaries]
-    medians = [s.median_qN for s in summaries]
-    fit = fit_above(run_ns, medians)
-    if fit is not None:
-        print(f"fit median|qN|: slope={fit.slope:.4f} r2={fit.r_squared:.4f} "
-              f"(target {random_target(delta):.3f} +/- {RANDOM_HALFWIDTH})")
     if cfg["out_trials"]:
         write_trial_csv(result.records, cfg["out_trials"])
     if cfg["out_summary"]:
         write_summary_csv(summaries, cfg["out_summary"])
-    if cfg["svg"]:
-        series = [("median |qN|", run_ns, medians),
-                  ("q90 |qN|", run_ns, [s.q90_qN for s in summaries])]
-        _write_svg(cfg["svg"], series, fit, slope_band("random", random_target(delta)),
-                   f"random delta={delta}", "|q_N| quantiles")
-    if not cfg["assert"]:
-        return 0
-    return _assert_bands("random", {"N": run_ns, "median_qN": medians,
-                                    "exceed_frac": [s.exceed_count / s.trials for s in summaries],
-                                    "union_bound": [s.azuma_bound for s in summaries]},
-                         target=random_target(delta), trials=trials)
+    series = {**columns(summaries), "union_bound": [s.azuma_bound for s in summaries],
+              "exceed_frac": [s.exceed_count / s.trials for s in summaries]}
+    plotted = [(f"{q} |qN|", series["N"], series[f"{q}_qN"]) for q in ("median", "q90")]
+    return _report(cfg, "random", series, plotted, f"random delta={delta}", "|q_N| quantiles",
+                   target=random_target(delta), trials=trials)
 
 
 def cmd_counterexample(cfg: dict) -> int:
@@ -241,15 +224,9 @@ def cmd_counterexample(cfg: dict) -> int:
     series = {"N": ns, "f_coeff_err": [p.coeff_err for p in f_points],
               "f_qN_abs": [p.q_N_abs for p in f_points],
               "g_coeff_err": [p.coeff_err for p in g_points]}
-    g_fit = fit_above(ns, series["g_coeff_err"])
-    if g_fit is not None:
-        print(f"fit g coeff_err: slope={g_fit.slope:.4f} r2={g_fit.r_squared:.4f}")
-    if cfg["svg"]:
-        _write_svg(cfg["svg"], [("f coeff_err", ns, series["f_coeff_err"]),
-                                ("g coeff_err", ns, series["g_coeff_err"])],
-                   g_fit, slope_band("counterexample"),
+    plotted = [(f"{side} coeff_err", ns, series[f"{side}_coeff_err"]) for side in "fg"]
+    return _report(cfg, "counterexample", series, plotted,
                    "multiplicative vs additive split schedule", "coeff_err")
-    return _assert_bands("counterexample", series) if cfg["assert"] else 0
 
 
 def cmd_skew(cfg: dict) -> int:
@@ -263,16 +240,11 @@ def cmd_skew(cfg: dict) -> int:
               f"fiber_sup_err={res.fiber_sup_err:.6g}")
     if cfg["out"]:
         write_skew_csv(rows, cfg["out"])
-    criterion = "skew_exact" if example == 1 else "skew"
     errs = [res.fiber_coeff_err for _, res in rows]
-    fit = fit_above(ns, errs)
-    if fit is not None:
-        print(f"fit fiber_coeff_err: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
-    if cfg["svg"]:
-        _write_svg(cfg["svg"], [(f"example {example}", ns, errs)], fit, slope_band(criterion),
-                   f"skew example {example}", "fiber_coeff_err")
     series = {"N": ns, "fiber_coeff_err": errs, "|w_N|": [abs(res.w_final) for _, res in rows]}
-    return _assert_bands(criterion, series) if cfg["assert"] else 0
+    return _report(cfg, "skew_exact" if example == 1 else "skew", series,
+                   [(f"example {example}", ns, errs)], f"skew example {example}",
+                   "fiber_coeff_err")
 
 
 _ORACLE_BATCH = 256  # schedules drawn per call, so memory stays flat at any --trials

@@ -56,4 +56,4 @@ class SweepError(ParimplodeError):
 
 
 class UsageError(ParimplodeError, ValueError):
-    """Bad command-line or config input; maps to exit code 1."""
+    """Bad command-line input; maps to exit code 1."""

@@ -22,6 +22,7 @@ from parimplode import (
     run_recurrences,
     union_bound,
 )
+from parimplode.bands import check, fit_above
 from parimplode.cli import main, parse_ladder
 from parimplode.ioutil import fmt17
 from parimplode.svgplot import loglog_svg
@@ -363,12 +364,76 @@ def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, wat
                                    "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
 
 
-def test_assert_quotes_the_checker_slope(capsys):
-    # the band fit reads values above the floor; the printed fit every value > 0
-    assert main(["skew", "--example", "3", "--extended", "--assert"]) == 3
+# a ladder command per criterion, with the CSV flag that writes its series;
+# the CSVs print 17 significant digits, so every value reads back exactly
+_BAND_RUNS = {
+    "sweep-A1": (["sweep", "--theorem", "A", "--case", "1", "--n", "100:12800:x2"], "theorem_a"),
+    "sweep-B2-extended": (["sweep", "--theorem", "B", "--case", "2", "--extended",
+                           "--n", "100:12800:x2"], "theorem_b"),
+    "quadratic": (["sweep", "--quadratic-noncvg", "--n", "100:12800:x2"], "quadratic"),
+    "counterexample": (["counterexample"], "counterexample"),
+    "skew-1": (["skew", "--example", "1"], "skew_exact"),
+    "skew-3-extended": (["skew", "--example", "3", "--extended"], "skew"),
+    "random": (["random", "--delta", "1", "--m", "0.25", "--trials", "30",
+                "--n", "200:800:x2"], "random"),
+}
+# CSV column -> band series, where the names differ
+_SERIES = {"qN_abs": "q_N_abs", "rN_err": "r_N_err", "rN1_err": "r_N1_err",
+           "w_final_abs": "|w_N|", "azuma_bound": "union_bound"}
+
+
+def _csv_series(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    series = {_SERIES.get(name, name): [(int if name == "N" else float)(row[i]) for row in rows]
+              for i, name in enumerate(header)}
+    if "exceed_count" in series:
+        series["exceed_frac"] = [c / t for c, t in zip(series["exceed_count"], series["trials"])]
+    return series
+
+
+@pytest.mark.parametrize("argv, criterion", _BAND_RUNS.values(), ids=_BAND_RUNS)
+def test_band_lines_are_the_checker_verdicts(tmp_path, capsys, argv, criterion):
+    # every run prints check's verdict on each clause, in clause order; only
+    # --assert turns a missed clause into exit 3, naming exactly the missed ones
+    csv = tmp_path / "series.csv"
+    assert main([*argv, "--out-summary" if argv[0] == "random" else "--out", str(csv)]) == 0
+    out = capsys.readouterr().out
+    params = {"target": -1.0, "trials": 30} if criterion == "random" else {}
+    verdicts = check(criterion, _csv_series(csv), **params)
+    assert [line for line in out.splitlines() if line.startswith("band ")] == [
+        f"band {criterion}: {'ok' if ok else 'MISSED'}: {detail}" for ok, detail in verdicts]
+    missed = [detail for ok, detail in verdicts if not ok]
+    assert main([*argv, "--assert"]) == (3 if missed else 0)
+    assert capsys.readouterr().err == (
+        f"parimplode: assertion failed: {'; '.join(missed)}\n" if missed else "")
+
+
+def test_assert_quotes_the_band_line_slope(capsys):
+    # stdout and --assert quote the one fit the band judges, over the values
+    # above the floor; the cases above reach a missed clause and a passed one
+    assert main([*_BAND_RUNS["skew-3-extended"][0], "--assert"]) == 3
     out, err = capsys.readouterr()
-    assert "fit fiber_coeff_err: slope=1.6429 " in out
+    assert "band skew: MISSED: fiber_coeff_err slope +2.362 (band <= -0.5)\n" in out
+    assert "band skew: ok: |w_N| 6.1e-09 at N=12800 (band < 0.0001)\n" in out
     assert err == "parimplode: assertion failed: fiber_coeff_err slope +2.362 (band <= -0.5)\n"
+
+
+def test_the_plot_draws_the_judged_fit(tmp_path):
+    # skew example 3 reads values at or below the floor: the plotted line is
+    # the band's fit over the values above it (slope +2.362), not one over
+    # every value above 0 (+1.643)
+    csv, svg = tmp_path / "skew.csv", tmp_path / "skew.svg"
+    argv = ["skew", "--example", "3", "--extended", "--out", str(csv), "--svg", str(svg)]
+    assert main(argv) == 0
+    series = _csv_series(csv)
+    fit = fit_above(series["N"], series["fiber_coeff_err"])
+    assert f"{fit.slope:+.3f}" == "+2.362"
+    assert svg.read_text() == loglog_svg(
+        [("example 3", series["N"], series["fiber_coeff_err"])], title="skew example 3",
+        ylabel="fiber_coeff_err", fit=(fit.slope, fit.intercept))
+    # a criterion without a slope clause draws no fit line
+    assert main(["sweep", "--quadratic-noncvg", "--n", "100:400:x2", "--svg", str(svg)]) == 0
+    assert "stroke-dasharray" not in svg.read_text()
 
 
 def test_oracle_small_run(capsys):
