@@ -27,12 +27,13 @@ process each of the others; sweep, counterexample and skew (the schedule
 ``SkewExample``) run theirs through ``convergence.run_sweep``.  --threads, or
 PARIMPLODE_THREADS where it is not given, sets the number of processes, the
 caller included (``skew`` and ``oracle`` read only the variable).  By default
-``random``, ``oracle`` and every ``--extended`` ladder take one process per
-CPU, and the binary64 ladders of sweep, counterexample and skew run inline
-(README gives the timings).  ``oracle`` cuts each N's trials
-into slices of at most min(_ORACLE_BATCH, ceil(trials / workers)) and folds
-the slice maxima in (N, trial) order, so its line is the same at any worker
-count.
+``random``, ``oracle`` and every ``--extended`` ladder whose top rung does
+not repeat take one process per CPU; the binary64 ladders of sweep,
+counterexample and skew, and the ``--extended`` ladders whose top rung is
+periodic, run inline (README gives the timings).  ``oracle`` cuts each N's
+trials into slices of at most min(_ORACLE_BATCH, ceil(trials / workers)) and
+folds the slice maxima in (N, trial) order, so its line is the same at any
+worker count.
 """
 from __future__ import annotations
 

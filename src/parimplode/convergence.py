@@ -3,9 +3,9 @@
 ``run_point`` is the single-N workhorse: it materializes a schedule, runs
 the recurrences, and measures every error field, cross-checking the result
 against direct matrix composition at every N <= 512.  ``run_sweep`` runs the
-points of a ladder, on worker processes for the exact kernel, and returns
-them in input order, and ``fit_decay`` turns a sweep into an empirical
-decay exponent.
+points of a ladder, on worker processes for an exact ladder whose top rung
+does not repeat, and returns them in input order, and ``fit_decay`` turns a
+sweep into an empirical decay exponent.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidSpecError, NonPositiveValueError, OracleMismatchError, SweepError
-from .ioutil import fmt17, map_rungs, worker_count, write_csv
+from .ioutil import fmt17, map_rungs, requested_workers, worker_count, write_csv
 from .mobius import EvalRegion, compose_chain, identity_distance, projective_coeff_error, projective_distance
-from .recurrences import coefficients_from_qr, run_recurrences, wronskian_residual
+from .recurrences import PerturbationSequences, _period, coefficients_from_qr, run_recurrences, wronskian_residual
 from .schedules import ScheduleSpec, materialize
 
 RATE_CSV_HEADER = "N,coeff_err,sup_err,qN_abs,qN1_err,rN_err,rN1_err,wronskian_resid"
@@ -72,8 +72,12 @@ class DecayFit:
             raise ValueError(f"r_squared must be in [0, 1], got {self.r_squared}")
 
 
-def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False) -> RatePoint:
+def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
+              seqs: PerturbationSequences | None = None) -> RatePoint:
     """Measure one composition length.
+
+    ``seqs``, if given, is ``materialize(spec, N)``, already built by the
+    caller (``run_sweep`` passes its top rung's).
 
     ``coefficients_from_qr`` enforces the Wronskian conservation law at
     ``recurrences.WRONSKIAN_GATE`` (DegenerateMapError); the residual it
@@ -83,7 +87,8 @@ def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False) -> RatePoin
     ``ORACLE_GATE``, or NaN, raises OracleMismatchError.  Either failure is
     hard, never a data point.
     """
-    seqs = materialize(spec, N)
+    if seqs is None:
+        seqs = materialize(spec, N)
     triple = run_recurrences(seqs, extended=extended)
     coeffs = coefficients_from_qr(triple, N)
     if N <= DEFAULT_ORACLE_LIMIT:
@@ -119,11 +124,14 @@ def check_ladder(Ns: list[int]) -> None:
         raise ValueError(f"ladder must be strictly increasing with every N >= 4, got {Ns}")
 
 
-def _attempt(spec: ScheduleSpec, extended: bool, n: int) -> RatePoint | Exception:
+def _attempt(spec: ScheduleSpec, extended: bool, top: PerturbationSequences | None,
+             n: int) -> RatePoint | Exception:
     """run_point, with its exception returned rather than raised, unless the
-    spec itself is inadmissible at n (InvalidSpecError)."""
+    spec itself is inadmissible at n (InvalidSpecError).  ``top``, if given,
+    holds the sequences of the rung ``top.N``."""
     try:
-        return run_point(spec, n, extended=extended)
+        seqs = top if top is not None and top.N == n else None
+        return run_point(spec, n, extended=extended, seqs=seqs)
     except InvalidSpecError:
         raise
     except Exception as exc:
@@ -142,16 +150,28 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     (N, exception) pairs.
 
     The points run through ``map_rungs`` on ``max_workers`` processes, the
-    caller included.  Without ``max_workers`` or PARIMPLODE_THREADS, the
-    exact kernel (``extended``) takes one process per CPU and the binary64
-    path runs inline.  Two processes win on the exact ladders that step
-    through the kernel's loop (A3, B3, B5, the counterexample) and lose on
-    the periodic ones, which the kernel raises to their power in about a
-    millisecond a rung; README gives the timings.
+    caller included, else on PARIMPLODE_THREADS.  Without either, the
+    binary64 path runs inline, and so does an exact (``extended``) ladder
+    whose top rung has a period (``recurrences._period``): the kernel raises
+    it to its power in about a millisecond a rung, less than a fork costs.
+    Any other exact ladder takes one process per CPU, which wins where the
+    kernel steps through its loop (README gives the timings).  The top rung
+    decides, as a schedule can repeat at a low rung alone (skew example 5 at
+    N = 100); it is materialized once, for this probe and for its point.  An
+    inadmissible top rung runs the ladder inline, which raises the lowest
+    such rung's error.
     """
     check_ladder(Ns)
-    workers = worker_count(max_workers, default=None if extended else 1)
-    outcomes = map_rungs(functools.partial(_attempt, spec, extended), Ns, workers)
+    workers, top = requested_workers(max_workers), None
+    if workers is None and extended:
+        try:
+            top = materialize(spec, Ns[-1])
+        except InvalidSpecError:
+            pass  # inline
+        else:
+            if not _period(top):
+                workers = worker_count()
+    outcomes = map_rungs(functools.partial(_attempt, spec, extended, top), Ns, workers or 1)
     failures = [(n, out) for n, out in zip(Ns, outcomes) if isinstance(out, Exception)]
     if failures:
         raise SweepError(failures)

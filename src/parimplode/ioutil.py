@@ -44,26 +44,32 @@ def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def worker_count(override: int | None = None, default: int | None = None) -> int:
-    """Number of processes for ``map_rungs``, the caller included: explicit
-    override (``--threads``), else PARIMPLODE_THREADS, else ``default``, else
-    the scheduler's view of available CPUs.  An override or
-    PARIMPLODE_THREADS below 1 raises ValueError."""
+def requested_workers(override: int | None = None) -> int | None:
+    """The number of processes asked for, the caller included: explicit
+    override (``--threads``), else PARIMPLODE_THREADS, else None.  An
+    override or PARIMPLODE_THREADS below 1 raises ValueError."""
     if override is not None:
         if override < 1:
             raise ValueError(f"threads: must be >= 1, got {override}")
         return int(override)
     env = os.environ.get("PARIMPLODE_THREADS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"PARIMPLODE_THREADS must be an integer, got {env!r}") from None
-        if count < 1:
-            raise ValueError(f"PARIMPLODE_THREADS must be >= 1, got {env!r}")
+    if env is None:
+        return None
+    try:
+        count = int(env)
+    except ValueError:
+        raise ValueError(f"PARIMPLODE_THREADS must be an integer, got {env!r}") from None
+    if count < 1:
+        raise ValueError(f"PARIMPLODE_THREADS must be >= 1, got {env!r}")
+    return count
+
+
+def worker_count(override: int | None = None) -> int:
+    """Number of processes for ``map_rungs``, the caller included: the count
+    ``requested_workers`` reads, else the scheduler's view of available CPUs."""
+    count = requested_workers(override)
+    if count is not None:
         return count
-    if default is not None:
-        return max(1, int(default))
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:

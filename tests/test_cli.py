@@ -322,31 +322,37 @@ def test_skew_assert_example4(capsys):
 
 
 def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two_cpus, watch_pids):
-    # skew sweeps with run_sweep: inline when plain, on workers when --extended
-    # or PARIMPLODE_THREADS asks, with the same CSV bytes either way
+    # skew sweeps with run_sweep: inline when plain or when --extended meets
+    # a periodic top rung (example 4, constant), on workers when --extended
+    # meets an aperiodic one (example 3) or PARIMPLODE_THREADS asks, with the
+    # same CSV bytes either way
     ran = watch_pids(convergence, "run_point")
     csv = {}
 
-    def run(name, *flags):
+    def run(name, example, *flags):
         out = tmp_path / f"{name}.csv"
-        assert main(["skew", "--example", "4", "--n", "100:800:x2", *flags, "--out", str(out)]) == 0
+        assert main(["skew", "--example", example, "--n", "100:800:x2", *flags, "--out", str(out)]) == 0
         csv[name] = out.read_bytes()
         return ran()
 
-    assert run("plain") == "parent"
-    assert run("extended", "--extended") == "both"
+    assert run("plain", "4") == "parent"
+    assert run("extended", "3", "--extended") == "both"
+    assert run("periodic", "4", "--extended") == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "1")
-    assert run("extended inline", "--extended") == "parent"
+    assert run("extended inline", "3", "--extended") == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
-    assert run("plain pooled") == "both"
+    assert run("plain pooled", "4") == "both"
+    assert run("periodic pooled", "4", "--extended") == "both"
     assert csv["extended inline"] == csv["extended"]
     assert csv["plain pooled"] == csv["plain"]
+    assert csv["periodic pooled"] == csv["periodic"]
 
 
-@pytest.mark.parametrize("threads", [None, "1"])
+@pytest.mark.parametrize("threads", [None, "1", "2"])
 def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, watch_pids, threads):
     # inline and pooled alike, the ladder runs every rung and names each
-    # failing one, the lowest first, in one numerical failure
+    # failing one, the lowest first, in one numerical failure.  By default
+    # example 3 (aperiodic) pools and example 4 (constant) runs inline.
     ran = watch_pids(convergence, "run_point")
     real = convergence.run_point
 
@@ -358,10 +364,11 @@ def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, wat
     monkeypatch.setattr(convergence, "run_point", failing)
     if threads is not None:
         monkeypatch.setenv("PARIMPLODE_THREADS", threads)
-    assert main(["skew", "--example", "4", "--extended", "--n", "100:1600:x2"]) == 2
-    assert ran() == ("both" if threads is None else "parent")
-    assert capsys.readouterr() == ("", "parimplode: numerical failure: 2 sweep point(s) failed: "
-                                   "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
+    for example, pooled in (("3", threads != "1"), ("4", threads == "2")):
+        assert main(["skew", "--example", example, "--extended", "--n", "100:1600:x2"]) == 2
+        assert ran() == ("both" if pooled else "parent")
+        assert capsys.readouterr() == ("", "parimplode: numerical failure: 2 sweep point(s) failed: "
+                                       "N=200: injected failure at N=200, N=800: injected failure at N=800\n")
 
 
 # a ladder command per criterion, with the CSV flag that writes its series;

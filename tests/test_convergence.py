@@ -25,7 +25,7 @@ from parimplode import (
     write_rate_csv,
 )
 from parimplode.convergence import RATE_CSV_HEADER
-from parimplode.ioutil import worker_count
+from parimplode.ioutil import requested_workers, worker_count
 
 
 def _point(n, **overrides):
@@ -117,15 +117,22 @@ def test_run_sweep_rejects_a_ladder_not_strictly_increasing(ladder):
         run_sweep(SkewExample(4), ladder)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_sweep_raises_the_lowest_spec_error(workers):
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_run_sweep_raises_the_lowest_spec_error(two_cpus, workers):
     # counterexample schedules reject odd N: that is an inadmissible spec, not
-    # a numerical failure, so it is raised as is, for the lowest such rung
-    with pytest.raises(InvalidSpecError, match=r"^N=101: CounterexampleC needs even N, got 101$"):
-        run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301], max_workers=workers)
+    # a numerical failure, so it is raised as is, for the lowest such rung.
+    # At the default count the exact kernel's probe of the top rung, 301,
+    # meets the error first; the ladder then runs inline and names N=101.
+    for extended in (False, True):
+        with pytest.raises(InvalidSpecError, match=r"^N=101: CounterexampleC needs even N, got 101$"):
+            run_sweep(CounterexampleC("additive_g"), [100, 101, 200, 301],
+                      extended=extended, max_workers=workers)
 
 
 def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpus, watch_pids):
+    # by default the binary64 path runs inline, and so does an exact ladder
+    # whose top rung has a period (B1, period 8); an exact ladder without
+    # one (B5) takes one process per CPU.  An explicit count wins either way.
     from parimplode import convergence
 
     ran = watch_pids(convergence, "run_point")
@@ -134,14 +141,51 @@ def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpu
     assert ran() == "parent"
     assert run_sweep(TheoremB(1), ns, max_workers=2) == inline
     assert ran() == "both"
-    extended = run_sweep(TheoremB(1), ns, extended=True)
+    aperiodic = run_sweep(TheoremB(5), ns, extended=True)
+    assert ran() == "both"
+    periodic = run_sweep(TheoremB(1), ns, extended=True)
+    assert ran() == "parent"
+    assert run_sweep(TheoremB(1), ns, extended=True, max_workers=2) == periodic
     assert ran() == "both"
     monkeypatch.setenv("PARIMPLODE_THREADS", "1")
-    assert run_sweep(TheoremB(1), ns, extended=True) == extended
+    assert run_sweep(TheoremB(5), ns, extended=True) == aperiodic
     assert ran() == "parent"
     monkeypatch.setenv("PARIMPLODE_THREADS", "2")
     assert run_sweep(TheoremB(1), ns) == inline
     assert ran() == "both"
+    assert run_sweep(TheoremB(1), ns, extended=True) == periodic
+    assert ran() == "both"
+
+
+def test_run_sweep_reads_the_period_of_the_top_rung(two_cpus, watch_pids):
+    # skew example 5 repeats with period 2 at N = 100 and at no higher rung,
+    # so its exact ladder still takes one process per CPU
+    from parimplode import convergence
+
+    ran = watch_pids(convergence, "run_point")
+    run_sweep(SkewExample(5), [100, 200, 400, 800, 1600], extended=True)
+    assert ran() == "both"
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("spec", [TheoremB(1), TheoremB(5)], ids=["periodic", "aperiodic"])
+def test_run_sweep_materializes_each_rung_once(monkeypatch, tmp_path, two_cpus, spec, workers):
+    # the top rung the default count's probe builds is the one its point
+    # runs on; the log is a file, so forked workers' calls show in it
+    from parimplode import convergence
+
+    log = tmp_path / "materialized"
+    real = convergence.materialize
+
+    def logged(spec, n):
+        with open(log, "a") as fh:
+            fh.write(f"{n}\n")
+        return real(spec, n)
+
+    monkeypatch.setattr(convergence, "materialize", logged)
+    ns = [100, 200, 400, 800]
+    run_sweep(spec, ns, extended=True, max_workers=workers)
+    assert sorted(int(n) for n in log.read_text().split()) == ns
 
 
 def _failures(err: SweepError):
@@ -179,15 +223,15 @@ def test_sweep_error_survives_pickling():
     assert str(err) == "1 sweep point(s) failed: N=101: odd"
 
 
-def test_worker_count_precedence(monkeypatch):
-    monkeypatch.delenv("PARIMPLODE_THREADS", raising=False)
-    assert worker_count(None, default=1) == 1
-    assert worker_count(3, default=1) == 3
-    assert worker_count(None) >= 1
-    monkeypatch.setenv("PARIMPLODE_THREADS", "2")
-    assert worker_count(None, default=1) == 2
+def test_worker_count_precedence(monkeypatch, two_cpus):
+    assert requested_workers(None) is None
+    assert worker_count(None) == 2
+    assert requested_workers(3) == worker_count(3) == 3
+    monkeypatch.setenv("PARIMPLODE_THREADS", "1")
+    assert requested_workers(None) == worker_count(None) == 1
+    assert worker_count(3) == 3
     with pytest.raises(ValueError, match="^threads: must be >= 1, got 0$"):
-        worker_count(0, default=1)
+        worker_count(0)
 
 
 @pytest.mark.parametrize("gate, message", [
