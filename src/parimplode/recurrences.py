@@ -13,10 +13,16 @@ and 0 for r, which never rounds the O(1/N) part of the coefficient at ulp(2).
 ``coefficients_from_qr`` holds the Wronskian gate: q_{N+1} r_N - r_{N+1} q_N
 must equal prod_{j<=N} rho_j to ``WRONSKIAN_GATE`` relative.
 
+Both kernels keep only the tail that every caller reads: q_N, q_{N+1}, r_N,
+r_{N+1} and prod_{j<=N} rho_j.  The plain binary64 kernel still holds every
+q_k and r_k to the 1e100 overflow limit: a block of steps is checked by a
+bound on its growth from its start, and run again step by step only if that
+bound or its end value fails.
+
 The ``extended`` kernel runs in fixed-point integers with at least 128
-fraction bits and keeps only the tail it reports: q_N, q_{N+1}, r_N, r_{N+1}
-and prod_{j<=N} rho_j, each rounded once, to the correctly rounded value of
-the exact recurrence unless the value is tiny or within ~2**-128 of a tie.
+fraction bits and rounds each tail value once, to the correctly rounded
+value of the exact recurrence unless the value is tiny or within ~2**-128
+of a tie.
 On a real schedule (every imaginary part of rho and eps_sq zero, as in
 TheoremB cases 4 and 5) it runs the real parts alone, 5 big-integer products
 a step instead of 20, and gets the integers the complex loop would.  A
@@ -34,8 +40,8 @@ Index conventions (documented once, used everywhere):
 * ``rho`` and ``eps_sq`` have length N+2 and are 1-based; slot 0 is unused
   and kept at 0.  No recurrence reads index N+1; the schedules fill it by
   the rule of 1..N.
-* ``q`` and ``r`` have length N+2 covering 0..N+1 (on the ``extended`` path
-  every entry before index N is NaN).
+* ``q`` and ``r`` have length N+2 covering 0..N+1; every entry before
+  index N is NaN.
 * Additive perturbations enter only through eps^2, so sequences store
   eps_sq directly and no square root is ever taken.
 """
@@ -75,10 +81,11 @@ class PerturbationSequences:
     ------
     InvalidSpecError
         On length mismatch, non-finite entries, or perturbations outside
-        the admissible region (|b_k| > 1 or |eps_k^2| > 1).
+        the admissible region (|b_k| > 1 or |eps_k^2| > 1, or b_k NaN, as
+        a NaN rho_base makes it).
     """
 
-    __slots__ = ("_rho", "_eps_sq", "_rho_base")
+    __slots__ = ("_rho", "_eps_sq", "_rho_base", "_growth")
 
     def __init__(self, rho, eps_sq, rho_base: complex):
         rho = np.array(rho, dtype=complex)
@@ -93,16 +100,21 @@ class PerturbationSequences:
         if not (np.all(np.isfinite(rho.view(float))) and np.all(np.isfinite(eps_sq.view(float)))):
             raise InvalidSpecError("sequences contain non-finite entries")
         rho_base = complex(rho_base)
-        b = rho[1:] - rho_base
-        if np.max(np.abs(b)) > 1.0 + 1e-12:
-            raise InvalidSpecError(f"|b_k| must be <= 1, max is {np.max(np.abs(b))}")
-        if np.max(np.abs(eps_sq[1:])) > 1.0 + 1e-12:
-            raise InvalidSpecError(f"|eps_k^2| must be <= 1, max is {np.max(np.abs(eps_sq[1:]))}")
+        b_max = float(np.max(np.abs(rho[1:] - rho_base)))
+        e_max = float(np.max(np.abs(eps_sq[1:])))
+        if not b_max <= 1.0 + 1e-12:
+            raise InvalidSpecError(f"|b_k| must be <= 1, max is {b_max}")
+        if not e_max <= 1.0 + 1e-12:
+            raise InvalidSpecError(f"|eps_k^2| must be <= 1, max is {e_max}")
         rho.setflags(write=False)
         eps_sq.setflags(write=False)
         self._rho = rho
         self._eps_sq = eps_sq
         self._rho_base = rho_base
+        # d_{k+1} = rho_k d_k - eps_k^2 x_k and x_{k+1} = x_k + d_{k+1} make
+        # max(|x_k|, |d_k|) grow by at most this factor a step, since
+        # |rho_k| <= |rho_base| + |b_k|; the plain kernel's overflow guard reads it
+        self._growth = 1.0 + abs(rho_base) + b_max + e_max
 
     @classmethod
     def from_eps(cls, rho, eps, rho_base: complex) -> "PerturbationSequences":
@@ -170,13 +182,13 @@ class PerturbationSequences:
 class QRSTriple:
     """Recurrence outputs q, r plus bookkeeping needed by downstream checks.
 
-    ``rho_cumprod[k]`` is prod_{j<=k} rho_j (length N+1, index 0 = 1); it is
+    ``rho_cumprod[k]`` is prod_{j<=k} rho_j (length N+1); it is
     the exact value of the Wronskian q_{k+1} r_k - r_{k+1} q_k and is carried
     along so corruption checks need no access to the original schedule.
 
-    The exact (``extended``) kernel sets only the tail: q[N], q[N+1], r[N],
-    r[N+1] and rho_cumprod[N].  Every other entry is NaN, so a check at an
-    index k < N fails its gate rather than reading a stale value.
+    Both kernels set only the tail: q[N], q[N+1], r[N], r[N+1] and
+    rho_cumprod[N].  Every other entry is NaN, so a check at an index k < N
+    fails its gate rather than reading a stale value.
     """
 
     q: np.ndarray
@@ -188,16 +200,16 @@ class QRSTriple:
         return self.q.size - 2
 
 
-def _check_overflow(q: np.ndarray, r: np.ndarray, start: int = 0) -> None:
-    """Raise on the first entry from index ``start`` on that is non-finite or
-    exceeds 1e100 in modulus.
+def _check_overflow(q: np.ndarray, r: np.ndarray, first: int = 0) -> None:
+    """Raise on the first entry that is non-finite or exceeds 1e100 in
+    modulus, where q and r hold the entries from index ``first`` on.
 
     q and r are scanned together by index (q first on a tie), which names
     the same entry a step-by-step check would have stopped at.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bad_q, bad_r = (~(np.abs(x[start:]) <= _OVERFLOW_LIMIT) for x in (q, r))
-    hits = [(start + int(np.argmax(bad)), name)
+        bad_q, bad_r = (~(np.abs(x) <= _OVERFLOW_LIMIT) for x in (q, r))
+    hits = [(first + int(np.argmax(bad)), name)
             for bad, name in ((bad_q, "q"), (bad_r, "r")) if bad.any()]
     if hits:
         k, name = min(hits)
@@ -209,23 +221,24 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     """Advance the q and r recurrences for the full composition.
 
     Both paths make one pass over the schedule in increment form, in blocks
-    of _BLOCK steps, that advances q and r together.  The plain path's
-    outputs are bit-identical to the straightforward per-sequence loop over
-    numpy scalars, which the test suite keeps as a reference.
+    of _BLOCK steps, that advances q and r together, and return only the
+    tail: q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j; every earlier entry is
+    NaN (see ``QRSTriple``).  The plain path's tail is bit-identical to the
+    straightforward per-sequence loop over numpy scalars, which the test
+    suite keeps as a reference.
 
     Parameters
     ----------
     seqs : PerturbationSequences
     extended : bool
         When True, run the recurrence in fixed-point integers (at least 128
-        fraction bits, inputs converted exactly) and return only the tail:
-        q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j, each rounded once; every
-        earlier entry is NaN (see ``QRSTriple``).  Errors are absolute,
-        about 2**-128 per step, so a value much smaller than that, such as
-        a vanishing prod rho_j, loses its digits or reads 0.  A periodic
-        schedule costs about a tenth of the plain path; on the loop a step
-        costs about 4-8x the plain path's on a complex schedule and 2.5x on
-        a real one, whose imaginary parts it skips (README gives the timings).
+        fraction bits, inputs converted exactly) and round each tail value
+        once.  Errors are absolute, about 2**-128 per step, so a value much
+        smaller than that, such as a vanishing prod rho_j, loses its digits
+        or reads 0.  A periodic schedule costs about a fifth of the plain
+        path; on the loop a step costs about 6-15x the plain path's on a
+        complex schedule and 3-5x on a real one, whose imaginary parts it
+        skips (README gives the timings).
 
     Returns
     -------
@@ -234,22 +247,27 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     Raises
     ------
     RecurrenceOverflowError
-        If a returned q or r value is non-finite or exceeds 1e100 in
-        modulus: any of them on the plain path, the tail on the exact one,
-        whose integers cannot overflow.
+        If a q or r value is non-finite or exceeds 1e100 in modulus: any of
+        q_0..q_{N+1} and r_0..r_{N+1} on the plain path, though it keeps
+        only the tail, and the tail on the exact one, whose integers cannot
+        overflow.
     """
-    q, r, prod = (_run_extended if extended else _run_plain)(seqs)
-    _check_overflow(q, r, seqs.N if extended else 0)
+    N = seqs.N
+    tail = (_run_extended if extended else _run_plain)(seqs)
+    _check_overflow(tail[0:2], tail[2:4], N)
+    nan = complex(math.nan, math.nan)
+    q, r, prod = np.full(N + 2, nan), np.full(N + 2, nan), np.full(N + 1, nan)
+    q[N:], r[N:], prod[N] = tail[0:2], tail[2:4], tail[4]
     return QRSTriple(q=q, r=r, rho_cumprod=prod)
 
 
-# Both kernels walk the schedule in blocks of _BLOCK steps.  A block's
-# Python objects (the plain path's outputs, the exact path's converted
-# inputs) are freed before the next block, so the allocator reuses the same
-# few pages.  Holding one object per step for the whole schedule instead
-# maps fresh memory on every call (about 2 MB and 500 page faults at
-# N = 12800), a cost that swings with the load on the machine far more than
-# the arithmetic does.
+# Both kernels walk the schedule in blocks of _BLOCK steps and keep only
+# their running state.  A block's Python objects (its inputs as Python
+# complex values, or as the exact path's integers) are freed before the next
+# block, so the allocator reuses the same few pages.  Holding one object per
+# step for the whole schedule instead maps fresh memory on every call (about
+# 2 MB and 500 page faults at N = 12800), a cost that swings with the load
+# on the machine far more than the arithmetic does.
 _BLOCK = 256
 
 
@@ -259,30 +277,56 @@ def _blocks(N: int, start: int = 1):
         yield k0, min(k0 + _BLOCK, N + 1)
 
 
-def _run_plain(seqs: PerturbationSequences):
+def _plain_steps(rho: list, eps_sq: list, qk: complex, qd: complex, rk: complex, rd: complex):
+    """The binary64 state (q_k, d_k of q, r_k, d_k of r) after the given steps."""
+    for p, e in zip(rho, eps_sq):
+        qd = p * qd - e * qk
+        rd = p * rd - e * rk
+        qk += qd
+        rk += rd
+    return qk, qd, rk, rd
+
+
+def _run_plain(seqs: PerturbationSequences) -> np.ndarray:
+    """q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j in binary64, as a complex
+    array, after checking q_2..q_N and r_2..r_N for overflow.
+
+    Steps 1..N-1 run in blocks, then step N alone: x_N is kept from before
+    it, since x_{N+1} - d_{N+1} need not round back to it.  As
+    max(|x_k|, |d_k|) grows by at most g = ``seqs._growth`` a step, no entry
+    of a block can pass 1e100 if the state at its start is within
+    ``headroom``, 1e100 / (2 g**_BLOCK) (the factor 2 covers the roundings).
+    A non-finite entry lasts to the block's end, as x_{k+1} = x_k + d_{k+1},
+    so the check of the end values sees it.  A block that fails either check
+    runs again one step at a time, and its first entry past 1e100 is named.
+    """
     N = seqs.N
-    rho = seqs.rho
-    q = np.empty(N + 2, dtype=complex)
-    r = np.empty(N + 2, dtype=complex)
-    q[:2] = 0j, 1 + 0j
-    r[:2] = 1 + 0j, 1 + 0j
+    rho, eps_sq = seqs.rho, seqs.eps_sq
+    headroom = _OVERFLOW_LIMIT / 2 * seqs._growth ** -_BLOCK
     # (x_1, d_1) is (1, 1) for q and (1, 0) for r
-    qk, qd, rk, rd = 1 + 0j, 1 + 0j, 1 + 0j, 0j
-    for k0, k1 in _blocks(N):
-        qb, rb = [], []
-        for p, e in zip(rho[k0:k1].tolist(), seqs.eps_sq[k0:k1].tolist()):
-            qd = p * qd - e * qk
-            rd = p * rd - e * rk
-            qk += qd
-            rk += rd
-            qb.append(qk)
-            rb.append(rk)
-        q[k0 + 1:k1 + 1] = qb
-        r[k0 + 1:k1 + 1] = rb
-    factors = np.concatenate(([1 + 0j], rho[1:N + 1]))
+    state = 1 + 0j, 1 + 0j, 1 + 0j, 0j
+    for k0, k1 in _blocks(N - 1):
+        block = rho[k0:k1].tolist(), eps_sq[k0:k1].tolist()
+        start, state = state, _plain_steps(*block, *state)
+        if not (max(map(abs, start)) <= headroom
+                and abs(state[0]) <= _OVERFLOW_LIMIT and abs(state[2]) <= _OVERFLOW_LIMIT):
+            _rescan(*block, start, k0)
+    q_N, r_N = state[0], state[2]
+    q_N1, _, r_N1, _ = _plain_steps(rho[N:N + 1].tolist(), eps_sq[N:N + 1].tolist(), *state)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.cumprod(factors)
-    return q, r, prod
+        prod = np.cumprod(np.concatenate(([1 + 0j], rho[1:N + 1])))
+    return np.array([q_N, q_N1, r_N, r_N1, prod[-1]])
+
+
+def _rescan(rho: list, eps_sq: list, state: tuple, k0: int) -> None:
+    """Run a block from step k0 one step at a time from ``state`` and raise
+    on its first q or r entry past 1e100."""
+    q, r = [], []
+    for p, e in zip(rho, eps_sq):
+        state = _plain_steps([p], [e], *state)
+        q.append(state[0])
+        r.append(state[2])
+    _check_overflow(np.array(q), np.array(r), k0 + 1)
 
 
 # Fixed-point kernel.  With F fraction bits, a real value x is held as the
@@ -343,11 +387,7 @@ def _run_extended(seqs: PerturbationSequences):
     tail = _tail(rho, eps_sq, N, p, G, real) if p else None
     if tail is None or tail.tobytes() != _tail(rho, eps_sq, N, p, G + 64, real).tobytes():
         tail = _tail(rho, eps_sq, N, 0, F, real)
-    q = np.full(N + 2, complex(math.nan, math.nan))
-    r = np.full(N + 2, complex(math.nan, math.nan))
-    prod = np.full(N + 1, complex(math.nan, math.nan))
-    q[N:], r[N:], prod[N] = tail[0:2], tail[2:4], tail[4]
-    return q, r, prod
+    return tail
 
 
 def _tail(rho: np.ndarray, eps_sq: np.ndarray, N: int, p: int, F: int, real: bool) -> np.ndarray:

@@ -4,7 +4,34 @@ import os
 import numpy as np
 import pytest
 
-from parimplode import closed_form_T_array
+from parimplode import QRSTriple, closed_form_T_array
+
+
+def reference_plain(seqs):
+    """q_0..q_{N+1}, r_0..r_{N+1} and prod_{j<=k} rho_j for k = 0..N, the
+    whole trajectory of the binary64 recurrence in increment form, one step
+    at a time over numpy scalars.
+
+    The plain kernel keeps only the tail at N, which the tests hold to this
+    loop bit for bit; tests that read q_k or r_k for k < N read it here.
+    """
+    N = seqs.N
+    rho = seqs.rho
+    es = seqs.eps_sq
+    q = np.zeros(N + 2, dtype=complex)
+    r = np.zeros(N + 2, dtype=complex)
+    prod = np.ones(N + 1, dtype=complex)
+    q[1] = 1.0
+    r[0] = 1.0
+    r[1] = 1.0
+    dq, dr = 1.0 + 0j, 0j  # the increments x_1 - x_0
+    for k in range(1, N + 1):
+        dq = rho[k] * dq - es[k] * q[k]
+        dr = rho[k] * dr - es[k] * r[k]
+        q[k + 1] = q[k] + dq
+        r[k + 1] = r[k] + dr
+        prod[k] = prod[k - 1] * rho[k]
+    return QRSTriple(q=q, r=r, rho_cumprod=prod)
 
 
 @pytest.fixture

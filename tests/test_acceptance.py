@@ -49,6 +49,8 @@ from parimplode.convergence import ORACLE_GATE
 from parimplode.randomlab import MARTINGALE_GATE
 from parimplode.recurrences import WRONSKIAN_GATE
 
+from conftest import reference_plain
+
 _LADDER = [100 * 2**j for j in range(8)]
 
 
@@ -154,29 +156,38 @@ def test_criterion_06_counterexample_dichotomy(capsys):
             f"|q_N+2i/pi|={f_dev:.4f} at N={n}, {detail}, {dt:.1f}s")
 
 
+def _worse(a, b):
+    """The worse of two readings: the larger, or NaN if either is NaN, so
+    that a NaN reading fails its bound as it does the gates in src."""
+    return b if math.isnan(b) or b > a else a
+
+
 def test_criterion_07_identity_residuals(capsys, difference_formula):
+    # the kernel keeps only the tail at N, which the reference loop's
+    # trajectory matches bit for bit; the identities read that trajectory
     worst = {"difference": 0.0, "r_from_qs": 0.0, "wronskian": 0.0, "telescoping": 0.0}
     trial = 0
     for n in (16, 32, 64, 128, 256):
         T = closed_form_T_array(n)
         rho = cmath.exp(2j * math.pi / n)
         tele = max(abs(T[k + 1] - T[k] - rho**k) for k in range(n + 1))
-        worst["telescoping"] = max(worst["telescoping"], tele / (1e-10 * n))
+        worst["telescoping"] = _worse(worst["telescoping"], tele / (1e-10 * n))
         for _ in range(20):
             seqs = random_small_schedule(n, seed=2, trial=trial)
             trial += 1
-            triple = run_recurrences(seqs)
+            triple = reference_plain(seqs)
             for k in (2, n // 2, n, n + 1):
                 resid = abs(triple.q[k] - T[k] - difference_formula(seqs, triple, k))
-                worst["difference"] = max(worst["difference"], resid / (1e-8 * n))
+                worst["difference"] = _worse(worst["difference"], resid / (1e-8 * n))
             # r_k = q_k - rho_1 s_{k-1}, s the q of the schedule shifted one step ahead
-            s = run_recurrences(PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)).q
+            s = reference_plain(PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)).q
             r_resid = np.max(np.abs(triple.r[1:] - (triple.q[1:] - seqs.rho[1] * s)))
-            worst["r_from_qs"] = max(worst["r_from_qs"], r_resid / (1e-9 * n))
-            worst["wronskian"] = max(worst["wronskian"], wronskian_residual(triple, n) / WRONSKIAN_GATE)
+            worst["r_from_qs"] = _worse(worst["r_from_qs"], r_resid / (1e-9 * n))
+            wr = wronskian_residual(run_recurrences(seqs), n)  # the kernel's own tail
+            worst["wronskian"] = _worse(worst["wronskian"], wr / WRONSKIAN_GATE)
     chk = martingale_check(0.5, UniformSymmetric(1.0), N=256, trials=30, seed=3)
     mart = chk.max_identity_residual / MARTINGALE_GATE
-    ok = max(worst.values()) <= 1.0 and mart <= 1.0
+    ok = all(v <= 1.0 for v in worst.values()) and mart <= 1.0
     _report(capsys, 7, "identity residuals", ok,
             "scaled residuals: " + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
             + f", martingale {mart:.2e}")
@@ -188,12 +199,12 @@ def test_criterion_08_uniform_increments(capsys):
     worst_inc, worst_mag, ok = 0.0, 0.0, True
     for name, spec in specs:
         for n in (100, 1000, 10000):
-            q = run_recurrences(materialize(spec, n)).q
+            q = reference_plain(materialize(spec, n)).q
             inc = float(np.max(np.abs(np.diff(q[1:]))))
             mag = float(np.max(np.abs(q))) / n
-            worst_inc = max(worst_inc, inc)
-            worst_mag = max(worst_mag, mag)
-            if inc > 10.0 or mag > 2.0:
+            worst_inc = _worse(worst_inc, inc)
+            worst_mag = _worse(worst_mag, mag)
+            if not (inc <= 10.0 and mag <= 2.0):  # written so that NaN fails
                 ok = False
     _report(capsys, 8, "uniform increments", ok,
             f"max |q_k - q_k-1| = {worst_inc:.3f} (<= 10), max |q_k|/N = {worst_mag:.3f} (<= 2)")

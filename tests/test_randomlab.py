@@ -32,6 +32,8 @@ from parimplode.randomlab import (
     write_trial_csv,
 )
 
+from conftest import reference_plain
+
 
 def test_azuma_bound_closed_form():
     # exponent = -lam^2 N^(2(1+delta)) / (2 M^2 n)
@@ -295,7 +297,7 @@ def _reference_martingale_check(delta, dist, N, trials, seed):
     increments = np.empty(trials, dtype=complex)
     for t in range(trials):
         seqs = materialize(RandomSchedule(delta=delta, dist=dist, seed=seed, trial=t), N)
-        triple = run_recurrences(seqs)
+        triple = reference_plain(seqs)
         d = 4.0 * math.sin(theta / 2) ** 2 - seqs.eps_sq.real
         for n in range(1, N + 2):
             delta_n = _martingale_sum(d, triple.q, theta, n)
@@ -318,7 +320,7 @@ def _exact_sum_max_residual(delta, dist, N, trials, seed):
     worst = Fraction(0)
     for t in range(trials):
         seqs = materialize(RandomSchedule(delta, dist, seed, t), N)
-        q = run_recurrences(seqs).q.real
+        q = reference_plain(seqs).q.real
         d = 4.0 * math.sin(theta / 2) ** 2 - seqs.eps_sq.real
         re = im = Fraction(0)
         for n in range(1, N + 2):

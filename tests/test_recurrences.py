@@ -30,8 +30,10 @@ from parimplode import (
     run_recurrences,
     wronskian_residual,
 )
-from parimplode.recurrences import _PERIOD_TRIES, _period
+from parimplode.recurrences import _BLOCK, _PERIOD_TRIES, _period, _run_extended, _run_plain
 from parimplode.skew import build_example, induced_schedule
+
+from conftest import reference_plain
 
 
 def _exact_rotation(N: int) -> PerturbationSequences:
@@ -43,7 +45,7 @@ def _exact_rotation(N: int) -> PerturbationSequences:
 def _r_from_qs(seqs, triple):
     """r_1..r_{N+1} rebuilt as r_k = q_k - rho_1 s_{k-1}, where s_0..s_N is
     the q sequence of the schedule shifted one step ahead (N >= 2)."""
-    s = run_recurrences(PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)).q
+    s = reference_plain(PerturbationSequences(seqs.rho[1:], seqs.eps_sq[1:], seqs.rho_base)).q
     return triple.q[1:] - seqs.rho[1] * s
 
 
@@ -70,6 +72,8 @@ def test_sequences_validation():
     nan_rho[1] = complex("nan")
     with pytest.raises(InvalidSpecError):
         PerturbationSequences(nan_rho, np.zeros(8), 1.0)
+    with pytest.raises(InvalidSpecError, match=r"^\|b_k\| must be <= 1, max is nan$"):
+        PerturbationSequences(rho, np.zeros(8), complex("nan"))  # every b_k is NaN
 
 
 def test_sequences_slot_zero_and_immutability():
@@ -149,11 +153,16 @@ def test_small_case_by_hand():
 
 
 def test_wronskian_residual_small_on_random_schedules():
+    # the kernel keeps only the tail at N, which the reference loop's
+    # trajectory matches bit for bit; earlier k read that trajectory, and a
+    # check of the kernel's output at k < N reads NaN, which fails the gate
     for trial in range(20):
         seqs = random_small_schedule(100, seed=9, trial=trial)
-        triple = run_recurrences(seqs)
-        for k in (0, 1, 50, 100):
-            assert wronskian_residual(triple, k) < 1e-12
+        triple, reference = run_recurrences(seqs), reference_plain(seqs)
+        assert wronskian_residual(triple, 100) < 1e-12
+        assert math.isnan(wronskian_residual(triple, 50))
+        for k in (0, 1, 50):
+            assert wronskian_residual(reference, k) < 1e-12
     with pytest.raises(ValueError):
         wronskian_residual(triple, 101)
 
@@ -202,7 +211,7 @@ def test_vanishing_rho_fails_the_wronskian_gate():
 def test_r_from_qs_identity():
     for n in (16, 64, 256):
         seqs = random_small_schedule(n, seed=4, trial=1)
-        triple = run_recurrences(seqs)
+        triple = reference_plain(seqs)
         assert np.max(np.abs(triple.r[1:] - _r_from_qs(seqs, triple))) < 1e-9 * n
     assert _r_from_qs(seqs, triple)[0] == 1.0  # r_1 = q_1 - rho_1 * s_0 = 1
 
@@ -211,7 +220,7 @@ def test_difference_formula_identity(difference_formula):
     for n in (16, 64, 256):
         for trial in range(5):
             seqs = random_small_schedule(n, seed=6, trial=trial)
-            triple = run_recurrences(seqs)
+            triple = reference_plain(seqs)
             T = closed_form_T_array(n)
             for k in (2, n // 2, n, n + 1):
                 resid = abs(triple.q[k] - T[k] - difference_formula(seqs, triple, k))
@@ -242,7 +251,7 @@ def test_telescoping_T_increment():
 
 def test_exact_rotation_reproduces_T():
     n = 500
-    triple = run_recurrences(_exact_rotation(n))
+    triple = reference_plain(_exact_rotation(n))
     T = closed_form_T_array(n)
     assert np.max(np.abs(triple.q - T)) < 1e-8
     assert np.max(np.abs(triple.r - 1.0)) == 0.0  # eps == 0 keeps r frozen at 1
@@ -253,7 +262,7 @@ def test_additive_resonant_checkpoints():
     # checkpoint values approach the Chebyshev endpoint pattern at rate 1/N
     n = 400
     seqs = materialize(TheoremB(4, amplitude=0.0), n)
-    triple = run_recurrences(seqs)
+    triple = reference_plain(seqs)
     assert abs(triple.q[n]) < 5.0 / n
     assert triple.q[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
     assert triple.q[n + 1].real == pytest.approx(-1.0, abs=5.0 / n)
@@ -282,6 +291,63 @@ def test_overflow_guard():
     for n in (400, 1200):
         with pytest.raises(RecurrenceOverflowError, match=r"^\|q_333\| exceeded 1e100"):
             run_recurrences(_doubling(n))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cut", [370, 400])
+def test_overflow_guard_sees_an_excursion_inside_the_plain_kernel(cut):
+    # q doubles for steps 1..cut (rho_k = base + 1, eps_k^2 = 0), past 1e100
+    # from k = 333 on, then shrinks by 2**-0.5 a step (rho_k = base - 0.5,
+    # eps_k^2 = 1) to |q_600| < 1e100: a check of the tail alone passes it,
+    # and so does the Wronskian gate.  The block of steps 257..512 holds the
+    # peak.  With cut = 400 it ends at |q_513| = 7e103, past the limit; with
+    # cut = 370 it ends at 1.6e90, and only the bound on its growth from its
+    # start sees the excursion.
+    n = 600
+    base = cmath.exp(2j * math.pi / n)
+    k = np.arange(n + 2)
+    seqs = PerturbationSequences(np.where(k <= cut, base + 1, base - 0.5),
+                                 np.where(k <= cut, 0j, 1 + 0j), base)
+    with pytest.raises(RecurrenceOverflowError, match=r"^\|q_333\| exceeded 1e100"):
+        run_recurrences(seqs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_guard_names_the_entry_a_check_of_every_step_names():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from parimplode.recurrences import _check_overflow
+
+    # Runs of steps that double q (b = 1), shrink it by 2**-0.5 a step
+    # (b = -0.5, eps^2 = 1) or take a drawn admissible step, each run up to
+    # 400 steps long, so that excursions past 1e100 start and end anywhere
+    # in a block.  The kernel must raise exactly when a check of the
+    # reference loop's whole trajectory does, naming the same entry, and
+    # otherwise return that loop's tail.
+    unit = st.builds(cmath.rect, st.floats(0, 1), st.floats(-math.pi, math.pi))
+    step = st.one_of(st.just((1 + 0j, 0j)), st.just((-0.5 + 0j, 1 + 0j)), st.tuples(unit, unit))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(runs=st.lists(st.tuples(step, st.integers(1, 400)), min_size=1, max_size=5))
+    def check(runs):
+        n = sum(length for _, length in runs)
+        base = cmath.exp(2j * math.pi / n)
+        steps = [s for s, length in runs for _ in range(length)]
+        rho = np.array([0j] + [base + b for b, _ in steps] + [base])
+        seqs = PerturbationSequences(rho, np.array([0j] + [e for _, e in steps] + [0j]), base)
+        with np.errstate(all="ignore"):
+            reference = reference_plain(seqs)
+        try:
+            _check_overflow(reference.q, reference.r)
+        except RecurrenceOverflowError as err:
+            with pytest.raises(RecurrenceOverflowError, match=f"^{re.escape(str(err))}$"):
+                run_recurrences(seqs)
+            return
+        triple = run_recurrences(seqs)
+        for field in ("q", "r", "rho_cumprod"):
+            assert getattr(triple, field)[n:].tobytes() == getattr(reference, field)[n:].tobytes()
+
+    check()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -315,45 +381,25 @@ def test_overflow_check_treats_non_finite_as_overflow():
 
 
 def test_extended_path_agrees_with_plain():
-    # the exact kernel returns only its tail, so it runs on every prefix
+    # both kernels return only their tail, so they run on every prefix
     seqs = random_small_schedule(64, seed=8, trial=0)
-    plain = run_recurrences(seqs)
     for n in range(1, 65):
+        plain = run_recurrences(_prefix(seqs, n))
         ext = run_recurrences(_prefix(seqs, n), extended=True)
-        assert np.max(np.abs(plain.q[n:n + 2] - ext.q[n:])) < 1e-11
-        assert np.max(np.abs(plain.r[n:n + 2] - ext.r[n:])) < 1e-11
+        assert np.max(np.abs(plain.q[n:] - ext.q[n:])) < 1e-11
+        assert np.max(np.abs(plain.r[n:] - ext.r[n:])) < 1e-11
 
 
 # -- bit-identity against the reference loops -------------------------------------
 #
-# The plain kernel is a flat rewrite of _reference_plain and must reproduce
-# it bit for bit, so every CSV byte and pinned value computed from q, r and
+# The plain kernel's tail must reproduce the loop of conftest.reference_plain
+# bit for bit, so every CSV byte and pinned value computed from q, r and
 # rho_cumprod is unaffected by the rewrite.  The extended kernel
 # must give the exact values on its binary64 inputs, correctly rounded, which
-# _ziv_reference works out.  It returns only the tail at N, so where N is
-# small it runs on every prefix of the schedule and each step's value is
+# _ziv_reference works out.  Both return only the tail at N, so where N is
+# small they run on every prefix of the schedule and each step's value is
 # still checked once.  Likewise compose_chain over the step_maps rows must
 # reproduce the fold over MoebiusCoeffs objects that it replaced.
-
-
-def _reference_plain(seqs):
-    N = seqs.N
-    rho = seqs.rho
-    es = seqs.eps_sq
-    q = np.zeros(N + 2, dtype=complex)
-    r = np.zeros(N + 2, dtype=complex)
-    prod = np.ones(N + 1, dtype=complex)
-    q[1] = 1.0
-    r[0] = 1.0
-    r[1] = 1.0
-    dq, dr = 1.0 + 0j, 0j  # the increments x_1 - x_0
-    for k in range(1, N + 1):
-        dq = rho[k] * dq - es[k] * q[k]
-        dr = rho[k] * dr - es[k] * r[k]
-        q[k + 1] = q[k] + dq
-        r[k + 1] = r[k] + dr
-        prod[k] = prod[k - 1] * rho[k]
-    return q, r, prod
 
 
 def _ziv_reference(seqs, ns=None):
@@ -484,30 +530,25 @@ def _record_tails(monkeypatch):
 def _assert_bit_identical(seqs, extended, ns=None):
     """The kernel against its reference, which it returns as a QRSTriple.
 
-    The exact kernel's raw tail, without the overflow check of
-    run_recurrences, is checked at N and at each prefix length N' in ns:
-    q[N':], r[N':] and rho_cumprod[N':] bit for bit, and every earlier entry
-    NaN.  The plain kernel's arrays are checked whole.
+    The kernel's raw tail, without the overflow check of run_recurrences, is
+    checked on the prefix of each length N' in ns, or on the whole schedule:
+    q_N', q_N'+1, r_N', r_N'+1 and prod_N' must equal the reference's bit for
+    bit.  The exact kernel's reference is _ziv_reference; the plain kernel's
+    is the whole trajectory of reference_plain.
     """
-    from parimplode.recurrences import _run_extended
-
     if extended:
-        reference = _ziv_reference(seqs, ns)
-        for n in (seqs.N,) if ns is None else ns:
-            got = _run_extended(_prefix(seqs, n))
-            for name, g, w in zip(("q", "r", "rho_cumprod"), got, reference):
-                assert np.isnan(g[:n].view(float)).all(), f"{name} holds a value before N={n}"
-                diff = np.flatnonzero(g[n:].view(np.uint64) != w[n:g.size].view(np.uint64))
-                assert diff.size == 0, f"{name} at N={n} differs first at flat index {diff[:1]}"
+        kernel, reference = _run_extended, QRSTriple(*_ziv_reference(seqs, ns))
     else:
-        reference = _reference_plain(seqs)
-        triple = run_recurrences(seqs)
-        got_all = (triple.q, triple.r, triple.rho_cumprod)
-        for name, got, want in zip(("q", "r", "rho_cumprod"), got_all, reference):
-            assert got.shape == want.shape, name
-            diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
-            assert diff.size == 0, f"{name} differs first at flat index {diff[:1]}"
-    return QRSTriple(*reference)
+        kernel, reference = _run_plain, reference_plain(seqs)
+    q, r, prod = reference.q, reference.r, reference.rho_cumprod
+    for n in (seqs.N,) if ns is None else ns:
+        got = kernel(_prefix(seqs, n))
+        want = np.array([q[n], q[n + 1], r[n], r[n + 1], prod[n]])
+        diff = [name for name, g, w in zip(("q_N", "q_N+1", "r_N", "r_N+1", "prod"),
+                                           got.view(np.uint64).reshape(5, 2),
+                                           want.view(np.uint64).reshape(5, 2)) if (g != w).any()]
+        assert not diff, f"{diff} at N={n}: {got.tolist()} != {want.tolist()}"
+    return reference
 
 
 _FAMILIES = (
@@ -517,10 +558,18 @@ _FAMILIES = (
     + [(f"skew{e}", lambda n, e=e: induced_schedule(build_example(e, n), n)) for e in (1, 2, 3, 4)]
 )
 
+# every schedule a command reports on
+_REPORTED = (
+    _FAMILIES
+    + [(side, lambda n, side=side: materialize(CounterexampleC(side), n))
+       for side in ("multiplicative_f", "additive_g")]
+    + [("skew5", lambda n: induced_schedule(build_example(5, n), n))]
+)
+
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 @pytest.mark.parametrize("n", [100, 1600])
-@pytest.mark.parametrize("build", [b for _, b in _FAMILIES], ids=[name for name, _ in _FAMILIES])
+@pytest.mark.parametrize("build", [b for _, b in _REPORTED], ids=[name for name, _ in _REPORTED])
 def test_kernels_bit_identical_to_reference_loops(build, n, extended):
     _assert_bit_identical(build(n), extended)
 
@@ -540,8 +589,10 @@ def test_chain_bit_identical_on_random_small_schedules():
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_bit_identical_on_random_small_schedules(extended):
+    # every prefix of the first two, whose tails together read each step
     for n, trial in ((4, 0), (64, 1), (100, 2), (1600, 3)):
-        _assert_bit_identical(random_small_schedule(n, seed=11, trial=trial), extended)
+        ns = range(1, n + 1) if n <= 64 else None
+        _assert_bit_identical(random_small_schedule(n, seed=11, trial=trial), extended, ns)
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
@@ -557,13 +608,15 @@ def test_kernels_bit_identical_across_block_edges(extended):
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_hold_no_per_step_objects(extended):
-    # Plain: memory at N = 12800 stays near the output arrays themselves; a
-    # kernel that keeps one Python object per step would more than double it.
-    # Exact: the outputs are NaN but for the tail, so what counts is the peak
-    # beyond them.  At N = 2400 it reads about 20 KB, one block's converted
-    # inputs and the O(N) numpy temporaries of the fraction-bit rule; one int
-    # per step would cost 106 KB more, and six per step 0.6 MB.  B5 is real
-    # and aperiodic, so the exact kernel runs it on its real loop, held to the
+    # The outputs are NaN but for the tail, so what counts is the peak beyond
+    # them.  Plain: at N = 12800 it reads about 1 KB, since one block's inputs
+    # as Python complex values and the cumprod of rho are freed before the
+    # outputs are made; it must stay under one block's worth of them.  One
+    # complex per step held to the end would cost 0.5 MB more.  Exact: at
+    # N = 2400 it reads about 20 KB, one block's converted inputs and the
+    # O(N) numpy temporaries of the fraction-bit rule; one int per step
+    # would cost 106 KB more, and six per step 0.6 MB.  B5 is real and
+    # aperiodic, so the exact kernel runs it on its real loop, held to the
     # same bound.  B4 has period 8 and takes the periodic path, held to the
     # same bound at N = 12800.
     cases = ((TheoremB(3), 2400, 0), (TheoremB(5), 2400, 0), (TheoremB(4), 12800, 8)) \
@@ -577,28 +630,20 @@ def test_kernels_hold_no_per_step_objects(extended):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = sum(x.nbytes for x in (triple.q, triple.r, triple.rho_cumprod))
-        if extended:
-            assert peak - outputs < n * sys.getsizeof(1 << 128), spec
-        else:
-            assert peak < 2 * outputs
+        outputs = (triple.q, triple.r, triple.rho_cumprod)
+        assert all(np.isnan(x[:n].view(float)).all() for x in outputs), spec
+        bound = n * sys.getsizeof(1 << 128) if extended else _BLOCK * 2 * (sys.getsizeof(1j) + 8)
+        assert peak - sum(x.nbytes for x in outputs) < bound, spec
 
 
 # -- both kernels against the reference at the reported N ---------------------------
 #
 # N = 12800 is the top rung of every built-in ladder.  There the exact
 # kernel's tail must equal _ziv_reference's bit for bit, the plain kernel's
-# must agree with it to 1e-9 of its size, and both must conserve the
+# must equal reference_plain's bit for bit and agree with the exact one to
+# 1e-9 of its size, and both must conserve the
 # Wronskian far inside coefficients_from_qr's 1e-9 gate (the exact kernel's
 # residual is the reference's, bit for bit).
-
-_REPORTED = (
-    _FAMILIES
-    + [(side, lambda n, side=side: materialize(CounterexampleC(side), n))
-       for side in ("multiplicative_f", "additive_g")]
-    + [("skew5", lambda n: induced_schedule(build_example(5, n), n))]
-)
-
 
 @pytest.mark.parametrize("build", [b for _, b in _REPORTED], ids=[name for name, _ in _REPORTED])
 def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build, monkeypatch):
@@ -606,6 +651,7 @@ def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build, monkeypatch)
     seqs = build(n)
     tails = _record_tails(monkeypatch)
     want, plain = _assert_bit_identical(seqs, True), run_recurrences(seqs)
+    _assert_bit_identical(seqs, False)
     # a periodic schedule's tail stands at both precisions, with no loop run
     assert tails == ([_period(seqs)] * 2 if _period(seqs) else [0])
     for name, got, w in (("q", plain.q, want.q), ("r", plain.r, want.r)):
