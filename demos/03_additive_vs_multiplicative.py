@@ -3,10 +3,12 @@
 # (angles in rho) the composition stalls: q_N converges to -2i/pi, a
 # definite distance from the convergent value.  Realized additively
 # (the same angles fed through eps = 2 sin(theta/2) with rho = 1) the
-# composition converges like any other admissible schedule.
+# composition converges like any other admissible schedule.  The band
+# lines are those of `parimplode counterexample --n 500:4000:x2`.
 import math
 
-from parimplode import CounterexampleC, fit_decay, materialize, run_recurrences, run_sweep
+from parimplode import CounterexampleC, materialize, run_recurrences, run_sweep
+from parimplode.bands import report
 
 N = 2000
 triple = run_recurrences(materialize(CounterexampleC("multiplicative_f"), N))
@@ -24,6 +26,9 @@ print("\n   N      f coeff_err    g coeff_err")
 for fp, gp in zip(f_pts, g_pts):
     print(f"{fp.N:6d}   {fp.coeff_err:.6f}     {gp.coeff_err:.6f}")
 
-g_fit = fit_decay(g_pts, "coeff_err")
-print(f"\ng-side slope {g_fit.slope:+.4f}: additive realization converges;")
-print("f-side error is pinned near 2/pi no matter how large N gets")
+print()
+report("counterexample", {"N": ladder, "f_coeff_err": [p.coeff_err for p in f_pts],
+                          "f_qN_abs": [p.q_N_abs for p in f_pts],
+                          "g_coeff_err": [p.coeff_err for p in g_pts]})
+print("the additive realization (g) converges; the multiplicative one (f) is pinned")
+print("near 2/pi no matter how large N gets")

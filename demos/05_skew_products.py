@@ -3,22 +3,21 @@
 # |mu| = 1, so the base never decays; convergence happens because w_0
 # itself shrinks with N.  Examples 2 and 3 are perfectly self-cancelling:
 # their fiber composition is the identity up to roundoff, which is why
-# the table shows raw noise rather than a clean rate.
+# their slope clause reads raw noise rather than a clean rate.  Each
+# example prints the band lines of
+# `parimplode skew --example e --extended --n 100:12800:x2`.
 from parimplode import SkewExample, build_example, run_sweep
-from parimplode.bands import judge
+from parimplode.bands import report
 
 LADDER = [100, 200, 400, 800, 1600, 3200, 6400, 12800]
 
 for ex in (1, 2, 3, 4, 5):
     errs = [p.coeff_err for p in run_sweep(SkewExample(ex), LADDER, extended=True)]
     w_abs = [abs(build_example(ex, n).w_final(n)) for n in LADDER]
-    # the slope that `parimplode skew --assert` judges, over the values above
-    # bands.FLOOR; example 1's band bounds the error itself and fits none
-    _, fit, _ = judge("skew_exact" if ex == 1 else "skew",
-                      {"N": LADDER, "fiber_coeff_err": errs, "|w_N|": w_abs})
-    slope = "  n/a" if fit is None else f"{fit.slope:+.3f}"
     print(f"example {ex}:  fiber_coeff_err {errs[0]:.2e} -> {errs[-1]:.2e}"
-          f"   slope {slope}   |w_N| {w_abs[0]:.1e} -> {w_abs[-1]:.1e}")
+          f"   |w_N| {w_abs[0]:.1e} -> {w_abs[-1]:.1e}")
+    # example 1's band bounds the error itself and fits no slope
+    report("skew_exact" if ex == 1 else "skew", {"N": LADDER, "fiber_coeff_err": errs, "|w_N|": w_abs})
 
 print("\nexamples 4 and 5 carry real additive perturbations and decay like 1/N;")
 print("example 1 collapses to the exact rotation (errors at the 1e-10 scale, no slope);")

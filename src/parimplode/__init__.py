@@ -6,10 +6,11 @@ coefficient recurrences, convergence-rate sweeps, seeded random ensembles,
 and skew-product drivers, with CSV/SVG output through the ``parimplode``
 command-line tool.
 """
+from types import ModuleType as _ModuleType
+
 from .convergence import (
     DecayFit,
     RatePoint,
-    fit_decay,
     fit_loglog,
     run_point,
     run_sweep,
@@ -78,4 +79,7 @@ from .skew import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they bind (``rng``, ``ioutil``, ...)
+# stay out of ``from parimplode import *``
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -1,11 +1,13 @@
 """Acceptance bands: the paper's claims as clauses, declared once.
 
-``check`` judges a run's series against ``CRITERIA`` for the acceptance
-suite; ``judge`` also returns the fit the CLI plots.  The package's one fit
-rule is here: a slope is the log-log fit over the values above ``FLOOR``,
-made once per clause.  A decay clause whose values all sit at or below the
-floor passes; any other slope clause with fewer than 3 distinct N above the
-floor fails, and so does a NaN or infinite value.
+``judge`` judges a run's series against ``CRITERIA`` and returns the fit a
+plot draws; ``report`` prints its ``band <criterion>: ok|MISSED: <detail>``
+line per clause, the one form in which the CLI and the demos print a
+verdict.  The package's one fit rule is here: a slope is the log-log fit
+over the values above ``FLOOR``, made once per clause.  A decay clause
+whose values all sit at or below the floor passes; any other slope clause
+with fewer than 3 distinct N above the floor fails, and so does a NaN or
+infinite value.
 """
 from __future__ import annotations
 
@@ -54,17 +56,12 @@ def fit_above(ns, values) -> DecayFit | None:
     return fit_loglog(*zip(*pts)) if len({n for n, _ in pts}) >= 3 else None
 
 
-def check(criterion: str, series, target: float = 0.0,
-          trials: int | None = None) -> list[tuple[bool, str]]:
-    """(ok, detail) per clause.  ``series`` maps "N" and each clause's series
-    to one value per N; "random" also takes its target slope and trials."""
-    return judge(criterion, series, target, trials)[0]
-
-
 def judge(criterion: str, series, target: float = 0.0, trials: int | None = None):
-    """``check``'s verdicts, then the fit and the slope wedge a plot draws:
+    """(ok, detail) per clause, then the fit and the slope wedge a plot draws:
     those of the criterion's first slope clause, the wedge only for a
-    two-sided band.  Without a slope clause both are None."""
+    two-sided band.  Without a slope clause both are None.  ``series`` maps
+    "N" and each clause's series to one value per N; "random" also takes its
+    target slope and trials."""
     verdicts, slopes = [], []
     for name, kind, bound, from_n in CRITERIA[criterion]:
         ok, detail, fit = _judge(name, kind, bound, from_n, series, target, trials)
@@ -73,6 +70,14 @@ def judge(criterion: str, series, target: float = 0.0, trials: int | None = None
             lo, hi = bound
             slopes.append((fit, None if lo is None else (target + lo, target + hi)))
     return (verdicts, *slopes[0]) if slopes else (verdicts, None, None)
+
+
+def report(criterion: str, series, target: float = 0.0, trials: int | None = None):
+    """``judge``, after printing its band line per clause."""
+    result = judge(criterion, series, target, trials)
+    for ok, detail in result[0]:
+        print(f"band {criterion}: {'ok' if ok else 'MISSED'}: {detail}")
+    return result
 
 
 def _judge(name, kind, bound, from_n, series, target, trials):

@@ -10,10 +10,11 @@ sweep and diagnose-sum build their schedule from --theorem and --case (or
 --quadratic-noncvg) alone, at the family's default parameters; the library's
 ``TheoremA``/``TheoremB`` take the others.
 
-sweep, random, counterexample and skew end in ``_report``: every run prints
-a ``band <criterion>: ok|MISSED: <detail>`` line per clause of its criterion,
-and --assert only makes a missed clause exit 3.  This module fits nothing:
-each slope printed or plotted is the one fit ``bands`` judges.
+sweep, random, counterexample and skew end in ``_report``: every run prints,
+through ``bands.report``, a ``band <criterion>: ok|MISSED: <detail>`` line
+per clause of its criterion, and --assert only makes a missed clause exit 3.
+This module fits nothing: each slope printed or plotted is the one fit
+``bands`` judges.
 
 No option turns a check off or rescales it: every rung of sweep,
 counterexample and skew at N <= 512 is cross-checked against direct
@@ -42,7 +43,7 @@ import functools
 import math
 import sys
 
-from .bands import columns, judge, random_target
+from .bands import columns, random_target, report
 from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
@@ -153,9 +154,7 @@ def _build_deterministic_spec(cfg: dict):
 def _report(cfg: dict, criterion: str, series, plotted, title: str, ylabel: str,
             target: float = 0.0, trials: int | None = None) -> int:
     """Print the band lines of ``criterion``, plot ``plotted`` and pick the exit code."""
-    verdicts, fit, wedge = judge(criterion, series, target, trials)
-    for ok, detail in verdicts:
-        print(f"band {criterion}: {'ok' if ok else 'MISSED'}: {detail}")
+    verdicts, fit, wedge = report(criterion, series, target, trials)
     if cfg["svg"]:
         atomic_write_text(cfg["svg"], loglog_svg(
             plotted, title=title, ylabel=ylabel, band=wedge,

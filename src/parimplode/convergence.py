@@ -1,11 +1,11 @@
-"""Deterministic N-sweeps: distance-to-identity measurement and decay fits.
+"""Deterministic N-sweeps: distance-to-identity measurement.
 
 ``run_point`` is the single-N workhorse: it materializes a schedule, runs
 the recurrences, and measures every error field, cross-checking the result
 against direct matrix composition at every N <= 512.  ``run_sweep`` runs the
 points of a ladder, on worker processes for an exact ladder whose top rung
-does not repeat, and returns them in input order, and ``fit_decay`` turns a
-sweep into an empirical decay exponent.
+does not repeat, and returns them in input order.  ``fit_loglog`` is the
+least-squares line that ``bands`` fits over the values above its floor.
 """
 from __future__ import annotations
 
@@ -62,14 +62,6 @@ class RatePoint:
 class DecayFit:
     slope: float
     intercept: float
-    r_squared: float
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points < 3:
-            raise ValueError(f"a fit needs at least 3 points, got {self.n_points}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared must be in [0, 1], got {self.r_squared}")
 
 
 def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
@@ -178,14 +170,6 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     return outcomes
 
 
-def fit_decay(points: list[RatePoint], field: str) -> DecayFit:
-    """OLS fit of log(field) against log(N); slope is the decay exponent."""
-    names = {f.name for f in fields(RatePoint)}
-    if field not in names:
-        raise ValueError(f"unknown RatePoint field {field!r}")
-    return fit_loglog([p.N for p in points], [getattr(p, field) for p in points])
-
-
 def fit_loglog(ns, values) -> DecayFit:
     """Log-log least squares on raw (N, value) pairs.
 
@@ -203,16 +187,8 @@ def fit_loglog(ns, values) -> DecayFit:
         raise NonPositiveValueError(
             "cannot fit a decay exponent through non-positive values; "
             "report them as below the floating-point floor")
-    lx = np.log(ns)
-    ly = np.log(values)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    if np.allclose(ly, ly[0]):
-        r_sq = 1.0
-    else:
-        r = np.corrcoef(lx, ly)[0, 1]
-        r_sq = float(min(1.0, max(0.0, r * r)))
-    return DecayFit(slope=float(slope), intercept=float(intercept),
-                    r_squared=r_sq, n_points=int(ns.size))
+    slope, intercept = np.polyfit(np.log(ns), np.log(values), 1)
+    return DecayFit(slope=float(slope), intercept=float(intercept))
 
 
 def write_rate_csv(points: list[RatePoint], path: str) -> None:

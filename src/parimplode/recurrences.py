@@ -235,10 +235,9 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
         fraction bits, inputs converted exactly) and round each tail value
         once.  Errors are absolute, about 2**-128 per step, so a value much
         smaller than that, such as a vanishing prod rho_j, loses its digits
-        or reads 0.  A periodic schedule costs about a fifth of the plain
-        path; on the loop a step costs about 6-15x the plain path's on a
-        complex schedule and 3-5x on a real one, whose imaginary parts it
-        skips (README gives the timings).
+        or reads 0.  A periodic schedule is raised to its power; any other
+        runs a loop, which skips the imaginary parts of a real schedule.
+        README gives what a rung and a step cost on each path.
 
     Returns
     -------

@@ -20,30 +20,32 @@ from .ioutil import fmt17, write_csv
 from .recurrences import PerturbationSequences
 
 SKEW_CSV_HEADER = "example_id,N,w_final_abs,fiber_coeff_err,fiber_sup_err"
-EXAMPLES = range(1, 6)  # the preset ids build_example takes
+EXAMPLES = range(1, 6)  # the preset ids build_example takes, the keys of _PRESETS
 
-_THETA_RULES = ("w_itself", "offset_plus_w")
-_EPS_SQ_RULES = ("zero", "w_squared", "w_fourth")
+# example id -> (mu, w_0, theta offset, eps power): the base multiplier and
+# the initial point as rules of N; step k sees w = w_{k-1} through
+# theta_k = w (+ 1/N with the offset) and eps_k^2 = w ** power (0 at power 0).
+_PRESETS = {
+    1: (lambda n: 1.0, lambda n: 1.0 / n, False, 0),
+    2: (lambda n: -1.0, lambda n: -1.0 / n**2, True, 0),
+    3: (lambda n: cmath.exp(2j * math.pi / n), lambda n: cmath.exp(2j * math.pi / n) / n**2, True, 0),
+    4: (lambda n: 1.0, lambda n: 1.0 / n, False, 4),
+    5: (lambda n: -1.0, lambda n: -1.0 / n**2, True, 2),
+}
 
 
 @dataclass(frozen=True)
 class SkewSystem:
-    """One skew-product family member.
+    """One skew-product family member, a row of ``_PRESETS``.
 
     base_multiplier is concrete (for the rotating base it depends on the N
     the system was built for); w0_rule maps N to the initial base point.
     """
 
     base_multiplier: complex
-    fiber_theta_rule: str
-    fiber_eps_sq_rule: str
     w0_rule: Callable[[int], complex]
-
-    def __post_init__(self):
-        if self.fiber_theta_rule not in _THETA_RULES:
-            raise InvalidSpecError(f"fiber_theta_rule must be one of {_THETA_RULES}")
-        if self.fiber_eps_sq_rule not in _EPS_SQ_RULES:
-            raise InvalidSpecError(f"fiber_eps_sq_rule must be one of {_EPS_SQ_RULES}")
+    theta_offset: bool
+    eps_power: int
 
     def w_final(self, N: int) -> complex:
         """w_N = mu^N w_0 in closed form (one scalar power, not the numpy
@@ -66,38 +68,25 @@ def check_example(example_id: int) -> None:
 
 
 def build_example(example_id: int, N: int) -> SkewSystem:
-    """The five presets; example 3's base rotation is built for this N."""
+    """The preset ``example_id``; example 3's base rotation is built for this N."""
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
     check_example(example_id)
-    if example_id == 1:
-        return SkewSystem(1.0, "w_itself", "zero", lambda n: 1.0 / n)
-    if example_id == 2:
-        return SkewSystem(-1.0, "offset_plus_w", "zero", lambda n: -1.0 / n**2)
-    if example_id == 3:
-        mu = cmath.exp(2j * math.pi / N)
-        return SkewSystem(mu, "offset_plus_w", "zero", lambda n: cmath.exp(2j * math.pi / n) / n**2)
-    if example_id == 4:
-        return SkewSystem(1.0, "w_itself", "w_fourth", lambda n: 1.0 / n)
-    return SkewSystem(-1.0, "offset_plus_w", "w_squared", lambda n: -1.0 / n**2)
+    mu, w0_rule, theta_offset, eps_power = _PRESETS[example_id]
+    return SkewSystem(mu(N), w0_rule, theta_offset, eps_power)
 
 
 def induced_schedule(sys: SkewSystem, N: int) -> PerturbationSequences:
     """The non-autonomous fiber schedule: step k sees w_{k-1}."""
     # the base orbit w_0..w_N in closed form; w[k-1] drives step k, k = 1..N+1
     w = complex(sys.w0_rule(N)) * np.asarray(sys.base_multiplier, dtype=complex) ** np.arange(0, N + 1)
-    if sys.fiber_theta_rule == "w_itself":
-        theta = w
-    else:
-        theta = 1.0 / N + w
+    theta = 1.0 / N + w if sys.theta_offset else w
     rho = np.empty(N + 2, dtype=complex)
     rho[0] = 0.0
     rho[1:] = np.exp(2j * np.pi * theta)
     eps_sq = np.zeros(N + 2, dtype=complex)
-    if sys.fiber_eps_sq_rule == "w_squared":
-        eps_sq[1:] = w * w
-    elif sys.fiber_eps_sq_rule == "w_fourth":
-        eps_sq[1:] = w**4
+    if sys.eps_power:
+        eps_sq[1:] = w**sys.eps_power
     return PerturbationSequences(rho, eps_sq, cmath.exp(2j * math.pi / N))
 
 

@@ -43,7 +43,7 @@ from parimplode import (
     run_sweep,
     wronskian_residual,
 )
-from parimplode.bands import check, columns, random_target
+from parimplode.bands import columns, judge, random_target
 from parimplode.cli import main
 from parimplode.convergence import ORACLE_GATE
 from parimplode.randomlab import MARTINGALE_GATE
@@ -65,7 +65,7 @@ def _report(capsys, num, name, ok, detail):
 def _judge(criterion, series, **params):
     """The band clauses of ``criterion`` (parimplode.bands, the table
     ``--assert`` reads): whether all hold, and their details."""
-    results = check(criterion, series, **params)
+    results = judge(criterion, series, **params)[0]
     return all(ok for ok, _ in results), ", ".join(detail for _, detail in results)
 
 

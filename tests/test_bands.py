@@ -1,7 +1,7 @@
 """The acceptance band checker: fit floor, NaN values and unfittable series."""
 import pytest
 
-from parimplode.bands import check
+from parimplode.bands import judge
 
 
 @pytest.mark.parametrize("values, ok, detail", [
@@ -12,7 +12,7 @@ from parimplode.bands import check
     ([1e-3, 1e-4, 1e-13, 0.0], False, "fiber_coeff_err has too few points above floor 1e-12"),
 ], ids=["in-band", "out-of-band", "nan", "below-floor", "too-few-points"])
 def test_decay_clause(values, ok, detail):
-    verdicts = check("skew", {"N": [100, 200, 400, 800], "fiber_coeff_err": values,
-                              "|w_N|": [1e-2, 1e-3, 1e-4, 1e-5]})
+    verdicts = judge("skew", {"N": [100, 200, 400, 800], "fiber_coeff_err": values,
+                              "|w_N|": [1e-2, 1e-3, 1e-4, 1e-5]})[0]
     assert verdicts[0] == (ok, detail)
     assert all(ok for ok, _ in verdicts[1:])

@@ -1,13 +1,16 @@
-"""CLI surface: ladder parsing, flags and their defaults, exit codes, output determinism."""
+"""CLI and package surface: ladder parsing, flags and their defaults, exit codes,
+output determinism, the exported names."""
 import argparse
 import errno
 import hashlib
 import shlex
+import types
 import warnings
 from pathlib import Path
 
 import pytest
 
+import parimplode
 from parimplode import (
     OracleMismatchError,
     QRSTriple,
@@ -22,7 +25,7 @@ from parimplode import (
     run_recurrences,
     union_bound,
 )
-from parimplode.bands import check, fit_above
+from parimplode.bands import fit_above, judge
 from parimplode.cli import main, parse_ladder
 from parimplode.ioutil import fmt17
 from parimplode.svgplot import loglog_svg
@@ -400,13 +403,13 @@ def _csv_series(path):
 
 @pytest.mark.parametrize("argv, criterion", _BAND_RUNS.values(), ids=_BAND_RUNS)
 def test_band_lines_are_the_checker_verdicts(tmp_path, capsys, argv, criterion):
-    # every run prints check's verdict on each clause, in clause order; only
+    # every run prints judge's verdict on each clause, in clause order; only
     # --assert turns a missed clause into exit 3, naming exactly the missed ones
     csv = tmp_path / "series.csv"
     assert main([*argv, "--out-summary" if argv[0] == "random" else "--out", str(csv)]) == 0
     out = capsys.readouterr().out
     params = {"target": -1.0, "trials": 30} if criterion == "random" else {}
-    verdicts = check(criterion, _csv_series(csv), **params)
+    verdicts = judge(criterion, _csv_series(csv), **params)[0]
     assert [line for line in out.splitlines() if line.startswith("band ")] == [
         f"band {criterion}: {'ok' if ok else 'MISSED'}: {detail}" for ok, detail in verdicts]
     missed = [detail for ok, detail in verdicts if not ok]
@@ -641,3 +644,14 @@ def test_readme_cli_commands_exit_0(monkeypatch, tmp_path, capsys, argv):
     # each documented example runs as written, outputs landing in tmp_path
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_all_exports_resolve_and_none_is_a_module():
+    # `from parimplode import *` binds the public names, not the submodules
+    # that importing them binds on the package
+    assert parimplode.__all__
+    for name in parimplode.__all__:
+        assert not isinstance(getattr(parimplode, name), types.ModuleType), name
+    namespace = {}
+    exec("from parimplode import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(parimplode.__all__)

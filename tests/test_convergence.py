@@ -6,7 +6,6 @@ import pytest
 
 from parimplode import (
     CounterexampleC,
-    DecayFit,
     DegenerateMapError,
     InvalidSpecError,
     NonPositiveValueError,
@@ -18,7 +17,6 @@ from parimplode import (
     SweepError,
     TheoremA,
     TheoremB,
-    fit_decay,
     fit_loglog,
     run_point,
     run_sweep,
@@ -65,24 +63,6 @@ def test_rate_point_validation():
         _point(100, q_N_abs=float("inf"))
 
 
-def test_decay_fit_validation():
-    with pytest.raises(ValueError):
-        DecayFit(slope=-1.0, intercept=0.0, r_squared=1.1, n_points=5)
-    with pytest.raises(ValueError):
-        DecayFit(slope=-1.0, intercept=0.0, r_squared=0.5, n_points=2)
-
-
-def test_fit_decay_recovers_exact_power_law():
-    pts = [_point(100, q_N_abs=1e-2), _point(1000, q_N_abs=1e-3), _point(10000, q_N_abs=1e-4)]
-    fit = fit_decay(pts, "q_N_abs")
-    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.n_points == 3
-    assert math.exp(fit.intercept) == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError, match="unknown RatePoint field"):
-        fit_decay(pts, "qN_abs")
-
-
 def test_fit_loglog_rejects_degenerate_input():
     with pytest.raises(NonPositiveValueError, match="below the floating-point floor"):
         fit_loglog([10, 100, 1000], [1e-3, 0.0, 1e-5])
@@ -93,9 +73,13 @@ def test_fit_loglog_rejects_degenerate_input():
 
 
 def test_fit_loglog_flat_series():
+    # a flat series, then an exact power law: each fit is the line itself
     fit = fit_loglog([10, 100, 1000], [2.0, 2.0, 2.0])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    assert fit.r_squared == 1.0
+    assert math.exp(fit.intercept) == pytest.approx(2.0, rel=1e-12)
+    fit = fit_loglog([100, 1000, 10000], [1e-2, 1e-3, 1e-4])
+    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+    assert math.exp(fit.intercept) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_run_sweep_order_and_validation():

@@ -10,7 +10,6 @@ from parimplode import (
     InvalidSpecError,
     SkewExample,
     SkewOrbitResult,
-    SkewSystem,
     TheoremA,
     TheoremB,
     build_example,
@@ -21,30 +20,23 @@ from parimplode.skew import EXAMPLES, SKEW_CSV_HEADER, induced_schedule, write_s
 
 
 def test_build_example_presets():
+    # one row of the preset table per example: mu, w_0, the 1/N offset of
+    # theta and the power of w in eps^2 (0 for none), at this N
     n = 128
-    ex1 = build_example(1, n)
-    assert ex1.base_multiplier == 1.0
-    assert ex1.fiber_theta_rule == "w_itself" and ex1.fiber_eps_sq_rule == "zero"
-    assert ex1.w0_rule(n) == 1.0 / n
-    ex3 = build_example(3, n)
-    assert ex3.base_multiplier == cmath.exp(2j * math.pi / n)
-    ex4 = build_example(4, n)
-    assert ex4.fiber_eps_sq_rule == "w_fourth"
-    ex5 = build_example(5, n)
-    assert ex5.base_multiplier == -1.0 and ex5.fiber_eps_sq_rule == "w_squared"
+    rot = cmath.exp(2j * math.pi / n)
+    table = {1: (1.0, 1.0 / n, False, 0), 2: (-1.0, -1.0 / n**2, True, 0),
+             3: (rot, rot / n**2, True, 0), 4: (1.0, 1.0 / n, False, 4),
+             5: (-1.0, -1.0 / n**2, True, 2)}
+    assert set(table) == set(EXAMPLES)
+    for ex, row in table.items():
+        system = build_example(ex, n)
+        assert (system.base_multiplier, system.w0_rule(n), system.theta_offset, system.eps_power) == row
     for bad in (0, 6):
         for build in (lambda: build_example(bad, n), lambda: SkewExample(bad)):
             with pytest.raises(InvalidSpecError, match=f"^example: must be 1..5, got {bad}$"):
                 build()
     with pytest.raises(InvalidSpecError):
         build_example(1, 3)
-
-
-def test_skew_system_rule_validation():
-    with pytest.raises(InvalidSpecError):
-        SkewSystem(1.0, "w_cubed", "zero", lambda n: 0.0)
-    with pytest.raises(InvalidSpecError):
-        SkewSystem(1.0, "w_itself", "w_sixth", lambda n: 0.0)
 
 
 def test_base_orbit_closed_form():
