@@ -8,7 +8,7 @@
 import math
 
 from parimplode import CounterexampleC, materialize, run_recurrences, run_sweep
-from parimplode.bands import report
+from parimplode.bands import counterexample_series, report
 
 N = 2000
 triple = run_recurrences(materialize(CounterexampleC("multiplicative_f"), N))
@@ -27,8 +27,6 @@ for fp, gp in zip(f_pts, g_pts):
     print(f"{fp.N:6d}   {fp.coeff_err:.6f}     {gp.coeff_err:.6f}")
 
 print()
-report("counterexample", {"N": ladder, "f_coeff_err": [p.coeff_err for p in f_pts],
-                          "f_qN_abs": [p.q_N_abs for p in f_pts],
-                          "g_coeff_err": [p.coeff_err for p in g_pts]})
+report("counterexample", counterexample_series(f_pts, g_pts))
 print("the additive realization (g) converges; the multiplicative one (f) is pinned")
 print("near 2/pi no matter how large N gets")

@@ -8,7 +8,7 @@
 # Each delta prints the band lines of
 # `parimplode random --delta d --trials 200 --seed 1 --n 200:6400:x2`.
 from parimplode import UniformSymmetric, run_ensemble
-from parimplode.bands import columns, random_target, report
+from parimplode.bands import ensemble_series, random_target, report
 
 NS = [200, 400, 800, 1600, 3200, 6400]
 TRIALS = 200
@@ -22,7 +22,5 @@ for delta in (0.25, 0.5, 1.0):
         print(f"  {s.N:5d}   {s.median_qN:.5f}    {s.q90_qN:.5f}   {s.exceed_count:4d}/{TRIALS}"
               f"   {s.azuma_bound:9.3g}{flag}")
     print(f"the median tracks N^(1/2 - delta) = N^{0.5 - delta:+.2f}")
-    report("random", {**columns(summaries), "union_bound": [s.azuma_bound for s in summaries],
-                      "exceed_frac": [s.exceed_count / s.trials for s in summaries]},
-           random_target(delta), TRIALS)
+    report("random", ensemble_series(summaries), random_target(delta), TRIALS)
     print()

@@ -6,18 +6,20 @@
 # their slope clause reads raw noise rather than a clean rate.  Each
 # example prints the band lines of
 # `parimplode skew --example e --extended --n 100:12800:x2`.
-from parimplode import SkewExample, build_example, run_sweep
-from parimplode.bands import report
+from parimplode import SkewExample, SkewOrbitResult, build_example, run_sweep
+from parimplode.bands import report, skew_series
 
 LADDER = [100, 200, 400, 800, 1600, 3200, 6400, 12800]
 
 for ex in (1, 2, 3, 4, 5):
-    errs = [p.coeff_err for p in run_sweep(SkewExample(ex), LADDER, extended=True)]
-    w_abs = [abs(build_example(ex, n).w_final(n)) for n in LADDER]
+    series = skew_series([SkewOrbitResult(p.N, build_example(ex, p.N).w_final(p.N), p.coeff_err,
+                                          p.sup_err)
+                          for p in run_sweep(SkewExample(ex), LADDER, extended=True)])
+    errs, w_abs = series["fiber_coeff_err"], series["|w_N|"]
     print(f"example {ex}:  fiber_coeff_err {errs[0]:.2e} -> {errs[-1]:.2e}"
           f"   |w_N| {w_abs[0]:.1e} -> {w_abs[-1]:.1e}")
     # example 1's band bounds the error itself and fits no slope
-    report("skew_exact" if ex == 1 else "skew", {"N": LADDER, "fiber_coeff_err": errs, "|w_N|": w_abs})
+    report("skew_exact" if ex == 1 else "skew", series)
 
 print("\nexamples 4 and 5 carry real additive perturbations and decay like 1/N;")
 print("example 1 collapses to the exact rotation (errors at the 1e-10 scale, no slope);")

@@ -3,11 +3,13 @@
 ``judge`` judges a run's series against ``CRITERIA`` and returns the fit a
 plot draws; ``report`` prints its ``band <criterion>: ok|MISSED: <detail>``
 line per clause, the one form in which the CLI and the demos print a
-verdict.  The package's one fit rule is here: a slope is the log-log fit
-over the values above ``FLOOR``, made once per clause.  A decay clause
-whose values all sit at or below the floor passes; any other slope clause
-with fewer than 3 distinct N above the floor fails, and so does a NaN or
-infinite value.
+verdict.  ``columns`` and the ``*_series`` helpers build each criterion's
+series from the library's result rows, for the CLI and the demos alike.
+The package's one fit rule is here: a slope is the log-log fit over the
+values above ``FLOOR``, made once per clause.  A decay clause whose values
+all sit at or below the floor passes; any other slope clause with fewer
+than 3 distinct N above the floor fails, and so does a NaN or infinite
+value.
 """
 from __future__ import annotations
 
@@ -48,6 +50,27 @@ def random_target(delta: float) -> float:
 def columns(rows) -> dict[str, list]:
     """Series by field name from a non-empty list of dataclass rows."""
     return {f.name: [getattr(r, f.name) for r in rows] for f in fields(rows[0])}
+
+
+def ensemble_series(summaries) -> dict[str, list]:
+    """The ``random`` series of an ensemble's summary rows: their columns,
+    the union bound and the share of trials above it."""
+    return {**columns(summaries), "union_bound": [s.azuma_bound for s in summaries],
+            "exceed_frac": [s.exceed_count / s.trials for s in summaries]}
+
+
+def counterexample_series(f_points, g_points) -> dict[str, list]:
+    """The ``counterexample`` series of the multiplicative (f) and additive
+    (g) sweeps of one ladder."""
+    return {"N": [p.N for p in f_points], "f_coeff_err": [p.coeff_err for p in f_points],
+            "f_qN_abs": [p.q_N_abs for p in f_points],
+            "g_coeff_err": [p.coeff_err for p in g_points]}
+
+
+def skew_series(results) -> dict[str, list]:
+    """The ``skew`` and ``skew_exact`` series of ``SkewOrbitResult`` rows."""
+    return {"N": [r.N for r in results], "fiber_coeff_err": [r.fiber_coeff_err for r in results],
+            "|w_N|": [abs(r.w_final) for r in results]}
 
 
 def fit_above(ns, values) -> DecayFit | None:

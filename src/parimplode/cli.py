@@ -43,7 +43,14 @@ import functools
 import math
 import sys
 
-from .bands import columns, random_target, report
+from .bands import (
+    columns,
+    counterexample_series,
+    ensemble_series,
+    random_target,
+    report,
+    skew_series,
+)
 from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
 from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
@@ -198,8 +205,7 @@ def cmd_random(cfg: dict) -> int:
         write_trial_csv(result.records, cfg["out_trials"])
     if cfg["out_summary"]:
         write_summary_csv(summaries, cfg["out_summary"])
-    series = {**columns(summaries), "union_bound": [s.azuma_bound for s in summaries],
-              "exceed_frac": [s.exceed_count / s.trials for s in summaries]}
+    series = ensemble_series(summaries)
     plotted = [(f"{q} |qN|", series["N"], series[f"{q}_qN"]) for q in ("median", "q90")]
     return _report(cfg, "random", series, plotted, f"random delta={delta}", "|q_N| quantiles",
                    target=random_target(delta), trials=trials)
@@ -221,9 +227,7 @@ def cmd_counterexample(cfg: dict) -> int:
                  fmt17(gp.coeff_err), fmt17(gp.q_N_abs))
                 for fp, gp in zip(f_points, g_points))
         write_csv(cfg["out"], COUNTEREXAMPLE_CSV_HEADER, rows)
-    series = {"N": ns, "f_coeff_err": [p.coeff_err for p in f_points],
-              "f_qN_abs": [p.q_N_abs for p in f_points],
-              "g_coeff_err": [p.coeff_err for p in g_points]}
+    series = counterexample_series(f_points, g_points)
     plotted = [(f"{side} coeff_err", ns, series[f"{side}_coeff_err"]) for side in "fg"]
     return _report(cfg, "counterexample", series, plotted,
                    "multiplicative vs additive split schedule", "coeff_err")
@@ -240,11 +244,10 @@ def cmd_skew(cfg: dict) -> int:
               f"fiber_sup_err={res.fiber_sup_err:.6g}")
     if cfg["out"]:
         write_skew_csv(rows, cfg["out"])
-    errs = [res.fiber_coeff_err for _, res in rows]
-    series = {"N": ns, "fiber_coeff_err": errs, "|w_N|": [abs(res.w_final) for _, res in rows]}
+    series = skew_series([res for _, res in rows])
     return _report(cfg, "skew_exact" if example == 1 else "skew", series,
-                   [(f"example {example}", ns, errs)], f"skew example {example}",
-                   "fiber_coeff_err")
+                   [(f"example {example}", ns, series["fiber_coeff_err"])],
+                   f"skew example {example}", "fiber_coeff_err")
 
 
 _ORACLE_BATCH = 256  # schedules drawn per call, so memory stays flat at any --trials

@@ -43,7 +43,7 @@ from parimplode import (
     run_sweep,
     wronskian_residual,
 )
-from parimplode.bands import columns, judge, random_target
+from parimplode.bands import columns, ensemble_series, judge, random_target
 from parimplode.cli import main
 from parimplode.convergence import ORACLE_GATE
 from parimplode.randomlab import MARTINGALE_GATE
@@ -218,11 +218,8 @@ def test_criterion_09_random_ensembles(capsys):
         seed_details = []
         for seed in (1, 2, 3, 4, 5):
             res = run_ensemble(delta, UniformSymmetric(1.0), ns, trials=200, seed=seed)
-            bands_ok, detail = _judge(
-                "random", {"N": ns, "median_qN": [s.median_qN for s in res.summaries],
-                           "exceed_frac": [s.exceed_count / s.trials for s in res.summaries],
-                           "union_bound": [s.azuma_bound for s in res.summaries]},
-                target=random_target(delta), trials=200)
+            bands_ok, detail = _judge("random", ensemble_series(res.summaries),
+                                      target=random_target(delta), trials=200)
             ok = ok and bands_ok
             seed_details.append(f"seed {seed}: {detail}")
         dt = time.perf_counter() - t0

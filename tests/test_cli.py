@@ -12,8 +12,11 @@ import pytest
 
 import parimplode
 from parimplode import (
+    EnsembleSummary,
     OracleMismatchError,
     QRSTriple,
+    RatePoint,
+    SkewOrbitResult,
     UsageError,
     cli,
     coefficients_from_qr,
@@ -25,7 +28,7 @@ from parimplode import (
     run_recurrences,
     union_bound,
 )
-from parimplode.bands import fit_above, judge
+from parimplode.bands import columns, ensemble_series, fit_above, judge, skew_series
 from parimplode.cli import main, parse_ladder
 from parimplode.ioutil import fmt17
 from parimplode.svgplot import loglog_svg
@@ -387,18 +390,20 @@ _BAND_RUNS = {
     "random": (["random", "--delta", "1", "--m", "0.25", "--trials", "30",
                 "--n", "200:800:x2"], "random"),
 }
-# CSV column -> band series, where the names differ
-_SERIES = {"qN_abs": "q_N_abs", "rN_err": "r_N_err", "rN1_err": "r_N1_err",
-           "w_final_abs": "|w_N|", "azuma_bound": "union_bound"}
 
 
-def _csv_series(path):
+def _csv_series(path, command):
+    """The band series of a command's CSV, read back into the result rows the
+    CLI judges; the counterexample CSV's columns are its series already."""
     header, *rows = (line.split(",") for line in path.read_text().splitlines())
-    series = {_SERIES.get(name, name): [(int if name == "N" else float)(row[i]) for row in rows]
-              for i, name in enumerate(header)}
-    if "exceed_count" in series:
-        series["exceed_frac"] = [c / t for c, t in zip(series["exceed_count"], series["trials"])]
-    return series
+    rows = [[int(x) if x.isdigit() else float(x) for x in row] for row in rows]
+    if command == "counterexample":
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    if command == "skew":  # example_id, then SkewOrbitResult with w_final as |w_N|
+        return skew_series([SkewOrbitResult(*row[1:]) for row in rows])
+    if command == "random":
+        return ensemble_series([EnsembleSummary(*row) for row in rows])
+    return columns([RatePoint(*row) for row in rows])
 
 
 @pytest.mark.parametrize("argv, criterion", _BAND_RUNS.values(), ids=_BAND_RUNS)
@@ -409,7 +414,7 @@ def test_band_lines_are_the_checker_verdicts(tmp_path, capsys, argv, criterion):
     assert main([*argv, "--out-summary" if argv[0] == "random" else "--out", str(csv)]) == 0
     out = capsys.readouterr().out
     params = {"target": -1.0, "trials": 30} if criterion == "random" else {}
-    verdicts = judge(criterion, _csv_series(csv), **params)[0]
+    verdicts = judge(criterion, _csv_series(csv, argv[0]), **params)[0]
     assert [line for line in out.splitlines() if line.startswith("band ")] == [
         f"band {criterion}: {'ok' if ok else 'MISSED'}: {detail}" for ok, detail in verdicts]
     missed = [detail for ok, detail in verdicts if not ok]
@@ -435,7 +440,7 @@ def test_the_plot_draws_the_judged_fit(tmp_path):
     csv, svg = tmp_path / "skew.csv", tmp_path / "skew.svg"
     argv = ["skew", "--example", "3", "--extended", "--out", str(csv), "--svg", str(svg)]
     assert main(argv) == 0
-    series = _csv_series(csv)
+    series = _csv_series(csv, "skew")
     fit = fit_above(series["N"], series["fiber_coeff_err"])
     assert f"{fit.slope:+.3f}" == "+2.362"
     assert svg.read_text() == loglog_svg(
