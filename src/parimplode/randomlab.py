@@ -2,9 +2,9 @@
 
 With rho == 1 the increment of ``recurrences`` is d_{k+1} = d_k - eps_k^2 x_k
 and everything is real; ensembles are vectorized across trials and still
-bit-identical to the scalar single-trial path (both take eps_k from
-``RandomSchedule.eps``), because complex arithmetic on exactly-real values
-does the same operations on the real parts, and 1 * d_k is d_k exactly.
+bit-identical to the scalar single-trial path, the plain kernel's real loop
+(both take eps_k from ``RandomSchedule.eps``), because that loop does the
+same operations on floats, and 1 * d_k is d_k exactly.
 
 Every trial of the lab runs in one step-major pass, ``_step_blocks``, over
 steps 1..N in blocks of ``recurrences._BLOCK`` steps.  A block draws its own

@@ -17,7 +17,15 @@ Both kernels keep only the tail that every caller reads: q_N, q_{N+1}, r_N,
 r_{N+1} and prod_{j<=N} rho_j.  The plain binary64 kernel still holds every
 q_k and r_k to the 1e100 overflow limit: a block of steps is checked by a
 bound on its growth from its start, and run again step by step only if that
-bound or its end value fails.
+bound or its end value fails.  It runs one of three loops, picked from the
+input: when every eps_k^2 is zero (Theorem A, the quadratic, skew examples
+1-3 and the counterexample's f side), r stays exactly 1 + 0j and d of q is
+a running product of rho; when every imaginary part is zero (B4, B5 and the
+g side), q and r keep imaginary part +0 and the loop runs on the real parts
+as floats; otherwise it runs on the complex values.  The terms the first
+two skip are zeros, which can change only the sign of a zero, and no part
+of q or r is ever -0, so their tail is the complex loop's bit for bit
+(``_run_plain``).
 
 The ``extended`` kernel runs in fixed-point integers with at least 128
 fraction bits and rounds each tail value once, to the correctly rounded
@@ -49,6 +57,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
 
 import numpy as np
 
@@ -276,8 +287,9 @@ def _blocks(N: int, start: int = 1):
         yield k0, min(k0 + _BLOCK, N + 1)
 
 
-def _plain_steps(rho: list, eps_sq: list, qk: complex, qd: complex, rk: complex, rd: complex):
-    """The binary64 state (q_k, d_k of q, r_k, d_k of r) after the given steps."""
+def _plain_steps(rho: list, eps_sq: list, qk, qd, rk, rd):
+    """The binary64 state (q_k, d_k of q, r_k, d_k of r) after the given steps,
+    as Python complex values, or as floats on the real parts alone."""
     for p, e in zip(rho, eps_sq):
         qd = p * qd - e * qk
         rd = p * rd - e * rk
@@ -286,9 +298,35 @@ def _plain_steps(rho: list, eps_sq: list, qk: complex, qd: complex, rk: complex,
     return qk, qd, rk, rd
 
 
+def _product_steps(rho: list, eps_sq: list, qk: complex, qd: complex, rk: complex, rd: complex):
+    """``_plain_steps`` where every eps_k^2 is zero: d of q is a running
+    product of rho, and r's state is left as it is.
+
+    accumulate forms each d * rho_k, which is CPython's rho_k * d bit for
+    bit, and the fold adds the increments one at a time, as the loop does.
+    """
+    ds = list(accumulate(rho, mul, initial=qd))
+    return reduce(add, ds[1:], qk), ds[-1], rk, rd
+
+
 def _run_plain(seqs: PerturbationSequences) -> np.ndarray:
     """q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j in binary64, as a complex
     array, after checking q_2..q_N and r_2..r_N for overflow.
+
+    One of three loops runs, picked from the input:
+
+    * every eps_k^2 zero: ``_product_steps``.  The complex loop keeps r at
+      exactly 1 + 0j, and its d of q is rho_k d less eps_k^2 x_k, a zero;
+    * every imaginary part zero: ``_plain_steps`` on the real parts, as
+      floats.  The complex loop's d then has zero imaginary parts, which
+      enter its real parts only as zero products;
+    * otherwise ``_plain_steps`` on the complex values.
+
+    A zero term, of either sign, leaves every nonzero finite result as it
+    is and can change only the sign of a zero d (where rho_k < 0, say).  No
+    part of q_k or r_k is ever -0, though: x_1 has none, and x + d is -0
+    only where x is.  So each loop gives the complex loop's tail bit for
+    bit, and the overflow check the same values.
 
     Steps 1..N-1 run in blocks, then step N alone: x_N is kept from before
     it, since x_{N+1} - d_{N+1} need not round back to it.  As
@@ -303,26 +341,30 @@ def _run_plain(seqs: PerturbationSequences) -> np.ndarray:
     rho, eps_sq = seqs.rho, seqs.eps_sq
     headroom = _OVERFLOW_LIMIT / 2 * seqs._growth ** -_BLOCK
     # (x_1, d_1) is (1, 1) for q and (1, 0) for r
-    state = 1 + 0j, 1 + 0j, 1 + 0j, 0j
+    steps, state = _plain_steps, (1 + 0j, 1 + 0j, 1 + 0j, 0j)
+    if not eps_sq.any():
+        steps = _product_steps
+    elif not (rho.imag.any() or eps_sq.imag.any()):
+        rho, eps_sq, state = rho.real, eps_sq.real, (1.0, 1.0, 1.0, 0.0)
     for k0, k1 in _blocks(N - 1):
         block = rho[k0:k1].tolist(), eps_sq[k0:k1].tolist()
-        start, state = state, _plain_steps(*block, *state)
+        start, state = state, steps(*block, *state)
         if not (max(map(abs, start)) <= headroom
                 and abs(state[0]) <= _OVERFLOW_LIMIT and abs(state[2]) <= _OVERFLOW_LIMIT):
-            _rescan(*block, start, k0)
+            _rescan(steps, *block, start, k0)
     q_N, r_N = state[0], state[2]
-    q_N1, _, r_N1, _ = _plain_steps(rho[N:N + 1].tolist(), eps_sq[N:N + 1].tolist(), *state)
+    q_N1, _, r_N1, _ = steps(rho[N:N + 1].tolist(), eps_sq[N:N + 1].tolist(), *state)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.cumprod(np.concatenate(([1 + 0j], rho[1:N + 1])))
+        prod = np.cumprod(np.concatenate(([1 + 0j], seqs.rho[1:N + 1])))
     return np.array([q_N, q_N1, r_N, r_N1, prod[-1]])
 
 
-def _rescan(rho: list, eps_sq: list, state: tuple, k0: int) -> None:
+def _rescan(steps, rho: list, eps_sq: list, state: tuple, k0: int) -> None:
     """Run a block from step k0 one step at a time from ``state`` and raise
     on its first q or r entry past 1e100."""
     q, r = [], []
     for p, e in zip(rho, eps_sq):
-        state = _plain_steps([p], [e], *state)
+        state = steps([p], [e], *state)
         q.append(state[0])
         r.append(state[2])
     _check_overflow(np.array(q), np.array(r), k0 + 1)

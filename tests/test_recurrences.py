@@ -321,17 +321,29 @@ def test_overflow_guard_names_the_entry_a_check_of_every_step_names():
     # Runs of steps that double q (b = 1), shrink it by 2**-0.5 a step
     # (b = -0.5, eps^2 = 1) or take a drawn admissible step, each run up to
     # 400 steps long, so that excursions past 1e100 start and end anywhere
-    # in a block.  The kernel must raise exactly when a check of the
-    # reference loop's whole trajectory does, naming the same entry, and
-    # otherwise return that loop's tail.
+    # in a block.  Each plain loop gets its own draws: the complex one on
+    # these steps about the rotation by 2 pi / N; the running product on
+    # multiplicative steps alone (eps^2 = 0), doubling or drawn; the real
+    # loop on real steps about rho = 1, where b = 1 with eps^2 = -1 grows q
+    # and r about 3.4 times a step (x_{k+1} = 4 x_k - 2 x_{k-1}) and b = -0.5
+    # with eps^2 = 1 shrinks them again.  The kernel must raise exactly when
+    # a check of the reference loop's whole trajectory does, naming the same
+    # entry, and otherwise return that loop's tail.
     unit = st.builds(cmath.rect, st.floats(0, 1), st.floats(-math.pi, math.pi))
-    step = st.one_of(st.just((1 + 0j, 0j)), st.just((-0.5 + 0j, 1 + 0j)), st.tuples(unit, unit))
+    real = st.builds(complex, st.floats(-1, 1))
+    shrink = st.just((-0.5 + 0j, 1 + 0j))
+    step = {
+        "complex": st.one_of(st.just((1 + 0j, 0j)), shrink, st.tuples(unit, unit)),
+        "product": st.one_of(st.just((1 + 0j, 0j)), st.tuples(unit, st.just(0j))),
+        "real": st.one_of(st.just((1 + 0j, -1 + 0j)), shrink, st.tuples(real, real)),
+    }
 
-    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
-    @hypothesis.given(runs=st.lists(st.tuples(step, st.integers(1, 400)), min_size=1, max_size=5))
-    def check(runs):
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), loop=st.sampled_from(sorted(step)))
+    def check(data, loop):
+        runs = data.draw(st.lists(st.tuples(step[loop], st.integers(1, 400)), min_size=1, max_size=5))
         n = sum(length for _, length in runs)
-        base = cmath.exp(2j * math.pi / n)
+        base = 1 + 0j if loop == "real" else cmath.exp(2j * math.pi / n)
         steps = [s for s, length in runs for _ in range(length)]
         rho = np.array([0j] + [base + b for b, _ in steps] + [base])
         seqs = PerturbationSequences(rho, np.array([0j] + [e for _, e in steps] + [0j]), base)
@@ -512,6 +524,27 @@ def _prefix(seqs, n):
     return PerturbationSequences(seqs.rho[:n + 2], seqs.eps_sq[:n + 2], seqs.rho_base)
 
 
+def _record_loops(monkeypatch):
+    """A list that gets the loop of every call the plain kernel makes from
+    now on, one a block of steps: "product" for ``_product_steps``, "real"
+    or "complex" for ``_plain_steps`` on floats or complex values."""
+    from parimplode import recurrences
+
+    loops, plain, product = [], recurrences._plain_steps, recurrences._product_steps
+
+    def recording_plain(rho, eps_sq, qk, *state):
+        loops.append("real" if type(qk) is float else "complex")
+        return plain(rho, eps_sq, qk, *state)
+
+    def recording_product(*args):
+        loops.append("product")
+        return product(*args)
+
+    monkeypatch.setattr(recurrences, "_plain_steps", recording_plain)
+    monkeypatch.setattr(recurrences, "_product_steps", recording_product)
+    return loops
+
+
 def _record_tails(monkeypatch):
     """A list that gets the period of every tail the exact kernel works out
     from now on: 0 for the loop, p for the periodic path at one precision."""
@@ -609,10 +642,11 @@ def test_kernels_bit_identical_across_block_edges(extended):
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
 def test_kernels_hold_no_per_step_objects(extended):
     # The outputs are NaN but for the tail, so what counts is the peak beyond
-    # them.  Plain: at N = 12800 it reads about 1 KB, since one block's inputs
-    # as Python complex values and the cumprod of rho are freed before the
-    # outputs are made; it must stay under one block's worth of them.  One
-    # complex per step held to the end would cost 0.5 MB more.  Exact: at
+    # them.  Plain: at N = 12800 it reads a few KB, since one block's inputs
+    # as Python values and the cumprod of rho are freed before the outputs
+    # are made; it must stay under one block's worth of them on each loop,
+    # the complex one (B3), the running product (A3) and the real one (B5).
+    # One complex per step held to the end would cost 0.5 MB more.  Exact: at
     # N = 2400 it reads about 20 KB, one block's converted inputs and the
     # O(N) numpy temporaries of the fraction-bit rule; one int per step
     # would cost 106 KB more, and six per step 0.6 MB.  B5 is real and
@@ -620,7 +654,7 @@ def test_kernels_hold_no_per_step_objects(extended):
     # same bound.  B4 has period 8 and takes the periodic path, held to the
     # same bound at N = 12800.
     cases = ((TheoremB(3), 2400, 0), (TheoremB(5), 2400, 0), (TheoremB(4), 12800, 8)) \
-        if extended else ((TheoremB(3), 12800, 0),)
+        if extended else ((TheoremB(3), 12800, 0), (TheoremA(3), 12800, 0), (TheoremB(5), 12800, 0))
     for spec, n, period in cases:
         seqs = materialize(spec, n)
         assert not extended or _period(seqs) == period
@@ -659,6 +693,31 @@ def test_plain_kernel_matches_exact_kernel_at_the_reported_n(build, monkeypatch)
         assert err.max() <= 1e-9, (name, err.tolist())
     for triple in (plain, want):
         assert wronskian_residual(triple, n) <= 1e-12
+
+
+_PLAIN_LOOPS = {
+    **dict.fromkeys(("A1", "A2", "A3", "quadratic", "skew1", "skew2", "skew3", "multiplicative_f"),
+                    "product"),
+    **dict.fromkeys(("B4", "B5", "additive_g"), "real"),
+    **dict.fromkeys(("B1", "B2", "B3", "skew4", "skew5", "random"), "complex"),
+}
+
+
+@pytest.mark.parametrize("n", [100, 12800])
+@pytest.mark.parametrize(
+    "name, build",
+    [*_REPORTED, ("random", lambda n: random_small_schedule(n, seed=14, trial=0))],
+    ids=[name for name, _ in _REPORTED] + ["random"])
+def test_plain_kernel_takes_the_loop_its_input_allows(name, build, n, monkeypatch):
+    # Every eps_k^2 is zero for the rotations A1-A3, the quadratic, skew
+    # examples 1-3 and the counterexample's f side; every input is real with
+    # rho_k = 1 for B4, B5 and the g side.  Each must run its short loop alone,
+    # once a block and once for step N.  A loop picked by a test that misread
+    # the input would still be exact, so only these counts show it.
+    seqs = build(n)
+    loops = _record_loops(monkeypatch)
+    _run_plain(seqs)
+    assert loops == [_PLAIN_LOOPS[name]] * (len(range(1, n, _BLOCK)) + 1)
 
 
 # -- the extended kernel on extreme inputs -----------------------------------------
@@ -715,25 +774,81 @@ def test_extended_rounds_a_subnormal_output_once():
     assert _assert_bit_identical(seqs, True, (1, 2)).rho_cumprod[2] == 5e-324
 
 
-def test_extended_matches_two_term_form_on_signed_zeros():
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_kernels_match_their_references_on_signed_zeros(extended, monkeypatch):
     # rho = 1 - 0j and eps^2 = -0 + 0j, -0 - 0j keep q_k = k, r_k = 1 exactly.
     # Zeros of either sign are equal steps, so this schedule has period 1 and
-    # takes the periodic path; with eps_1^2 = 0.5 - 0j no step repeats the
-    # first, the loop runs, and q_k = (k + 1)/2, r_k = (3 - k)/2 exactly.
+    # takes the exact kernel's periodic path; with eps_1^2 = 0.5 - 0j no step
+    # repeats the first, the loop runs, and q_k = (k + 1)/2, r_k = (3 - k)/2
+    # exactly.  The plain kernel runs its running product on the first
+    # schedule and its real loop on the second, and no other loop, though
+    # their tails hold exact zeros (q's imaginary part at every N, and
+    # r_3 = 0 at N = 2 and 3): no loop makes a part of q or r -0.
+    loops = _record_loops(monkeypatch)
     zeros = (complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 0j)
     rho = np.array([0j] + [complex(1.0, -0.0)] * 300 + [1 + 0j])
     eps_sq = np.array([0j] + [zeros[k % 4] for k in range(300)] + [0j])
     seqs = PerturbationSequences(rho, eps_sq, 1.0)
     assert _period(seqs) == 1
-    triple = _assert_bit_identical(seqs, True, range(1, 301))
+    triple = _assert_bit_identical(seqs, extended, range(1, 301))
     assert triple.q.real.tolist() == list(range(302)) and triple.r[1:].real.tolist() == [1.0] * 301
+    assert set(loops) == (set() if extended else {"product"})
     eps_sq[1] = complex(0.5, -0.0)
     seqs = PerturbationSequences(rho, eps_sq, 1.0)
     assert not any(_period(_prefix(seqs, n)) for n in range(1, 301))
-    triple = _assert_bit_identical(seqs, True, range(1, 301))
+    loops.clear()
+    triple = _assert_bit_identical(seqs, extended, range(1, 301))
     k = np.arange(1, 302)
     assert triple.q[1:].real.tolist() == ((k + 1) / 2).tolist()
     assert triple.r[1:].real.tolist() == ((3 - k) / 2).tolist()
+    assert set(loops) == (set() if extended else {"real"})
+
+
+@pytest.mark.parametrize("spec, field, nudge", [
+    (TheoremA(3), "eps_sq", 1e-9j), (TheoremA(3), "eps_sq", 1e-9),
+    (TheoremB(5), "eps_sq", 1e-9j), (TheoremB(5), "rho", 1e-9j)],
+    ids=["A3-eps_sq-imag", "A3-eps_sq-real", "B5-eps_sq-imag", "B5-rho-imag"])
+def test_plain_kernel_takes_a_short_loop_only_when_every_input_allows_it(spec, field, nudge,
+                                                                         monkeypatch):
+    # A3 runs the running product and B5 the real loop.  One input part of
+    # 1e-9 where that loop reads a zero, in the real or the imaginary part of
+    # one eps_k^2 or rho_k, must send the schedule to the complex loop: the
+    # short loop would drop that part.
+    n = 300
+    seqs = materialize(spec, n)
+    inputs = {"rho": seqs.rho.copy(), "eps_sq": seqs.eps_sq.copy()}
+    inputs[field][n // 2] += nudge
+    loops = _record_loops(monkeypatch)
+    _assert_bit_identical(PerturbationSequences(**inputs, rho_base=seqs.rho_base), False,
+                          (n // 2 - 1, n // 2, n // 2 + 1, n))
+    assert set(loops) == {"complex"}
+
+
+def test_plain_kernel_runs_a_real_schedule_with_a_negative_rho_on_the_real_loop(monkeypatch):
+    # With rho_k < 0, rho_k * (d + 0j) has imaginary part -0 where d < 0, so
+    # the complex loop's d can leave +0.  Its q and r cannot: x + d adds a
+    # zero to +0, which gives +0, and d's imaginary part enters the real
+    # parts only as a zero product.  So the real loop still gives the tail
+    # of the complex one.  rho_k = -1 + b_k (rotation by pi) with real b_k
+    # and eps_k^2, and one schedule whose rho_k is positive but at one step.
+    n = 300
+    k = np.arange(n + 2)
+    eps_sq = 0.3 * np.sin(k) + 0j
+    negative = PerturbationSequences(-1 + 0.2 * np.cos(k) + 0j, eps_sq, -1.0)
+    positive = 0.5 + 0.4 * np.cos(k) + 0j
+    positive[n // 2] = -0.3
+    one_negative = PerturbationSequences(positive, eps_sq, 0.5)
+    loops = _record_loops(monkeypatch)
+    for seqs in (negative, one_negative):
+        loops.clear()
+        _assert_bit_identical(seqs, False, (1, 2, 3, 255, 256, 257, n))
+        assert set(loops) == {"real"}
+    # d of q turns -0 on the first schedule's complex loop (at step 2)
+    qk, qd = 1 + 0j, 1 + 0j
+    for p, e in zip(negative.rho[1:3].tolist(), negative.eps_sq[1:3].tolist()):
+        qd = p * qd - e * qk
+        qk += qd
+    assert math.copysign(1.0, qd.imag) < 0 and math.copysign(1.0, qk.imag) > 0
 
 
 @pytest.mark.xfail(strict=True, reason="the exact kernel's error is absolute, about 2**-128 "
@@ -792,17 +907,20 @@ def test_kernels_bit_identical_property():
 
     # signed zeros are drawn on purpose: the kernels must keep their signs.
     # A real schedule (rotation angle 0 or pi, every imaginary part +-0) runs
-    # on the exact kernel's real loop.
+    # on each kernel's real loop, and a multiplicative one (every eps_k^2 a
+    # zero of either sign) on the plain kernel's running product.
     zero = st.sampled_from([0.0, -0.0])
     part = st.one_of(zero, st.floats(-0.7, 0.7))
 
     @hypothesis.settings(max_examples=90, deadline=None, derandomize=True)
-    @hypothesis.given(data=st.data(), real=st.booleans(), extended=st.booleans())
-    def check(data, real, extended):
+    @hypothesis.given(data=st.data(), real=st.booleans(), additive=st.booleans(),
+                      extended=st.booleans())
+    def check(data, real, additive, extended):
         value = st.builds(complex, part, zero if real else part)
         b = data.draw(st.lists(value, min_size=1, max_size=40))
         n = len(b)
-        eps_sq = data.draw(st.lists(value, min_size=n, max_size=n))
+        eps_sq = data.draw(st.lists(value if additive else st.builds(complex, zero, zero),
+                                    min_size=n, max_size=n))
         if real:
             base = complex(data.draw(st.sampled_from([1.0, -1.0])), data.draw(zero))
         else:
