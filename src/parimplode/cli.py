@@ -213,8 +213,6 @@ def cmd_random(cfg: dict) -> int:
 
 def cmd_counterexample(cfg: dict) -> int:
     ns = _rung_ladder(cfg["n"])
-    if any(n % 2 for n in ns):
-        raise UsageError(f"n: counterexample ladder must be even, got {ns}")
     f_points = run_sweep(CounterexampleC("multiplicative_f"), ns,
                          extended=cfg["extended"], max_workers=cfg["threads"])
     g_points = run_sweep(CounterexampleC("additive_g"), ns,

@@ -17,12 +17,12 @@ Both kernels keep only the tail that every caller reads: q_N, q_{N+1}, r_N,
 r_{N+1} and prod_{j<=N} rho_j.  The plain binary64 kernel still holds every
 q_k and r_k to the 1e100 overflow limit: a block of steps is checked by a
 bound on its growth from its start, and run again step by step only if that
-bound or its end value fails.  It runs one of three loops, picked from the
-input: when every eps_k^2 is zero (Theorem A, the quadratic, skew examples
-1-3 and the counterexample's f side), r stays exactly 1 + 0j and d of q is
-a running product of rho; when every imaginary part is zero (B4, B5 and the
-g side), q and r keep imaginary part +0 and the loop runs on the real parts
-as floats; otherwise it runs on the complex values.  The terms the first
+bound fails.  It runs one of three loops, picked from the input: when every
+eps_k^2 is zero (Theorem A, the quadratic, skew examples 1-3 and the
+counterexample's f side), r stays exactly 1 + 0j and d of q is a running
+product of rho; when every imaginary part is zero (B4, B5 and the g side),
+q and r keep imaginary part +0 and the loop runs on the real parts as
+floats; otherwise it runs on the complex values.  The terms the first
 two skip are zeros, which can change only the sign of a zero, and no part
 of q or r is ever -0, so their tail is the complex loop's bit for bit
 (``_run_plain``).
@@ -231,10 +231,11 @@ def _check_overflow(q: np.ndarray, r: np.ndarray, first: int = 0) -> None:
 def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRSTriple:
     """Advance the q and r recurrences for the full composition.
 
-    Both paths make one pass over the schedule in increment form, in blocks
-    of _BLOCK steps, that advances q and r together, and return only the
-    tail: q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j; every earlier entry is
-    NaN (see ``QRSTriple``).  The plain path's tail is bit-identical to the
+    Each path advances q and r together in increment form, in one pass over
+    the schedule in blocks of at most _BLOCK steps, except that the exact
+    path raises a periodic schedule to a power instead.  Both return only
+    the tail: q_N, q_{N+1}, r_N, r_{N+1} and prod rho_j; every earlier entry
+    is NaN (see ``QRSTriple``).  The plain path's tail is bit-identical to the
     straightforward per-sequence loop over numpy scalars, which the test
     suite keeps as a reference.
 
@@ -246,8 +247,7 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
         fraction bits, inputs converted exactly) and round each tail value
         once.  Errors are absolute, about 2**-128 per step, so a value much
         smaller than that, such as a vanishing prod rho_j, loses its digits
-        or reads 0.  A periodic schedule is raised to its power; any other
-        runs a loop, which skips the imaginary parts of a real schedule.
+        or reads 0.  Its loop skips the imaginary parts of a real schedule.
         README gives what a rung and a step cost on each path.
 
     Returns
@@ -271,8 +271,8 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     return QRSTriple(q=q, r=r, rho_cumprod=prod)
 
 
-# Both kernels walk the schedule in blocks of _BLOCK steps and keep only
-# their running state.  A block's Python objects (its inputs as Python
+# Both kernels walk the schedule in blocks of at most _BLOCK steps and keep
+# only their running state.  A block's Python objects (its inputs as Python
 # complex values, or as the exact path's integers) are freed before the next
 # block, so the allocator reuses the same few pages.  Holding one object per
 # step for the whole schedule instead maps fresh memory on every call (about
@@ -281,10 +281,10 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
 _BLOCK = 256
 
 
-def _blocks(N: int, start: int = 1):
-    """(k0, k1) ranges covering steps start..N."""
-    for k0 in range(start, N + 1, _BLOCK):
-        yield k0, min(k0 + _BLOCK, N + 1)
+def _blocks(N: int, start: int = 1, size: int = _BLOCK):
+    """(k0, k1) ranges of ``size`` steps covering steps start..N."""
+    for k0 in range(start, N + 1, size):
+        yield k0, min(k0 + size, N + 1)
 
 
 def _plain_steps(rho: list, eps_sq: list, qk, qd, rk, rd):
@@ -331,26 +331,29 @@ def _run_plain(seqs: PerturbationSequences) -> np.ndarray:
     Steps 1..N-1 run in blocks, then step N alone: x_N is kept from before
     it, since x_{N+1} - d_{N+1} need not round back to it.  As
     max(|x_k|, |d_k|) grows by at most g = ``seqs._growth`` a step, no entry
-    of a block can pass 1e100 if the state at its start is within
-    ``headroom``, 1e100 / (2 g**_BLOCK) (the factor 2 covers the roundings).
-    A non-finite entry lasts to the block's end, as x_{k+1} = x_k + d_{k+1},
-    so the check of the end values sees it.  A block that fails either check
-    runs again one step at a time, and its first entry past 1e100 is named.
+    of a block of L steps can pass 1e100, nor be non-finite, if the state at
+    its start is within ``headroom``, 1e100 / (2 g**L) (the factor 2 covers
+    the roundings).  L is _BLOCK, or less where g**_BLOCK would pass 1e90,
+    so that a block starting within 5e9 passes at any g up to 4, the
+    largest about the unit circle; the built-in schedules have g near 2 and
+    L = _BLOCK.  A block that starts past ``headroom`` runs again one step
+    at a time, and its first entry past 1e100 is named.
     """
     N = seqs.N
     rho, eps_sq = seqs.rho, seqs.eps_sq
-    headroom = _OVERFLOW_LIMIT / 2 * seqs._growth ** -_BLOCK
+    digits = math.log10(seqs._growth)  # so that g**L <= 1e90, or L = 1
+    L = _BLOCK if _BLOCK * digits <= 90 else max(1, int(90 / digits))
+    headroom = _OVERFLOW_LIMIT / 2 * seqs._growth ** -L
     # (x_1, d_1) is (1, 1) for q and (1, 0) for r
     steps, state = _plain_steps, (1 + 0j, 1 + 0j, 1 + 0j, 0j)
     if not eps_sq.any():
         steps = _product_steps
     elif not (rho.imag.any() or eps_sq.imag.any()):
         rho, eps_sq, state = rho.real, eps_sq.real, (1.0, 1.0, 1.0, 0.0)
-    for k0, k1 in _blocks(N - 1):
+    for k0, k1 in _blocks(N - 1, size=L):
         block = rho[k0:k1].tolist(), eps_sq[k0:k1].tolist()
         start, state = state, steps(*block, *state)
-        if not (max(map(abs, start)) <= headroom
-                and abs(state[0]) <= _OVERFLOW_LIMIT and abs(state[2]) <= _OVERFLOW_LIMIT):
+        if not max(map(abs, start)) <= headroom:
             _rescan(steps, *block, start, k0)
     q_N, r_N = state[0], state[2]
     q_N1, _, r_N1, _ = steps(rho[N:N + 1].tolist(), eps_sq[N:N + 1].tolist(), *state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -45,48 +45,45 @@ class UniformSymmetric:
 class TheoremA:
     """Multiplicative-only decay schedules (cases 1..3).
 
-    Case 1: theta_k = 1/N + u_k/N^3 with the bounded bump pattern u_k.
-    Case 2: theta_k = 1/N + c_k/N^2, consecutive pairs cancelling to O(1/N).
-    Case 3: theta_k = 1/N + rot_coeff e^{2 pi i k/N}/N^2 plus an
-        amplitude-scaled cubic remainder (amplitude=0 gives the pure
-        rotating schedule, which converges beyond measurable rates).
+    Case 1: theta_k = 1/N + amplitude u_k/N^3 with the bounded bump pattern u_k.
+    Case 2: theta_k = 1/N + c_k/N^2 with c_k = 1 at odd k and -1 + 1/N at
+        even k, so each consecutive odd/even pair sums to 1/N.
+    Case 3: theta_k = 1/N + e^{2 pi i k/N}/N^2 + amplitude u_k/N^3
+        (amplitude=0 gives the pure rotating schedule, which converges
+        beyond measurable rates).
 
-    A parameter the case does not read must keep its default.
+    Case 2 does not read ``amplitude``, and refuses any value but 1.
     """
 
     case: int
     amplitude: float = 1.0
-    pair_amp: float = 1.0
-    pair_bound: float = 1.0
-    rot_coeff: float = 1.0
 
     def __post_init__(self):
         if self.case not in (1, 2, 3):
             raise InvalidSpecError(f"case: TheoremA has cases 1..3, got {self.case}")
-        _check_params(self, _A_READS[self.case])
+        if not math.isfinite(self.amplitude):
+            raise InvalidSpecError(f"amplitude must be finite, got {self.amplitude}")
+        if self.case == 2 and self.amplitude != 1.0:
+            raise InvalidSpecError(f"amplitude: TheoremA case 2 does not read it, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
 class TheoremB:
     """Mixed schedules (cases 1..5).
 
-    Cases 1..3 reuse the matching TheoremA angles and add a constant
-    eps_k = eps_amp/N^2.  Cases 4..5 are purely additive: theta_k = 0 with
-    eps_k = pi/N plus a cubic (case 4) or mirrored-pair quadratic (case 5)
-    remainder.  A parameter the case does not read must keep its default.
+    Cases 1..3 take the angles of ``TheoremA(case)`` and add a constant
+    eps_k = 1/N^2.  Cases 4..5 are purely additive: theta_k = 0 with
+    eps_k = pi/N plus u_k/N^3 (case 4, the bump pattern of case A1) or
+    c_k/N^2 (case 5), where c_k = sign(N - 2k) + cos(2 pi k/16)/(2N) is
+    antisymmetric about N/2 up to a mirror-symmetric ripple, so that
+    |c_k + c_{N-k}| <= 1/N.
     """
 
     case: int
-    amplitude: float = 1.0
-    eps_amp: float = 1.0
-    pair_amp: float = 1.0
-    pair_bound: float = 1.0
-    rot_coeff: float = 1.0
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5):
             raise InvalidSpecError(f"case: TheoremB has cases 1..5, got {self.case}")
-        _check_params(self, _B_READS[self.case])
 
 
 @dataclass(frozen=True)
@@ -164,23 +161,6 @@ ScheduleSpec = Union[
 ]
 
 
-# the parameters each case reads, as _theorem_angles and _sequences use them
-_A_READS = {1: ("amplitude",), 2: ("pair_amp", "pair_bound"), 3: ("rot_coeff", "amplitude")}
-_B_READS = {**{case: (*reads, "eps_amp") for case, reads in _A_READS.items()},
-            4: ("amplitude",), 5: ("pair_amp", "pair_bound")}
-
-
-def _check_params(spec, reads: tuple[str, ...]) -> None:
-    """Every parameter after ``case`` finite, and at its default unless ``reads`` names it."""
-    for field in fields(spec)[1:]:
-        val = getattr(spec, field.name)
-        if not math.isfinite(val):
-            raise InvalidSpecError(f"{field.name} must be finite, got {val}")
-        if field.name not in reads and val != field.default:
-            raise InvalidSpecError(
-                f"{field.name}: {type(spec).__name__} case {spec.case} does not read it, got {val}")
-
-
 # -- generators ----------------------------------------------------------------
 # The bump pattern u_k has |u_k| <= 1 and a strictly positive mean; schedules
 # with a zero-mean remainder converge one full order faster and would put the
@@ -192,18 +172,18 @@ def _bump_pattern(N: int) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * k / 4.0))
 
 
-def _pair_cancelling(N: int, pair_amp: float, pair_bound: float) -> np.ndarray:
-    # c_{2j-1} = pair_amp, c_{2j} = -pair_amp + pair_bound/N, so each
-    # consecutive odd/even pair sums to pair_bound/N exactly.
+def _pair_cancelling(N: int) -> np.ndarray:
+    # c_{2j-1} = 1, c_{2j} = -1 + 1/N, so each consecutive odd/even pair
+    # sums to 1/N exactly.
     k = np.arange(0, N + 2)
-    return np.where(k % 2 == 1, pair_amp, -pair_amp + pair_bound / N).astype(float)
+    return np.where(k % 2 == 1, 1.0, -1.0 + 1.0 / N)
 
 
-def _mirrored_pairs(N: int, pair_amp: float, pair_bound: float) -> np.ndarray:
+def _mirrored_pairs(N: int) -> np.ndarray:
     # antisymmetric about N/2 plus a mirror-symmetric ripple of size
-    # pair_bound/(2N), so |c_k + c_{N-k}| <= pair_bound/N.
+    # 1/(2N), so |c_k + c_{N-k}| <= 1/N.
     k = np.arange(0, N + 2, dtype=float)
-    return pair_amp * np.sign(N - 2.0 * k) + (pair_bound / (2.0 * N)) * np.cos(2.0 * np.pi * k / 16.0)
+    return np.sign(N - 2.0 * k) + (1.0 / (2.0 * N)) * np.cos(2.0 * np.pi * k / 16.0)
 
 
 def _split_angles(N: int) -> np.ndarray:
@@ -211,13 +191,13 @@ def _split_angles(N: int) -> np.ndarray:
     return np.where(k <= N // 2, math.pi / (N - 1), math.pi / (N + 1)).astype(float)
 
 
-def _theorem_angles(spec, N: int) -> np.ndarray:
+def _theorem_angles(spec: TheoremA, N: int) -> np.ndarray:
     if spec.case == 1:
         return 1.0 / N + spec.amplitude * _bump_pattern(N) / N**3
     if spec.case == 2:
-        return 1.0 / N + _pair_cancelling(N, spec.pair_amp, spec.pair_bound) / N**2
+        return 1.0 / N + _pair_cancelling(N) / N**2
     k = np.arange(0, N + 2, dtype=float)
-    rotating = spec.rot_coeff * np.exp(2j * np.pi * k / N) / N**2
+    rotating = np.exp(2j * np.pi * k / N) / N**2
     return 1.0 / N + rotating + spec.amplitude * _bump_pattern(N) / N**3
 
 
@@ -247,15 +227,15 @@ def _sequences(spec: ScheduleSpec, N: int) -> PerturbationSequences:
 
     if isinstance(spec, TheoremB):
         if spec.case <= 3:
-            theta = _theorem_angles(spec, N)
+            theta = _theorem_angles(TheoremA(spec.case), N)
             rho = np.exp(2j * np.pi * theta)
-            eps = np.full(N + 2, spec.eps_amp / N**2)
+            eps = np.full(N + 2, 1.0 / N**2)
         elif spec.case == 4:
             rho = np.ones(N + 2, dtype=complex)
-            eps = math.pi / N + spec.amplitude * _bump_pattern(N) / N**3
+            eps = math.pi / N + _bump_pattern(N) / N**3
         else:
             rho = np.ones(N + 2, dtype=complex)
-            eps = math.pi / N + _mirrored_pairs(N, spec.pair_amp, spec.pair_bound) / N**2
+            eps = math.pi / N + _mirrored_pairs(N) / N**2
         return PerturbationSequences.from_eps(rho, eps, base)
 
     if isinstance(spec, QuadraticNonconvergent):

@@ -46,10 +46,10 @@ _FLAGS = {
     "diagnose-sum": _SCHEDULE_FLAGS + ["--n"],
 }
 # deleted options and the commands that took them: those that could switch a
-# check off or rescale it, the schedule parameters that no run set (the
-# library's TheoremA/TheoremB still take them), the law and the threshold
-# that no run but the unit tests changed, and --config, a JSON document that
-# gave every flag a second spelling
+# check off or rescale it, the schedule parameters that no run set (constants
+# of TheoremA/TheoremB, all 1, bar TheoremA's amplitude), the law and the
+# threshold that no run but the unit tests changed, and --config, a JSON
+# document that gave every flag a second spelling
 _REMOVED = [("sweep", "--oracle-limit", "0"), ("skew", "--oracle-limit", "0"),
             ("random", "--threshold", "0.25"), ("random", "--lambda-rule", "fixed"),
             ("random", "--lambda-value", "1e-4"), ("random", "--dist", "rademacher"),
@@ -633,9 +633,9 @@ def test_help_lists_every_flag_with_help(capsys, command):
         assert helps[flag] and "".join(helps[flag].split()) in text, flag
 
 
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 # the README's CLI block, one argv per `parimplode ...` line
-_README_BLOCK = (Path(__file__).resolve().parents[1] / "README.md").read_text() \
-    .split("\n## CLI\n", 1)[1].split("```", 2)[1]
+_README_BLOCK = _README.split("\n## CLI\n", 1)[1].split("```", 2)[1]
 _README_COMMANDS = [shlex.split(line)[1:] for line in _README_BLOCK.splitlines()
                     if line.startswith("parimplode ")]
 
@@ -649,6 +649,14 @@ def test_readme_cli_commands_exit_0(monkeypatch, tmp_path, capsys, argv):
     # each documented example runs as written, outputs landing in tmp_path
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_library_tour_prints_the_lines_it_shows(capsys):
+    # the tour runs as written and prints the band lines it shows as comments
+    tour = _README.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line[2:] for line in tour.splitlines() if line.startswith("# band ")]
+    exec(tour, {})
+    assert capsys.readouterr().out.splitlines() == shown and len(shown) == 3
 
 
 def test_all_exports_resolve_and_none_is_a_module():

@@ -261,7 +261,7 @@ def test_additive_resonant_checkpoints():
     # rho == 1, eps = pi/N exactly: the composition closes up and the
     # checkpoint values approach the Chebyshev endpoint pattern at rate 1/N
     n = 400
-    seqs = materialize(TheoremB(4, amplitude=0.0), n)
+    seqs = PerturbationSequences.from_eps(np.ones(n + 2), np.full(n + 2, math.pi / n), 1.0)
     triple = reference_plain(seqs)
     assert abs(triple.q[n]) < 5.0 / n
     assert triple.q[n - 1].real == pytest.approx(1.0, abs=5.0 / n)
@@ -299,10 +299,8 @@ def test_overflow_guard_sees_an_excursion_inside_the_plain_kernel(cut):
     # q doubles for steps 1..cut (rho_k = base + 1, eps_k^2 = 0), past 1e100
     # from k = 333 on, then shrinks by 2**-0.5 a step (rho_k = base - 0.5,
     # eps_k^2 = 1) to |q_600| < 1e100: a check of the tail alone passes it,
-    # and so does the Wronskian gate.  The block of steps 257..512 holds the
-    # peak.  With cut = 400 it ends at |q_513| = 7e103, past the limit; with
-    # cut = 370 it ends at 1.6e90, and only the bound on its growth from its
-    # start sees the excursion.
+    # and so does the Wronskian gate.  The plain kernel checks no value before
+    # the tail, so only the bound on a block's growth from its start sees it.
     n = 600
     base = cmath.exp(2j * math.pi / n)
     k = np.arange(n + 2)
@@ -718,6 +716,25 @@ def test_plain_kernel_takes_the_loop_its_input_allows(name, build, n, monkeypatc
     loops = _record_loops(monkeypatch)
     _run_plain(seqs)
     assert loops == [_PLAIN_LOOPS[name]] * (len(range(1, n, _BLOCK)) + 1)
+
+
+@pytest.mark.parametrize("loop, rho, eps_sq_1", [
+    ("product", 0.5, 0), ("real", 0.5, 0.5), ("complex", 0.5 * cmath.exp(0.3j), 1j)],
+    ids=["product", "real", "complex"])
+def test_plain_kernel_runs_a_bounded_block_once_at_any_growth_bound(loop, rho, eps_sq_1,
+                                                                    monkeypatch):
+    # rho_k about rho_base = 1, with eps_k^2 zero but at step 1, keeps q and r
+    # O(1) while g = seqs._growth is 2.5 to 3.6.  Past g = 2.25 a block of
+    # _BLOCK steps from an O(1) start failed its bound and ran again one step
+    # a call: 2008 calls at N = 2000 on the first schedule, and now 10.
+    n = 2000
+    eps_sq = np.zeros(n + 2, dtype=complex)
+    eps_sq[1] = eps_sq_1
+    seqs = PerturbationSequences(np.full(n + 2, rho), eps_sq, 1.0)
+    assert 2.5 <= seqs._growth <= 4
+    loops = _record_loops(monkeypatch)
+    _assert_bit_identical(seqs, False, (n,))
+    assert set(loops) == {loop} and len(loops) <= len(range(1, n, 100)) + 1
 
 
 # -- the extended kernel on extreme inputs -----------------------------------------

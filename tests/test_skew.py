@@ -1,5 +1,6 @@
 """Skew products: presets, exact base orbits, induced-schedule equivalences."""
 import cmath
+import functools
 import itertools
 import math
 
@@ -8,10 +9,10 @@ import pytest
 
 from parimplode import (
     InvalidSpecError,
+    PerturbationSequences,
     SkewExample,
     SkewOrbitResult,
     TheoremA,
-    TheoremB,
     build_example,
     materialize,
     run_point,
@@ -55,18 +56,26 @@ def test_base_orbit_closed_form():
         assert np.max(np.abs(np.abs(w) - abs(w0))) < 1e-15
 
 
+def _twin(c, e, n):
+    """theta_k = 1/N + c (-1)^k/N^2 and eps_k = e/N^2: a constant angle (c = 0)
+    or TheoremA(2)'s pairs, negated and without their 1/N sum (c = 1)."""
+    theta = 1.0 / n + c * (-1.0) ** np.arange(n + 2) / n**2
+    base = cmath.exp(2j * math.pi / n)
+    return PerturbationSequences.from_eps(np.exp(2j * np.pi * theta), np.full(n + 2, e / n**2), base)
+
+
 @pytest.mark.parametrize("example_id,twin", [
-    (2, TheoremA(2, pair_amp=-1.0, pair_bound=0.0)),
-    (3, TheoremA(3, rot_coeff=1.0, amplitude=0.0)),
-    (4, TheoremB(1, amplitude=0.0, eps_amp=1.0)),
-    (5, TheoremB(2, pair_amp=-1.0, pair_bound=0.0, eps_amp=1.0)),
+    (2, functools.partial(_twin, 1.0, 0.0)),
+    (3, functools.partial(materialize, TheoremA(3, amplitude=0.0))),
+    (4, functools.partial(_twin, 0.0, 1.0)),
+    (5, functools.partial(_twin, 1.0, 1.0)),
 ])
 def test_induced_schedules_reduce_to_deterministic_families(example_id, twin):
-    # each eps-free or quadratic preset collapses to a named deterministic
-    # schedule; agreement must be entrywise, not just statistical
+    # each eps-free or quadratic preset collapses to the pure rotating A3 or
+    # to a _twin schedule; agreement must be entrywise, not just statistical
     n = 96
     skew_seqs = induced_schedule(build_example(example_id, n), n)
-    twin_seqs = materialize(twin, n)
+    twin_seqs = twin(n)
     assert np.max(np.abs(skew_seqs.rho - twin_seqs.rho)) < 1e-15
     assert np.max(np.abs(skew_seqs.eps_sq - twin_seqs.eps_sq)) < 1e-15
 
