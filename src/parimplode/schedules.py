@@ -64,7 +64,8 @@ class TheoremA:
         if not math.isfinite(self.amplitude):
             raise InvalidSpecError(f"amplitude must be finite, got {self.amplitude}")
         if self.case == 2 and self.amplitude != 1.0:
-            raise InvalidSpecError(f"amplitude: TheoremA case 2 does not read it, got {self.amplitude}")
+            raise InvalidSpecError(
+                f"amplitude: TheoremA case 2 does not read it, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
