@@ -7,8 +7,8 @@ ParimplodeError), 3 assertion failure.  Each option is declared once, in
 (handler, help and the default of every field it takes); the parser is built
 from these tables, so argparse alone types, defaults and requires each flag.
 sweep and diagnose-sum build their schedule from --theorem and --case (or
---quadratic-noncvg) alone, at the family's default parameters; the library's
-``TheoremA``/``TheoremB`` take the others.
+--quadratic-noncvg) alone; the library's ``TheoremA`` also takes the
+exact-rotation ``amplitude``.
 
 sweep, random, counterexample and skew end in ``_report``: every run prints,
 through ``bands.report``, a ``band <criterion>: ok|MISSED: <detail>`` line
@@ -27,14 +27,14 @@ The rungs of a ladder, and the oracle's slices of trials, are shared out by
 process each of the others; sweep, counterexample and skew (the schedule
 ``SkewExample``) run theirs through ``convergence.run_sweep``.  --threads, or
 PARIMPLODE_THREADS where it is not given, sets the number of processes, the
-caller included (``skew`` and ``oracle`` read only the variable).  By default
-``random``, ``oracle`` and every ``--extended`` ladder whose top rung does
-not repeat take one process per CPU; the binary64 ladders of sweep,
-counterexample and skew, and the ``--extended`` ladders whose top rung is
-periodic, run inline (README gives the timings).  ``oracle`` cuts each N's
-trials into slices of at most min(_ORACLE_BATCH, ceil(trials / workers)) and
-folds the slice maxima in (N, trial) order, so its line is the same at any
-worker count.
+caller included (``counterexample``, ``skew`` and ``oracle`` read only the
+variable).  By default ``random``, ``oracle`` and every ``--extended`` ladder
+whose top rung does not repeat take one process per CPU; the binary64 ladders
+of sweep, counterexample and skew, and the ``--extended`` ladders whose top
+rung is periodic, run inline (CHANGES.md gives the timings).  ``oracle``
+cuts each N's trials into slices of at most min(_ORACLE_BATCH, ceil(trials /
+workers)) and folds the slice maxima in (N, trial) order, so its line is the
+same at any worker count.
 """
 from __future__ import annotations
 
@@ -213,10 +213,8 @@ def cmd_random(cfg: dict) -> int:
 
 def cmd_counterexample(cfg: dict) -> int:
     ns = _rung_ladder(cfg["n"])
-    f_points = run_sweep(CounterexampleC("multiplicative_f"), ns,
-                         extended=cfg["extended"], max_workers=cfg["threads"])
-    g_points = run_sweep(CounterexampleC("additive_g"), ns,
-                         extended=cfg["extended"], max_workers=cfg["threads"])
+    f_points = run_sweep(CounterexampleC("multiplicative_f"), ns, extended=cfg["extended"])
+    g_points = run_sweep(CounterexampleC("additive_g"), ns, extended=cfg["extended"])
     for fp, gp in zip(f_points, g_points):
         print(f"N={fp.N} f_coeff_err={fp.coeff_err:.6g} f_qN_abs={fp.q_N_abs:.6g} "
               f"g_coeff_err={gp.coeff_err:.6g}")
@@ -335,7 +333,7 @@ _COMMANDS = {
                 "svg": None, "assert": False, "threads": None}),
     "counterexample": (cmd_counterexample, "both sides of the split-angle schedule",
                        {"n": "500:8000:x2", "out": None, "svg": None, "assert": False,
-                        "extended": False, "threads": None}),
+                        "extended": False}),
     "skew": (cmd_skew, "skew-product example ladder",
              {"example": ..., "n": "100:12800:x2", "out": None, "svg": None,
               "assert": False, "extended": False}),

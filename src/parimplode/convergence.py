@@ -147,7 +147,7 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     whose top rung has a period (``recurrences._period``): the kernel raises
     it to its power in about a millisecond a rung, less than a fork costs.
     Any other exact ladder takes one process per CPU, which wins where the
-    kernel steps through its loop (README gives the timings).  The top rung
+    kernel steps through its loop (CHANGES.md gives the timings).  The top rung
     decides, as a schedule can repeat at a low rung alone (skew example 5 at
     N = 100); it is materialized once, for this probe and for its point.  An
     inadmissible top rung runs the ladder inline, which raises the lowest

@@ -16,6 +16,7 @@ faithful; the measured behavior genuinely differs from the target band):
 """
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -26,16 +27,14 @@ from parimplode import (
     PerturbationSequences,
     QuadraticNonconvergent,
     SkewExample,
+    SkewOrbitResult,
     TheoremA,
     TheoremB,
     UniformSymmetric,
     build_example,
     closed_form_T_array,
-    coefficients_from_qr,
-    compose_chain,
     martingale_check,
     materialize,
-    projective_distance,
     random_small_schedule,
     run_ensemble,
     run_point,
@@ -43,7 +42,14 @@ from parimplode import (
     run_sweep,
     wronskian_residual,
 )
-from parimplode.bands import columns, ensemble_series, judge, random_target
+from parimplode.bands import (
+    columns,
+    counterexample_series,
+    ensemble_series,
+    judge,
+    random_target,
+    skew_series,
+)
 from parimplode.cli import main
 from parimplode.convergence import ORACLE_GATE
 from parimplode.randomlab import MARTINGALE_GATE
@@ -70,19 +76,18 @@ def _judge(criterion, series, **params):
 
 
 def test_criterion_01_oracle_equivalence(capsys):
+    # `parimplode oracle` at its defaults: seed 1, 200 trials, N = 16..512;
+    # test_oracle_matches_a_per_trial_replay checks its line against a replay
     t0 = time.perf_counter()
-    worst, worst_at = 0.0, (0, 0)
-    for n in (16, 64, 256, 512):
-        for trial in range(200):
-            seqs = random_small_schedule(n, seed=1, trial=trial)
-            coeffs = coefficients_from_qr(run_recurrences(seqs), n)
-            dev = projective_distance(coeffs, compose_chain(seqs.step_maps()))
-            if dev > worst:
-                worst, worst_at = dev, (n, trial)
+    rc = main(["oracle"])
     dt = time.perf_counter() - t0
-    ok = worst <= ORACLE_GATE and dt <= 10.0
+    out = capsys.readouterr().out
+    worst, n, trial = re.fullmatch(
+        r"oracle: 200 trials x 4 sizes, max projective deviation (\S+) at N=(\d+) trial=(\d+)\n",
+        out).groups()
+    ok = rc == 0 and float(worst) <= ORACLE_GATE and dt <= 10.0
     _report(capsys, 1, "oracle equivalence", ok,
-            f"max deviation {worst:.3e} at N={worst_at[0]} trial={worst_at[1]}, {dt:.1f}s")
+            f"max deviation {worst} at N={n} trial={trial}, {dt:.1f}s")
 
 
 def test_criterion_02_exact_identity(capsys):
@@ -144,9 +149,7 @@ def test_criterion_06_counterexample_dichotomy(capsys):
     ns = [500, 1000, 2000, 4000]
     f_points = run_sweep(CounterexampleC("multiplicative_f"), ns)
     g_points = run_sweep(CounterexampleC("additive_g"), ns)
-    bands_ok, detail = _judge("counterexample", {
-        "N": ns, "f_coeff_err": [p.coeff_err for p in f_points],
-        "f_qN_abs": [p.q_N_abs for p in f_points], "g_coeff_err": [p.coeff_err for p in g_points]})
+    bands_ok, detail = _judge("counterexample", counterexample_series(f_points, g_points))
     n = 2000
     f_dev = abs(run_recurrences(materialize(CounterexampleC("multiplicative_f"), n)).q[n]
                 + 2j / math.pi)
@@ -234,9 +237,9 @@ def test_criterion_10_skew_examples(capsys):
     details, ok = [], True
     for ex in (1, 2, 3, 4, 5):
         points = run_sweep(SkewExample(ex), _LADDER, extended=True)
-        bands_ok, detail = _judge("skew_exact" if ex == 1 else "skew", {
-            "N": _LADDER, "fiber_coeff_err": [p.coeff_err for p in points],
-            "|w_N|": [abs(build_example(ex, n).w_final(n)) for n in _LADDER]})
+        bands_ok, detail = _judge("skew_exact" if ex == 1 else "skew", skew_series(
+            [SkewOrbitResult(p.N, build_example(ex, p.N).w_final(p.N), p.coeff_err, p.sup_err)
+             for p in points]))
         ok = ok and bands_ok
         details.append(f"ex{ex}: {detail}")
     _report(capsys, 10, "skew examples", ok, "; ".join(details))
