@@ -6,6 +6,10 @@ ParimplodeError), 3 assertion failure.  Each option is declared once, in
 ``_OPTIONS`` (flag spec and help), and each subcommand once, in ``_COMMANDS``
 (handler, help and the default of every field it takes); the parser is built
 from these tables, so argparse alone types, defaults and requires each flag.
+A process builds it once (``build_parser``), and every in-process
+``main(argv)`` call reuses it: argparse fills a fresh namespace on each parse
+and formats help when it prints it, and ``main`` looks the handler up in
+``_COMMANDS`` at each call.
 sweep and diagnose-sum build their schedule from --theorem and --case (or
 --quadratic-noncvg) alone; the library's ``TheoremA`` also takes the
 exact-rotation ``amplitude``.
@@ -344,7 +348,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built from ``_OPTIONS`` and ``_COMMANDS``
+    on the first call and returned as is by every later one, so a later edit
+    of a table's flags or help is not seen (``main`` reads the handler per
+    call).  Callers parse with it and do not change it."""
     parser = _Parser(prog="parimplode",
                      description="Non-autonomous perturbed parabolic compositions: "
                                  "rate sweeps, random ensembles, skew products.")
@@ -359,6 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and return
+    its exit code; help and argparse's usage errors raise SystemExit (0 and 1).
+    Every call in a process parses with the one parser ``build_parser`` built."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):

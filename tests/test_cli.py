@@ -3,7 +3,10 @@ output determinism, the exported names."""
 import argparse
 import errno
 import hashlib
+import os
 import shlex
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -17,6 +20,7 @@ from parimplode import (
     QRSTriple,
     RatePoint,
     SkewOrbitResult,
+    TheoremA,
     UsageError,
     cli,
     coefficients_from_qr,
@@ -26,7 +30,9 @@ from parimplode import (
     projective_distance,
     random_small_schedule,
     run_recurrences,
+    run_sweep,
     union_bound,
+    write_rate_csv,
 )
 from parimplode.bands import columns, ensemble_series, fit_above, judge, skew_series
 from parimplode.cli import main, parse_ladder
@@ -574,6 +580,60 @@ def test_help_lists_every_flag_with_help(capsys, command):
     text = "".join(capsys.readouterr().out.split())  # argparse wraps at any width
     for flag in _FLAGS[command]:
         assert helps[flag] and "".join(helps[flag].split()) in text, flag
+
+
+def test_the_reused_parser_carries_nothing_between_calls(monkeypatch, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    ladder = ["--theorem", "A", "--n", "100:400:x2", "--out", "rates.csv"]
+    assert main(["sweep", "--extended", *ladder]) == 0
+    extended = Path("rates.csv").read_bytes()
+    assert main(["sweep", *ladder]) == 0
+    write_rate_csv(run_sweep(TheoremA(1), [100, 200, 400]), "plain.csv")
+    assert Path("rates.csv").read_bytes() == Path("plain.csv").read_bytes() != extended
+    capsys.readouterr()
+
+    def valid():
+        assert main(["sweep", *ladder]) == 0
+        return Path("rates.csv").read_bytes(), capsys.readouterr().out
+
+    first = valid()
+    # a usage error that stops argparse mid-parse, then a help text
+    for argv, code in ((["sweep", "--theorem", "A", "--out", "x.csv"], 1), (["sweep", "--help"], 0)):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+    capsys.readouterr()
+    assert valid() == first
+
+
+_FRESH = {
+    "sweep": ["sweep", "--theorem", "B", "--case", "2", "--n", "100:800:x2", "--out", "out.csv"],
+    "random": ["random", "--delta", "0.5", "--trials", "30", "--n", "200:400:x2",
+               "--out-trials", "trials.csv", "--out-summary", "out.csv"],
+    "oracle": ["oracle", "--trials", "5", "--n-max", "64"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FRESH))
+def test_in_process_runs_match_a_fresh_process(monkeypatch, tmp_path, capsys, command):
+    # what a second main() call in one process writes is what a one-shot
+    # console run writes: exit code, stdout, stderr and every output file
+    def outputs(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    src = str(Path(parimplode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    (tmp_path / "fresh").mkdir()
+    done = subprocess.run([sys.executable, "-m", "parimplode.cli", *_FRESH[command]],
+                          cwd=tmp_path / "fresh", capture_output=True, env=env, timeout=60)
+    fresh = (done.returncode, done.stdout.decode(), done.stderr.decode(), outputs(tmp_path / "fresh"))
+    assert fresh[0] == 0 and fresh[1], fresh[2]
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        code = main(_FRESH[command])
+        assert (code, *capsys.readouterr(), outputs(tmp_path / run)) == fresh, run
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
