@@ -6,15 +6,14 @@
 # their slope clause reads raw noise rather than a clean rate.  Each
 # example prints the band lines of
 # `parimplode skew --example e --extended --n 100:12800:x2`.
-from parimplode import SkewExample, SkewOrbitResult, build_example, run_sweep
+from parimplode import SkewExample, run_sweep
 from parimplode.bands import report, skew_series
+from parimplode.skew import orbit_results
 
 LADDER = [100, 200, 400, 800, 1600, 3200, 6400, 12800]
 
 for ex in (1, 2, 3, 4, 5):
-    series = skew_series([SkewOrbitResult(p.N, build_example(ex, p.N).w_final(p.N), p.coeff_err,
-                                          p.sup_err)
-                          for p in run_sweep(SkewExample(ex), LADDER, extended=True)])
+    series = skew_series(orbit_results(ex, run_sweep(SkewExample(ex), LADDER, extended=True)))
     errs, w_abs = series["fiber_coeff_err"], series["|w_N|"]
     print(f"example {ex}:  fiber_coeff_err {errs[0]:.2e} -> {errs[-1]:.2e}"
           f"   |w_N| {w_abs[0]:.1e} -> {w_abs[-1]:.1e}")

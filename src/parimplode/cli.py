@@ -72,7 +72,7 @@ from .schedules import (
     random_small_schedules,
     summation_diagnostic,
 )
-from .skew import SkewOrbitResult, build_example, write_skew_csv
+from .skew import orbit_results, write_skew_csv
 from .svgplot import loglog_svg
 
 COUNTEREXAMPLE_CSV_HEADER = "N,f_coeff_err,f_qN_abs,g_coeff_err,g_qN_abs"
@@ -236,15 +236,13 @@ def cmd_counterexample(cfg: dict) -> int:
 def cmd_skew(cfg: dict) -> int:
     example = cfg["example"]
     ns = _rung_ladder(cfg["n"])
-    points = run_sweep(SkewExample(example), ns, extended=cfg["extended"])
-    rows = [(example, SkewOrbitResult(p.N, build_example(example, p.N).w_final(p.N),
-                                      p.coeff_err, p.sup_err)) for p in points]
-    for _, res in rows:
+    results = orbit_results(example, run_sweep(SkewExample(example), ns, extended=cfg["extended"]))
+    for res in results:
         print(f"N={res.N} |w_N|={abs(res.w_final):.6g} fiber_coeff_err={res.fiber_coeff_err:.6g} "
               f"fiber_sup_err={res.fiber_sup_err:.6g}")
     if cfg["out"]:
-        write_skew_csv(rows, cfg["out"])
-    series = skew_series([res for _, res in rows])
+        write_skew_csv([(example, res) for res in results], cfg["out"])
+    series = skew_series(results)
     return _report(cfg, "skew_exact" if example == 1 else "skew", series,
                    [(f"example {example}", ns, series["fiber_coeff_err"])],
                    f"skew example {example}", "fiber_coeff_err")

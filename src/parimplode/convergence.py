@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidSpecError, NonPositiveValueError, OracleMismatchError, SweepError
 from .ioutil import fmt17, map_rungs, requested_workers, worker_count, write_csv
 from .mobius import EvalRegion, compose_chain, identity_distance, projective_coeff_error, projective_distance
-from .recurrences import PerturbationSequences, _period, coefficients_from_qr, run_recurrences, wronskian_residual
+from .recurrences import PerturbationSequences, coefficients_from_qr, run_recurrences, wronskian_residual
 from .schedules import ScheduleSpec, materialize
 
 RATE_CSV_HEADER = "N,coeff_err,sup_err,qN_abs,qN1_err,rN_err,rN1_err,wronskian_resid"
@@ -144,14 +144,14 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
     The points run through ``map_rungs`` on ``max_workers`` processes, the
     caller included, else on PARIMPLODE_THREADS.  Without either, the
     binary64 path runs inline, and so does an exact (``extended``) ladder
-    whose top rung has a period (``recurrences._period``): the kernel raises
-    it to its power in about a millisecond a rung, less than a fork costs.
-    Any other exact ladder takes one process per CPU, which wins where the
-    kernel steps through its loop (CHANGES.md gives the timings).  The top rung
-    decides, as a schedule can repeat at a low rung alone (skew example 5 at
-    N = 100); it is materialized once, for this probe and for its point.  An
-    inadmissible top rung runs the ladder inline, which raises the lowest
-    such rung's error.
+    whose top rung has a period (``PerturbationSequences.period``): the
+    kernel raises it to its power in about a millisecond a rung, less than
+    a fork costs.  Any other exact ladder takes one process per CPU, which
+    wins where the kernel steps through its loop (CHANGES.md gives the
+    timings).  The top rung decides, as a schedule can repeat at a low rung
+    alone (skew example 5 at N = 100); it is materialized and its period
+    scanned once, for this probe and for its point.  An inadmissible top
+    rung runs the ladder inline, which raises the lowest such rung's error.
     """
     check_ladder(Ns)
     workers, top = requested_workers(max_workers), None
@@ -161,7 +161,7 @@ def run_sweep(spec: ScheduleSpec, Ns: list[int], *, extended: bool = False,
         except InvalidSpecError:
             pass  # inline
         else:
-            if not _period(top):
+            if not top.period:
                 workers = worker_count()
     outcomes = map_rungs(functools.partial(_attempt, spec, extended, top), Ns, workers or 1)
     failures = [(n, out) for n, out in zip(Ns, outcomes) if isinstance(out, Exception)]

@@ -96,7 +96,7 @@ class PerturbationSequences:
         a NaN rho_base makes it).
     """
 
-    __slots__ = ("_rho", "_eps_sq", "_rho_base", "_growth")
+    __slots__ = ("_rho", "_eps_sq", "_rho_base", "_growth", "_real", "_least_period")
 
     def __init__(self, rho, eps_sq, rho_base: complex):
         rho = np.array(rho, dtype=complex)
@@ -126,6 +126,9 @@ class PerturbationSequences:
         # max(|x_k|, |d_k|) grow by at most this factor a step, since
         # |rho_k| <= |rho_base| + |b_k|; the plain kernel's overflow guard reads it
         self._growth = 1.0 + abs(rho_base) + b_max + e_max
+        # every imaginary part zero: both kernels then run on the real parts
+        self._real = not (rho.imag.any() or eps_sq.imag.any())
+        self._least_period = None  # scanned on the first read of ``period``
 
     @classmethod
     def from_eps(cls, rho, eps, rho_base: complex) -> "PerturbationSequences":
@@ -148,6 +151,13 @@ class PerturbationSequences:
     @property
     def rho_base(self) -> complex:
         return self._rho_base
+
+    @property
+    def period(self) -> int:
+        """The least period p <= N/2 of the steps, or 0 (``_period``)."""
+        if self._least_period is None:
+            self._least_period = _period(self)
+        return self._least_period
 
     @property
     def b(self) -> np.ndarray:
@@ -287,10 +297,10 @@ def _blocks(N: int, start: int = 1, size: int = _BLOCK):
         yield k0, min(k0 + size, N + 1)
 
 
-def _plain_steps(rho: list, eps_sq: list, qk, qd, rk, rd):
+def _plain_steps(rho: np.ndarray, eps_sq: np.ndarray, qk, qd, rk, rd):
     """The binary64 state (q_k, d_k of q, r_k, d_k of r) after the given steps,
     as Python complex values, or as floats on the real parts alone."""
-    for p, e in zip(rho, eps_sq):
+    for p, e in zip(rho.tolist(), eps_sq.tolist()):
         qd = p * qd - e * qk
         rd = p * rd - e * rk
         qk += qd
@@ -298,14 +308,14 @@ def _plain_steps(rho: list, eps_sq: list, qk, qd, rk, rd):
     return qk, qd, rk, rd
 
 
-def _product_steps(rho: list, eps_sq: list, qk: complex, qd: complex, rk: complex, rd: complex):
+def _product_steps(rho: np.ndarray, eps_sq: np.ndarray, qk, qd, rk, rd):
     """``_plain_steps`` where every eps_k^2 is zero: d of q is a running
-    product of rho, and r's state is left as it is.
+    product of rho, and r's state is left as it is; eps_sq is not read.
 
     accumulate forms each d * rho_k, which is CPython's rho_k * d bit for
     bit, and the fold adds the increments one at a time, as the loop does.
     """
-    ds = list(accumulate(rho, mul, initial=qd))
+    ds = list(accumulate(rho.tolist(), mul, initial=qd))
     return reduce(add, ds[1:], qk), ds[-1], rk, rd
 
 
@@ -348,26 +358,26 @@ def _run_plain(seqs: PerturbationSequences) -> np.ndarray:
     steps, state = _plain_steps, (1 + 0j, 1 + 0j, 1 + 0j, 0j)
     if not eps_sq.any():
         steps = _product_steps
-    elif not (rho.imag.any() or eps_sq.imag.any()):
+    elif seqs._real:
         rho, eps_sq, state = rho.real, eps_sq.real, (1.0, 1.0, 1.0, 0.0)
     for k0, k1 in _blocks(N - 1, size=L):
-        block = rho[k0:k1].tolist(), eps_sq[k0:k1].tolist()
+        block = rho[k0:k1], eps_sq[k0:k1]
         start, state = state, steps(*block, *state)
         if not max(map(abs, start)) <= headroom:
             _rescan(steps, *block, start, k0)
     q_N, r_N = state[0], state[2]
-    q_N1, _, r_N1, _ = steps(rho[N:N + 1].tolist(), eps_sq[N:N + 1].tolist(), *state)
+    q_N1, _, r_N1, _ = steps(rho[N:N + 1], eps_sq[N:N + 1], *state)
     with np.errstate(over="ignore", invalid="ignore"):
         prod = np.cumprod(np.concatenate(([1 + 0j], seqs.rho[1:N + 1])))
     return np.array([q_N, q_N1, r_N, r_N1, prod[-1]])
 
 
-def _rescan(steps, rho: list, eps_sq: list, state: tuple, k0: int) -> None:
+def _rescan(steps, rho: np.ndarray, eps_sq: np.ndarray, state: tuple, k0: int) -> None:
     """Run a block from step k0 one step at a time from ``state`` and raise
     on its first q or r entry past 1e100."""
     q, r = [], []
-    for p, e in zip(rho, eps_sq):
-        state = steps([p], [e], *state)
+    for k in range(rho.size):
+        state = steps(rho[k:k + 1], eps_sq[k:k + 1], *state)
         q.append(state[0])
         r.append(state[2])
     _check_overflow(np.array(q), np.array(r), k0 + 1)
@@ -422,11 +432,11 @@ def _run_extended(seqs: PerturbationSequences):
     # Every imaginary lane starts at 0, and it stays 0 while each input's
     # imaginary part is 0 (of either sign): then the real loop of _advance
     # makes the integers the complex one would, with 5 products a step, not 20.
-    real = not (seqs.rho.imag.any() or seqs.eps_sq.imag.any())
+    real = seqs._real
     rho, eps_sq = (x.real if real else x for x in (seqs.rho, seqs.eps_sq))
     # A periodic schedule's tail stands when 64 more fraction bits round
     # it alike (Ziv's test); otherwise, and on any other schedule, the loop runs.
-    p = _period(seqs)
+    p = seqs.period
     G = F + 64 + 2 * N.bit_length()
     tail = _tail(rho, eps_sq, N, p, G, real) if p else None
     if tail is None or tail.tobytes() != _tail(rho, eps_sq, N, p, G + 64, real).tobytes():

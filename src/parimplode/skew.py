@@ -3,8 +3,9 @@
 The base orbit is evaluated in closed form (w_k = mu^k * w_0) and the fiber
 consumes w_{k-1} (the parameter seen before applying step k).  This module
 holds only the five presets (constant, alternating and rotating bases, with
-and without additive perturbations) and their induced schedules, which
-``schedules.SkewExample`` hands to the shared pipeline like any other spec.
+and without additive perturbations), their induced schedules, which
+``schedules.SkewExample`` hands to the shared pipeline like any other spec,
+and the rows read off that pipeline's points (``orbit_results``).
 """
 from __future__ import annotations
 
@@ -88,6 +89,13 @@ def induced_schedule(sys: SkewSystem, N: int) -> PerturbationSequences:
     if sys.eps_power:
         eps_sq[1:] = w**sys.eps_power
     return PerturbationSequences(rho, eps_sq, cmath.exp(2j * math.pi / N))
+
+
+def orbit_results(example_id: int, points) -> list[SkewOrbitResult]:
+    """The rows of a ladder of ``SkewExample(example_id)``, from its
+    ``run_sweep`` points: each rung's N and w_N, and its fiber errors."""
+    return [SkewOrbitResult(p.N, build_example(example_id, p.N).w_final(p.N), p.coeff_err, p.sup_err)
+            for p in points]
 
 
 def write_skew_csv(rows: list[tuple[int, SkewOrbitResult]], path: str) -> None:

@@ -27,11 +27,9 @@ from parimplode import (
     PerturbationSequences,
     QuadraticNonconvergent,
     SkewExample,
-    SkewOrbitResult,
     TheoremA,
     TheoremB,
     UniformSymmetric,
-    build_example,
     closed_form_T_array,
     martingale_check,
     materialize,
@@ -54,6 +52,7 @@ from parimplode.cli import main
 from parimplode.convergence import ORACLE_GATE
 from parimplode.randomlab import MARTINGALE_GATE
 from parimplode.recurrences import WRONSKIAN_GATE
+from parimplode.skew import orbit_results
 
 from conftest import reference_plain
 
@@ -237,9 +236,8 @@ def test_criterion_10_skew_examples(capsys):
     details, ok = [], True
     for ex in (1, 2, 3, 4, 5):
         points = run_sweep(SkewExample(ex), _LADDER, extended=True)
-        bands_ok, detail = _judge("skew_exact" if ex == 1 else "skew", skew_series(
-            [SkewOrbitResult(p.N, build_example(ex, p.N).w_final(p.N), p.coeff_err, p.sup_err)
-             for p in points]))
+        bands_ok, detail = _judge("skew_exact" if ex == 1 else "skew",
+                                  skew_series(orbit_results(ex, points)))
         ok = ok and bands_ok
         details.append(f"ex{ex}: {detail}")
     _report(capsys, 10, "skew examples", ok, "; ".join(details))

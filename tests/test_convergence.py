@@ -154,22 +154,28 @@ def test_run_sweep_reads_the_period_of_the_top_rung(two_cpus, watch_pids):
 @pytest.mark.parametrize("workers", [None, 2])
 @pytest.mark.parametrize("spec", [TheoremB(1), TheoremB(5)], ids=["periodic", "aperiodic"])
 def test_run_sweep_materializes_each_rung_once(monkeypatch, tmp_path, two_cpus, spec, workers):
-    # the top rung the default count's probe builds is the one its point
-    # runs on; the log is a file, so forked workers' calls show in it
-    from parimplode import convergence
+    # the top rung the default count's probe builds, and scans for a period,
+    # is the one its point runs on; the log is a file, so forked workers'
+    # calls show in it
+    from parimplode import convergence, recurrences
 
-    log = tmp_path / "materialized"
-    real = convergence.materialize
+    log = tmp_path / "log"
 
-    def logged(spec, n):
-        with open(log, "a") as fh:
-            fh.write(f"{n}\n")
-        return real(spec, n)
+    def logged(kind, fn, n_of):
+        def call(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {n_of(*args)}\n")
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(convergence, "materialize", logged)
+    monkeypatch.setattr(convergence, "materialize",
+                        logged("materialize", convergence.materialize, lambda spec, n: n))
+    monkeypatch.setattr(recurrences, "_period", logged("scan", recurrences._period, lambda seqs: seqs.N))
     ns = [100, 200, 400, 800]
     run_sweep(spec, ns, extended=True, max_workers=workers)
-    assert sorted(int(n) for n in log.read_text().split()) == ns
+    lines = [line.split() for line in log.read_text().splitlines()]
+    for kind in ("materialize", "scan"):
+        assert sorted(int(n) for k, n in lines if k == kind) == ns
 
 
 def _failures(err: SweepError):
