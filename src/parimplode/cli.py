@@ -26,6 +26,8 @@ composition (``convergence.run_point``), and ``random`` counts a trial's
 exceedance max_n |delta_n| / lambda_n >= 1 at the one threshold of the union
 bound it reports, the proof's lambda_n = sqrt(2n) N^(-(3/2+delta/2)).
 
+A ladder (--n) is one integer N, or start:end:xK with an integer K >= 2:
+start, start*K, start*K^2, ... up to end (``parse_ladder``).
 The rungs of a ladder, and the oracle's slices of trials, are shared out by
 ``ioutil.map_rungs``: the calling process runs one share and a forked worker
 process each of the others; sweep, counterexample and skew (the schedule
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from .bands import (
@@ -84,54 +85,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_ladder(text: str) -> list[int]:
-    """'1000' | 'start:end:xFACTOR' (geometric) | 'start:end:+STEP' (arithmetic)."""
-    text = text.strip()
-    if ":" not in text:
-        try:
-            return [int(text)]
-        except ValueError:
-            raise UsageError(f"n: expected an integer or start:end:step ladder, got {text!r}") from None
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"n: ladder must be start:end:xFACTOR or start:end:+STEP, got {text!r}")
+    """One integer N, or 'start:end:xK' with integers start, end and K >= 2:
+    start, start*K, start*K^2, ... up to end.  A start below 1 ends the
+    ladder at its first rung, which ``check_ladder`` refuses."""
+    parts = text.strip().split(":")
     try:
-        start, end = int(parts[0]), int(parts[1])
+        if len(parts) == 1:
+            return [int(parts[0])]
+        if len(parts) != 3 or not parts[2].startswith("x"):
+            raise ValueError(text)
+        start, end, factor = int(parts[0]), int(parts[1]), int(parts[2][1:])
     except ValueError:
-        raise UsageError(f"n: non-integer ladder endpoints in {text!r}") from None
-    rule = parts[2]
-    ns: list[int] = []
-    if rule.startswith("x"):
-        try:
-            factor = float(rule[1:])
-        except ValueError:
-            raise UsageError(f"n: bad geometric factor in {text!r}") from None
-        if not math.isfinite(factor):
-            raise UsageError(f"n: geometric factor must be finite, got {text!r}")
-        if factor <= 1.0:
-            raise UsageError("n: geometric factor must be > 1")
-        cur = start
-        while cur <= end:
-            ns.append(cur)
-            nxt = int(round(cur * factor))
-            if nxt <= cur:
-                # no factor grows a rung below 1, which check_ladder rejects
-                if 0 < cur < end:
-                    raise UsageError(f"n: ladder {text!r} stalls at {cur}: "
-                                     f"x{rule[1:]} rounds it back to {nxt}")
-                break
-            cur = nxt
-    elif rule.startswith("+"):
-        try:
-            step = int(rule[1:])
-        except ValueError:
-            raise UsageError(f"n: bad arithmetic step in {text!r}") from None
-        if step <= 0:
-            raise UsageError("n: arithmetic step must be positive")
-        ns = list(range(start, end + 1, step))
-    else:
-        raise UsageError(f"n: ladder step must start with 'x' or '+', got {rule!r}")
-    if not ns:
+        raise UsageError(f"n: expected N or start:end:xK with integers, got {text!r}") from None
+    if factor < 2:
+        raise UsageError(f"n: the factor K of start:end:xK must be >= 2, got {text!r}")
+    if start > end:
         raise UsageError(f"n: ladder {text!r} is empty")
+    ns = [start]
+    while ns[-1] > 0 and ns[-1] * factor <= end:  # no factor grows a rung below 1
+        ns.append(ns[-1] * factor)
     return ns
 
 
@@ -155,7 +127,7 @@ def _build_deterministic_spec(cfg: dict):
     if cfg["theorem"] is None:
         raise UsageError("theorem: choose --theorem A|B or --quadratic-noncvg")
     case = cfg["case"] if cfg["case"] is not None else 1
-    family = TheoremA if cfg["theorem"].upper() == "A" else TheoremB
+    family = TheoremA if cfg["theorem"] == "A" else TheoremB
     try:
         return family(case)
     except InvalidSpecError as exc:
@@ -303,10 +275,11 @@ _ON = {"action": "store_true"}
 
 # field -> (add_argument keywords, help); the flag is --field with '_' -> '-'
 _OPTIONS = {
-    "theorem": ({"choices": ["A", "B", "a", "b"]}, "deterministic schedule family"),
+    "theorem": ({"choices": ["A", "B"]}, "deterministic schedule family"),
     "case": ({"type": int}, "case number within the family"),
     "quadratic_noncvg": (_ON, "constant-angle non-convergent schedule"),
-    "n": ({}, "N ladder: single value, start:end:xFACTOR, or start:end:+STEP"),
+    "n": ({}, "N ladder: one integer N, or start:end:xK, which runs start, start*K, "
+               "... up to end (integer K >= 2)"),
     "out": ({}, "CSV output path"),
     "svg": ({}, "SVG plot output path"),
     "assert": (_ON, "exit 3 if the pre-registered acceptance band fails"),

@@ -123,10 +123,12 @@ def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
     if not rows:
         raise ValueError("compose_chain requires at least one map")
     (a, b), c, d = rows[0], -1 + 0j, 1 + 0j
-    for i, (ma, mb) in enumerate(rows[1:], start=2):
-        # row times current, current applied first
-        a, b, c, d = ma * a + mb * c, ma * b + mb * d, c - a, d - b
-        if i % _RENORM_EVERY == 0:
+    # block i folds maps i - 63..i (the first from map 2), then renormalizes if full
+    for i in range(_RENORM_EVERY, len(rows) + _RENORM_EVERY, _RENORM_EVERY):
+        for ma, mb in rows[max(1, i - _RENORM_EVERY):i]:
+            # row times current, current applied first
+            a, b, c, d = ma * a + mb * c, ma * b + mb * d, c - a, d - b
+        if i <= len(rows):
             scale = max(abs(a), abs(b), abs(c), abs(d))
             if scale == 0 or not math.isfinite(scale):
                 raise DegenerateMapError(f"chain product degenerated at step {i}")

@@ -4,7 +4,9 @@ With rho == 1 the increment of ``recurrences`` is d_{k+1} = d_k - eps_k^2 x_k
 and everything is real; ensembles are vectorized across trials and still
 bit-identical to the scalar single-trial path, the plain kernel's real loop
 (both take eps_k from ``RandomSchedule.eps``), because that loop does the
-same operations on floats, and 1 * d_k is d_k exactly.
+same operations on floats, and 1 * d_k is d_k exactly.  An ensemble also
+refuses what that path refuses: a rung that ``materialize`` refuses for some
+trial, and each trial whose q_k or r_k passes 1e100 (``run_ensemble``).
 
 Every trial of the lab runs in one step-major pass, ``_step_blocks``, over
 steps 1..N in blocks of ``recurrences._BLOCK`` steps.  A block draws its own
@@ -21,6 +23,7 @@ same records in the same order as one run inline.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -32,8 +35,8 @@ from .convergence import check_ladder
 from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
 from .mobius import NORMALIZATION_FLOOR
-from .recurrences import _BLOCK, _blocks
-from .schedules import RandomSchedule, UniformSymmetric
+from .recurrences import _BLOCK, _OVERFLOW_LIMIT, _blocks, _check_overflow, _check_steps
+from .schedules import RandomSchedule, UniformSymmetric, materialize
 
 MARTINGALE_GATE = 1e-8  # largest martingale identity residual martingale_check accepts
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
@@ -114,13 +117,20 @@ def union_bound(N: int, delta: float, M: float) -> float:
     return (N + 1) * azuma_tail_bound(lam, N + 1, N, delta, M)
 
 
-def _step_blocks(spec: RandomSchedule, N: int, trials: int):
+def _step_blocks(spec: RandomSchedule, N: int, trials: int, seen: dict | None = None):
     """Yield (k0, rows, d, partial) per block of steps k = k0..k0+nb-1.
 
     Row j of ``rows`` (nb+2 of them) holds q_{k0-1+j} of every trial, then
     r_{k0-1+j}; d[j] = 4 sin^2(pi/(2N)) - eps_k^2 = (2 - eps_k^2) - 2 cos(pi/N)
     and partial[j] = delta_{k+1} at k = k0+j.  ``rows`` is a view that the
     next block overwrites.
+
+    A dict ``seen`` gets what the scalar path checks: ``e_max``, each trial's
+    largest eps_k^2 over steps 1..N+1, and ``failed``, the
+    ``run_recurrences`` message of each trial whose q_k or r_k passes 1e100.
+    As in the plain kernel, a block's rows are scanned only if its start
+    passes 1e100 / (2 g^nb): with rho_k = 1, max(|x_k|, |d_k|) grows by at
+    most g = 2 + eps_k^2 a step.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
@@ -138,21 +148,33 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int):
     rows = list(x)
     # the k = 0 term of delta_n is d_0 q_0 = 0, so the running sum starts at 0
     partial = np.zeros(trials, dtype=complex)
+    # eps_{N+1}, which no step reads, starts each trial's largest eps_k^2
+    e_max = spec.eps(N, t_idx, np.array([N + 1], dtype=np.uint64))
+    failed: dict[int, str] = {}
+    if seen is not None:
+        seen.update(e_max=e_max, failed=failed)
+    with np.errstate(over="ignore"):
+        e_max *= e_max
     nb = 0
     for k0, k1 in _blocks(N):
         if nb:
             x[:2] = x[nb:nb + 2]
         nb = k1 - k0
         eps = spec.eps(N, t_idx[None, :], np.arange(k0, k1, dtype=np.uint64)[:, None])
-        es = eps * eps
-        d = gap - es
         with np.errstate(over="ignore", invalid="ignore"):
+            es = eps * eps
+            d = gap - es
+            es_top = es.max(axis=0)
+            np.maximum(e_max, es_top, out=e_max)
+            start = max(np.abs(x[1]).max(), np.abs(inc).max())
             # three row ops advance both recurrences of every trial (rho_k = 1);
             # eps_k^2 is laid out q then r, like the rows
             for e, xk, xn in zip(np.hstack((es, es)), rows[1:], rows[2:]):
                 np.multiply(e, xk, out=es_x)
                 np.subtract(inc, es_x, out=inc)
                 np.add(xk, inc, out=xn)
+            if not start <= _OVERFLOW_LIMIT / 2 * (2.0 + es_top.max()) ** -nb:
+                _name_overflows(x[2:nb + 2], k0 + 1, failed)
             terms = d * x[1:nb + 1, :trials] * phases[k0:k1, None]
             terms[0] += partial
             np.cumsum(terms, axis=0, out=terms)
@@ -160,8 +182,38 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int):
         yield k0, x[:nb + 2], d, terms
 
 
+def _name_overflows(rows: np.ndarray, first: int, failed: dict) -> None:
+    """Add to ``failed`` each trial not yet in it with an entry of ``rows``
+    (q_first.. of every trial, then r_first..) past 1e100 or non-finite,
+    with ``run_recurrences``' message, which names its first such entry."""
+    trials = rows.shape[1] // 2
+    bad = ~(np.abs(rows) <= _OVERFLOW_LIMIT).all(axis=0)
+    for t in np.flatnonzero(bad[:trials] | bad[trials:]).tolist():
+        if t not in failed:
+            try:
+                _check_overflow(rows[:, t], rows[:, trials + t], first)
+            except RecurrenceOverflowError as exc:
+                failed[t] = str(exc)
+
+
+def _refuse(spec: RandomSchedule, N: int, e_max: np.ndarray) -> None:
+    """Raise the InvalidSpecError that ``materialize`` raises at N for the
+    lowest trial of ``spec`` it refuses, if any, from each trial's largest
+    eps_k^2 over steps 1..N+1, by the rule of ``recurrences._check_steps``.
+    rho_k = 1 at every step, so one step of it stands for all of them."""
+    try:
+        _check_steps(np.ones(1), e_max, cmath.exp(2j * math.pi / N))
+    except InvalidSpecError:
+        # a square past the binary64 range is refused as non-finite, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trial in range(e_max.size):
+                materialize(dataclasses.replace(spec, trial=trial), N)
+        raise
+
+
 def _run_trials_at(N: int, delta: float, dist: UniformSymmetric, trials: int, seed: int):
-    blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
+    seen: dict = {}
+    blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials, seen)
     lam = proof_lambda(np.arange(1, N + 2), N, delta)
     # running maximum of |delta_n| / lambda_n over n = 1..N+1; delta_1 = 0
     ratio_max = np.zeros(trials)
@@ -180,7 +232,7 @@ def _run_trials_at(N: int, delta: float, dist: UniformSymmetric, trials: int, se
 
     ok = (np.isfinite(q_N) & np.isfinite(q_N1) & np.isfinite(ce)
           & (np.abs(d_coef) > NORMALIZATION_FLOOR))
-    return {"q_N": q_N, "q_N1": q_N1, "coeff_err": ce, "exceeded": exceeded, "ok": ok}
+    return {"q_N": q_N, "q_N1": q_N1, "coeff_err": ce, "exceeded": exceeded, "ok": ok, **seen}
 
 
 def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: int, seed: int, *,
@@ -189,11 +241,14 @@ def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: in
 
     Returns summaries (one per N), all per-trial records, and a list of
     (N, trial, message) failures; failed trials are excluded from the
-    quantiles and counts.  A rung where every trial fails has no quantiles
-    and raises RecurrenceOverflowError naming its N.  The exceedance event
-    for a trial is max_n |delta_n| / lambda_n >= 1, with the proof's lambda_n
-    (``proof_lambda``): the event that the summary's ``azuma_bound``, the
-    union bound at the same lambda_n, controls.  delta and dist follow the rule
+    quantiles and counts.  It refuses what the scalar path refuses: a rung
+    where ``materialize`` refuses some trial raises its InvalidSpecError for
+    the lowest such trial, and a trial whose q_k or r_k passes 1e100 fails
+    with ``run_recurrences``' message.  A rung where every trial fails has
+    no quantiles and raises RecurrenceOverflowError naming its N.  The
+    exceedance event for a trial is max_n |delta_n| / lambda_n >= 1, with
+    the proof's lambda_n (``proof_lambda``): the event that the summary's
+    ``azuma_bound``, the union bound at the same lambda_n, controls.  delta and dist follow the rule
     of :class:`RandomSchedule`, and Ns that of ``check_ladder``.  The rungs
     run on ``max_workers`` processes, the caller included, by default one
     per CPU (``ioutil.worker_count``).
@@ -201,6 +256,7 @@ def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: in
     check_ladder(Ns)
     if trials < 30:
         raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
+    spec = RandomSchedule(delta, dist, seed)
 
     rung = functools.partial(_run_trials_at, delta=delta, dist=dist, trials=trials, seed=seed)
     per_n = dict(zip(Ns, map_rungs(rung, Ns, worker_count(max_workers))))
@@ -210,10 +266,13 @@ def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: in
     failures: list[tuple[int, int, str]] = []
     for n in Ns:
         data = per_n[n]
+        _refuse(spec, n, data["e_max"])
+        failed = data["failed"]
         ok = data["ok"]
+        ok[list(failed)] = False
         for t in range(trials):
             if not ok[t]:
-                failures.append((n, t, "non-finite trial output"))
+                failures.append((n, t, failed.get(t, "non-finite trial output")))
                 continue
             records.append(TrialRecord(
                 N=n, delta=delta, seed=seed, trial=t,
@@ -223,7 +282,9 @@ def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: in
         good_q = np.abs(data["q_N"][ok])
         n_ok = int(np.count_nonzero(ok))
         if not n_ok:
-            raise RecurrenceOverflowError(f"all {trials} trials failed at N={n}: non-finite trial output")
+            # the rung's failures are the last ``trials`` entries, from trial 0 on
+            raise RecurrenceOverflowError(
+                f"all {trials} trials failed at N={n} (trial 0: {failures[-trials][2]})")
         summaries.append(EnsembleSummary(
             N=n, delta=delta, trials=n_ok,
             median_qN=quantile_nearest_rank(good_q, 0.5),

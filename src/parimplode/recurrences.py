@@ -74,6 +74,23 @@ _OVERFLOW_LIMIT = 1e100
 WRONSKIAN_GATE = 1e-9  # largest relative Wronskian defect coefficients_from_qr accepts
 
 
+def _check_steps(rho: np.ndarray, eps_sq: np.ndarray, rho_base: complex) -> tuple[float, float]:
+    """max |b_k| and max |eps_k^2| over the given steps, after refusing them
+    (InvalidSpecError) unless every rho_k and eps_k^2 is finite, then unless
+    every |b_k| = |rho_k - rho_base| <= 1, then unless every |eps_k^2| <= 1,
+    each to 1e-12.  ``PerturbationSequences`` and the random lab
+    (``randomlab._refuse``) both refuse by it."""
+    if not (np.all(np.isfinite(rho.view(float))) and np.all(np.isfinite(eps_sq.view(float)))):
+        raise InvalidSpecError("sequences contain non-finite entries")
+    b_max = float(np.max(np.abs(rho - rho_base)))
+    e_max = float(np.max(np.abs(eps_sq)))
+    if not b_max <= 1.0 + 1e-12:
+        raise InvalidSpecError(f"|b_k| must be <= 1, max is {b_max}")
+    if not e_max <= 1.0 + 1e-12:
+        raise InvalidSpecError(f"|eps_k^2| must be <= 1, max is {e_max}")
+    return b_max, e_max
+
+
 class PerturbationSequences:
     """Concrete per-step sequences rho_k, eps_k^2 for one composition.
 
@@ -108,15 +125,8 @@ class PerturbationSequences:
             raise InvalidSpecError("need at least N=1, i.e. arrays of length 3")
         rho[0] = 0.0
         eps_sq[0] = 0.0
-        if not (np.all(np.isfinite(rho.view(float))) and np.all(np.isfinite(eps_sq.view(float)))):
-            raise InvalidSpecError("sequences contain non-finite entries")
         rho_base = complex(rho_base)
-        b_max = float(np.max(np.abs(rho[1:] - rho_base)))
-        e_max = float(np.max(np.abs(eps_sq[1:])))
-        if not b_max <= 1.0 + 1e-12:
-            raise InvalidSpecError(f"|b_k| must be <= 1, max is {b_max}")
-        if not e_max <= 1.0 + 1e-12:
-            raise InvalidSpecError(f"|eps_k^2| must be <= 1, max is {e_max}")
+        b_max, e_max = _check_steps(rho[1:], eps_sq[1:], rho_base)
         rho.setflags(write=False)
         eps_sq.setflags(write=False)
         self._rho = rho

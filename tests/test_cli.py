@@ -11,6 +11,7 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parimplode
@@ -18,15 +19,18 @@ from parimplode import (
     EnsembleSummary,
     OracleMismatchError,
     QRSTriple,
+    RandomSchedule,
     RatePoint,
     SkewOrbitResult,
     TheoremA,
+    UniformSymmetric,
     UsageError,
     cli,
     coefficients_from_qr,
     compose_chain,
     convergence,
     errors,
+    materialize,
     projective_distance,
     random_small_schedule,
     run_recurrences,
@@ -56,42 +60,42 @@ _ERRORS = sorted((c for c in vars(errors).values() if isinstance(c, type)
                  key=lambda c: c.__name__)
 
 
-def test_parse_ladder_geometric():
+def test_parse_ladder_geometric(capsys):
     assert parse_ladder("100:12800:x2") == [100, 200, 400, 800, 1600, 3200, 6400, 12800]
-    assert parse_ladder("100:150:x1.5") == [100, 150]
-
-
-def test_parse_ladder_arithmetic_and_single():
-    assert parse_ladder("10:40:+10") == [10, 20, 30, 40]
-    assert parse_ladder("512") == [512]
-
-
-def test_parse_ladder_errors():
-    for bad in ("abc", "100:200", "100:200:y2", "100:200:x0.5", "100:200:+0",
-                "200:100:x2", "a:b:x2", "100:200:xinf", "100:200:xnan"):
-        with pytest.raises(UsageError, match="^n: "):
-            parse_ladder(bad)
-
-
-def test_a_geometric_ladder_that_stalls_is_a_usage_error(capsys):
-    # round(100 * 1.004) = 100: the ladder would stop at its first rung
-    with pytest.raises(UsageError, match=r"^n: ladder '100:800:x1.004' stalls at 100: "
-                                         r"x1.004 rounds it back to 100$"):
-        parse_ladder("100:800:x1.004")
-    assert main(["sweep", "--theorem", "A", "--n", "100:800:x1.004"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("parimplode: error: n: ladder '100:800:x1.004' stalls at 100: "
-                            "x1.004 rounds it back to 100\n")
-    assert parse_ladder("100:104:x1.01") == [100, 101, 102, 103, 104]
-    assert parse_ladder("100:100:x1.004") == [100]  # complete: nothing is cut
-    # no factor grows a start below 1, and rounding is not what stops it:
-    # the ladder ends there, and the rung rule names it
+    assert parse_ladder("100:10000:x10") == [100, 1000, 10000]
+    assert parse_ladder("100:799:x2") == [100, 200, 400]
+    assert parse_ladder("100:100:x2") == [100]
+    # no factor grows a start below 1: the ladder ends there, and the rung
+    # rule names it
     assert parse_ladder("0:100:x2") == [0]
     assert parse_ladder("-8:100:x2") == [-8]
     assert main(["sweep", "--theorem", "A", "--n", "0:100:x2"]) == 1
     assert capsys.readouterr() == (
         "", "parimplode: error: n: ladder must be strictly increasing with every N >= 4, got [0]\n")
+
+
+def test_parse_ladder_single():
+    assert parse_ladder("512") == [512]
+    assert parse_ladder(" 512 ") == [512]
+
+
+def test_parse_ladder_errors(capsys):
+    for bad in ("abc", "100:200", "100:200:y2", "100:200:x0.5", "100:200:+0",
+                "200:100:x2", "a:b:x2", "100:200:xinf", "100:200:xnan", "100:200:x",
+                "100:200:x2:x2"):
+        with pytest.raises(UsageError, match="^n: "):
+            parse_ladder(bad)
+    # a ladder is one N or start:end:xK with an integer K >= 2: the arithmetic
+    # and fractional forms are refused, from every command
+    for bad in ("10:40:+10", "100:150:x1.5", "100:800:x1.004", "100:200:x1", "100:200:x2.0"):
+        assert main(["sweep", "--theorem", "A", "--n", bad]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parimplode: error: n: ") and err.count("\n") == 1, err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--theorem", "a", "--n", "100"])
+    assert exit_info.value.code == 1
+    assert "argument --theorem: invalid choice: 'a'" in capsys.readouterr().err
 
 
 def test_no_command_prints_help(capsys):
@@ -537,22 +541,43 @@ def test_diagnose_sum(capsys):
 
 
 @pytest.mark.parametrize("command", [["sweep", "--theorem", "B", "--case", "4"], ["counterexample"],
-                                     ["diagnose-sum", "--theorem", "B", "--case", "4"]], ids=lambda a: a[0])
+                                     ["diagnose-sum", "--theorem", "B", "--case", "4"],
+                                     ["random", "--delta", "0.5", "--trials", "30"]],
+                         ids=lambda a: a[0])
 def test_inadmissible_n_exits_1_from_every_command(capsys, command):
-    # at N = 4 the steps of B4 and of the counterexample have |b_k| > 1: the
-    # spec is inadmissible there, whichever command builds it
+    # at N = 4 the steps of B4, of the counterexample and of the random lab
+    # have |b_k| > 1: the spec is inadmissible there, whichever command builds it
     assert main(command + ["--n", "4"]) == 1
     assert capsys.readouterr().err == \
         "parimplode: error: N=4: |b_k| must be <= 1, max is 1.414213562373095\n"
 
 
+@pytest.mark.parametrize("m, message", [
+    ("1e4", "|eps_k^2| must be <= 1, max is 12.49278204398018"),
+    ("1e300", "sequences contain non-finite entries"),
+], ids=["eps", "non-finite"])
+def test_random_refuses_a_rung_as_materialize_does(capsys, m, message):
+    # the batched pass draws eps_k itself, and refuses the rung with the error
+    # materialize raises for its lowest refused trial (trial 0 here; trial 1's
+    # max |eps_k^2| is 12.494), without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["random", "--delta", "0.5", "--m", m, "--trials", "30", "--n", "200:400:x2"]) == 1
+    assert capsys.readouterr() == ("", f"parimplode: error: N=200: {message}\n")
+    with np.errstate(over="ignore"), pytest.raises(errors.InvalidSpecError) as exc_info:
+        materialize(RandomSchedule(0.5, UniformSymmetric(float(m)), 0, 0), 200)
+    assert str(exc_info.value) == f"N=200: {message}"
+
+
 def test_random_exits_2_when_every_trial_of_a_rung_fails(capsys):
-    # perturbations of order 1e300 overflow every trial: a numerical failure
-    # naming the rung, where no quantile can be taken
-    rc = main(["random", "--delta", "0.5", "--m", "1e300", "--trials", "30", "--n", "200:400:x2"])
+    # every step is admissible (|eps_k| <= 0.9903), but each of the 30 trials
+    # passes 1e100, as run_recurrences finds: a numerical failure naming the
+    # rung, where no quantile can be taken
+    rc = main(["random", "--delta", "1", "--m", "162201600", "--trials", "30", "--n", "12800"])
     assert rc == 2
-    assert capsys.readouterr().err == ("parimplode: numerical failure: "
-                                       "all 30 trials failed at N=200: non-finite trial output\n")
+    assert capsys.readouterr() == ("", "parimplode: numerical failure: all 30 trials failed at N=12800 "
+                                       "(trial 0: |q_6743| exceeded 1e100; schedule is far outside "
+                                       "the perturbative regime)\n")
 
 
 def _replace_handler(monkeypatch, command, handler):

@@ -12,6 +12,7 @@ from parimplode import (
     IdentityViolationError,
     InvalidSpecError,
     RandomSchedule,
+    RecurrenceOverflowError,
     UniformSymmetric,
     azuma_tail_bound,
     fit_loglog,
@@ -113,15 +114,27 @@ def test_run_ensemble_deterministic():
 def test_ensemble_matches_single_trial_path_bitwise():
     # the vectorized all-trials sweep must reproduce the scalar schedule
     # materialization exactly, not just approximately; N = 600 crosses two
-    # block edges, so eps_k is drawn per block on one path and at once on the other
-    N = 600
-    res = run_ensemble(0.5, UniformSymmetric(1.0), [N], trials=30, seed=9)
-    assert len(res.records) == 30
-    for rec in res.records:
-        seqs = materialize(RandomSchedule(0.5, UniformSymmetric(1.0), seed=9, trial=rec.trial), N)
-        triple = run_recurrences(seqs)
-        assert rec.q_N == triple.q[N]
-        assert rec.q_N1 == triple.q[N + 1]
+    # block edges, so eps_k is drawn per block on one path and at once on the
+    # other.  At M = 40550400 every step is admissible (|eps_k| <= 0.99), but
+    # the scalar path refuses 22 of the 30 trials past 1e100: the ensemble
+    # records exactly the other 8, and names each failure as run_recurrences does
+    for delta, m, N, seed, kept in ((0.5, 1.0, 600, 9, 30), (1.0, 40550400.0, 6400, 1, 8)):
+        res = run_ensemble(delta, UniformSymmetric(m), [N], trials=30, seed=seed)
+        scalar = {}
+        for trial in range(30):
+            seqs = materialize(RandomSchedule(delta, UniformSymmetric(m), seed=seed, trial=trial), N)
+            try:
+                triple = run_recurrences(seqs)
+                scalar[trial] = (triple.q[N], triple.q[N + 1])
+            except RecurrenceOverflowError as exc:
+                scalar[trial] = str(exc)
+        assert [rec.trial for rec in res.records] == [t for t, v in scalar.items() if isinstance(v, tuple)]
+        assert len(res.records) == kept
+        for rec in res.records:
+            assert (rec.q_N, rec.q_N1) == scalar[rec.trial]
+        assert res.failures == [(N, t, v) for t, v in scalar.items() if isinstance(v, str)]
+    assert res.failures[0] == (6400, 1, "|q_6263| exceeded 1e100; schedule is far outside "
+                                        "the perturbative regime")
 
 
 def _reference_trials_at(N, delta, dist, trials, seed):
@@ -168,7 +181,9 @@ def _reference_trials_at(N, delta, dist, trials, seed):
 
 
 def _assert_same_outputs(got, want):
-    assert sorted(got) == sorted(want)
+    # the pass's e_max and failed trials are checked against the scalar path
+    # (test_ensemble_matches_single_trial_path_bitwise and tests/test_cli.py)
+    assert sorted(got) == sorted([*want, "e_max", "failed"])
     for key, value in want.items():
         if value.dtype == bool:
             assert got[key].tolist() == value.tolist(), key
