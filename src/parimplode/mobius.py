@@ -76,6 +76,11 @@ def _disk_grid() -> np.ndarray:
 # are skipped, and at a spacing of 0.5/63 (0.0079) that is at most one point
 _GRID = _disk_grid()
 _POLE_GUARD = 2.5e-4
+# A pole with |pole| past this lies farther than _POLE_GUARD from every grid
+# point: |z| <= 0.25 on the grid, and the 1e-12 covers the rounding of
+# |pole| and of each |z - pole|, a few ulps.  identity_distance then skips
+# the guard's pass over the grid, which would keep every point.
+_POLE_FAR = 0.25 + _POLE_GUARD + 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,16 +124,18 @@ def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
     DegenerateMapError
         If any intermediate product degenerates.
     """
-    rows = maps.tolist()
-    if not rows:
+    col_a, col_b = maps.T.tolist()
+    n = len(col_a)
+    if not n:
         raise ValueError("compose_chain requires at least one map")
-    (a, b), c, d = rows[0], -1 + 0j, 1 + 0j
+    a, b, c, d = col_a[0], col_b[0], -1 + 0j, 1 + 0j
     # block i folds maps i - 63..i (the first from map 2), then renormalizes if full
-    for i in range(_RENORM_EVERY, len(rows) + _RENORM_EVERY, _RENORM_EVERY):
-        for ma, mb in rows[max(1, i - _RENORM_EVERY):i]:
+    for i in range(_RENORM_EVERY, n + _RENORM_EVERY, _RENORM_EVERY):
+        lo = max(1, i - _RENORM_EVERY)
+        for ma, mb in zip(col_a[lo:i], col_b[lo:i]):
             # row times current, current applied first
             a, b, c, d = ma * a + mb * c, ma * b + mb * d, c - a, d - b
-        if i <= len(rows):
+        if i <= n:
             scale = max(abs(a), abs(b), abs(c), abs(d))
             if scale == 0 or not math.isfinite(scale):
                 raise DegenerateMapError(f"chain product degenerated at step {i}")
@@ -162,15 +169,22 @@ def projective_distance(m1: MoebiusCoeffs, m2: MoebiusCoeffs) -> float:
     difference.  Zero iff the maps agree projectively.  This is the metric
     used for oracle cross-checks.
     """
-    v1 = np.array(m1.as_tuple(), dtype=complex)
-    v2 = np.array(m2.as_tuple(), dtype=complex)
-    v1 /= np.linalg.norm(v1)
-    v2 /= np.linalg.norm(v2)
-    phase = np.vdot(v2, v1)
+    v1, v2 = _unit(m1), _unit(m2)
+    phase = sum(y.conjugate() * x for x, y in zip(v1, v2))
     mag = abs(phase)
     if mag == 0:  # orthogonal; maximal separation
         return math.sqrt(2.0)
-    return float(np.linalg.norm(v1 - (phase / mag) * v2))
+    turn = phase / mag
+    a, b, c, d = (x - turn * y for x, y in zip(v1, v2))
+    return math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+
+
+def _unit(map_: MoebiusCoeffs) -> tuple:
+    """The coefficients as Python complex values, scaled to unit Euclidean
+    norm (math.hypot, which neither overflows nor underflows on the way)."""
+    a, b, c, d = map(complex, map_.as_tuple())
+    scale = 1.0 / math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+    return a * scale, b * scale, c * scale, d * scale
 
 
 def identity_distance(map_: MoebiusCoeffs, region: EvalRegion):
@@ -194,7 +208,7 @@ def identity_distance(map_: MoebiusCoeffs, region: EvalRegion):
     Z = region.grid()
     pole = map_.pole()
     skipped = 0
-    if pole is not None:
+    if pole is not None and not math.hypot(pole.real, pole.imag) > _POLE_FAR:
         keep = np.abs(Z - pole) >= _POLE_GUARD
         skipped = int(np.count_nonzero(~keep))
         Z = Z[keep]

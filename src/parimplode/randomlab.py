@@ -4,9 +4,10 @@ With rho == 1 the increment of ``recurrences`` is d_{k+1} = d_k - eps_k^2 x_k
 and everything is real; ensembles are vectorized across trials and still
 bit-identical to the scalar single-trial path, the plain kernel's real loop
 (both take eps_k from ``RandomSchedule.eps``), because that loop does the
-same operations on floats, and 1 * d_k is d_k exactly.  An ensemble also
+same operations on floats, and 1 * d_k is d_k exactly.  The lab also
 refuses what that path refuses: a rung that ``materialize`` refuses for some
-trial, and each trial whose q_k or r_k passes 1e100 (``run_ensemble``).
+trial (``run_ensemble`` and ``martingale_check``), and each trial of an
+ensemble whose q_k or r_k passes 1e100 (``run_ensemble``).
 
 Every trial of the lab runs in one step-major pass, ``_step_blocks``, over
 steps 1..N in blocks of ``recurrences._BLOCK`` steps.  A block draws its own
@@ -23,7 +24,6 @@ same records in the same order as one run inline.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflow
 from .ioutil import fmt17, map_rungs, worker_count, write_csv
 from .mobius import NORMALIZATION_FLOOR
 from .recurrences import _BLOCK, _OVERFLOW_LIMIT, _blocks, _check_overflow, _check_steps
-from .schedules import RandomSchedule, UniformSymmetric, materialize
+from .schedules import RandomSchedule, UniformSymmetric
 
 MARTINGALE_GATE = 1e-8  # largest martingale identity residual martingale_check accepts
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
@@ -196,19 +196,16 @@ def _name_overflows(rows: np.ndarray, first: int, failed: dict) -> None:
                 failed[t] = str(exc)
 
 
-def _refuse(spec: RandomSchedule, N: int, e_max: np.ndarray) -> None:
+def _refuse(N: int, e_max: np.ndarray) -> None:
     """Raise the InvalidSpecError that ``materialize`` raises at N for the
-    lowest trial of ``spec`` it refuses, if any, from each trial's largest
-    eps_k^2 over steps 1..N+1, by the rule of ``recurrences._check_steps``.
-    rho_k = 1 at every step, so one step of it stands for all of them."""
+    lowest trial it refuses, if any, from each trial's largest eps_k^2 over
+    steps 1..N+1, by the rule of ``recurrences._check_steps``.  rho_k = 1 at
+    every step, so one step of a trial, its largest eps_k^2, stands for all
+    of them."""
     try:
-        _check_steps(np.ones(1), e_max, cmath.exp(2j * math.pi / N))
-    except InvalidSpecError:
-        # a square past the binary64 range is refused as non-finite, unwarned
-        with np.errstate(over="ignore", invalid="ignore"):
-            for trial in range(e_max.size):
-                materialize(dataclasses.replace(spec, trial=trial), N)
-        raise
+        _check_steps(np.ones((e_max.size, 1)), e_max[:, None], cmath.exp(2j * math.pi / N))
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"N={N}: {exc}") from None
 
 
 def _run_trials_at(N: int, delta: float, dist: UniformSymmetric, trials: int, seed: int):
@@ -256,7 +253,7 @@ def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: in
     check_ladder(Ns)
     if trials < 30:
         raise ValueError(f"trials: need at least 30 for quantiles, got {trials}")
-    spec = RandomSchedule(delta, dist, seed)
+    RandomSchedule(delta, dist, seed)  # refuses a bad delta or dist before any rung runs
 
     rung = functools.partial(_run_trials_at, delta=delta, dist=dist, trials=trials, seed=seed)
     per_n = dict(zip(Ns, map_rungs(rung, Ns, worker_count(max_workers))))
@@ -266,7 +263,7 @@ def run_ensemble(delta: float, dist: UniformSymmetric, Ns: list[int], trials: in
     failures: list[tuple[int, int, str]] = []
     for n in Ns:
         data = per_n[n]
-        _refuse(spec, n, data["e_max"])
+        _refuse(n, data["e_max"])
         failed = data["failed"]
         ok = data["ok"]
         ok[list(failed)] = False
@@ -309,11 +306,15 @@ def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
 
     The q rows, d_k and running sums delta_n come from the same blocked
     pass as ``run_ensemble``, so the check sees the recurrence the ensembles
-    run, and checks a whole block of prefixes of every trial at once.
+    run, and checks a whole block of prefixes of every trial at once.  Like
+    ``run_ensemble`` it refuses what ``materialize`` refuses, with its
+    InvalidSpecError for the lowest refused trial, even where the identity
+    fails first.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials)
+    seen: dict = {}
+    blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials, seen)
     theta = math.pi / N
     sin_t = math.sin(theta)
     # U_n at n = 0..N+1; n = 1 holds exactly (q_1 = U_1 = 1, delta_1 = 0)
@@ -321,6 +322,7 @@ def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
     turn = np.exp(-1j * theta * np.arange(N + 2))
     k_mid = max(2, N // 2) - 1  # delta_n - delta_{n-1} at n = N//2
     max_resid = 0.0
+    violation = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, rows, d, partial in blocks:
             n = slice(k0 + 1, k0 + 1 + len(d))
@@ -329,13 +331,21 @@ def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
             bad = np.argwhere(~(resid <= MARTINGALE_GATE))  # a NaN residual fails too
             if bad.size:
                 j, t = bad[0]
-                raise IdentityViolationError(
+                violation = IdentityViolationError(
                     f"martingale identity residual {resid[j, t]:.3e} at n={k0 + 1 + j} "
                     f"exceeds {MARTINGALE_GATE:g}")
+                break
             max_resid = max(max_resid, float(resid.max()))
             if 0 <= k_mid - k0 < len(d):
                 j = k_mid - k0
                 increments = d[j] * rows[j + 1, :trials] * cmath.exp(1j * k_mid * theta)
+        # the refusal reads every step's eps_k^2, and wins over a violation,
+        # as materialize's does on the scalar path
+        for _ in blocks:
+            pass
+    _refuse(N, seen["e_max"])
+    if violation is not None:
+        raise violation
     mean_inc = complex(np.mean(increments))
     stderr = float(np.std(increments) / math.sqrt(trials))
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)

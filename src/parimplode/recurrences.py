@@ -72,27 +72,74 @@ from .mobius import MoebiusCoeffs
 
 _OVERFLOW_LIMIT = 1e100
 WRONSKIAN_GATE = 1e-9  # largest relative Wronskian defect coefficients_from_qr accepts
+_ADMISSIBLE = 1.0 + 1e-12  # the largest |b_k| and |eps_k^2| a schedule may have
 
 
-def _check_steps(rho: np.ndarray, eps_sq: np.ndarray, rho_base: complex) -> tuple[float, float]:
-    """max |b_k| and max |eps_k^2| over the given steps, after refusing them
-    (InvalidSpecError) unless every rho_k and eps_k^2 is finite, then unless
-    every |b_k| = |rho_k - rho_base| <= 1, then unless every |eps_k^2| <= 1,
-    each to 1e-12.  ``PerturbationSequences`` and the random lab
-    (``randomlab._refuse``) both refuse by it."""
-    if not (np.all(np.isfinite(rho.view(float))) and np.all(np.isfinite(eps_sq.view(float)))):
-        raise InvalidSpecError("sequences contain non-finite entries")
-    b_max = float(np.max(np.abs(rho - rho_base)))
-    e_max = float(np.max(np.abs(eps_sq)))
-    if not b_max <= 1.0 + 1e-12:
-        raise InvalidSpecError(f"|b_k| must be <= 1, max is {b_max}")
-    if not e_max <= 1.0 + 1e-12:
-        raise InvalidSpecError(f"|eps_k^2| must be <= 1, max is {e_max}")
+def _check_steps(rho: np.ndarray, eps_sq: np.ndarray,
+                 rho_base: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Each schedule's max |b_k| and max |eps_k^2|, as float arrays, where
+    rho and eps_sq hold one schedule's steps on their last axis.
+
+    A schedule is refused unless every rho_k and eps_k^2 is finite, then
+    unless every |b_k| = |rho_k - rho_base| <= 1, then unless every
+    |eps_k^2| <= 1, each to 1e-12.  The lowest refused schedule raises
+    InvalidSpecError with the first of these it fails, the message a check
+    of that schedule alone gives.  This is the package's one admissibility
+    rule: ``PerturbationSequences`` judges each schedule by it, one at a time
+    or a batch at once, and the random lab (``randomlab._refuse``) each trial.
+    """
+    with np.errstate(invalid="ignore"):  # an infinite rho_k less an infinite rho_base
+        b_max = np.abs(rho - rho_base).max(axis=-1)
+    e_max = np.abs(eps_sq).max(axis=-1)
+    # a non-finite entry leaves its schedule's b_max or e_max inf or NaN, so
+    # finiteness is read only to word a refusal
+    ok = (b_max <= _ADMISSIBLE) & (e_max <= _ADMISSIBLE)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        steps = rho.shape[-1]
+        if not all(np.isfinite(x.reshape(-1, steps)[i]).all() for x in (rho, eps_sq)):
+            raise InvalidSpecError("sequences contain non-finite entries")
+        b, e = float(b_max.flat[i]), float(e_max.flat[i])
+        if not b <= _ADMISSIBLE:
+            raise InvalidSpecError(f"|b_k| must be <= 1, max is {b}")
+        raise InvalidSpecError(f"|eps_k^2| must be <= 1, max is {e}")
     return b_max, e_max
+
+
+def _admitted(rho, eps_sq, rho_base: complex, ndim: int) -> tuple:
+    """The body of both ``PerturbationSequences`` builders, for one schedule
+    (ndim 1) or a batch, one a row (ndim 2): frozen complex copies of rho and
+    eps_sq with slot 0 zeroed, rho_base, and each schedule's growth bound and
+    realness (a float and a bool, or a list of each)."""
+    rho = np.array(rho, dtype=complex)
+    eps_sq = np.array(eps_sq, dtype=complex)
+    if rho.ndim != ndim or rho.shape != eps_sq.shape:
+        raise InvalidSpecError(f"rho and eps_sq must be {ndim}-D with equal shapes, "
+                               f"got {rho.shape} and {eps_sq.shape}")
+    if rho.shape[-1] < 3:
+        raise InvalidSpecError("need at least N=1, i.e. arrays of length 3")
+    rho[..., 0] = 0.0
+    eps_sq[..., 0] = 0.0
+    rho_base = complex(rho_base)
+    b_max, e_max = _check_steps(rho[..., 1:], eps_sq[..., 1:], rho_base)
+    rho.setflags(write=False)
+    eps_sq.setflags(write=False)
+    # d_{k+1} = rho_k d_k - eps_k^2 x_k and x_{k+1} = x_k + d_{k+1} make
+    # max(|x_k|, |d_k|) grow by at most this factor a step, since
+    # |rho_k| <= |rho_base| + |b_k|; the plain kernel's overflow guard reads it
+    growth = 1.0 + abs(rho_base) + b_max + e_max
+    # every imaginary part zero: both kernels then run on the real parts
+    real = ~(rho.imag.any(axis=-1) | eps_sq.imag.any(axis=-1))
+    return rho, eps_sq, rho_base, growth.tolist(), real.tolist()
 
 
 class PerturbationSequences:
     """Concrete per-step sequences rho_k, eps_k^2 for one composition.
+
+    The constructor builds one schedule and ``batch`` one per row of 2-D
+    arrays.  Both share one body, which copies, checks and freezes the
+    arrays; every schedule is judged by ``_check_steps``, the one
+    admissibility rule, whichever builds it.
 
     Parameters
     ----------
@@ -116,28 +163,32 @@ class PerturbationSequences:
     __slots__ = ("_rho", "_eps_sq", "_rho_base", "_growth", "_real", "_least_period")
 
     def __init__(self, rho, eps_sq, rho_base: complex):
-        rho = np.array(rho, dtype=complex)
-        eps_sq = np.array(eps_sq, dtype=complex)
-        if rho.ndim != 1 or rho.shape != eps_sq.shape:
-            raise InvalidSpecError(
-                f"rho and eps_sq must be 1-D with equal length, got {rho.shape} and {eps_sq.shape}")
-        if rho.size < 3:
-            raise InvalidSpecError("need at least N=1, i.e. arrays of length 3")
-        rho[0] = 0.0
-        eps_sq[0] = 0.0
-        rho_base = complex(rho_base)
-        b_max, e_max = _check_steps(rho[1:], eps_sq[1:], rho_base)
-        rho.setflags(write=False)
-        eps_sq.setflags(write=False)
+        self._hold(*_admitted(rho, eps_sq, rho_base, 1))
+
+    @classmethod
+    def batch(cls, rho, eps_sq, rho_base: complex) -> list["PerturbationSequences"]:
+        """One schedule per row of the 2-D arrays rho and eps_sq, each the one
+        the constructor builds from its row, in row order.
+
+        The batch is copied, checked and frozen once, and each schedule holds
+        a read-only view of its row.  A batch with a refused row raises the
+        constructor's InvalidSpecError for the lowest such row.
+        """
+        rho, eps_sq, rho_base, growth, real = _admitted(rho, eps_sq, rho_base, 2)
+        batch = []
+        for row_rho, row_eps_sq, row_growth, row_real in zip(rho, eps_sq, growth, real):
+            seqs = cls.__new__(cls)
+            seqs._hold(row_rho, row_eps_sq, rho_base, row_growth, row_real)
+            batch.append(seqs)
+        return batch
+
+    def _hold(self, rho: np.ndarray, eps_sq: np.ndarray, rho_base: complex, growth: float,
+              real: bool) -> None:
         self._rho = rho
         self._eps_sq = eps_sq
         self._rho_base = rho_base
-        # d_{k+1} = rho_k d_k - eps_k^2 x_k and x_{k+1} = x_k + d_{k+1} make
-        # max(|x_k|, |d_k|) grow by at most this factor a step, since
-        # |rho_k| <= |rho_base| + |b_k|; the plain kernel's overflow guard reads it
-        self._growth = 1.0 + abs(rho_base) + b_max + e_max
-        # every imaginary part zero: both kernels then run on the real parts
-        self._real = not (rho.imag.any() or eps_sq.imag.any())
+        self._growth = growth
+        self._real = real
         self._least_period = None  # scanned on the first read of ``period``
 
     @classmethod
@@ -284,7 +335,9 @@ def run_recurrences(seqs: PerturbationSequences, extended: bool = False) -> QRST
     """
     N = seqs.N
     tail = (_run_extended if extended else _run_plain)(seqs)
-    _check_overflow(tail[0:2], tail[2:4], N)
+    # a NaN fails the test too; _check_overflow then names the entry
+    if not all(abs(x) <= _OVERFLOW_LIMIT for x in tail[:4]):
+        _check_overflow(tail[0:2], tail[2:4], N)
     nan = complex(math.nan, math.nan)
     q, r, prod = np.full(N + 2, nan), np.full(N + 2, nan), np.full(N + 1, nan)
     q[N:], r[N:], prod[N] = tail[0:2], tail[2:4], tail[4]

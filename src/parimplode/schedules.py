@@ -276,20 +276,22 @@ def random_small_schedules(N: int, seed: int, trials) -> list[PerturbationSequen
     four independent counter lanes per step (counter 4k + j for lane j at
     step k) keep draws order-free, so every listed trial is drawn in one
     call and each schedule is bit for bit the one its trial gives alone.
-    Intended for oracle cross-checks and identity tests, not for rate
-    measurement.
+    ``PerturbationSequences.batch`` then checks the whole draw in one pass,
+    by the rule that judges every schedule, and each schedule holds a
+    read-only row of it.  Intended for oracle cross-checks and identity
+    tests, not for rate measurement.
     """
     if N < 4:
         raise InvalidSpecError(f"N must be >= 4, got {N}")
     trials = np.asarray(trials, dtype=np.uint64)
     counters = np.arange(4 * (N + 2), dtype=np.uint64)
-    # axis 2 is (b_k, eps_k), axis 3 (magnitude, phase); PerturbationSequences zeroes slot 0
+    # axis 2 is (b_k, eps_k), axis 3 (magnitude, phase); the batch builder zeroes slot 0
     lanes = rng.uniform01(seed, trials[:, None], counters[None, :]).reshape(trials.size, N + 2, 2, 2)
     z = (1.0 / N**2) * lanes[..., 0] * np.exp(2j * np.pi * lanes[..., 1])
     base = cmath.exp(2j * math.pi / N)
     rho = base + z[..., 0]
     eps_sq = z[..., 1] * z[..., 1]
-    return [PerturbationSequences(r, e, base) for r, e in zip(rho, eps_sq)]
+    return PerturbationSequences.batch(rho, eps_sq, base)
 
 
 def random_small_schedule(N: int, seed: int, trial: int) -> PerturbationSequences:

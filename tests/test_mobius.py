@@ -159,6 +159,76 @@ def test_identity_distance_pole_guard_skips_points():
     assert skipped == 0
 
 
+def _numpy_projective_distance(m1, m2):
+    # projective_distance as it was, on numpy arrays, norms and vdot
+    v1 = np.array(m1.as_tuple(), dtype=complex)
+    v2 = np.array(m2.as_tuple(), dtype=complex)
+    v1 /= np.linalg.norm(v1)
+    v2 /= np.linalg.norm(v2)
+    phase = np.vdot(v2, v1)
+    mag = abs(phase)
+    if mag == 0:
+        return math.sqrt(2.0)
+    return float(np.linalg.norm(v1 - (phase / mag) * v2))
+
+
+def test_projective_distance_matches_the_numpy_form():
+    # the scalar form rounds in another order (numpy's products fuse a
+    # multiply and an add), so it is held to a few ulps of the unit-norm
+    # difference, 1e-15 absolute, on random and on nearly equal pairs
+    rng = random.Random(11)
+    for i in range(2000):
+        m1 = _random_map(rng)
+        if i % 2:
+            turn = cmath.exp(1j * rng.uniform(0, 2 * math.pi)) * rng.uniform(0.1, 10)
+            m2 = MoebiusCoeffs(*(x * turn * (1 + 1e-13 * rng.uniform(-1, 1))
+                                 for x in m1.as_tuple()))
+        else:
+            m2 = _random_map(rng)
+        assert projective_distance(m1, m2) == pytest.approx(_numpy_projective_distance(m1, m2),
+                                                            rel=0, abs=1e-15)
+
+
+def _identity_distance_with_guard_pass(map_):
+    # identity_distance as it was: the guard's pass over the grid at every finite pole
+    Z = EvalRegion().grid()
+    pole = map_.pole()
+    skipped = 0
+    if pole is not None:
+        keep = np.abs(Z - pole) >= 2.5e-4
+        skipped = int(np.count_nonzero(~keep))
+        Z = Z[keep]
+    W = (map_.a * Z + map_.b) / (map_.c * Z + map_.d)
+    return float(np.max(np.abs(W - Z))), skipped
+
+
+def test_identity_distance_skips_the_guard_pass_only_past_its_margin(monkeypatch):
+    passes = []  # the guard's pass counts its skipped points once
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(a.size) or count_nonzero(a))
+    grid = EvalRegion().grid()
+    outer = complex(grid[np.abs(grid).argmax()])  # |z| = 0.24927, the largest
+    unit = outer / abs(outer)
+    margin = 0.25 + 2.5e-4 + 1e-12  # past this |pole|, no point is within 2.5e-4
+    poles = {
+        # inside the margin, and 2e-4 beyond the outermost point, which is skipped
+        outer + 2e-4 * unit: 1,
+        margin * (1 - 1e-15) * unit: 0,
+        margin * (1 + 1e-15) * unit: 0,
+        -margin * 2 * unit: 0,
+        25600 + 6.3j: 0,  # near A2's pole at N = 12800 with --extended
+    }
+    for pole, skipped in poles.items():
+        for map_ in (MoebiusCoeffs(0.0, 1.0, 1.0, -pole),  # z -> 1/(z - pole)
+                     MoebiusCoeffs(1.0 + 1e-5j, 1e-6, -1.0 / pole, 1.0)):
+            passes.clear()
+            got = identity_distance(map_, EvalRegion())
+            assert passes == ([grid.size] if abs(pole) < margin else []), pole
+            want = _identity_distance_with_guard_pass(map_)
+            assert got[1] == want[1] == skipped, pole
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes(), pole
+
+
 def test_perturbed_parabolic_step_layout():
     # the step matrix of PerturbationSequences.step_maps and compose_chain
     rho = cmath.exp(0.3j)

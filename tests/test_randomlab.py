@@ -374,8 +374,8 @@ def _corrupt_step_blocks(monkeypatch, corrupt):
     # wrap the shared pass so that martingale_check sees corrupt(k0, rows, d, partial)
     real = randomlab._step_blocks
 
-    def wrapped(spec, N, trials):
-        for block in real(spec, N, trials):
+    def wrapped(spec, N, trials, seen):
+        for block in real(spec, N, trials, seen):
             yield corrupt(*block, trials)
 
     monkeypatch.setattr(randomlab, "_step_blocks", wrapped)
@@ -407,6 +407,24 @@ def test_martingale_check_sees_one_corrupted_coefficient(monkeypatch):
     with pytest.raises(IdentityViolationError,
                        match=r"martingale identity residual .* at n=257 exceeds 1e-08"):
         martingale_check(0.5, UniformSymmetric(1.0), N=600, trials=3, seed=3)
+
+
+@pytest.mark.parametrize("m, N, seed, trial", [(1.0, 4, 1, 0), (1e4, 200, 1, 0), (2830.0, 200, 1, 1),
+                                               (14631.0, 600, 5, 4)],
+                         ids=["b_k", "eps-over-violation", "lowest-refused-trial", "later-block"])
+def test_martingale_check_refuses_what_materialize_refuses(m, N, seed, trial):
+    # at N = 4 every trial has |b_k| = 1.414; at M = 1e4 trial 0 has max
+    # |eps_k^2| 12.38, and its identity fails at n = 21, yet the refusal
+    # wins, as materialize's does on the scalar path; at M = 2830 trial 0
+    # is admissible and trial 1 is not; at M = 14631 only trial 4 is
+    # refused, by a step the pass reads after the identity fails at n = 307
+    with pytest.raises(InvalidSpecError) as want:
+        materialize(RandomSchedule(0.5, UniformSymmetric(m), seed, trial), N)
+    for t in range(trial):
+        materialize(RandomSchedule(0.5, UniformSymmetric(m), seed, t), N)
+    with pytest.raises(InvalidSpecError) as got:
+        martingale_check(0.5, UniformSymmetric(m), N, 5, seed)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("N, delta", [(3, 0.5), (64, 0.0), (64, float("nan"))])

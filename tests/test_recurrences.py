@@ -74,6 +74,10 @@ def test_sequences_validation():
         PerturbationSequences(nan_rho, np.zeros(8), 1.0)
     with pytest.raises(InvalidSpecError, match=r"^\|b_k\| must be <= 1, max is nan$"):
         PerturbationSequences(rho, np.zeros(8), complex("nan"))  # every b_k is NaN
+    inf_rho = rho.copy()
+    inf_rho[3] = complex("inf")
+    with pytest.raises(InvalidSpecError, match="^sequences contain non-finite entries$"):
+        PerturbationSequences(inf_rho, np.zeros(8), complex("inf"))  # b_3 is inf - inf
 
 
 def test_sequences_slot_zero_and_immutability():

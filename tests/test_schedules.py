@@ -193,6 +193,41 @@ def test_random_small_schedules_bit_identical_per_trial():
                 for x, y in ((got.rho, want.rho), (got.eps_sq, want.eps_sq)):
                     assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
                 assert got.rho_base == want.rho_base
+                # the batch builder's bookkeeping is the one-schedule constructor's
+                one = PerturbationSequences(got.rho.copy(), got.eps_sq.copy(), got.rho_base)
+                assert (got._growth, got._real, got.period) == (one._growth, one._real, one.period)
+                assert type(got._growth) is float and type(got._real) is bool
+                for x in (got.rho, got.eps_sq, one.rho, one.eps_sq):
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError):
+                        x[1] = 0.0
+
+
+@pytest.mark.parametrize("bad, value, message", [
+    ("rho", complex("nan"), "sequences contain non-finite entries"),
+    ("rho", 3.0, "|b_k| must be <= 1, max is 2.3"),
+    ("eps_sq", 1.5j, "|eps_k^2| must be <= 1, max is 1.5"),
+], ids=["non-finite", "b_k", "eps_k^2"])
+def test_batch_refuses_its_lowest_refused_row_as_the_constructor_does(bad, value, message):
+    n, base = 8, cmath.exp(2j * math.pi / 8)
+    rows = {"rho": np.full((5, n + 2), base), "eps_sq": np.zeros((5, n + 2), dtype=complex)}
+    # admissible rows: real steps (|1 - base| = 0.765) and a period of 2
+    rows["rho"][0] = 1.0
+    rows["eps_sq"][0] = 0.01
+    rows["eps_sq"][1, 1::2] = 0.02j
+    batch = PerturbationSequences.batch(rows["rho"][:2], rows["eps_sq"][:2], base)
+    assert [(s._real, s.period) for s in batch] == [(True, 1), (False, 2)]
+    for got, rho, eps_sq in zip(batch, rows["rho"], rows["eps_sq"]):
+        one = PerturbationSequences(rho, eps_sq, base)
+        assert (got._growth, got._real, got.period) == (one._growth, one._real, one.period)
+    rows[bad][2, 4] = value
+    rows["rho"][4, 1] = complex("inf")  # a later row, refused too
+    with pytest.raises(InvalidSpecError) as want:
+        PerturbationSequences(rows["rho"][2], rows["eps_sq"][2], base)
+    with pytest.raises(InvalidSpecError) as got:
+        PerturbationSequences.batch(rows["rho"], rows["eps_sq"], base)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
 
 
 def test_materialize_rejects_bad_sizes():
