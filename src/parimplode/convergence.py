@@ -64,12 +64,8 @@ class DecayFit:
     intercept: float
 
 
-def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
-              seqs: PerturbationSequences | None = None) -> RatePoint:
-    """Measure one composition length.
-
-    ``seqs``, if given, is ``materialize(spec, N)``, already built by the
-    caller (``run_sweep`` passes its top rung's).
+def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False) -> RatePoint:
+    """Measure one composition length: the point of ``materialize(spec, N)``.
 
     ``coefficients_from_qr`` enforces the Wronskian conservation law at
     ``recurrences.WRONSKIAN_GATE`` (DegenerateMapError); the residual it
@@ -79,8 +75,12 @@ def run_point(spec: ScheduleSpec, N: int, *, extended: bool = False,
     ``ORACLE_GATE``, or NaN, raises OracleMismatchError.  Either failure is
     hard, never a data point.
     """
-    if seqs is None:
-        seqs = materialize(spec, N)
+    return _measure(materialize(spec, N), extended)
+
+
+def _measure(seqs: PerturbationSequences, extended: bool) -> RatePoint:
+    """run_point's measurement of sequences already materialized."""
+    N = seqs.N
     triple = run_recurrences(seqs, extended=extended)
     coeffs = coefficients_from_qr(triple, N)
     if N <= DEFAULT_ORACLE_LIMIT:
@@ -120,10 +120,11 @@ def _attempt(spec: ScheduleSpec, extended: bool, top: PerturbationSequences | No
              n: int) -> RatePoint | Exception:
     """run_point, with its exception returned rather than raised, unless the
     spec itself is inadmissible at n (InvalidSpecError).  ``top``, if given,
-    holds the sequences of the rung ``top.N``."""
+    holds the sequences of the rung ``top.N``, which are measured as they are."""
     try:
-        seqs = top if top is not None and top.N == n else None
-        return run_point(spec, n, extended=extended, seqs=seqs)
+        if top is not None and top.N == n:
+            return _measure(top, extended)
+        return run_point(spec, n, extended=extended)
     except InvalidSpecError:
         raise
     except Exception as exc:

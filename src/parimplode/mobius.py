@@ -2,12 +2,13 @@
 
 A map z -> (a*z + b)/(c*z + d) is identified with its 2x2 coefficient
 matrix up to a nonzero complex scale.  The module holds the brute-force
-oracle, ``compose_chain`` (a direct product of the step matrices), and the
-distances the measurements read: ``projective_distance`` between two maps,
-``projective_coeff_error`` and the grid sup ``identity_distance`` from the
-identity.  That sup is read on one fixed grid, built once at import; its
-pole guard removes at most one point, so no map can empty it.  The module
-must stay independent of the recurrence machinery it checks.
+oracle, ``compose_chain`` (a direct product of a schedule's step matrices,
+which it forms from rho_k and eps_k^2), and the distances the measurements
+read: ``projective_distance`` between two maps, ``projective_coeff_error``
+and the grid sup ``identity_distance`` from the identity.  That sup is read
+on one fixed grid, built once at import; its pole guard removes at most one
+point, so no map can empty it.  The module must stay independent of the
+recurrence machinery it checks.
 """
 from __future__ import annotations
 
@@ -92,12 +93,13 @@ class EvalRegion:
         return _GRID
 
 
-def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
-    """Left-fold product M_n * ... * M_1 of step matrices (row 1 applied first).
+def compose_chain(steps: tuple[np.ndarray, np.ndarray]) -> MoebiusCoeffs:
+    """Left-fold product M_n * ... * M_1 of a schedule's step matrices (step 1 first).
 
-    Row k holds the two entries (a_k, b_k) of M_k = [[a_k, b_k], [-1, 1]]
-    that vary; the bottom row of every step matrix of the composition is
-    (-1, 1).  The fold therefore updates the product (a, b, c, d) as
+    Step k is z -> rho_k z/(1 - z) + eps_k^2, whose matrix, from clearing
+    denominators, is M_k = [[a_k, b_k], [-1, 1]] with a_k = rho_k - eps_k^2
+    and b_k = eps_k^2; its determinant is rho_k.  The bottom row of every
+    step matrix is (-1, 1), so the fold updates the product (a, b, c, d) as
 
         (a_k a + b_k c,  a_k b + b_k d,  c - a,  d - b),
 
@@ -115,19 +117,30 @@ def compose_chain(maps: np.ndarray) -> MoebiusCoeffs:
 
     Parameters
     ----------
-    maps : (n, 2) complex array of rows (a_k, b_k)
-        Non-empty; the first row is applied first.  This is the layout
-        ``PerturbationSequences.step_maps`` returns.
+    steps : (rho, eps_sq)
+        Two non-empty 1-D complex arrays of equal length (ValueError
+        otherwise) holding rho_k and eps_k^2 for k = 1..n, as
+        ``PerturbationSequences.step_maps`` returns them.
 
     Raises
     ------
     DegenerateMapError
-        If any intermediate product degenerates.
+        If some step matrix as stored is singular, a_k + b_k == 0 in
+        binary64, or an intermediate product degenerates.
     """
-    col_a, col_b = maps.T.tolist()
+    rho, eps_sq = (np.asarray(x, dtype=complex) for x in steps)
+    if rho.ndim != 1 or rho.shape != eps_sq.shape or not rho.size:
+        raise ValueError(f"rho and eps_sq must be non-empty, 1-D and of equal shapes, "
+                         f"got {rho.shape} and {eps_sq.shape}")
+    a_col = rho - eps_sq
+    det = a_col + eps_sq  # each step matrix's determinant, as stored
+    if not det.all():
+        k = int(np.argmin(det != 0))
+        raise DegenerateMapError(
+            f"degenerate step map at k={k + 1}: coefficients "
+            f"{(complex(a_col[k]), complex(eps_sq[k]), (-1 + 0j), (1 + 0j))}")
+    col_a, col_b = a_col.tolist(), eps_sq.tolist()
     n = len(col_a)
-    if not n:
-        raise ValueError("compose_chain requires at least one map")
     a, b, c, d = col_a[0], col_b[0], -1 + 0j, 1 + 0j
     # block i folds maps i - 63..i (the first from map 2), then renormalizes if full
     for i in range(_RENORM_EVERY, n + _RENORM_EVERY, _RENORM_EVERY):

@@ -232,32 +232,10 @@ class PerturbationSequences:
         """a_k = b_k - eps_k^2 (slot 0 meaningless)."""
         return self.b - self._eps_sq
 
-    def step_maps(self) -> np.ndarray:
-        """The entries of the per-step coefficient matrices that vary, index 1 first.
-
-        Step k's matrix is [[rho_k - eps_k^2, eps_k^2], [-1, 1]], from
-        clearing denominators in z -> rho_k z/(1 - z) + eps_k^2; its
-        determinant is rho_k.  Its bottom row is the same at every step, so
-        this returns an (N, 2) complex array whose row k-1 is
-        (rho_k - eps_k^2, eps_k^2); ``compose_chain`` takes it as is.
-
-        Raises
-        ------
-        DegenerateMapError
-            If some step has determinant a_k + b_k == 0 (a*d - b*c for
-            that layout), i.e. rho_k == 0.
-        """
-        es = self._eps_sq[1:-1]
-        rows = np.empty((self.N, 2), dtype=complex)
-        rows[:, 0] = self._rho[1:-1] - es
-        rows[:, 1] = es
-        degenerate = np.flatnonzero(rows[:, 0] + rows[:, 1] == 0)
-        if degenerate.size:
-            k = int(degenerate[0])
-            raise DegenerateMapError(
-                f"degenerate step map at k={k + 1}: coefficients "
-                f"{(*rows[k].tolist(), (-1 + 0j), (1 + 0j))}")
-        return rows
+    def step_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of rho_1..rho_N and eps_1^2..eps_N^2: the steps
+        that ``compose_chain`` forms its step matrices from."""
+        return self._rho[1:-1], self._eps_sq[1:-1]
 
 
 @dataclass(frozen=True)
@@ -431,8 +409,8 @@ def _run_plain(seqs: PerturbationSequences) -> np.ndarray:
     q_N, r_N = state[0], state[2]
     q_N1, _, r_N1, _ = steps(rho[N:N + 1], eps_sq[N:N + 1], *state)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.cumprod(np.concatenate(([1 + 0j], seqs.rho[1:N + 1])))
-    return np.array([q_N, q_N1, r_N, r_N1, prod[-1]])
+        prod = np.prod(seqs.rho[1:N + 1])
+    return np.array([q_N, q_N1, r_N, r_N1, prod])
 
 
 def _rescan(steps, rho: np.ndarray, eps_sq: np.ndarray, state: tuple, k0: int) -> None:

@@ -291,7 +291,7 @@ def test_skew_runs_extended_rungs_on_worker_processes(monkeypatch, tmp_path, two
     # a periodic top rung (example 4, constant), on workers when --extended
     # meets an aperiodic one (example 3) or PARIMPLODE_THREADS asks, with the
     # same CSV bytes either way
-    ran = watch_pids(convergence, "run_point")
+    ran = watch_pids(convergence, "_measure")  # every rung's measurement
     csv = {}
 
     def run(name, example, *flags):
@@ -318,15 +318,15 @@ def test_skew_reports_the_lowest_failing_rung(monkeypatch, capsys, two_cpus, wat
     # inline and pooled alike, the ladder runs every rung and names each
     # failing one, the lowest first, in one numerical failure.  By default
     # example 3 (aperiodic) pools and example 4 (constant) runs inline.
-    ran = watch_pids(convergence, "run_point")
-    real = convergence.run_point
+    ran = watch_pids(convergence, "_measure")  # every rung's measurement
+    real = convergence._measure
 
-    def failing(spec, n, **kwargs):
-        if n in (200, 800):
-            raise OracleMismatchError(f"injected failure at N={n}")
-        return real(spec, n, **kwargs)
+    def failing(seqs, extended):
+        if seqs.N in (200, 800):
+            raise OracleMismatchError(f"injected failure at N={seqs.N}")
+        return real(seqs, extended)
 
-    monkeypatch.setattr(convergence, "run_point", failing)
+    monkeypatch.setattr(convergence, "_measure", failing)
     if threads is not None:
         monkeypatch.setenv("PARIMPLODE_THREADS", threads)
     for example, pooled in (("3", threads != "1"), ("4", threads == "2")):

@@ -18,6 +18,7 @@ from parimplode import (
     TheoremA,
     TheoremB,
     fit_loglog,
+    materialize,
     run_point,
     run_sweep,
     write_rate_csv,
@@ -52,6 +53,16 @@ def test_quadratic_nonconvergent_point_pin():
     # q_{N+1} returns to ~0, so its distance from 1 is ~1: order-one
     # coefficients that never shrink with N
     assert p.q_N1_err == pytest.approx(1.0, abs=1e-8)
+
+
+def test_run_point_materializes_its_own_schedule():
+    # the point of (spec, N) is measured on materialize(spec, N) alone, so
+    # no schedule can be handed in beside a spec it does not match;
+    # run_sweep's probe measures the top rung it materialized.
+    with pytest.raises(TypeError, match="seqs"):
+        run_point(TheoremA(1), 800, seqs=materialize(TheoremB(3), 800))
+    top = run_sweep(TheoremB(5), [400, 800], extended=True)[-1]
+    assert top == run_point(TheoremB(5), 800, extended=True)
 
 
 def test_rate_point_validation():
@@ -117,9 +128,11 @@ def test_run_sweep_runs_inline_unless_workers_are_asked_for(monkeypatch, two_cpu
     # by default the binary64 path runs inline, and so does an exact ladder
     # whose top rung has a period (B1, period 8); an exact ladder without
     # one (B5) takes one process per CPU.  An explicit count wins either way.
+    # Every rung is measured by convergence._measure: run_point's body, to
+    # which run_sweep hands the top rung its probe materialized.
     from parimplode import convergence
 
-    ran = watch_pids(convergence, "run_point")
+    ran = watch_pids(convergence, "_measure")
     ns = [100, 200, 400, 800]
     inline = run_sweep(TheoremB(1), ns)
     assert ran() == "parent"
@@ -146,7 +159,7 @@ def test_run_sweep_reads_the_period_of_the_top_rung(two_cpus, watch_pids):
     # so its exact ladder still takes one process per CPU
     from parimplode import convergence
 
-    ran = watch_pids(convergence, "run_point")
+    ran = watch_pids(convergence, "_measure")
     run_sweep(SkewExample(5), [100, 200, 400, 800, 1600], extended=True)
     assert ran() == "both"
 

@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -58,27 +59,34 @@ def _random_step(rng: random.Random) -> tuple:
             return a, b
 
 
+def _steps(rho, eps_sq) -> tuple:
+    return np.array(rho, dtype=complex), np.array(eps_sq, dtype=complex)
+
+
 def test_compose_chain_equals_raw_matrix_fold():
     rng = random.Random(5)
     rows = [_random_step(rng) for _ in range(130)]  # crosses two renormalizations
-    chain = compose_chain(np.array(rows))
-    acc = np.array([[rows[0][0], rows[0][1]], [-1, 1]])
-    for a, b in rows[1:]:
-        acc = np.array([[a, b], [-1, 1]]) @ acc
+    rho, eps_sq = _steps([a + b for a, b in rows], [b for _, b in rows])
+    chain = compose_chain((rho, eps_sq))
+    # the step matrix of step k is [[rho_k - eps_k^2, eps_k^2], [-1, 1]]
+    acc = np.array([[rho[0] - eps_sq[0], eps_sq[0]], [-1, 1]])
+    for p, e in zip(rho[1:], eps_sq[1:]):
+        acc = np.array([[p - e, e], [-1, 1]]) @ acc
         acc /= np.max(np.abs(acc))
     want = MoebiusCoeffs(acc[0, 0], acc[0, 1], acc[1, 0], acc[1, 1])
     assert projective_distance(chain, want) < 1e-12
 
 
 def test_compose_chain_renormalizes_past_overflow():
-    # n copies of [[3, 0], [-1, 1]] multiply to [[3^n, 0], [-(3^n - 1)/2, 1]].
+    # n copies of [[3, 0], [-1, 1]] (rho_k = 3, eps_k^2 = 0) multiply to
+    # [[3^n, 0], [-(3^n - 1)/2, 1]].
     # At n = 700 the entry 3^n (about 1e334) is far past the binary64 range;
     # 600 copies (about 1e286) would not be.  Projectively the product is
     # [[1, 0], [-(1 - 3^-n)/2, 3^-n]], whose 3^-n lies below the range too,
     # so the check reads c/a and the ratio |a/d| on a log scale.  From 704
     # copies on, the renormalized d underflows to 0 and the product degenerates.
     n = 700
-    coeffs = compose_chain(np.tile(np.array([3.0, 0.0], dtype=complex), (n, 1)))
+    coeffs = compose_chain(_steps(np.full(n, 3.0), np.zeros(n)))
     assert all(math.isfinite(abs(v)) for v in coeffs.as_tuple())
     assert coeffs.b == 0
     assert abs(coeffs.c / coeffs.a + 0.5) < 1e-13
@@ -87,8 +95,40 @@ def test_compose_chain_renormalizes_past_overflow():
 
 
 def test_compose_chain_requires_maps():
-    with pytest.raises(ValueError):
-        compose_chain(np.empty((0, 2), dtype=complex))
+    with pytest.raises(ValueError, match=r"^rho and eps_sq must be non-empty, .* got \(0,\) and \(0,\)$"):
+        compose_chain(_steps([], []))
+
+
+@pytest.mark.parametrize("rho, eps_sq", [
+    (np.ones(4), np.zeros(5)),
+    (np.ones((2, 3)), np.zeros((2, 3))),
+    (np.ones(3), np.zeros((1, 3))),
+], ids=["lengths", "2-D", "ranks"])
+def test_compose_chain_refuses_unequal_or_non_1d_steps(rho, eps_sq):
+    want = f"rho and eps_sq must be non-empty, 1-D and of equal shapes, got {rho.shape} and {eps_sq.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        compose_chain(_steps(rho, eps_sq))
+
+
+def test_compose_chain_refuses_a_degenerate_step():
+    # around rho_base = 0.5, rho_k = 0 is admissible (|b_k| = 0.5), but its
+    # step matrix has determinant rho_k = 0
+    rho, eps_sq = _steps(np.full(6, 0.5 + 0.1j), np.full(6, 0.01 + 0.02j))
+    rho[2] = 0.0
+    want = "degenerate step map at k=3: coefficients ((-0.01-0.02j), (0.01+0.02j), (-1+0j), (1+0j))"
+    with pytest.raises(DegenerateMapError, match=f"^{re.escape(want)}$"):
+        compose_chain((rho, eps_sq))
+
+
+def test_compose_chain_judges_the_step_matrix_as_stored():
+    # rho_2 = 1e-30 is not 0, but rho_2 - eps_2^2 rounds to -1, so the
+    # stored matrix [[-1, 1], [-1, 1]] is singular: a_k + b_k == 0 in
+    # binary64 is the rule, not rho_k == 0
+    rho, eps_sq = _steps([0.5, 1e-30, 0.5], [0.0, 1.0, 0.0])
+    assert rho[1] != 0 and (rho[1] - eps_sq[1]) + eps_sq[1] == 0
+    want = "degenerate step map at k=2: coefficients ((-1+0j), (1+0j), (-1+0j), (1+0j))"
+    with pytest.raises(DegenerateMapError, match=f"^{re.escape(want)}$"):
+        compose_chain((rho, eps_sq))
 
 
 def test_projective_distance_properties():
@@ -230,12 +270,12 @@ def test_identity_distance_skips_the_guard_pass_only_past_its_margin(monkeypatch
 
 
 def test_perturbed_parabolic_step_layout():
-    # the step matrix of PerturbationSequences.step_maps and compose_chain
+    # a one-step chain is the step matrix itself, which must act like
+    # z -> rho*z/(1-z) + eps^2 and have determinant rho
     rho = cmath.exp(0.3j)
     eps_sq = 0.01 + 0.002j
-    m = MoebiusCoeffs(rho - eps_sq, eps_sq, -1.0, 1.0)
+    m = compose_chain(_steps([rho], [eps_sq]))
+    assert m.as_tuple() == (rho - eps_sq, eps_sq, -1.0, 1.0)
     assert m.det() == pytest.approx(rho)
-    # the matrix must act like z -> rho*z/(1-z) + eps^2
     z = 0.1 - 0.07j
     assert _apply(m, z) == pytest.approx(rho * z / (1.0 - z) + eps_sq)
-

@@ -103,23 +103,14 @@ def test_from_eps_squares():
 
 
 def test_step_maps_match_inputs():
+    # read-only views of rho_1..N and eps_1..N^2, no copies
     seqs = random_small_schedule(12, seed=3, trial=0)
-    rows = seqs.step_maps()
-    assert rows.shape == (12, 2)
-    for k, (a, b) in enumerate(rows, start=1):
-        assert a == seqs.rho[k] - seqs.eps_sq[k]
-        assert b == seqs.eps_sq[k]
-
-
-def test_step_maps_reject_a_vanishing_rho():
-    # around rho_base = 0.5, rho_k = 0 is admissible (|b_k| = 0.5), but its
-    # step map has determinant rho_k = 0
-    rho = np.full(8, 0.5 + 0.1j)
-    rho[3] = 0.0
-    seqs = PerturbationSequences(rho, np.full(8, 0.01 + 0.02j), 0.5)
-    want = "degenerate step map at k=3: coefficients ((-0.01-0.02j), (0.01+0.02j), (-1+0j), (1+0j))"
-    with pytest.raises(DegenerateMapError, match=re.escape(want)):
-        seqs.step_maps()
+    rho, eps_sq = seqs.step_maps()
+    for view, full in ((rho, seqs.rho), (eps_sq, seqs.eps_sq)):
+        assert view.shape == (12,)
+        assert view.tobytes() == full[1:13].tobytes()
+        assert np.shares_memory(view, full)
+        assert not view.flags.writeable
 
 
 # -- oracle equivalence --------------------------------------------------------
@@ -210,6 +201,23 @@ def test_vanishing_rho_fails_the_wronskian_gate():
         assert math.isnan(wronskian_residual(triple, n))
         with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan at N=600"):
             coefficients_from_qr(triple, n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps_sq", [0j, 1e-3, 1e-3j], ids=["product", "real", "complex"])
+def test_plain_prod_past_the_binary64_range_is_silent(eps_sq):
+    # prod rho_j = 1e-200^4 = 1e-800 lies below the binary64 range, on each
+    # of the plain path's three loops; the kernel must return the reference
+    # loop's tail bit for bit, a zero prod included, without a warning, and
+    # the Wronskian gate then refuses the 0/0 residual
+    n = 4
+    seqs = PerturbationSequences(np.full(n + 2, 1e-200 + 0j), np.full(n + 2, eps_sq, dtype=complex), 0.0)
+    triple, reference = run_recurrences(seqs), reference_plain(seqs)
+    assert triple.rho_cumprod[n] == 0
+    for field in ("q", "r", "rho_cumprod"):
+        assert getattr(triple, field)[n:].tobytes() == getattr(reference, field)[n:].tobytes()
+    with pytest.raises(DegenerateMapError, match=r"^Wronskian residual nan at N=4"):
+        coefficients_from_qr(triple, n)
 
 
 def test_r_from_qs_identity():
@@ -412,7 +420,7 @@ def test_extended_path_agrees_with_plain():
 # must give the exact values on its binary64 inputs, correctly rounded, which
 # _ziv_reference works out.  Both return only the tail at N, so where N is
 # small they run on every prefix of the schedule and each step's value is
-# still checked once.  Likewise compose_chain over the step_maps rows must
+# still checked once.  Likewise compose_chain over a schedule's steps must
 # reproduce the fold over MoebiusCoeffs objects that it replaced.
 
 
