@@ -9,9 +9,21 @@ import tempfile
 from collections.abc import Iterable, Sequence
 
 
+_DIGITS17 = ".17g"  # 17 significant digits: enough to round-trip a binary64
+
+
 def fmt17(x) -> str:
     """17 significant digits, '.' decimal separator, enough to round-trip."""
-    return format(float(x), ".17g")
+    return format(float(x), _DIGITS17)
+
+
+def row_format(columns: str) -> str:
+    """A %-format for one CSV row, a letter a column: 'd' writes an integer
+    as ``str`` does, 'g' a float as ``fmt17`` does.
+
+    One % of a whole row costs less than a ``fmt17`` call a field.
+    """
+    return ",".join({"d": "%d", "g": "%" + _DIGITS17}[c] for c in columns)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -10,16 +10,20 @@ trial (``run_ensemble`` and ``martingale_check``), and each trial of an
 ensemble whose q_k or r_k passes 1e100 (``run_ensemble``).
 
 Every trial of the lab runs in one step-major pass, ``_step_blocks``, over
-steps 1..N in blocks of ``recurrences._BLOCK`` steps.  A block draws its own
+steps 1..N in blocks of ``_BLOCK`` (64) steps.  A block draws its own
 variates, advances q and r of every trial (a buffer row holds one step of
 every trial, q then r, so a step is three row ops) and extends the running
 martingale sums delta_n.  Only the last two rows and the increments carry
-over, so memory is O(trials x block).  ``run_ensemble`` folds the blocks
-into a running maximum of |delta_n| / lambda_n; ``martingale_check`` checks
-the summation identity on every row.  Randomness is counter-based, so the
-blocks draw the same variates as one full draw, and an ensemble whose rungs
-are shared out among processes (``ioutil.map_rungs``) produces the
-same records in the same order as one run inline.
+over, so memory is O(trials x block).  The pass allocates its block buffers
+(eps_k^2, d_k, the rows and the martingale terms) once, and every block
+reuses them; only a block's draw is fresh.  At 200 trials a buffer holds 100
+to 200 kB, so the working set stays in the CPU's cache.
+``run_ensemble`` folds the blocks into a running maximum of
+|delta_n| / lambda_n; ``martingale_check`` checks the summation identity on
+every row.  Randomness is counter-based, so the blocks draw the same
+variates as one full draw, and an ensemble whose rungs are shared out among
+processes (``ioutil.map_rungs``) produces the same records in the same
+order as one run inline.
 """
 from __future__ import annotations
 
@@ -33,14 +37,15 @@ import numpy as np
 
 from .convergence import check_ladder
 from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
-from .ioutil import fmt17, map_rungs, worker_count, write_csv
+from .ioutil import map_rungs, row_format, worker_count, write_csv
 from .mobius import NORMALIZATION_FLOOR
-from .recurrences import _BLOCK, _OVERFLOW_LIMIT, _blocks, _check_overflow, _check_steps
+from .recurrences import _OVERFLOW_LIMIT, _blocks, _check_overflow, _check_steps
 from .schedules import RandomSchedule, UniformSymmetric
 
 MARTINGALE_GATE = 1e-8  # largest martingale identity residual martingale_check accepts
 TRIAL_CSV_HEADER = "N,delta,seed,trial,qN_re,qN_im,qN1_re,qN1_im,coeff_err"
 SUMMARY_CSV_HEADER = "N,delta,trials,median_qN,q90_qN,exceed_count,azuma_bound"
+_BLOCK = 64  # steps per block of the pass (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,8 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int, seen: dict | None = 
 
     Row j of ``rows`` (nb+2 of them) holds q_{k0-1+j} of every trial, then
     r_{k0-1+j}; d[j] = 4 sin^2(pi/(2N)) - eps_k^2 = (2 - eps_k^2) - 2 cos(pi/N)
-    and partial[j] = delta_{k+1} at k = k0+j.  ``rows`` is a view that the
-    next block overwrites.
+    and partial[j] = delta_{k+1} at k = k0+j.  ``rows``, ``d`` and
+    ``partial`` are views of buffers that the next block overwrites.
 
     A dict ``seen`` gets what the scalar path checks: ``e_max``, each trial's
     largest eps_k^2 over steps 1..N+1, and ``failed``, the
@@ -137,7 +142,9 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int, seen: dict | None = 
     theta = math.pi / N
     gap = 4.0 * math.sin(theta / 2.0) ** 2  # 2 - 2 cos(theta), not rounded at ulp(2)
     t_idx = np.arange(trials, dtype=np.uint64)
+    k_idx = np.arange(N + 2, dtype=np.uint64)[:, None]
     phases = np.exp(1j * theta * np.arange(N + 1))
+    cos_k, sin_k = phases.real[:, None].copy(), phases.imag[:, None].copy()
     x = np.empty((_BLOCK + 2, 2 * trials))
     x[0, :trials] = 0.0
     x[1, :trials] = 1.0
@@ -145,41 +152,56 @@ def _step_blocks(spec: RandomSchedule, N: int, trials: int, seen: dict | None = 
     # the carried increments x_k - x_{k-1}, q then r: 1 and 0 at k = 1
     inc = np.repeat([1.0, 0.0], trials)
     es_x = np.empty(2 * trials)
-    rows = list(x)
-    # the k = 0 term of delta_n is d_0 q_0 = 0, so the running sum starts at 0
-    partial = np.zeros(trials, dtype=complex)
+    # the block's buffers: eps_k^2 laid out q then r like the rows, d_k,
+    # d_k q_k and the martingale terms, summed in place into the delta_n
+    es = np.empty((_BLOCK, 2 * trials))
+    d = np.empty((_BLOCK, trials))
+    dq = np.empty((_BLOCK, trials))
+    terms = np.empty((_BLOCK, trials), dtype=complex)
+    es_top = np.empty(trials)
+    rows, es_rows, term_rows = list(x), list(es), list(terms)
+    # the running sum carried between blocks; the k = 0 term of delta_n is
+    # d_0 q_0 = 0, so it starts at 0
+    carry = np.zeros(trials, dtype=complex)
     # eps_{N+1}, which no step reads, starts each trial's largest eps_k^2
-    e_max = spec.eps(N, t_idx, np.array([N + 1], dtype=np.uint64))
+    e_max = spec.eps(N, t_idx, k_idx[N + 1])
     failed: dict[int, str] = {}
     if seen is not None:
         seen.update(e_max=e_max, failed=failed)
     with np.errstate(over="ignore"):
         e_max *= e_max
     nb = 0
-    for k0, k1 in _blocks(N):
+    for k0, k1 in _blocks(N, size=_BLOCK):
         if nb:
             x[:2] = x[nb:nb + 2]
         nb = k1 - k0
-        eps = spec.eps(N, t_idx[None, :], np.arange(k0, k1, dtype=np.uint64)[:, None])
+        eps = spec.eps(N, t_idx[None, :], k_idx[k0:k1])
+        es_q = es[:nb, :trials]
         with np.errstate(over="ignore", invalid="ignore"):
-            es = eps * eps
-            d = gap - es
-            es_top = es.max(axis=0)
+            np.multiply(eps, eps, es_q)
+            es[:nb, trials:] = es_q
+            np.subtract(gap, es_q, d[:nb])
+            np.max(es_q, axis=0, out=es_top)
             np.maximum(e_max, es_top, out=e_max)
-            start = max(np.abs(x[1]).max(), np.abs(inc).max())
-            # three row ops advance both recurrences of every trial (rho_k = 1);
-            # eps_k^2 is laid out q then r, like the rows
-            for e, xk, xn in zip(np.hstack((es, es)), rows[1:], rows[2:]):
-                np.multiply(e, xk, out=es_x)
-                np.subtract(inc, es_x, out=inc)
-                np.add(xk, inc, out=xn)
+            start = max(np.abs(x[1], es_x).max(), np.abs(inc, es_x).max())  # es_x as scratch
+            # three row ops advance both recurrences of every trial (rho_k = 1)
+            for e, xk, xn in zip(es_rows[:nb], rows[1:nb + 1], rows[2:nb + 2]):
+                np.multiply(e, xk, es_x)
+                np.subtract(inc, es_x, inc)
+                np.add(xk, inc, xn)
             if not start <= _OVERFLOW_LIMIT / 2 * (2.0 + es_top.max()) ** -nb:
                 _name_overflows(x[2:nb + 2], k0 + 1, failed)
-            terms = d * x[1:nb + 1, :trials] * phases[k0:k1, None]
-            terms[0] += partial
-            np.cumsum(terms, axis=0, out=terms)
-        partial = terms[-1].copy()
-        yield k0, x[:nb + 2], d, terms
+            # d_k q_k e^{i k theta}, the real d_k q_k times each part of the phase
+            np.multiply(d[:nb], x[1:nb + 1, :trials], dq[:nb])
+            np.multiply(dq[:nb], cos_k[k0:k1], terms[:nb].real)
+            np.multiply(dq[:nb], sin_k[k0:k1], terms[:nb].imag)
+            # their running sums, row by row: at 200 trials numpy's cumsum
+            # along the rows is slower than these calls
+            np.add(term_rows[0], carry, term_rows[0])
+            for prev, row in zip(term_rows[:nb - 1], term_rows[1:nb]):
+                np.add(prev, row, row)
+        carry[:] = term_rows[nb - 1]
+        yield k0, x[:nb + 2], d[:nb], terms[:nb]
 
 
 def _name_overflows(rows: np.ndarray, first: int, failed: dict) -> None:
@@ -211,13 +233,19 @@ def _refuse(N: int, e_max: np.ndarray) -> None:
 def _run_trials_at(N: int, delta: float, dist: UniformSymmetric, trials: int, seed: int):
     seen: dict = {}
     blocks = _step_blocks(RandomSchedule(delta, dist, seed), N, trials, seen)
-    lam = proof_lambda(np.arange(1, N + 2), N, delta)
+    lam = proof_lambda(np.arange(1, N + 2), N, delta)[:, None]
     # running maximum of |delta_n| / lambda_n over n = 1..N+1; delta_1 = 0
     ratio_max = np.zeros(trials)
+    ratio = np.empty((_BLOCK, trials))
+    block_max = np.empty(trials)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, rows, _, partial in blocks:
-            ratio_max = np.maximum(
-                ratio_max, np.max(np.abs(partial) / lam[k0:k0 + len(partial), None], axis=0))
+            nb = len(partial)
+            r = ratio[:nb]
+            np.abs(partial, r)
+            np.divide(r, lam[k0:k0 + nb], r)
+            np.max(r, axis=0, out=block_max)
+            np.maximum(ratio_max, block_max, out=ratio_max)
         q_N, q_N1 = rows[-2:, :trials]
         r_N, r_N1 = rows[-2:, trials:]
         a_coef = q_N1 - q_N
@@ -318,24 +346,31 @@ def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
     theta = math.pi / N
     sin_t = math.sin(theta)
     # U_n at n = 0..N+1; n = 1 holds exactly (q_1 = U_1 = 1, delta_1 = 0)
-    u = np.array([math.sin(n * theta) for n in range(N + 2)]) / sin_t
-    turn = np.exp(-1j * theta * np.arange(N + 2))
+    u = (np.array([math.sin(n * theta) for n in range(N + 2)]) / sin_t)[:, None]
+    turn = np.exp(-1j * theta * np.arange(N + 2))[:, None]
     k_mid = max(2, N // 2) - 1  # delta_n - delta_{n-1} at n = N//2
     max_resid = 0.0
     violation = None
+    # the residuals and delta_n e^{-i n theta} of a block, in buffers held for the pass
+    resid_buf = np.empty((_BLOCK, trials))
+    turned_buf = np.empty((_BLOCK, trials), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, rows, d, partial in blocks:
-            n = slice(k0 + 1, k0 + 1 + len(d))
-            resid = np.abs(sin_t * (rows[2:, :trials] - u[n, None])
-                           + (partial * turn[n, None]).imag)
-            bad = np.argwhere(~(resid <= MARTINGALE_GATE))  # a NaN residual fails too
-            if bad.size:
-                j, t = bad[0]
+            nb = len(d)
+            resid, turned = resid_buf[:nb], turned_buf[:nb]
+            np.subtract(rows[2:, :trials], u[k0 + 1:k0 + 1 + nb], resid)
+            np.multiply(sin_t, resid, resid)
+            np.multiply(partial, turn[k0 + 1:k0 + 1 + nb], turned)
+            np.add(resid, turned.imag, resid)
+            np.abs(resid, resid)
+            block_max = float(resid.max())
+            if not block_max <= MARTINGALE_GATE:  # a NaN residual fails too
+                j, t = np.argwhere(~(resid <= MARTINGALE_GATE))[0]
                 violation = IdentityViolationError(
                     f"martingale identity residual {resid[j, t]:.3e} at n={k0 + 1 + j} "
                     f"exceeds {MARTINGALE_GATE:g}")
                 break
-            max_resid = max(max_resid, float(resid.max()))
+            max_resid = max(max_resid, block_max)
             if 0 <= k_mid - k0 < len(d):
                 j = k_mid - k0
                 increments = d[j] * rows[j + 1, :trials] * cmath.exp(1j * k_mid * theta)
@@ -351,11 +386,14 @@ def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)
 
 
+_TRIAL_ROW = row_format("dgddggggg")
+_SUMMARY_ROW = row_format("dgdggdg")
+
+
 def write_trial_csv(records: list[TrialRecord], path: str) -> None:
     rows = (
-        (str(t.N), fmt17(t.delta), str(t.seed), str(t.trial),
-         fmt17(t.q_N.real), fmt17(t.q_N.imag),
-         fmt17(t.q_N1.real), fmt17(t.q_N1.imag), fmt17(t.coeff_err))
+        (_TRIAL_ROW % (t.N, t.delta, t.seed, t.trial, t.q_N.real, t.q_N.imag,
+                       t.q_N1.real, t.q_N1.imag, t.coeff_err),)
         for t in records
     )
     write_csv(path, TRIAL_CSV_HEADER, rows)
@@ -363,8 +401,8 @@ def write_trial_csv(records: list[TrialRecord], path: str) -> None:
 
 def write_summary_csv(summaries: list[EnsembleSummary], path: str) -> None:
     rows = (
-        (str(s.N), fmt17(s.delta), str(s.trials), fmt17(s.median_qN),
-         fmt17(s.q90_qN), str(s.exceed_count), fmt17(s.azuma_bound))
+        (_SUMMARY_ROW % (s.N, s.delta, s.trials, s.median_qN, s.q90_qN,
+                         s.exceed_count, s.azuma_bound),)
         for s in summaries
     )
     write_csv(path, SUMMARY_CSV_HEADER, rows)

@@ -9,10 +9,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parimplode
-from parimplode.ioutil import _shares, map_rungs
+from parimplode.ioutil import _shares, fmt17, map_rungs, row_format
 
 _KILL = os.kill  # the real one, for children that kill themselves
 
@@ -66,6 +67,21 @@ def _logging(log: Path, fn):
 def _pids(log: Path) -> dict:
     """Item -> pid of the process that ran it, from a ``_logging`` log."""
     return {int(item): int(pid) for item, pid in map(str.split, log.read_text().splitlines())}
+
+
+def test_row_format_writes_what_str_and_fmt17_write():
+    # signed zeros, subnormals, nan and the infinities, then 2,000 random bit
+    # patterns (nan payloads included), against integers up to 2**64 - 1
+    odd = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -1e300,
+           float("nan"), float("inf"), float("-inf"), np.float64(2.5), 7]
+    bits = np.random.default_rng(41).integers(0, 2**64, size=2000, dtype=np.uint64)
+    ints = [0, -3, 2**64 - 1, np.int64(-12), np.uint64(2**63)]
+    fmt = row_format("dgd")
+    for i, x in enumerate(odd + bits.view(np.float64).tolist()):
+        n = ints[i % len(ints)]
+        assert fmt % (n, x, i) == f"{n},{fmt17(x)},{i}"
+    with pytest.raises(KeyError):
+        row_format("ds")
 
 
 def test_shares_take_the_largest_item_first_to_the_least_loaded_share():

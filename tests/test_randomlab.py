@@ -191,14 +191,14 @@ def _assert_same_outputs(got, want):
             assert got[key].view(np.uint64).tolist() == value.view(np.uint64).tolist(), key
 
 
-# the block edges of the step loop sit at 256, 512, ... steps; the last two
+# the block edges of the step loop sit at 64, 128, ... steps; the last two
 # cases see trials on both sides of the threshold past a block edge
 _EXCEEDANCE_CASES = [(4, 0.5, 1.0), (1000, 1.0, 1.0), (513, 0.5, 0.25)]
 
 
 # "prop-uniform": the proof's lambda_n, eta_k uniform on [-1, 1]
 @pytest.mark.parametrize("N, delta, m", [pytest.param(N, 0.5, 1.0, id=f"prop-uniform-{N}")
-                                         for N in (4, 5, 255, 256, 257, 258, 512, 513, 1000)]
+                                         for N in (4, 5, 63, 64, 65, 129, 255, 256, 257, 258, 512, 513, 1000)]
                          + _EXCEEDANCE_CASES[1:])
 def test_trials_at_bit_identical_to_column_loop(N, delta, m):
     args = (N, delta, UniformSymmetric(m), 40, 3)
@@ -395,9 +395,10 @@ def test_martingale_check_sees_corrupted_recurrence(monkeypatch):
 
 
 def test_martingale_check_sees_one_corrupted_coefficient(monkeypatch):
-    # q_257 recomputed with the coefficient of step 256 off by 1e-6; the next
-    # block carries it on, while d_256 and the sums keep the true coefficient.
-    # The identity at n = 257 is then off by sin(theta) * 1e-6 * q_256, about 1e-6
+    # q_65, the last row of the first 64-step block, recomputed with the
+    # coefficient of step 64 off by 1e-6; the next block carries it on, while
+    # d_64 and the sums keep the true coefficient.  The identity at n = 65 is
+    # then off by sin(theta) * 1e-6 * q_64, about 3e-7
     def bump_coefficient(k0, rows, d, partial, trials):
         if k0 == 1:
             rows[-1, :trials] += 1e-6 * rows[-2, :trials]
@@ -405,7 +406,21 @@ def test_martingale_check_sees_one_corrupted_coefficient(monkeypatch):
 
     _corrupt_step_blocks(monkeypatch, bump_coefficient)
     with pytest.raises(IdentityViolationError,
-                       match=r"martingale identity residual .* at n=257 exceeds 1e-08"):
+                       match=r"martingale identity residual .* at n=65 exceeds 1e-08"):
+        martingale_check(0.5, UniformSymmetric(1.0), N=600, trials=3, seed=3)
+
+
+def test_martingale_check_fails_a_nan_residual(monkeypatch):
+    # one NaN q_76 of trial 1, inside the second block: a block whose largest
+    # residual is NaN fails the gate, and the message names that entry
+    def spoil_one_q(k0, rows, d, partial, trials):
+        if k0 == 65:
+            rows[12, 1] = math.nan
+        return k0, rows, d, partial
+
+    _corrupt_step_blocks(monkeypatch, spoil_one_q)
+    with pytest.raises(IdentityViolationError,
+                       match=r"martingale identity residual nan at n=76 exceeds 1e-08"):
         martingale_check(0.5, UniformSymmetric(1.0), N=600, trials=3, seed=3)
 
 
@@ -458,3 +473,11 @@ def test_trial_and_summary_csv_format(tmp_path):
     assert tl[2] == "200,0.5,1,1,0.0044248151556741666,0,-0.99241018133755132,0,0.010745678460469685"
     assert sl[1] == "200,0.5,50,0.16667692985281668,0.37963195406740602,50,187.27801610810229"
     assert len(tl) == 52 and tl[-1] == ""  # header + 50 rows + trailing newline
+    # a row of the values 17 digits must spell out: nan, -0.0, infinities and
+    # the smallest subnormal, as ioutil.fmt17 writes them
+    odd = randomlab.TrialRecord(N=12, delta=0.25, seed=2**64 - 1, trial=7,
+                                q_N=complex(float("nan"), -0.0), q_N1=complex(float("inf"), 5e-324),
+                                coeff_err=float("-inf"))
+    write_trial_csv([odd], str(tp))
+    assert tp.read_text().split("\n")[1] == ("12,0.25,18446744073709551615,7,nan,-0,inf,"
+                                             "4.9406564584124654e-324,-inf")
