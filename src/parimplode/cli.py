@@ -58,7 +58,7 @@ from .bands import (
 )
 from .convergence import ORACLE_GATE, check_ladder, run_sweep, write_rate_csv
 from .errors import InvalidSpecError, OracleMismatchError, ParimplodeError, UsageError
-from .ioutil import atomic_write_text, fmt17, map_rungs, worker_count, write_csv
+from .ioutil import atomic_write_text, map_rungs, worker_count, write_csv
 from .mobius import compose_chain, projective_distance
 from .randomlab import run_ensemble, write_summary_csv, write_trial_csv
 from .recurrences import coefficients_from_qr, run_recurrences
@@ -195,10 +195,9 @@ def cmd_counterexample(cfg: dict) -> int:
         print(f"N={fp.N} f_coeff_err={fp.coeff_err:.6g} f_qN_abs={fp.q_N_abs:.6g} "
               f"g_coeff_err={gp.coeff_err:.6g}")
     if cfg["out"]:
-        rows = ((str(fp.N), fmt17(fp.coeff_err), fmt17(fp.q_N_abs),
-                 fmt17(gp.coeff_err), fmt17(gp.q_N_abs))
+        rows = ((fp.N, fp.coeff_err, fp.q_N_abs, gp.coeff_err, gp.q_N_abs)
                 for fp, gp in zip(f_points, g_points))
-        write_csv(cfg["out"], COUNTEREXAMPLE_CSV_HEADER, rows)
+        write_csv(cfg["out"], COUNTEREXAMPLE_CSV_HEADER, "dgggg", rows)
     series = counterexample_series(f_points, g_points)
     plotted = [(f"{side} coeff_err", ns, series[f"{side}_coeff_err"]) for side in "fg"]
     return _report(cfg, "counterexample", series, plotted,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidSpecError, NonPositiveValueError, OracleMismatchError, SweepError
-from .ioutil import fmt17, map_rungs, requested_workers, worker_count, write_csv
+from .ioutil import map_rungs, requested_workers, worker_count, write_csv
 from .mobius import EvalRegion, compose_chain, identity_distance, projective_coeff_error, projective_distance
 from .recurrences import PerturbationSequences, coefficients_from_qr, run_recurrences, wronskian_residual
 from .schedules import ScheduleSpec, materialize
@@ -193,9 +193,6 @@ def fit_loglog(ns, values) -> DecayFit:
 
 
 def write_rate_csv(points: list[RatePoint], path: str) -> None:
-    rows = (
-        (str(p.N), fmt17(p.coeff_err), fmt17(p.sup_err), fmt17(p.q_N_abs),
-         fmt17(p.q_N1_err), fmt17(p.r_N_err), fmt17(p.r_N1_err), fmt17(p.wronskian_resid))
-        for p in points
-    )
-    write_csv(path, RATE_CSV_HEADER, rows)
+    rows = ((p.N, p.coeff_err, p.sup_err, p.q_N_abs, p.q_N1_err, p.r_N_err, p.r_N1_err,
+             p.wronskian_resid) for p in points)
+    write_csv(path, RATE_CSV_HEADER, "dggggggg", rows)

@@ -1,42 +1,42 @@
-"""Shared helpers: number formatting, atomic CSV writes, worker count, rung map."""
+"""Shared helpers: the CSV value format, atomic writes, worker count, rung map.
+
+Every CSV the package writes leaves through ``write_csv``, and
+``row_format`` is the one place that formats its values: an integer as
+``str`` writes it, a float at 17 significant digits, enough to round-trip
+a binary64.
+"""
 from __future__ import annotations
 
 import contextlib
 import os
 import pickle
 import signal
-import tempfile
 from collections.abc import Iterable, Sequence
-
-
-_DIGITS17 = ".17g"  # 17 significant digits: enough to round-trip a binary64
-
-
-def fmt17(x) -> str:
-    """17 significant digits, '.' decimal separator, enough to round-trip."""
-    return format(float(x), _DIGITS17)
 
 
 def row_format(columns: str) -> str:
     """A %-format for one CSV row, a letter a column: 'd' writes an integer
-    as ``str`` does, 'g' a float as ``fmt17`` does.
-
-    One % of a whole row costs less than a ``fmt17`` call a field.
-    """
-    return ",".join({"d": "%d", "g": "%" + _DIGITS17}[c] for c in columns)
+    as ``str`` does, 'g' a float at 17 significant digits ('.' decimal
+    separator).  A 'd' column must hold an int: '%d' truncates a float."""
+    return ",".join({"d": "%d", "g": "%.17g"}[c] for c in columns)
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus os.replace.
 
     Readers never observe a partially written file; interrupted runs leave
-    the previous version intact.  An OSError names ``path``, not the temp
+    the previous version intact.  The file gets the mode a plain
+    ``open(path, "w")`` gives a new file, 0o666 less the umask, whatever
+    mode a file it replaces had.  An OSError names ``path``, not the temp
     file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+        # O_EXCL never opens a file that exists
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -49,10 +49,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
-    """Fixed-header CSV with '\\n' line endings, written atomically."""
+def write_csv(path: str, header: str, columns: str, rows: Iterable[tuple]) -> None:
+    """Fixed-header CSV with '\\n' line endings, written atomically.  Each
+    row is a tuple of raw values, formatted by ``row_format(columns)``."""
+    fmt = row_format(columns)
     lines = [header]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(fmt % row for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

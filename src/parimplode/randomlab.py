@@ -37,7 +37,7 @@ import numpy as np
 
 from .convergence import check_ladder
 from .errors import IdentityViolationError, InvalidSpecError, RecurrenceOverflowError
-from .ioutil import map_rungs, row_format, worker_count, write_csv
+from .ioutil import map_rungs, worker_count, write_csv
 from .mobius import NORMALIZATION_FLOOR
 from .recurrences import _OVERFLOW_LIMIT, _blocks, _check_overflow, _check_steps
 from .schedules import RandomSchedule, UniformSymmetric
@@ -386,23 +386,13 @@ def martingale_check(delta: float, dist: UniformSymmetric, N: int, trials: int,
     return MartingaleCheck(max_resid, abs(mean_inc), stderr)
 
 
-_TRIAL_ROW = row_format("dgddggggg")
-_SUMMARY_ROW = row_format("dgdggdg")
-
-
 def write_trial_csv(records: list[TrialRecord], path: str) -> None:
-    rows = (
-        (_TRIAL_ROW % (t.N, t.delta, t.seed, t.trial, t.q_N.real, t.q_N.imag,
-                       t.q_N1.real, t.q_N1.imag, t.coeff_err),)
-        for t in records
-    )
-    write_csv(path, TRIAL_CSV_HEADER, rows)
+    rows = ((t.N, t.delta, t.seed, t.trial, t.q_N.real, t.q_N.imag, t.q_N1.real, t.q_N1.imag,
+             t.coeff_err) for t in records)
+    write_csv(path, TRIAL_CSV_HEADER, "dgddggggg", rows)
 
 
 def write_summary_csv(summaries: list[EnsembleSummary], path: str) -> None:
-    rows = (
-        (_SUMMARY_ROW % (s.N, s.delta, s.trials, s.median_qN, s.q90_qN,
-                         s.exceed_count, s.azuma_bound),)
-        for s in summaries
-    )
-    write_csv(path, SUMMARY_CSV_HEADER, rows)
+    rows = ((s.N, s.delta, s.trials, s.median_qN, s.q90_qN, s.exceed_count, s.azuma_bound)
+            for s in summaries)
+    write_csv(path, SUMMARY_CSV_HEADER, "dgdggdg", rows)

@@ -46,7 +46,3 @@ def uniform01(seed: int, trial, k):
     """Uniform variates in [0, 1) with full 53-bit mantissas."""
     return (words(seed, trial, k) >> np.uint64(11)).astype(np.float64) * _U53
 
-
-def uniform_symmetric(seed: int, trial, k, bound: float = 1.0):
-    """Uniform variates in [-bound, bound] (mean zero)."""
-    return bound * (2.0 * uniform01(seed, trial, k) - 1.0)

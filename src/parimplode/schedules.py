@@ -35,7 +35,8 @@ class UniformSymmetric:
             raise InvalidSpecError(f"m: must be a positive real, got {self.m}")
 
     def draw(self, seed: int, trial: int, k: np.ndarray) -> np.ndarray:
-        return rng.uniform_symmetric(seed, trial, k, bound=self.m)
+        """Uniform variates in [-m, m] (mean zero) at steps k of the given trial(s)."""
+        return self.m * (2.0 * rng.uniform01(seed, trial, k) - 1.0)
 
 
 # -- schedule families --------------------------------------------------------
@@ -138,6 +139,8 @@ class RandomSchedule:
             raise InvalidSpecError(f"unsupported distribution {self.dist!r}")
         if not isinstance(self.seed, int) or not isinstance(self.trial, int):
             raise InvalidSpecError("seed and trial must be integers")
+        if not 0 <= self.trial < 2**64:
+            raise InvalidSpecError(f"trial: must be in 0..2**64-1, got {self.trial}")
 
     def eps(self, N: int, trial, k) -> np.ndarray:
         """eps_k at steps k (uint64) of the given trial(s); broadcasts like dist.draw."""

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSpecError
-from .ioutil import fmt17, write_csv
+from .ioutil import write_csv
 from .recurrences import PerturbationSequences
 
 SKEW_CSV_HEADER = "example_id,N,w_final_abs,fiber_coeff_err,fiber_sup_err"
@@ -100,9 +100,6 @@ def orbit_results(example_id: int, points) -> list[SkewOrbitResult]:
 
 def write_skew_csv(rows: list[tuple[int, SkewOrbitResult]], path: str) -> None:
     """Rows are (example_id, result) pairs."""
-    body = (
-        (str(ex_id), str(res.N), fmt17(abs(res.w_final)),
-         fmt17(res.fiber_coeff_err), fmt17(res.fiber_sup_err))
-        for ex_id, res in rows
-    )
-    write_csv(path, SKEW_CSV_HEADER, body)
+    body = ((ex_id, res.N, abs(res.w_final), res.fiber_coeff_err, res.fiber_sup_err)
+            for ex_id, res in rows)
+    write_csv(path, SKEW_CSV_HEADER, "ddggg", body)

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import types
@@ -40,7 +41,6 @@ from parimplode import (
 )
 from parimplode.bands import columns, ensemble_series, fit_above, judge, skew_series
 from parimplode.cli import main, parse_ladder
-from parimplode.ioutil import fmt17
 from parimplode.svgplot import loglog_svg
 
 # every subcommand's flags besides --help; pinned here, apart from the option
@@ -217,7 +217,7 @@ def test_random_tail_clause_reads_a_bound_below_1(tmp_path, capsys):
     assert main(["random", "--delta", "1", "--m", "0.25", "--trials", "30", "--n", "200:800:x2",
                  "--out-summary", str(summary), "--assert"]) == 3
     rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
-    assert [row[-1] for row in rows] == [fmt17(union_bound(n, 1.0, 0.25)) for n in (200, 400, 800)]
+    assert [row[-1] for row in rows] == [format(union_bound(n, 1.0, 0.25), ".17g") for n in (200, 400, 800)]
     assert [row[-2] for row in rows] == ["0", "0", "0"]
     assert capsys.readouterr().err == (
         "parimplode: assertion failed: median_qN slope -0.394 (band [-1.200, -0.800])\n")
@@ -532,6 +532,23 @@ def test_unwritable_output_path_is_named(tmp_path, capsys, argv, flag):
     assert err.startswith(f"parimplode: error: cannot write {path}: "), err
     assert ".tmp-" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_get_the_mode_open_gives(tmp_path, umask):
+    # 0o666 less the umask, for a new file and for one that replaces a 0600
+    # file, as a plain open(path, "w") gives a new file
+    csv, svg = tmp_path / "rates.csv", tmp_path / "rates.svg"
+    csv.write_text("old\n")
+    csv.chmod(0o600)
+    previous = os.umask(umask)
+    try:
+        assert main(["sweep", "--theorem", "A", "--n", "100", "--out", str(csv), "--svg", str(svg)]) == 0
+    finally:
+        os.umask(previous)
+    assert csv.read_text().startswith(convergence.RATE_CSV_HEADER)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (csv, svg)] == [0o666 & ~umask] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rates.csv", "rates.svg"]
 
 
 def test_diagnose_sum(capsys):

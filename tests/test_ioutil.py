@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import parimplode
-from parimplode.ioutil import _shares, fmt17, map_rungs, row_format
+from parimplode.ioutil import _shares, map_rungs, row_format
 
 _KILL = os.kill  # the real one, for children that kill themselves
 
@@ -70,7 +70,8 @@ def _pids(log: Path) -> dict:
 
 
 def test_row_format_writes_what_str_and_fmt17_write():
-    # signed zeros, subnormals, nan and the infinities, then 2,000 random bit
+    # 'd' as str writes an integer, 'g' as format(float(x), ".17g"): signed
+    # zeros, subnormals, nan and the infinities, then 2,000 random bit
     # patterns (nan payloads included), against integers up to 2**64 - 1
     odd = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -1e300,
            float("nan"), float("inf"), float("-inf"), np.float64(2.5), 7]
@@ -79,7 +80,7 @@ def test_row_format_writes_what_str_and_fmt17_write():
     fmt = row_format("dgd")
     for i, x in enumerate(odd + bits.view(np.float64).tolist()):
         n = ints[i % len(ints)]
-        assert fmt % (n, x, i) == f"{n},{fmt17(x)},{i}"
+        assert fmt % (n, x, i) == f"{str(n)},{format(float(x), '.17g')},{str(i)}"
     with pytest.raises(KeyError):
         row_format("ds")
 

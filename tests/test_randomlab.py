@@ -474,7 +474,7 @@ def test_trial_and_summary_csv_format(tmp_path):
     assert sl[1] == "200,0.5,50,0.16667692985281668,0.37963195406740602,50,187.27801610810229"
     assert len(tl) == 52 and tl[-1] == ""  # header + 50 rows + trailing newline
     # a row of the values 17 digits must spell out: nan, -0.0, infinities and
-    # the smallest subnormal, as ioutil.fmt17 writes them
+    # the smallest subnormal, as ioutil.row_format writes them
     odd = randomlab.TrialRecord(N=12, delta=0.25, seed=2**64 - 1, trial=7,
                                 q_N=complex(float("nan"), -0.0), q_N1=complex(float("inf"), 5e-324),
                                 coeff_err=float("-inf"))

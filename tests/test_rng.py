@@ -6,7 +6,7 @@ breaking change, not a tuning knob.
 """
 import numpy as np
 
-from parimplode import rng
+from parimplode import UniformSymmetric, rng
 
 GOLDEN_WORDS = {
     (42, 0, 1): 0x5FF1B2D709079039,
@@ -64,7 +64,7 @@ def test_uniform01_range_and_mean():
 
 
 def test_uniform_symmetric_bound():
-    v = rng.uniform_symmetric(3, 2, np.arange(5000, dtype=np.uint64), bound=0.25)
+    v = UniformSymmetric(0.25).draw(3, 2, np.arange(5000, dtype=np.uint64))
     assert np.all(np.abs(v) <= 0.25)
     assert abs(v.mean()) < 0.01
 

@@ -264,6 +264,14 @@ def test_spec_constructor_validation():
         CounterexampleC("g")
 
 
+@pytest.mark.parametrize("trial", [-1, 2**64])
+def test_random_schedule_refuses_a_trial_no_uint64_holds(trial):
+    # refused as a spec error, not numpy's OverflowError at materialize
+    with pytest.raises(InvalidSpecError, match=rf"^trial: must be in 0..2\*\*64-1, got {trial}$"):
+        RandomSchedule(0.5, UniformSymmetric(1.0), seed=0, trial=trial)
+    RandomSchedule(0.5, UniformSymmetric(1.0), seed=0, trial=2**64 - 1)
+
+
 def test_each_case_rejects_exactly_the_parameters_it_never_reads():
     # A2 does not read amplitude: a value it would ignore is an error naming
     # the field and the case, never a silent no-op
